@@ -50,15 +50,6 @@ def load_fan_file(path):
     return fan_from_dict(raw), basis_p
 
 
-def _thread_budget():
-    # parallelism hook: all kernels are pure, but the bundled sizes do not
-    # warrant a pool, so the budget is recorded and execution stays serial
-    try:
-        return max(1, int(os.environ.get("ORBIDISK_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def build_parser():
     p = argparse.ArgumentParser(
         prog="orbidisk",
@@ -273,7 +264,6 @@ def write_output(text: str, path):
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    _thread_budget()
     try:
         report = COMMANDS[args.command](args)
     except OrbidiskError as e:

@@ -9,10 +9,8 @@ tuples per cone, merged and deduplicated.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .errors import ValidationError, ConsistencyError
 from .fan import BoxElement, ToricData, zero_box
@@ -28,19 +26,12 @@ class EffClass:
     grade: Fraction
     sector: BoxElement
 
-    def key(self):
-        return self.coords
-
     def is_zero(self):
         return all(c == 0 for c in self.coords)
 
 
 def _is_nonneg_int(x: Fraction) -> bool:
     return x.denominator == 1 and x >= 0
-
-
-def _is_neg_int(x: Fraction) -> bool:
-    return x.denominator == 1 and x < 0
 
 
 def sector(data: ToricData, pairings) -> BoxElement:
@@ -156,83 +147,4 @@ def enumerate_effective(data: ToricData, bound) -> list:
                                    cls.pairings)
         out.append(cls)
     out.sort(key=lambda c: (c.grade, c.coords))
-    return out
-
-
-def brute_force_effective(data: ToricData, bound, denominator=None) -> list:
-    """Independent grid enumeration for small kernel ranks (test oracle).
-
-    Scans all coordinate tuples with the box-denominator cleared inside a box
-    large enough to contain every class of grade <= bound, keeping those that
-    pass the membership predicate.
-    """
-    bound = frac(bound)
-    r = data.r
-    if r == 0:
-        return []
-    if r > 2:
-        raise ValidationError(MODULE, "brute_force_effective",
-                              "grid oracle only supports kernel rank <= 2", r)
-    if denominator is None:
-        denominator = 1
-        for b in data.boxes:
-            for c in b.coefficients:
-                denominator = denominator * c.denominator // gcd(
-                    denominator, c.denominator)
-    lim = int(bound * denominator) * (data.m_prime + 2)
-    out = []
-    for combo in itertools.product(range(-lim, lim + 1), repeat=r):
-        coords = [Fraction(k, denominator) for k in combo]
-        if all(c == 0 for c in coords):
-            continue
-        grade = sum(coords, Fraction(0))
-        if grade <= 0 or grade > bound:
-            continue
-        pairings = data.pairings_from_coords(coords)
-        if is_effective(data, pairings):
-            out.append(eff_class(data, coords))
-    out.sort(key=lambda c: (c.grade, c.coords))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# filters feeding the mirror-map series
-
-
-def _degree_zero(data: ToricData, cls: EffClass) -> bool:
-    """Vanishing of the anticanonical pairing (sum over every column)."""
-    return data.rho_hat_pairing(cls.pairings) == 0
-
-
-def filter_g_smooth(data: ToricData, classes, j) -> list:
-    """Classes feeding the ray-indexed series: trivial sector, the chosen ray
-    pairing a negative integer, every other column a nonnegative integer, and
-    anticanonical degree zero."""
-    out = []
-    for cls in classes:
-        if not cls.sector.is_zero():
-            continue
-        if not _degree_zero(data, cls):
-            continue
-        if not _is_neg_int(cls.pairings[j]):
-            continue
-        if all(_is_nonneg_int(p) for i, p in enumerate(cls.pairings) if i != j):
-            out.append(cls)
-    return out
-
-
-def filter_g_orbi(data: ToricData, classes, j) -> list:
-    """Classes feeding the twisted-sector series of extra column j: sector
-    equal to that box element, no column pairing to a negative integer
-    (fractional negative pairings are admitted), anticanonical degree zero."""
-    target = data.column_vector(j)
-    out = []
-    for cls in classes:
-        if cls.sector.is_zero() or cls.sector.vector != tuple(target):
-            continue
-        if not _degree_zero(data, cls):
-            continue
-        if any(_is_neg_int(p) for p in cls.pairings):
-            continue
-        out.append(cls)
     return out

@@ -402,14 +402,6 @@ class ToricData:
             out.append((tuple(c), comp))
         return out
 
-    def in_anticone_family(self, index_set):
-        """Membership of an index set in the upward-closed anticone family."""
-        s = set(index_set)
-        for _, comp in self.minimal_anticones():
-            if set(comp) <= s:
-                return True
-        return False
-
     # -- dual classes ------------------------------------------------------------
 
     def extra_cone_data(self, j):
@@ -559,20 +551,17 @@ def kernel_data(fan: StackyFan, basis_p=None, cy_mode: bool = True) -> ToricData
             if sum(g[i] * fan.column(i)[k] for i in range(fan.m_prime)) != 0:
                 raise ConsistencyError(MODULE, op, "kernel relation violated", g)
 
-    data = ToricData(fan=fan, gamma=[list(g) for g in gamma],
+    # extra divisors must have no component along the distinguished prefix of
+    # the basis (their classes die in the quotient); reject otherwise
+    if any(gamma[a][j] for a in range(fan.m - fan.rank)
+           for j in range(fan.m, fan.m_prime)):
+        split_ok = False
+
+    return ToricData(fan=fan, gamma=[list(g) for g in gamma],
                      max_cones=[tuple(c) for c in max_cones],
                      boxes=boxes, age1_boxes=age1,
                      cy_covector=calabi_yau_covector(fan),
                      basis_origin=origin, split_ok=split_ok)
-
-    # extra divisors must have no component along the distinguished prefix of
-    # the basis (their classes die in the quotient); reject otherwise
-    if data.infinity_column is None:
-        for j in data.extra_columns():
-            for a in range(data.r_prime):
-                if gamma[a][j] != 0:
-                    data.split_ok = False
-    return data
 
 
 def calabi_yau_covector(fan: StackyFan):
@@ -643,9 +632,6 @@ class CompactifiedData:
     beta_bar: list              # pairing vector over bar columns
     col_map: dict               # base column -> bar column
     complete_certificate: dict = field(default_factory=dict)
-
-    def disk_column(self):
-        return self.disk[1]
 
     def base_to_bar_pairings(self, pairings):
         out = [Fraction(0)] * self.bar.m_prime

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import factorial
 
 from .errors import ConsistencyError
 from .series import Series, frac, mono
@@ -153,8 +154,27 @@ class Slice:
     h0_z2: Series | None = None
 
 
+def closed_form_ray_coefficient(pairings, j, skip=()):
+    """Coefficient of a ray-series class in closed form:
+    (-1)^(p-1) (-p-1)! / prod_{i != j} (pairing_i)! for pairing p < 0 at j."""
+    p = frac(pairings[j])
+    assert p.denominator == 1 and p < 0
+    num = Fraction((-1) ** (int(-p) - 1)) * factorial(int(-p) - 1)
+    den = Fraction(1)
+    for i, q in enumerate(pairings):
+        if i == j or i in skip:
+            continue
+        q = frac(q)
+        assert q.denominator == 1 and q >= 0
+        den *= factorial(int(q))
+    return num / den
+
+
 def coefficient_slice(data, classes, order, cd=None) -> Slice:
-    """Accumulate the z^-1 / z^-2 extractions of a list of classes."""
+    """Accumulate the z^-1 / z^-2 extractions of a list of classes.
+
+    Every divisor-linear coefficient is checked against its closed form.
+    """
     weights = data.y_weights()
     out = Slice()
     out.h0_z2 = Series.zero(weights, frac(order))
@@ -171,6 +191,19 @@ def coefficient_slice(data, classes, order, cd=None) -> Slice:
                 key, Series.zero(weights, frac(order))) + term
         elif kind[0] == "divisor":
             key = kind[1]
+            skip = ()
+            if data.infinity_column is not None:
+                # divisor-linear terms never pair with the added divisor
+                assert cls.pairings[data.infinity_column] == 0
+                skip = (data.infinity_column,)
+            expected = closed_form_ray_coefficient(cls.pairings, key,
+                                                   skip=skip)
+            if zf.scalar != expected:
+                raise ConsistencyError(MODULE, "coefficient_slice",
+                                       "ray coefficient disagrees with its "
+                                       "closed form",
+                                       {"pairings": cls.pairings,
+                                        "got": zf.scalar, "want": expected})
             out.divisor_series[key] = out.divisor_series.get(
                 key, Series.zero(weights, frac(order))) + term
         else:
@@ -181,10 +214,12 @@ def coefficient_slice(data, classes, order, cd=None) -> Slice:
 def relative_ifunction_oracle(cd, bound):
     """Sum the extractions over the compactified effective classes.
 
-    Returns {"z1_sectors", "z1_divisors", "z2_h0"}.  The z^-2 part valued in
-    the added divisor's degree-0 cohomology must be the single monomial of the
-    compactifying class with coefficient one; anything else means the fan or
-    the enumeration is inconsistent.
+    Returns {"z1_sectors", "z1_divisors", "z2_h0", "base_classes"}: the
+    slice of the compactified fan and the base fan's own enumeration at the
+    same bound.  The z^-2 part valued in the added divisor's degree-0
+    cohomology must be the single monomial of the compactifying class with
+    coefficient one; anything else means the fan or the enumeration is
+    inconsistent.
     """
     from .effective import enumerate_effective, eff_class
 
@@ -219,4 +254,5 @@ def relative_ifunction_oracle(cd, bound):
             "monomial", sl.h0_z2.first_difference(expect))
     return {"z1_sectors": sl.sector_series,
             "z1_divisors": sl.divisor_series,
-            "z2_h0": sl.h0_z2}
+            "z2_h0": sl.h0_z2,
+            "base_classes": base_classes}

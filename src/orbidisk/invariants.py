@@ -16,7 +16,7 @@ from math import factorial
 from .effective import dual_class
 from .errors import ConsistencyError
 from .fan import CompactifiedData, ToricData, parse_disk_selector
-from .hyper import relative_ifunction_oracle, y_monomial
+from .hyper import y_monomial
 from .mirrormap import (MirrorMap, inverse_mirror_map, relative_mirror_map,
                         toric_mirror_map)
 from .series import Series, frac, mono, mono_pow
@@ -177,7 +177,6 @@ def oracle_potential(cd: CompactifiedData, order) -> Series:
         raise ConsistencyError(MODULE, op,
                                "disk class has non-positive grade", w_inf)
     bar_order = order + w_inf
-    relative_ifunction_oracle(cd, bar_order)
     mm = relative_mirror_map(cd, bar_order)
     inverse = inverse_mirror_map(mm)
 

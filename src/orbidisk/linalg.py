@@ -18,31 +18,6 @@ def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = a[i]
-        for k in range(inner):
-            x = ai[k]
-            if x:
-                bk = b[k]
-                oi = out[i]
-                for j in range(cols):
-                    oi[j] += x * bk[j]
-    return out
-
-
-def mat_vec(a, v):
-    return [sum(a[i][k] * v[k] for k in range(len(v))) for i in range(len(a))]
-
-
-def transpose(a):
-    if not a:
-        return []
-    return [list(col) for col in zip(*a)]
-
-
 def primitive(vec):
     """Divide an integer vector by the gcd of its entries (gcd of 0-vector is 0)."""
     g = 0
@@ -163,18 +138,31 @@ def integer_kernel_basis(a):
     return [[v[i][j] for i in range(cols)] for j in range(rank, cols)]
 
 
-def solve_rational(a, b):
-    """One exact solution x of a*x = b over Q, or None.  a: rows list, b: vector."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    m = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a)]
+def row_reduce(a, cols=None):
+    """Gauss-Jordan elimination over Q on the first `cols` columns of a.
+
+    Returns (rows, pivots, det): the reduced rows as Fractions, the pivot
+    column of each leading row, and the determinant factor, the product of
+    the pivots signed by the row swaps.  Pivoting is deterministic (first
+    nonzero entry at or below the current row).
+    """
+    m = [[Fraction(x) for x in row] for row in a]
+    rows = len(m)
+    if cols is None:
+        cols = len(m[0]) if rows else 0
     pivots = []
-    r = 0
+    det = Fraction(1)
     for c in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
         p = next((i for i in range(r, rows) if m[i][c] != 0), None)
         if p is None:
             continue
-        m[r], m[p] = m[p], m[r]
+        if p != r:
+            m[r], m[p] = m[p], m[r]
+            det = -det
+        det *= m[r][c]
         inv = 1 / m[r][c]
         m[r] = [x * inv for x in m[r]]
         for i in range(rows):
@@ -182,77 +170,40 @@ def solve_rational(a, b):
                 f = m[i][c]
                 m[i] = [x - f * y for x, y in zip(m[i], m[r])]
         pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if m[i][cols] != 0:
-            return None
+    return m, pivots, det
+
+
+def solve_rational(a, b):
+    """One exact solution x of a*x = b over Q, or None.  a: rows list, b: vector."""
+    cols = len(a[0]) if a else 0
+    m, pivots, _ = row_reduce([list(row) + [b[i]] for i, row in enumerate(a)],
+                              cols)
+    if any(row[cols] != 0 for row in m[len(pivots):]):
+        return None
     x = [Fraction(0)] * cols
-    for i, c in enumerate(pivots):
-        x[c] = m[i][cols]
+    for row, c in zip(m, pivots):
+        x[c] = row[cols]
     return x
 
 
 def invert_rational(a):
     """Exact inverse of a square rational matrix, or None if singular."""
     n = len(a)
-    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(a)]
-    for c in range(n):
-        p = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if p is None:
-            return None
-        m[c], m[p] = m[p], m[c]
-        inv = 1 / m[c][c]
-        m[c] = [x * inv for x in m[c]]
-        for i in range(n):
-            if i != c and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    m, pivots, _ = row_reduce(
+        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)],
+        n)
+    if len(pivots) < n:
+        return None
     return [row[n:] for row in m]
 
 
 def det_rational(a):
-    n = len(a)
-    m = [[Fraction(x) for x in row] for row in a]
-    det = Fraction(1)
-    for c in range(n):
-        p = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if p is None:
-            return Fraction(0)
-        if p != c:
-            m[c], m[p] = m[p], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return det
+    _, pivots, det = row_reduce(a)
+    return det if len(pivots) == len(a) else Fraction(0)
 
 
 def rank_rational(a):
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    m = [[Fraction(x) for x in row] for row in a]
-    r = 0
-    for c in range(cols):
-        p = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if p is None:
-            continue
-        m[r], m[p] = m[p], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        r += 1
-        if r == rows:
-            break
-    return r
+    return len(row_reduce(a)[1])
 
 
 def complete_to_unimodular(cols, n):

@@ -15,71 +15,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
 
 from .effective import dual_class, enumerate_effective
 from .errors import ConsistencyError, ValidationError
 from .fan import CompactifiedData, ToricData, verify_semi_fano
-from .hyper import y_monomial, z_extract
+from .hyper import coefficient_slice, relative_ifunction_oracle, y_monomial
 from .series import Series, frac, invert_map, mono, mono_grade
 
 MODULE = "mirror-maps"
 
 
-def closed_form_ray_coefficient(pairings, j, skip=()):
-    """Coefficient of a ray-series class in closed form:
-    (-1)^(p-1) (-p-1)! / prod_{i != j} (pairing_i)! for pairing p < 0 at j."""
-    p = frac(pairings[j])
-    assert p.denominator == 1 and p < 0
-    num = Fraction((-1) ** (int(-p) - 1)) * factorial(int(-p) - 1)
-    den = Fraction(1)
-    for i, q in enumerate(pairings):
-        if i == j or i in skip:
-            continue
-        q = frac(q)
-        assert q.denominator == 1 and q >= 0
-        den *= factorial(int(q))
-    return num / den
-
-
-def g_series(data: ToricData, j: int, order, classes=None, cd=None) -> Series:
-    """Scalar mirror-map series of column j (ray or extra vector)."""
-    op = "g_series"
-    if not (0 <= j < data.m_prime):
-        raise ValidationError(MODULE, op, f"column {j} out of range", j)
-    order = frac(order)
-    if classes is None:
-        classes = enumerate_effective(data, order)
-    weights = data.y_weights()
-    out = Series.zero(weights, order)
-    is_ray = j < data.m
-    target_vec = None if is_ray else tuple(data.column_vector(j))
-    for cls in classes:
-        zf = z_extract(data, cls, cd=cd)
-        kind = zf.classify(cls)
-        if kind is None:
-            continue
-        if is_ray and kind == ("divisor", j):
-            skip = ()
-            if data.infinity_column is not None:
-                # divisor-linear terms never pair with the added divisor
-                assert cls.pairings[data.infinity_column] == 0
-                skip = (data.infinity_column,)
-            expected = closed_form_ray_coefficient(cls.pairings, j, skip=skip)
-            if zf.scalar != expected:
-                raise ConsistencyError(MODULE, op,
-                                       "ray coefficient disagrees with its "
-                                       "closed form",
-                                       {"pairings": cls.pairings,
-                                        "got": zf.scalar, "want": expected})
-        elif not is_ray and kind[0] == "sector" and \
-                kind[1].vector == target_vec:
-            pass
-        else:
-            continue
-        out = out + Series.monomial(y_monomial(data, cls), zf.scalar,
-                                    weights, order)
-    return out
+def g_series(data: ToricData, sector_series, divisor_series, order) -> dict:
+    """Scalar mirror-map series of every column, {column: Series}, from the
+    z^-1 pieces of one coefficient slice: a ray takes its divisor series, an
+    extra vector the sector series of its box element."""
+    zero = Series.zero(data.y_weights(), frac(order))
+    g = {j: divisor_series.get(j, zero) for j in range(data.m)}
+    for j in data.extra_columns():
+        g[j] = sector_series.get(tuple(data.column_vector(j)), zero)
+    return g
 
 
 @dataclass
@@ -186,14 +140,18 @@ def _twisted_relations(data: ToricData, g, order):
     return out
 
 
-def toric_mirror_map(data: ToricData, order) -> MirrorMap:
-    """Forward mirror map of a Calabi-Yau semi-Fano fan."""
+def toric_mirror_map(data: ToricData, order, classes=None) -> MirrorMap:
+    """Forward mirror map of a Calabi-Yau semi-Fano fan.
+
+    `classes`, when given, must be enumerate_effective(data, order).
+    """
     op = "toric_mirror_map"
     _require_cy_semifano(data, op)
     order = frac(order)
-    classes = enumerate_effective(data, order)
-    g = {j: g_series(data, j, order, classes=classes)
-         for j in range(data.m_prime)}
+    if classes is None:
+        classes = enumerate_effective(data, order)
+    sl = coefficient_slice(data, classes, order)
+    g = g_series(data, sl.sector_series, sl.divisor_series, order)
     relations = []
     for a in range(data.r_prime):
         coords = [Fraction(int(b == a)) for b in range(data.r)]
@@ -205,20 +163,21 @@ def toric_mirror_map(data: ToricData, order) -> MirrorMap:
 def relative_mirror_map(cd: CompactifiedData, order) -> MirrorMap:
     """Forward mirror map of the compactified pair.
 
-    Computed with the same machinery on the compactified fan; afterwards the
-    non-infinity relations are asserted to coincide with the plain mirror map
-    of the base fan, and the infinity relation matches the disk-class case
-    split: for a ray disk it is the base ray series on top of the new flat
-    variable, for a box disk the dual-class monomial migrates into the
-    relation and its correction is the cone-weighted sum of ray series.
+    Computed with the same machinery on the compactified fan, from the z^-1
+    pieces of the relative I-function oracle (which runs its own checks);
+    afterwards the non-infinity relations are asserted to coincide with the
+    plain mirror map of the base fan, and the infinity relation matches the
+    disk-class case split: for a ray disk it is the base ray series on top of
+    the new flat variable, for a box disk the dual-class monomial migrates
+    into the relation and its correction is the cone-weighted sum of ray
+    series.
     """
     op = "relative_mirror_map"
     _require_cy_semifano(cd.base, op)
     order = frac(order)
     bar = cd.bar
-    classes = enumerate_effective(bar, order)
-    g = {j: g_series(bar, j, order, classes=classes, cd=cd)
-         for j in range(bar.m_prime)}
+    oracle = relative_ifunction_oracle(cd, order)
+    g = g_series(bar, oracle["z1_sectors"], oracle["z1_divisors"], order)
     relations = []
     for a in range(bar.r_prime):
         coords = [Fraction(int(b == a)) for b in range(bar.r)]
@@ -236,7 +195,7 @@ def relative_mirror_map(cd: CompactifiedData, order) -> MirrorMap:
                                g[cd.infinity_ray].to_json())
 
     # restriction consistency with the base mirror map
-    base_mm = toric_mirror_map(cd.base, order)
+    base_mm = toric_mirror_map(cd.base, order, classes=oracle["base_classes"])
     bar_weights = bar.y_weights()
     for a in range(bar.r_prime):
         got = relations[a]

@@ -16,7 +16,7 @@ import pytest
 
 from orbidisk import fans, linalg
 from orbidisk.cli import main
-from orbidisk.effective import brute_force_effective, enumerate_effective
+from orbidisk.effective import enumerate_effective
 from orbidisk.fan import box_elements, kernel_data, validate_compactification
 from orbidisk.hyper import relative_ifunction_oracle, z_extract
 from orbidisk.invariants import (compare_potentials, disk_potential,
@@ -25,6 +25,7 @@ from orbidisk.mirrormap import (inverse_mirror_map, relative_mirror_map,
                                 toric_mirror_map)
 from orbidisk.series import Series, mono
 from orbidisk.syz import GaugeChoice, gauge_character, mirror_potential
+from test_effective import brute_force_effective
 
 F = Fraction
 

@@ -1,19 +1,108 @@
+import itertools
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from orbidisk import fans
-from orbidisk.effective import (brute_force_effective, dual_class,
-                                enumerate_effective, filter_g_orbi,
-                                filter_g_smooth, is_effective, sector)
+from orbidisk.effective import (dual_class, eff_class, enumerate_effective,
+                                is_effective, sector)
 from orbidisk.errors import ValidationError
-from orbidisk.fan import kernel_data, validate_compactification
+from orbidisk.fan import fan_from_dict, kernel_data, validate_compactification
+from orbidisk.hyper import y_monomial
+from test_generalization import LOCAL_QUADRIC
+from test_mirrormap import column_series
 
 F = Fraction
 
 
 def data_for(name, **kw):
     return kernel_data(fans.load(name), **kw)
+
+
+def brute_force_effective(data, bound, denominator=None) -> list:
+    """Independent grid enumeration for small kernel ranks (test oracle).
+
+    Scans all coordinate tuples with the box-denominator cleared inside a box
+    large enough to contain every class of grade <= bound, keeping those that
+    pass the membership predicate.
+    """
+    bound = F(bound)
+    r = data.r
+    if r == 0:
+        return []
+    assert r <= 2, "grid oracle only supports kernel rank <= 2"
+    if denominator is None:
+        denominator = 1
+        for b in data.boxes:
+            for c in b.coefficients:
+                denominator = denominator * c.denominator // gcd(
+                    denominator, c.denominator)
+    lim = int(bound * denominator) * (data.m_prime + 2)
+    out = []
+    for combo in itertools.product(range(-lim, lim + 1), repeat=r):
+        coords = [F(k, denominator) for k in combo]
+        if all(c == 0 for c in coords):
+            continue
+        grade = sum(coords, F(0))
+        if grade <= 0 or grade > bound:
+            continue
+        pairings = data.pairings_from_coords(coords)
+        if is_effective(data, pairings):
+            out.append(eff_class(data, coords))
+    out.sort(key=lambda c: (c.grade, c.coords))
+    return out
+
+
+# filters restating which classes feed each mirror-map column, straight from
+# the definitions; production reads the columns off one coefficient slice
+
+
+def _is_nonneg_int(x):
+    return x.denominator == 1 and x >= 0
+
+
+def _is_neg_int(x):
+    return x.denominator == 1 and x < 0
+
+
+def _degree_zero(data, cls) -> bool:
+    """Vanishing of the anticanonical pairing (sum over every column)."""
+    return data.rho_hat_pairing(cls.pairings) == 0
+
+
+def filter_g_smooth(data, classes, j) -> list:
+    """Classes feeding the ray-indexed series: trivial sector, the chosen ray
+    pairing a negative integer, every other column a nonnegative integer, and
+    anticanonical degree zero."""
+    out = []
+    for cls in classes:
+        if not cls.sector.is_zero():
+            continue
+        if not _degree_zero(data, cls):
+            continue
+        if not _is_neg_int(cls.pairings[j]):
+            continue
+        if all(_is_nonneg_int(p) for i, p in enumerate(cls.pairings) if i != j):
+            out.append(cls)
+    return out
+
+
+def filter_g_orbi(data, classes, j) -> list:
+    """Classes feeding the twisted-sector series of extra column j: sector
+    equal to that box element, no column pairing to a negative integer
+    (fractional negative pairings are admitted), anticanonical degree zero."""
+    target = data.column_vector(j)
+    out = []
+    for cls in classes:
+        if cls.sector.is_zero() or cls.sector.vector != tuple(target):
+            continue
+        if not _degree_zero(data, cls):
+            continue
+        if any(_is_neg_int(p) for p in cls.pairings):
+            continue
+        out.append(cls)
+    return out
 
 
 def test_enumerate_c3_empty():
@@ -178,6 +267,23 @@ def test_filters_c3z3():
     assert [c.pairings[3] for c in orb] == [1, 4, 7]
     for j in (0, 1, 2):
         assert filter_g_smooth(data, classes, j) == []
+
+
+@pytest.mark.parametrize("name,bound", [
+    ("kp2", 4), ("conifold", 5), ("c3z3", F(8, 3)), ("local_quadric", 3)])
+def test_filters_match_g_series(name, bound):
+    # the classes each filter selects are exactly the monomials g_series puts
+    # in that column
+    if name == "local_quadric":
+        data = kernel_data(fan_from_dict(LOCAL_QUADRIC))
+    else:
+        data = data_for(name)
+    classes = enumerate_effective(data, bound)
+    g = column_series(data, bound)
+    for j in range(data.m_prime):
+        pick = filter_g_smooth if j < data.m else filter_g_orbi
+        want = {y_monomial(data, c) for c in pick(data, classes, j)}
+        assert set(g[j].terms) == want
 
 
 def test_filter_reverification():

@@ -153,3 +153,36 @@ def test_compare_potentials(base, bar, disk, order):
     cd = cd_for(base, bar, disk)
     dp, oracle = compare_potentials(cd, order)
     assert dp.series.same_terms(oracle, up_to=order)
+
+
+def test_compare_potentials_computes_each_artefact_once(monkeypatch):
+    # one enumeration of the base fan at the order, one of each fan at the
+    # compactified order, and one extraction per enumerated class
+    import sys
+    from orbidisk import effective, hyper
+
+    calls = {"enumerate": 0, "classes": 0, "extract": 0}
+
+    def counted(name, fn, tally):
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            tally(out)
+            return out
+        for mod in list(sys.modules.values()):
+            if (getattr(mod, "__name__", "").startswith("orbidisk")
+                    and getattr(mod, name, None) is fn):
+                monkeypatch.setattr(mod, name, wrapper)
+
+    def on_enumerate(out):
+        calls["enumerate"] += 1
+        calls["classes"] += len(out)
+
+    def on_extract(out):
+        calls["extract"] += 1
+
+    counted("enumerate_effective", effective.enumerate_effective, on_enumerate)
+    counted("z_extract", hyper.z_extract, on_extract)
+    compare_potentials(cd_for("c3z3", "c3z3_bar", ("box", 3)), 2)
+    assert calls["enumerate"] == 3
+    assert calls["classes"] > 0
+    assert calls["extract"] == calls["classes"]

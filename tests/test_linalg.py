@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,25 @@ def mat_strategy(rows, cols):
                     min_size=rows, max_size=rows)
 
 
+def mat_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+            for row in a]
+
+
+def leibniz_det(a):
+    """Determinant as the signed sum over permutations (independent oracle)."""
+    n = len(a)
+    total = 0
+    for perm in permutations(range(n)):
+        sign = (-1) ** sum(perm[i] > perm[j]
+                           for i in range(n) for j in range(i + 1, n))
+        term = sign
+        for i, p in enumerate(perm):
+            term *= a[i][p]
+        total += term
+    return total
+
+
 def test_snf_identity():
     s, u, v = linalg.smith_normal_form([[1, 0], [0, 1]])
     assert s == [[1, 0], [0, 1]]
@@ -26,7 +46,7 @@ def test_snf_known():
     # d1*d2*d3 = |det| = 624
     divs = [s[i][i] for i in range(3)]
     assert divs == [2, 2, 156]
-    assert linalg.mat_mul(linalg.mat_mul(u, a), v) == s
+    assert mat_mul(mat_mul(u, a), v) == s
     assert abs(linalg.det_rational(u)) == 1
     assert abs(linalg.det_rational(v)) == 1
 
@@ -35,7 +55,7 @@ def test_snf_known():
 @given(mat_strategy(3, 4))
 def test_snf_decomposition_random(a):
     s, u, v = linalg.smith_normal_form(a)
-    assert linalg.mat_mul(linalg.mat_mul(u, a), v) == s
+    assert mat_mul(mat_mul(u, a), v) == s
     assert abs(linalg.det_rational(u)) == 1
     assert abs(linalg.det_rational(v)) == 1
     # diagonal with divisibility
@@ -90,6 +110,24 @@ def test_invert_rational():
     assert inv == [[Fraction(-2), Fraction(1)],
                    [Fraction(3, 2), Fraction(-1, 2)]]
     assert linalg.invert_rational([[1, 2], [2, 4]]) is None
+
+
+@settings(max_examples=60, derandomize=True)
+@given(mat_strategy(3, 3))
+def test_row_reduction_random(a):
+    # det, rank and inverse share one elimination; check each independently
+    det = leibniz_det(a)
+    assert linalg.det_rational(a) == det
+    assert (linalg.rank_rational(a) == 3) == (det != 0)
+    inv = linalg.invert_rational(a)
+    if det == 0:
+        assert inv is None
+        return
+    assert mat_mul(inv, a) == [[int(i == j) for j in range(3)]
+                               for i in range(3)]
+    b = [1, -2, 3]
+    x = linalg.solve_rational(a, b)
+    assert [sum(r * v for r, v in zip(row, x)) for row in a] == b
 
 
 def test_complete_to_unimodular():
