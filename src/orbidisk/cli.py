@@ -33,19 +33,30 @@ def parse_order(text):
 
 
 def load_fan_file(path):
-    """(fan, basis_p) from a fan file path or a bundled fan name."""
+    """(fan, basis_p) from a fan file path or a bundled fan name.
+
+    A bundled fan resolves only from its bare name (kp2, not dir/kp2.json),
+    and only when no file of that name exists.
+    """
     if os.path.exists(path):
-        with open(path) as f:
-            raw = json.load(f)
-    else:
-        name = os.path.splitext(os.path.basename(path))[0]
         try:
-            raw = json.loads(fans.read(name))
-        except KeyError:
-            raise ValidationError(MODULE, "load", f"no such fan file: {path}",
-                                  path)
+            with open(path) as f:
+                document = f.read()
+        except (OSError, UnicodeDecodeError) as e:
+            raise ValidationError(MODULE, "load",
+                                  f"cannot read fan file {path}: {e}", path)
+    elif path in fans.NAMES:
+        document = fans.read(path)
+    else:
+        raise ValidationError(MODULE, "load", f"no such fan file: {path}",
+                              path)
+    try:
+        raw = json.loads(document)
+    except json.JSONDecodeError as e:
+        raise ValidationError(MODULE, "load",
+                              f"malformed fan file {path}: {e}", path)
     basis_p = None
-    if "basis_p" in raw:
+    if isinstance(raw, dict) and "basis_p" in raw:
         basis_p = [[parse_frac(x) for x in row] for row in raw.pop("basis_p")]
     return fan_from_dict(raw), basis_p
 

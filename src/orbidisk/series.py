@@ -7,11 +7,25 @@ over Q; nothing here ever touches a float.
 
 Monomials are stored as sorted tuples of (variable, exponent) pairs with no
 zero exponents, so they are hashable and canonically ordered.
+
+The kernels that carry the cost of the formal inversion:
+
+- substitute keeps one power table per variable for each call: the integer
+  powers the terms use, built in increasing exponent order, each from the
+  last lower one times the image to the gap; each term's coefficient is
+  multiplied in as a scalar.
+- exp and log_one_plus work grade by grade through the recurrences of the
+  grading operator D (D m = grade(m) * m): g E_g = sum_h h f_h E_{g-h} for
+  E = exp(f), and L_g = s_g - (1/g) sum_{0<h<g} (g-h) s_h L_{g-h} for
+  L = log(1 + s).  Both need every term of positive grade.
+- invert_map runs its fixed point in precision-stepped rounds: each round
+  truncates the current assignment to the precision it can have gained so
+  far, and full-precision rounds then run only until the result is stable.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil
+from math import ceil, floor, lcm
 
 from .errors import ValidationError, ConsistencyError
 
@@ -45,10 +59,11 @@ def frac_str(x: Fraction) -> str:
 
 
 def parse_frac(s) -> Fraction:
-    if isinstance(s, str):
-        return Fraction(s)
-    if isinstance(s, int):
-        return Fraction(s)
+    if isinstance(s, (str, int)):
+        try:
+            return Fraction(s)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise _err("parse", f"not a rational: {s!r}", s)
 
 
@@ -85,6 +100,31 @@ def mono_pow(m: tuple, k) -> tuple:
 
 def mono_grade(m: tuple, weights: dict) -> Fraction:
     return sum((weights[v] * e for v, e in m), Fraction(0))
+
+
+def _mul_into(acc: dict, a: dict, b: dict):
+    """acc += a * b for term maps, untruncated: the product of two grade
+    pieces is a single grade piece."""
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = mono_mul(ma, mb)
+            acc[m] = acc.get(m, 0) + ca * cb
+
+
+def _grades_upto(gens, order) -> list:
+    """Sorted sums of one or more of the positive grades gens, up to order:
+    every positive grade a power series in those grades can have."""
+    den = lcm(*(h.denominator for h in gens))
+    steps = sorted({int(h * den) for h in gens})
+    top = floor(order * den)
+    reached = [True] + [False] * top
+    for g in range(top + 1):
+        if reached[g]:
+            for h in steps:
+                if g + h > top:
+                    break
+                reached[g + h] = True
+    return [Fraction(g, den) for g in range(1, top + 1) if reached[g]]
 
 
 def mono_str(m: tuple) -> str:
@@ -308,55 +348,90 @@ class Series:
         return Series(self.weights, order, self.terms)
 
     def pow_int(self, k: int):
+        """self^k by repeated squaring; k = 1 returns self itself."""
         if k < 0:
             raise _err("pow", "negative integer power of a general series", k)
-        result = Series.constant(1, self.weights, self.order)
+        if k == 0:
+            return Series.constant(1, self.weights, self.order)
+        result = None
         base = self
-        while k:
+        while True:
             if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
+                result = base if result is None else result * base
             k >>= 1
-        return result
+            if not k:
+                return result
+            base = base * base
 
     # -- transcendental operations ------------------------------------------
 
+    def _grade_pieces(self, op):
+        """{grade: {monomial: coeff}} of a series whose terms all have
+        positive grade; the grading-operator recurrences divide by grades."""
+        pieces = {}
+        for m, c in self.terms.items():
+            g = self.grade_of(m)
+            if g == 0:
+                raise _err(op, f"every term needs a positive grade; "
+                               f"{mono_str(m)} has grade 0", mono_str(m))
+            pieces.setdefault(g, {})[m] = c
+        return pieces
+
     def exp(self):
-        """exp of a series with zero constant term; exact truncated sum."""
+        """exp of a series with zero constant term, exact to self.order.
+
+        E = exp(f) solves D(E) = E * D(f) for the grading operator D, which
+        multiplies each monomial by its grade.  Grade by grade:
+        g * E_g = sum_h h * f_h * E_{g-h}.
+        """
         if self.constant_term() != 0:
             raise _err("exp", "exp requires zero constant term", self.constant_term())
-        out = Series.constant(1, self.weights, self.order)
-        if self.is_zero():
-            return out
-        step = self.min_grade()
-        kmax = int(ceil(self.order / step)) if step > 0 else 0
-        power = Series.constant(1, self.weights, self.order)
-        fact = 1
-        for k in range(1, kmax + 1):
-            power = power * self
-            fact *= k
-            if power.is_zero():
-                break
-            out = out + power * Fraction(1, fact)
-        return out
+        pieces = self._grade_pieces("exp")
+        # grade h -> h * f_h
+        scaled = {h: {m: h * c for m, c in fh.items()} for h, fh in pieces.items()}
+        out = {0: {ONE_MONO: Fraction(1)}}
+        for g in _grades_upto(pieces, self.order):
+            acc = {}
+            for h, hf in scaled.items():
+                rest = out.get(g - h)
+                if rest:
+                    _mul_into(acc, hf, rest)
+            piece = {m: c / g for m, c in acc.items() if c}
+            if piece:
+                out[g] = piece
+        return Series(self.weights, self.order,
+                      {m: c for piece in out.values() for m, c in piece.items()})
 
     def log_one_plus(self):
-        """log(1 + s) for s with zero constant term."""
+        """log(1 + s) for s with zero constant term, exact to self.order.
+
+        L = log(1 + s) solves (1 + s) * D(L) = D(s) for the grading operator
+        D.  Grade by grade: L_g = s_g - (1/g) sum_{0<h<g} (g-h) s_h L_{g-h}.
+        """
         if self.constant_term() != 0:
             raise _err("log", "log_one_plus requires zero constant term",
                        self.constant_term())
-        out = Series.zero(self.weights, self.order)
-        if self.is_zero():
-            return out
-        step = self.min_grade()
-        kmax = int(ceil(self.order / step)) if step > 0 else 0
-        power = Series.constant(1, self.weights, self.order)
-        for k in range(1, kmax + 1):
-            power = power * self
-            if power.is_zero():
-                break
-            out = out + power * Fraction((-1) ** (k - 1), k)
-        return out
+        pieces = self._grade_pieces("log")
+        out = {}
+        scaled = {}   # grade k -> k * L_k
+        for g in _grades_upto(pieces, self.order):
+            acc = {}
+            for h, sh in pieces.items():
+                rest = scaled.get(g - h)
+                if rest:
+                    _mul_into(acc, sh, rest)
+            piece = dict(pieces.get(g, {}))
+            for m, c in acc.items():
+                c2 = piece.get(m, Fraction(0)) - c / g
+                if c2:
+                    piece[m] = c2
+                else:
+                    piece.pop(m, None)
+            if piece:
+                out[g] = piece
+                scaled[g] = {m: g * c for m, c in piece.items()}
+        return Series(self.weights, self.order,
+                      {m: c for piece in out.values() for m, c in piece.items()})
 
     def pow_frac(self, alpha):
         """Raise to a rational power.
@@ -439,25 +514,58 @@ class Series:
                                    f"coefficient 1 for fractional powers",
                                    lead_c)
                     factored[v] = (lead_m, unit)
-        out = Series.zero(tw, order)
+        # one power table per variable: the positive integer powers the
+        # terms use, built in increasing exponent order, each from the last
+        # lower one times the image to the gap; fractional and negative
+        # powers are exp(e * log(unit)), one per (variable, exponent)
+        needed = {}
+        for m in self.terms:
+            for v, e in m:
+                if e.denominator == 1 and e >= 0:
+                    needed.setdefault(v, set()).add(int(e))
+        powers = {}
+        for v, exps in needed.items():
+            img = images[v]
+            if img.order > order:
+                img = img.truncate(order)
+            last_e, last = 0, None
+            for e in sorted(exps):
+                gap = img.pow_int(e - last_e)
+                last = gap if last is None else last * gap
+                powers[v, e] = last
+                last_e = e
+        logs, frac_powers = {}, {}
+        out_order = order
+        acc = {}
         for m, c in self.terms.items():
-            term = Series.constant(c, tw, order)
+            term = None
             mono_acc = ONE_MONO
             for v, e in m:
-                img = images[v]
                 if e.denominator == 1 and e >= 0:
-                    term = term * img.pow_int(int(e))
+                    f = powers[v, int(e)]
                 else:
                     lead_m, unit = factored[v]
                     mono_acc = mono_mul(mono_acc, mono_pow(lead_m, e))
-                    if not unit.is_zero():
-                        term = term * (unit.log_one_plus() * e).exp()
+                    if unit.is_zero():
+                        continue
+                    f = frac_powers.get((v, e))
+                    if f is None:
+                        if v not in logs:
+                            logs[v] = unit.log_one_plus()
+                        f = frac_powers[v, e] = (logs[v] * e).exp()
+                term = f if term is None else term * f
+            if term is None:
+                term = Series.constant(1, tw, order)
+            elif term.order > order:
+                term = term.truncate(order)
             if mono_acc:
                 term = term.mul_monomial(mono_acc)
                 if term.order > order:
                     term = term.truncate(order)
-            out = out + term
-        return out
+            out_order = min(out_order, term.order)
+            for tm, tc in term.terms.items():
+                acc[tm] = acc.get(tm, 0) + c * tc
+        return Series(tw, out_order, acc)
 
     # -- serialization --------------------------------------------------------
 
@@ -487,16 +595,26 @@ class Series:
 # formal inversion of triangular coordinate changes
 
 
-def invert_map(relations, order, weights=None):
+def invert_map(relations, order):
     """Invert a formal coordinate change given by target = series-in-sources.
 
     relations: list of (target_variable, Series in the source variables).
     Each relation must factor as (monomial in sources) * (unit series with
     constant term 1); the matrix of leading exponents must be invertible.
-    Fixed-point iteration refines the answer one grade step at a time.
+    Each target variable takes the grade of its leading monomial, so the
+    base solution (the monomial part of each source) has the source's weight.
+
+    The answer is the fixed point of source = base * prod (1 + unit)^-inv.
+    Each round gains at least `step`, the smallest grade of a unit
+    correction, so the rounds are precision-stepped: before round r every
+    assignment is truncated to its weight plus (r+1) * step, and early rounds
+    work on short series.  Once every assignment is known exact through its
+    order (or the cap reaches the base order), plain full-precision rounds
+    run from the stepped result until it is stable.
 
     Returns {source_variable: Series in the target variables}; the composite
-    relations(result) = identity is verified exactly before returning.
+    relations(result) = identity is verified exactly before returning, so a
+    round that went wrong ends in a ConsistencyError.
     """
     from .linalg import invert_rational
 
@@ -528,8 +646,7 @@ def invert_map(relations, order, weights=None):
         raise _err(op, "non-triangular system: leading exponent matrix is singular",
                    exp_matrix)
 
-    if weights is None:
-        weights = {t: mono_grade(m, src_weights) for t, m, _ in factored}
+    weights = {t: mono_grade(m, src_weights) for t, m, _ in factored}
     for t, w in weights.items():
         if w <= 0:
             raise _err(op, f"target {t} would have non-positive weight {w}", t)
@@ -553,27 +670,53 @@ def invert_map(relations, order, weights=None):
         mg = unit.min_grade()
         if mg is not None:
             steps.append(mg)
+
+    def refine(assign):
+        """One fixed-point round: source = base * prod (1 + unit)^-inv."""
+        new = {}
+        units_at = [unit.substitute(assign) for _, _, unit in factored]
+        for b, v in enumerate(sources):
+            # multiply the unit corrections at their relative order, then
+            # shift by the base monomial: the product of a unit known to
+            # relative order k with a monomial of grade w is exact to k + w
+            prod = None
+            for t in range(len(factored)):
+                u = units_at[t]
+                if u.is_zero() or inv[b][t] == 0:
+                    continue
+                f = (1 + u).pow_frac(-inv[b][t])
+                prod = f if prod is None else prod * f
+            if prod is None:
+                new[v] = base[v]
+            else:
+                new[v] = prod.mul_monomial(base_mono[v])
+        return new
+
     assign = dict(base)
     if steps:
-        max_iter = int(ceil(top / min(steps))) + 1
+        step = min(steps)
+        # The base monomial of v has grade src_weights[v] and every unit
+        # correction has grade >= step, so a round turns assignments exact
+        # below weight + k into ones exact below weight + k + step.  Before
+        # round r they are exact below weight + (r+1)*step: truncating there
+        # drops only terms that are still wrong.
+        r = 0
+        while True:
+            caps = {v: src_weights[v] + (r + 1) * step for v in sources}
+            if all(caps[v] >= top or caps[v] > assign[v].order
+                   for v in sources):
+                break
+            assign = refine({v: s.truncate(caps[v]) if caps[v] < s.order
+                             else s for v, s in assign.items()})
+            r += 1
+        # full-precision rounds: the plain fixed point, started from the
+        # stepped result at the base order top so that the orders settle as
+        # they do from the base monomials.  Had the stepped rounds dropped
+        # exact terms, these rounds or the verification below would show it.
+        assign = {v: Series(weights, top, s.terms) for v, s in assign.items()}
+        max_iter = int(ceil(top / step)) + 1
         for _ in range(max_iter):
-            new = {}
-            units_at = [unit.substitute(assign) for _, _, unit in factored]
-            for b, v in enumerate(sources):
-                # multiply the unit corrections at their relative order, then
-                # shift by the base monomial: the product of a unit known to
-                # relative order k with a monomial of grade w is exact to k + w
-                prod = None
-                for t in range(len(factored)):
-                    u = units_at[t]
-                    if u.is_zero() or inv[b][t] == 0:
-                        continue
-                    f = (1 + u).pow_frac(-inv[b][t])
-                    prod = f if prod is None else prod * f
-                if prod is None:
-                    new[v] = base[v]
-                else:
-                    new[v] = prod.mul_monomial(base_mono[v])
+            new = refine(assign)
             if all(new[v].same_terms(assign[v]) for v in sources):
                 assign = new
                 break

@@ -174,3 +174,30 @@ def test_order_must_be_positive(capsys):
     assert "order must be positive" in err
     code, _, err = run(capsys, "mirror-map", "kp2", "--order", "-2")
     assert code == 2
+
+
+@pytest.mark.parametrize("order", ["abc", "1/0"])
+def test_order_must_be_rational(capsys, order):
+    code, _, err = run(capsys, "invariants", "kp2", "--disk", "ray:0",
+                       "--order", order)
+    assert code == 2
+    assert "not a rational" in json.loads(err)["error"]["message"]
+
+
+def test_malformed_fan_file(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"rank": 2,')
+    code, _, err = run(capsys, "analyze", str(bad))
+    assert code == 2
+    assert "malformed fan file" in json.loads(err)["error"]["message"]
+
+
+@pytest.mark.parametrize("path", ["/nonexistent/dir/kp2.json", "kp2.json"])
+def test_bundled_fan_only_from_bare_name(capsys, tmp_path, monkeypatch, path):
+    # a path that does not exist never falls back to the bundled fan of the
+    # same basename
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "analyze", path)
+    assert code == 2
+    assert out == ""
+    assert "no such fan file" in json.loads(err)["error"]["message"]

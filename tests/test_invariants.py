@@ -186,3 +186,40 @@ def test_compare_potentials_computes_each_artefact_once(monkeypatch):
     assert calls["enumerate"] == 3
     assert calls["classes"] > 0
     assert calls["extract"] == calls["classes"]
+
+
+@pytest.mark.parametrize("case, order, ceiling", [
+    # term pairs multiplied: 71,266 with a fresh pow_int per substituted
+    # term, exp/log summed power by power and full-precision inversion
+    # rounds; 5,805 in Series.__mul__ plus 903 in the exp/log recurrences
+    # with power tables, grading-operator recurrences and stepped rounds
+    ("kp2", 12, 13_000),
+    # 59,359 before; 8,874 plus 909 now
+    ("local_quadric", 5, 20_000),
+])
+def test_disk_potential_operation_count(monkeypatch, case, order, ceiling):
+    # a guard on the series kernel's work: undoing the power caching in
+    # substitute, the exp/log recurrences or the stepped inversion rounds
+    # multiplies the term pairs several times over
+    from orbidisk import series
+    from orbidisk.fan import fan_from_dict
+    from test_generalization import LOCAL_QUADRIC
+
+    pairs = [0]
+    mul, mul_into = series.Series.__mul__, series._mul_into
+
+    def counted_mul(a, b):
+        pairs[0] += len(a.terms) * (len(b.terms) if isinstance(b, series.Series)
+                                    else 1)
+        return mul(a, b)
+
+    def counted_mul_into(acc, a, b):
+        pairs[0] += len(a) * len(b)
+        return mul_into(acc, a, b)
+
+    monkeypatch.setattr(series.Series, "__mul__", counted_mul)
+    monkeypatch.setattr(series.Series, "__rmul__", counted_mul)
+    monkeypatch.setattr(series, "_mul_into", counted_mul_into)
+    fan = fans.load("kp2") if case == "kp2" else fan_from_dict(LOCAL_QUADRIC)
+    disk_potential(kernel_data(fan), ("ray", 0), order)
+    assert 0 < pairs[0] <= ceiling

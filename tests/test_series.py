@@ -96,6 +96,15 @@ def test_exp_rejects_constant():
         S(2, {(): 1}).exp()
 
 
+def test_exp_log_reject_grade_zero_monomial():
+    # x/y has grade 0 under equal weights: exp and log are not defined as
+    # truncated series, and the grade-operator recurrences would divide by 0
+    s = Series({"x": F(1), "y": F(1)}, 3, {mono(("x", 1), ("y", -1)): 1})
+    for op in (s.exp, s.log_one_plus):
+        with pytest.raises(ValidationError, match=r"x\*y\^\(-1\) has grade 0"):
+            op()
+
+
 def test_log_zero():
     assert S(3, {}).log_one_plus().terms == {}
 
