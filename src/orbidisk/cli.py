@@ -57,7 +57,11 @@ def load_fan_file(path):
                               f"malformed fan file {path}: {e}", path)
     basis_p = None
     if isinstance(raw, dict) and "basis_p" in raw:
-        basis_p = [[parse_frac(x) for x in row] for row in raw.pop("basis_p")]
+        rows = raw.pop("basis_p")
+        if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)):
+            raise ValidationError(MODULE, "load", "basis_p must be a list of rows",
+                                  rows)
+        basis_p = [[parse_frac(x) for x in row] for row in rows]
     return fan_from_dict(raw), basis_p
 
 
@@ -177,9 +181,7 @@ def cmd_oracle(args):
     fan, basis_p = load_fan_file(args.fan)
     bar_fan, _ = load_fan_file(args.bar)
     order = parse_order(args.order)
-    base = kernel_data(fan, basis_p)
-    disk = parse_disk_selector(args.disk, base)
-    cd = validate_compactification(fan, bar_fan, disk, basis_p)
+    cd = validate_compactification(fan, bar_fan, args.disk, basis_p)
     dp, oracle = compare_potentials(cd, order)
     return {
         "order": frac_str(order),

@@ -107,16 +107,20 @@ def fan_from_dict(raw: dict) -> StackyFan:
         rank = int(raw["rank"])
         rays = [tuple(int(x) for x in r) for r in raw["rays"]]
         cones = [tuple(sorted(int(i) for i in c)) for c in raw["cones"]]
+        extra = [tuple(int(x) for x in v) for v in raw.get("extra_vectors", [])]
     except (KeyError, TypeError, ValueError) as e:
         raise _verr(op, f"malformed document: {e}", raw)
-    extra = [tuple(int(x) for x in v) for v in raw.get("extra_vectors", [])]
-    labels = tuple(raw.get("labels", ()))
+    labels = raw.get("labels", [])
+    if not (isinstance(labels, list) and all(isinstance(x, str) for x in labels)
+            and len(labels) in (0, len(rays))):
+        raise _verr(op, f"labels must be a list of {len(rays)} strings, one per ray",
+                    labels)
     if rank < 1:
         raise _verr(op, "rank must be a positive integer", rank)
     for r in rays + extra:
         if len(r) != rank:
             raise _verr(op, f"vector {r} does not have rank {rank} entries", r)
-    fan = StackyFan(rank, tuple(rays), tuple(cones), tuple(extra), labels)
+    fan = StackyFan(rank, tuple(rays), tuple(cones), tuple(extra), tuple(labels))
     validate_fan(fan)
     return fan
 
@@ -386,10 +390,6 @@ class ToricData:
 
     def grade(self, coords):
         return sum((frac(c) for c in coords), Fraction(0))
-
-    def rho_hat_pairing(self, pairings):
-        """Pairing of the sum of all divisor classes with the class."""
-        return sum((frac(p) for p in pairings), Fraction(0))
 
     # -- anticones -------------------------------------------------------------
 

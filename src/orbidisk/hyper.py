@@ -36,43 +36,26 @@ class FactorExpansion:
 
 
 def hyper_factor(p) -> FactorExpansion:
-    """Expand one column factor by literal iteration over the progression."""
+    """Expand one column factor by literal iteration over the progression.
+
+    p > 0 divides by p, p - 1, ... while they are positive; p < 0 keeps the
+    numerator terms p + 1, p + 2, ... while they are negative.  A negative
+    integer p also leaves a bare divisor (its numerator term a = 0).
+    """
     p = frac(p)
-    if p == 0:
-        return FactorExpansion(Fraction(0), Fraction(1), 0)
-    if p.denominator == 1:
-        if p >= 1:
-            scalar = Fraction(1)
-            a = 1
-            while a <= p:
-                scalar /= a
-                a += 1
-            return FactorExpansion(-p, scalar, 0)
-        # p <= -1: numerator keeps a in (p, 0]; a = 0 leaves a bare divisor
-        scalar = Fraction(1)
-        a = p + 1
-        while a <= -1:
-            scalar *= a
-            a += 1
-        return FactorExpansion(-p - 1, scalar, 1)
-    if p > 0:
-        scalar = Fraction(1)
-        count = 0
-        a = p
-        while a > 0:
-            scalar /= a
-            count += 1
-            a -= 1
-        return FactorExpansion(Fraction(-count), scalar, 0)
-    # fractional p < 0: surviving numerator terms a in (p, 0), same residue
-    scalar = Fraction(1)
-    count = 0
+    scalar, count = Fraction(1), 0
+    a = p
+    while a > 0:
+        scalar /= a
+        count -= 1
+        a -= 1
     a = p + 1
     while a < 0:
         scalar *= a
         count += 1
         a += 1
-    return FactorExpansion(Fraction(count), scalar, 0)
+    return FactorExpansion(Fraction(count), scalar,
+                           int(p < 0 and p.denominator == 1))
 
 
 @dataclass

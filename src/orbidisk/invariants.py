@@ -53,9 +53,7 @@ def disk_potential(data: ToricData, disk, order, mirror: MirrorMap = None
     weights = data.y_weights()
 
     if kind == "ray":
-        gj = mirror.g[idx]
-        pot = (-(gj.substitute(inverse))).exp() if not gj.is_zero() else \
-            _one_in_target(mirror, order)
+        pot = (-(mirror.g[idx].substitute(inverse))).exp()
         if pot.constant_term() != 1:
             raise ConsistencyError(MODULE, op,
                                    "ray potential does not start at 1",
@@ -82,11 +80,6 @@ def disk_potential(data: ToricData, disk, order, mirror: MirrorMap = None
                                {"lead": lead_m, "coeff": lead_c})
     return DiskPotential(disk=disk, series=pot, normalization="tau+delta",
                          data=data)
-
-
-def _one_in_target(mirror: MirrorMap, order):
-    weights = mirror.target_weights()
-    return Series.constant(1, weights, frac(order))
 
 
 # ---------------------------------------------------------------------------

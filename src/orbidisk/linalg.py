@@ -7,7 +7,6 @@ absolute value, first position wins) so that derived bases are reproducible.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 
 def mat_copy(a):
@@ -16,16 +15,6 @@ def mat_copy(a):
 
 def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def primitive(vec):
-    """Divide an integer vector by the gcd of its entries (gcd of 0-vector is 0)."""
-    g = 0
-    for x in vec:
-        g = gcd(g, abs(x))
-    if g <= 1:
-        return list(vec)
-    return [x // g for x in vec]
 
 
 def smith_normal_form(a):

@@ -68,15 +68,6 @@ class MirrorMap:
                 return rel
         raise KeyError(target)
 
-    def target_weights(self):
-        w = {}
-        for rel in self.relations:
-            if rel.kind == "flat":
-                w[rel.target] = mono_grade(rel.monomial, self.data.y_weights())
-            else:
-                w[rel.target] = rel.series.min_grade()
-        return w
-
     def inverse(self):
         if self._inverse is None:
             self._inverse = inverse_mirror_map(self)

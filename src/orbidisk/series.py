@@ -1,15 +1,19 @@
 """Exact multivariate truncated power series with rational exponents.
 
-A series is a finite map monomial -> Fraction together with a positive weight
-per variable (the grading) and a truncation order: terms of grade > order are
-absent and undefined, terms of grade <= order are exact.  All arithmetic is
-over Q; nothing here ever touches a float.
+A series stores its terms by grade, grade -> {monomial -> Fraction}, with a
+positive weight per variable (the grading) and a truncation order: terms of
+grade > order are absent and undefined, terms of grade <= order are exact.  A
+term's grade is computed once, when the constructor takes it from outside;
+the operations know the grades of their results, since grades add under
+multiplication.  All arithmetic is over Q; nothing here ever touches a float.
 
 Monomials are stored as sorted tuples of (variable, exponent) pairs with no
 zero exponents, so they are hashable and canonically ordered.
 
 The kernels that carry the cost of the formal inversion:
 
+- _mul_into multiplies two pieces; a product runs it once per pair of pieces
+  whose grades sum to at most the order, and so do the recurrences below.
 - substitute keeps one power table per variable for each call: the integer
   powers the terms use, built in increasing exponent order, each from the
   last lower one times the image to the gap; each term's coefficient is
@@ -149,10 +153,12 @@ class Series:
 
     weights: var -> positive Fraction, the grading of each variable.
     order:   grade bound (inclusive).
-    terms:   monomial -> nonzero Fraction, every stored grade in [0, order].
+    pieces:  grade -> {monomial -> nonzero Fraction}, every grade in
+             [0, order] and no piece empty; terms is a flat copy.
+    Operations build their results with _make, which grades nothing.
     """
 
-    __slots__ = ("weights", "order", "terms")
+    __slots__ = ("weights", "order", "pieces")
 
     def __init__(self, weights: dict, order, terms: dict | None = None):
         self.weights = {v: frac(w) for v, w in weights.items()}
@@ -160,19 +166,34 @@ class Series:
             if w <= 0:
                 raise _err("grading", f"weight of {v} must be positive", w)
         self.order = frac(order)
-        t = {}
-        if terms:
-            for m, c in terms.items():
-                c = frac(c)
-                if c == 0:
-                    continue
-                g = mono_grade(m, self.weights)
-                if g < 0:
-                    raise _err("grading", f"monomial {mono_str(m)} has negative grade", g)
-                if g > self.order:
-                    continue
-                t[m] = c
-        self.terms = t
+        self.pieces = {}
+        for m, c in (terms or {}).items():
+            c = frac(c)
+            if c == 0:
+                continue
+            g = mono_grade(m, self.weights)
+            if g < 0:
+                raise _err("grading", f"monomial {mono_str(m)} has negative grade", g)
+            if g <= self.order:
+                self.pieces.setdefault(g, {})[m] = c
+
+    @classmethod
+    def _make(cls, weights, order, pieces):
+        """A series on an operand's checked weights from pieces keyed by
+        their grades: the one place that drops pieces above order, zero
+        coefficients and empty pieces."""
+        s = object.__new__(cls)
+        s.weights, s.order, s.pieces = weights, order, {}
+        for g, piece in pieces.items():
+            if g <= order:
+                piece = {m: c for m, c in piece.items() if c}
+                if piece:
+                    s.pieces[g] = piece
+        return s
+
+    @property
+    def terms(self) -> dict:
+        return {m: c for piece in self.pieces.values() for m, c in piece.items()}
 
     # -- constructors -------------------------------------------------------
 
@@ -206,49 +227,46 @@ class Series:
         return self.terms.get(m, Fraction(0))
 
     def constant_term(self) -> Fraction:
-        return self.terms.get(ONE_MONO, Fraction(0))
+        return self.pieces.get(0, {}).get(ONE_MONO, Fraction(0))
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.pieces
 
     def min_grade(self):
         """Smallest grade among stored terms, or None for the zero series."""
-        if not self.terms:
-            return None
-        return min(self.grade_of(m) for m in self.terms)
+        return min(self.pieces, default=None)
 
     def sorted_terms(self):
-        return sorted(self.terms.items(),
-                      key=lambda kv: (self.grade_of(kv[0]), kv[0]))
+        return [(m, p[m]) for _, p in sorted(self.pieces.items())
+                for m in sorted(p)]
+
+    def _terms_upto(self, bound) -> dict:
+        return {m: c for g, p in self.pieces.items() if g <= bound
+                for m, c in p.items()}
 
     def same_terms(self, other, up_to=None) -> bool:
         """Exact equality of coefficients up to min(self.order, other.order, up_to)."""
         bound = min(self.order, other.order)
         if up_to is not None:
             bound = min(bound, frac(up_to))
-        a = {m: c for m, c in self.terms.items() if self.grade_of(m) <= bound}
-        b = {m: c for m, c in other.terms.items() if other.grade_of(m) <= bound}
-        return a == b
+        return self._terms_upto(bound) == other._terms_upto(bound)
 
     def first_difference(self, other):
         """First (grade, monomial, coeff_self, coeff_other) where the two differ."""
         bound = min(self.order, other.order)
-        monos = set(self.terms) | set(other.terms)
-        diffs = []
-        for m in monos:
-            g = self.grade_of(m)
+        for g in sorted(set(self.pieces) | set(other.pieces)):
             if g > bound:
-                continue
-            a, b = self.coefficient(m), other.coefficient(m)
-            if a != b:
-                diffs.append((g, m, a, b))
-        if not diffs:
-            return None
-        return min(diffs)
+                break
+            a, b = self.pieces.get(g, {}), other.pieces.get(g, {})
+            diffs = [(g, m, a.get(m, Fraction(0)), b.get(m, Fraction(0)))
+                     for m in set(a) | set(b) if a.get(m) != b.get(m)]
+            if diffs:
+                return min(diffs)
+        return None
 
     def __eq__(self, other):
         return (isinstance(other, Series) and self.weights == other.weights
-                and self.order == other.order and self.terms == other.terms)
+                and self.order == other.order and self.pieces == other.pieces)
 
     def __hash__(self):
         raise TypeError("Series is not hashable")
@@ -257,7 +275,7 @@ class Series:
         return f"Series({self.text()}, order={frac_str(self.order)})"
 
     def text(self) -> str:
-        if not self.terms:
+        if not self.pieces:
             return "0"
         parts = []
         for m, c in self.sorted_terms():
@@ -279,27 +297,26 @@ class Series:
     # -- ring operations ----------------------------------------------------
 
     def __neg__(self):
-        return Series(self.weights, self.order, {m: -c for m, c in self.terms.items()})
+        return Series._make(self.weights, self.order,
+                            {g: {m: -c for m, c in p.items()}
+                             for g, p in self.pieces.items()})
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Series.constant(other, self.weights, self.order)
+            other = _constant(self.weights, self.order, other)
         self._check_compatible(other, "add")
-        order = min(self.order, other.order)
-        t = dict(self.terms)
-        for m, c in other.terms.items():
-            c2 = t.get(m, Fraction(0)) + c
-            if c2 == 0:
-                t.pop(m, None)
-            else:
-                t[m] = c2
-        return Series(self.weights, order, t)
+        out = {g: dict(p) for g, p in self.pieces.items()}
+        for g, p in other.pieces.items():
+            acc = out.setdefault(g, {})
+            for m, c in p.items():
+                acc[m] = acc.get(m, 0) + c
+        return Series._make(self.weights, min(self.order, other.order), out)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Series.constant(other, self.weights, self.order)
+            other = _constant(self.weights, self.order, other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -308,51 +325,45 @@ class Series:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = frac(other)
-            if c == 0:
-                return Series.zero(self.weights, self.order)
-            return Series(self.weights, self.order,
-                          {m: c * x for m, x in self.terms.items()})
+            return Series._make(self.weights, self.order,
+                                {g: {m: c * x for m, x in p.items()}
+                                 for g, p in self.pieces.items()})
         self._check_compatible(other, "mul")
         order = min(self.order, other.order)
-        t = {}
-        grades_b = {m: other.grade_of(m) for m in other.terms}
-        for ma, ca in self.terms.items():
-            ga = self.grade_of(ma)
-            for mb, cb in other.terms.items():
-                if ga + grades_b[mb] > order:
-                    continue
-                m = mono_mul(ma, mb)
-                c2 = t.get(m, Fraction(0)) + ca * cb
-                if c2 == 0:
-                    t.pop(m, None)
-                else:
-                    t[m] = c2
-        return Series(self.weights, order, t)
+        out = {}
+        for ga, pa in self.pieces.items():
+            for gb, pb in other.pieces.items():
+                if ga + gb <= order:
+                    _mul_into(out.setdefault(ga + gb, {}), pa, pb)
+        return Series._make(self.weights, order, out)
 
     __rmul__ = __mul__
 
     def mul_monomial(self, m: tuple, c=1):
         """Multiply by an exact monomial; the truncation bound shifts with it."""
-        g = mono_grade(m, self.weights)
-        t = {}
-        c = frac(c)
-        for ma, ca in self.terms.items():
-            t[mono_mul(ma, m)] = ca * c
-        return Series(self.weights, self.order + g, t)
+        g, c = mono_grade(m, self.weights), frac(c)
+        low = self.min_grade()
+        if low is not None and low + g < 0:
+            bad = mono_mul(min(self.pieces[low]), m)
+            raise _err("grading", f"monomial {mono_str(bad)} has negative grade",
+                       low + g)
+        return Series._make(self.weights, self.order + g,
+                            {ga + g: {mono_mul(ma, m): ca * c for ma, ca in p.items()}
+                             for ga, p in self.pieces.items()})
 
     def truncate(self, order):
         order = frac(order)
         if order > self.order:
             raise _err("truncate", "cannot extend a series beyond its known order",
                        (self.order, order))
-        return Series(self.weights, order, self.terms)
+        return Series._make(self.weights, order, self.pieces)
 
     def pow_int(self, k: int):
         """self^k by repeated squaring; k = 1 returns self itself."""
         if k < 0:
             raise _err("pow", "negative integer power of a general series", k)
         if k == 0:
-            return Series.constant(1, self.weights, self.order)
+            return _constant(self.weights, self.order, 1)
         result = None
         base = self
         while True:
@@ -365,17 +376,11 @@ class Series:
 
     # -- transcendental operations ------------------------------------------
 
-    def _grade_pieces(self, op):
-        """{grade: {monomial: coeff}} of a series whose terms all have
-        positive grade; the grading-operator recurrences divide by grades."""
-        pieces = {}
-        for m, c in self.terms.items():
-            g = self.grade_of(m)
-            if g == 0:
-                raise _err(op, f"every term needs a positive grade; "
-                               f"{mono_str(m)} has grade 0", mono_str(m))
-            pieces.setdefault(g, {})[m] = c
-        return pieces
+    def _check_positive_grades(self, op):
+        """The grading-operator recurrences divide by grades."""
+        if self.pieces.get(0):
+            m = mono_str(min(self.pieces[0]))
+            raise _err(op, f"every term needs a positive grade; {m} has grade 0", m)
 
     def exp(self):
         """exp of a series with zero constant term, exact to self.order.
@@ -386,11 +391,12 @@ class Series:
         """
         if self.constant_term() != 0:
             raise _err("exp", "exp requires zero constant term", self.constant_term())
-        pieces = self._grade_pieces("exp")
+        self._check_positive_grades("exp")
         # grade h -> h * f_h
-        scaled = {h: {m: h * c for m, c in fh.items()} for h, fh in pieces.items()}
-        out = {0: {ONE_MONO: Fraction(1)}}
-        for g in _grades_upto(pieces, self.order):
+        scaled = {h: {m: h * c for m, c in fh.items()}
+                  for h, fh in self.pieces.items()}
+        out = {Fraction(0): {ONE_MONO: Fraction(1)}}
+        for g in _grades_upto(self.pieces, self.order):
             acc = {}
             for h, hf in scaled.items():
                 rest = out.get(g - h)
@@ -399,8 +405,7 @@ class Series:
             piece = {m: c / g for m, c in acc.items() if c}
             if piece:
                 out[g] = piece
-        return Series(self.weights, self.order,
-                      {m: c for piece in out.values() for m, c in piece.items()})
+        return Series._make(self.weights, self.order, out)
 
     def log_one_plus(self):
         """log(1 + s) for s with zero constant term, exact to self.order.
@@ -411,27 +416,23 @@ class Series:
         if self.constant_term() != 0:
             raise _err("log", "log_one_plus requires zero constant term",
                        self.constant_term())
-        pieces = self._grade_pieces("log")
+        self._check_positive_grades("log")
         out = {}
         scaled = {}   # grade k -> k * L_k
-        for g in _grades_upto(pieces, self.order):
+        for g in _grades_upto(self.pieces, self.order):
             acc = {}
-            for h, sh in pieces.items():
+            for h, sh in self.pieces.items():
                 rest = scaled.get(g - h)
                 if rest:
                     _mul_into(acc, sh, rest)
-            piece = dict(pieces.get(g, {}))
+            piece = dict(self.pieces.get(g, {}))
             for m, c in acc.items():
-                c2 = piece.get(m, Fraction(0)) - c / g
-                if c2:
-                    piece[m] = c2
-                else:
-                    piece.pop(m, None)
+                piece[m] = piece.get(m, 0) - c / g
+            piece = {m: c for m, c in piece.items() if c}
             if piece:
                 out[g] = piece
                 scaled[g] = {m: g * c for m, c in piece.items()}
-        return Series(self.weights, self.order,
-                      {m: c for piece in out.values() for m, c in piece.items()})
+        return Series._make(self.weights, self.order, out)
 
     def pow_frac(self, alpha):
         """Raise to a rational power.
@@ -455,18 +456,17 @@ class Series:
         """
         if self.is_zero():
             raise _err(op, "cannot factor the zero series")
-        items = self.sorted_terms()
-        g0 = self.grade_of(items[0][0])
-        leads = [it for it in items if self.grade_of(it[0]) == g0]
+        g0 = self.min_grade()
+        leads = self.pieces[g0]
         if len(leads) > 1:
             raise _err(op, "leading monomial is not unique",
-                       [mono_str(m) for m, _ in leads])
-        lead_m, lead_c = leads[0]
+                       [mono_str(m) for m in sorted(leads)])
+        (lead_m, lead_c), = leads.items()
         inv_m = mono_pow(lead_m, -1)
-        unit_terms = {}
-        for m, c in items[1:]:
-            unit_terms[mono_mul(m, inv_m)] = c / lead_c
-        unit = Series(self.weights, self.order - g0, unit_terms)
+        unit = Series._make(self.weights, self.order - g0,
+                            {g - g0: {mono_mul(m, inv_m): c / lead_c
+                                      for m, c in p.items()}
+                             for g, p in self.pieces.items() if g != g0})
         return lead_m, lead_c, unit
 
     # -- substitution ---------------------------------------------------------
@@ -478,19 +478,15 @@ class Series:
         truncation requires each image's minimal grade to be at least the
         weight of the variable it replaces; this is checked.
         """
-        used = sorted({v for m in self.terms for v, _ in m}, key=var_key)
+        terms = self.terms
+        used = sorted({v for m in terms for v, _ in m}, key=var_key)
         for v in used:
             if v not in assignment:
                 raise _err("substitute", f"unassigned variable {v}", v)
         images = {v: assignment[v] for v in used}
-        if images:
-            first = next(iter(images.values()))
-            tw, torder = first.weights, min(s.order for s in images.values())
-        elif assignment:
-            first = next(iter(assignment.values()))
-            tw, torder = first.weights, self.order
-        else:
-            tw, torder = self.weights, self.order
+        pool = list(images.values()) or list(assignment.values())
+        tw = pool[0].weights if pool else self.weights
+        torder = min((s.order for s in images.values()), default=self.order)
         for v, s in images.items():
             if s.weights != tw:
                 raise _err("substitute", "assigned series use different gradings", v)
@@ -500,13 +496,19 @@ class Series:
                            f"image of {v} has grade {mg} below its weight "
                            f"{self.weights[v]}; truncation would be unsound", v)
         order = min(self.order, torder)
-        # factor the images needed at fractional or negative exponents once;
-        # pure monomial parts combine by exponent arithmetic so that interim
-        # negative grades cancel before any series is built
-        factored = {}
-        for m in self.terms:
+        # one power table per variable: the positive integer powers the
+        # terms use, built in increasing exponent order, each from the last
+        # lower one times the image to the gap.  The images needed at
+        # fractional or negative exponents are factored once; their pure
+        # monomial parts combine by exponent arithmetic so that interim
+        # negative grades cancel before any series is built, and their unit
+        # parts enter as exp(e * log(unit)), one per (variable, exponent)
+        needed, factored = {}, {}
+        for m in terms:
             for v, e in m:
-                if (e.denominator != 1 or e < 0) and v not in factored:
+                if e.denominator == 1 and e >= 0:
+                    needed.setdefault(v, set()).add(int(e))
+                elif v not in factored:
                     lead_m, lead_c, unit = images[v].factor_unit("substitute")
                     if lead_c != 1:
                         raise _err("substitute",
@@ -514,15 +516,6 @@ class Series:
                                    f"coefficient 1 for fractional powers",
                                    lead_c)
                     factored[v] = (lead_m, unit)
-        # one power table per variable: the positive integer powers the
-        # terms use, built in increasing exponent order, each from the last
-        # lower one times the image to the gap; fractional and negative
-        # powers are exp(e * log(unit)), one per (variable, exponent)
-        needed = {}
-        for m in self.terms:
-            for v, e in m:
-                if e.denominator == 1 and e >= 0:
-                    needed.setdefault(v, set()).add(int(e))
         powers = {}
         for v, exps in needed.items():
             img = images[v]
@@ -537,7 +530,7 @@ class Series:
         logs, frac_powers = {}, {}
         out_order = order
         acc = {}
-        for m, c in self.terms.items():
+        for m, c in terms.items():
             term = None
             mono_acc = ONE_MONO
             for v, e in m:
@@ -555,7 +548,7 @@ class Series:
                         f = frac_powers[v, e] = (logs[v] * e).exp()
                 term = f if term is None else term * f
             if term is None:
-                term = Series.constant(1, tw, order)
+                term = _constant(tw, order, 1)
             elif term.order > order:
                 term = term.truncate(order)
             if mono_acc:
@@ -563,9 +556,11 @@ class Series:
                 if term.order > order:
                     term = term.truncate(order)
             out_order = min(out_order, term.order)
-            for tm, tc in term.terms.items():
-                acc[tm] = acc.get(tm, 0) + c * tc
-        return Series(tw, out_order, acc)
+            for g, p in term.pieces.items():
+                piece = acc.setdefault(g, {})
+                for tm, tc in p.items():
+                    piece[tm] = piece.get(tm, 0) + c * tc
+        return Series._make(tw, out_order, acc)
 
     # -- serialization --------------------------------------------------------
 
@@ -589,6 +584,11 @@ class Series:
             m = mono(*((v, parse_frac(e)) for v, e in t["exponents"].items()))
             terms[m] = parse_frac(t["coeff"])
         return cls(weights, parse_frac(d["order"]), terms)
+
+
+def _constant(weights, order, c) -> Series:
+    """The constant series c on weights a series already holds."""
+    return Series._make(weights, order, {Fraction(0): {ONE_MONO: frac(c)}})
 
 
 # ---------------------------------------------------------------------------
@@ -713,7 +713,7 @@ def invert_map(relations, order):
         # stepped result at the base order top so that the orders settle as
         # they do from the base monomials.  Had the stepped rounds dropped
         # exact terms, these rounds or the verification below would show it.
-        assign = {v: Series(weights, top, s.terms) for v, s in assign.items()}
+        assign = {v: Series._make(s.weights, top, s.pieces) for v, s in assign.items()}
         max_iter = int(ceil(top / step)) + 1
         for _ in range(max_iter):
             new = refine(assign)

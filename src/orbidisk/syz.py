@@ -68,31 +68,35 @@ def solve_coefficient_system(data: ToricData, gauge: GaugeChoice) -> dict:
                                "residual gauge freedom after fixing a cone",
                                witness)
     ainv = linalg.invert_rational(a)
-    # right-hand side per relation row, one exponent slot per flat variable
-    rhs = []
-    for row in range(r):
-        if row < rp:
-            rhs.append([Fraction(int(k == row)) for k in range(rp)])
-        else:
-            vec = [Fraction(0)] * rp
-            for j in data.extra_columns():
-                mja = data.gamma[row][j]
-                if mja:
-                    dq = _q_exponents_of_dual(data, j)
-                    for k in range(rp):
-                        vec[k] -= mja * dq[k]
-            rhs.append(vec)
+    rhs = _relation_rhs(data)
     sol = {i: [Fraction(0)] * rp for i in range(data.m_prime)}
     for ui, u in enumerate(unknowns):
         sol[u] = [sum(ainv[ui][row] * rhs[row][k] for row in range(r))
                   for k in range(rp)]
     for i in gauge.cone:
         sol[i] = [Fraction(0)] * rp
-    _verify_coefficient_relations(data, sol)
+    _verify_coefficient_relations(data, sol, rhs)
     return {i: sol[i] for i in range(data.m_prime)}
 
 
-def _verify_coefficient_relations(data: ToricData, sol):
+def _relation_rhs(data: ToricData) -> list:
+    """Right-hand side per relation row, one exponent slot per flat variable:
+    the unit vector on a flat row, minus the dual-class exponents of the
+    extra columns on the others."""
+    r, rp = data.r, data.r_prime
+    duals = {j: _q_exponents_of_dual(data, j) for j in data.extra_columns()
+             if any(data.gamma[row][j] for row in range(rp, r))}
+    rhs = []
+    for row in range(r):
+        vec = [Fraction(int(k == row)) for k in range(rp)]
+        if row >= rp:
+            for j, dq in duals.items():
+                vec = [x - data.gamma[row][j] * d for x, d in zip(vec, dq)]
+        rhs.append(vec)
+    return rhs
+
+
+def _verify_coefficient_relations(data: ToricData, sol, rhs):
     """Substitute the solved exponents back into the defining relations."""
     op = "solve_coefficient_system"
     r, rp = data.r, data.r_prime
@@ -104,21 +108,11 @@ def _verify_coefficient_relations(data: ToricData, sol):
             if mia:
                 for k in range(rp):
                     lhs[k] += mia * sol[i][k]
-        if row < rp:
-            want = [Fraction(int(k == row)) for k in range(rp)]
-        else:
-            want = [Fraction(0)] * rp
-            for j in data.extra_columns():
-                mja = data.gamma[row][j]
-                if mja:
-                    dq = _q_exponents_of_dual(data, j)
-                    for k in range(rp):
-                        want[k] -= mja * dq[k]
-        if lhs != want:
+        if lhs != rhs[row]:
             raise ConsistencyError(MODULE, op,
                                    "solved coefficients violate a defining "
                                    "relation", {"row": row, "lhs": lhs,
-                                                "want": want})
+                                                "want": rhs[row]})
 
 
 def covector_splitting(data: ToricData):

@@ -192,6 +192,25 @@ def test_malformed_fan_file(capsys, tmp_path):
     assert "malformed fan file" in json.loads(err)["error"]["message"]
 
 
+@pytest.mark.parametrize("field, value", [
+    ("basis_p", 5), ("basis_p", [5]),
+    ("extra_vectors", 5), ("extra_vectors", [["a", 0, 1]]),
+    ("labels", 5), ("labels", ["a"]), ("labels", [1, 2, 3, 4]),
+], ids=["basis_p=5", "basis_p=[5]", "extra_vectors=5", "extra_vectors=[[a,0,1]]",
+        "labels=5", "labels=[a]", "labels=[1,2,3,4]"])
+def test_malformed_fan_field(capsys, tmp_path, field, value):
+    # kp2 has four rays; each field is refused as input, never a traceback
+    doc = json.loads(fans.read("kp2"))
+    doc[field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "analyze", str(bad))
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["module"] and error["operation"] and error["message"]
+
+
 @pytest.mark.parametrize("path", ["/nonexistent/dir/kp2.json", "kp2.json"])
 def test_bundled_fan_only_from_bare_name(capsys, tmp_path, monkeypatch, path):
     # a path that does not exist never falls back to the bundled fan of the

@@ -188,38 +188,58 @@ def test_compare_potentials_computes_each_artefact_once(monkeypatch):
     assert calls["extract"] == calls["classes"]
 
 
+def _potential_of(case, order):
+    from orbidisk.fan import fan_from_dict
+    from test_generalization import LOCAL_QUADRIC
+    fan = fans.load("kp2") if case == "kp2" else fan_from_dict(LOCAL_QUADRIC)
+    disk_potential(kernel_data(fan), ("ray", 0), order)
+
+
 @pytest.mark.parametrize("case, order, ceiling", [
     # term pairs multiplied: 71,266 with a fresh pow_int per substituted
     # term, exp/log summed power by power and full-precision inversion
-    # rounds; 5,805 in Series.__mul__ plus 903 in the exp/log recurrences
-    # with power tables, grading-operator recurrences and stepped rounds
-    ("kp2", 12, 13_000),
-    # 59,359 before; 8,874 plus 909 now
-    ("local_quadric", 5, 20_000),
-])
+    # rounds; 2,642 with power tables, grading-operator recurrences and
+    # stepped rounds, counted in _mul_into, the one multiplication kernel
+    ("kp2", 12, 5_300),
+    # 59,359 before; 1,887 now
+    ("local_quadric", 5, 3_800),
+], ids=["kp2-12", "local_quadric-5"])
 def test_disk_potential_operation_count(monkeypatch, case, order, ceiling):
     # a guard on the series kernel's work: undoing the power caching in
     # substitute, the exp/log recurrences or the stepped inversion rounds
     # multiplies the term pairs several times over
     from orbidisk import series
-    from orbidisk.fan import fan_from_dict
-    from test_generalization import LOCAL_QUADRIC
 
     pairs = [0]
-    mul, mul_into = series.Series.__mul__, series._mul_into
-
-    def counted_mul(a, b):
-        pairs[0] += len(a.terms) * (len(b.terms) if isinstance(b, series.Series)
-                                    else 1)
-        return mul(a, b)
+    mul_into = series._mul_into
 
     def counted_mul_into(acc, a, b):
         pairs[0] += len(a) * len(b)
         return mul_into(acc, a, b)
 
-    monkeypatch.setattr(series.Series, "__mul__", counted_mul)
-    monkeypatch.setattr(series.Series, "__rmul__", counted_mul)
     monkeypatch.setattr(series, "_mul_into", counted_mul_into)
-    fan = fans.load("kp2") if case == "kp2" else fan_from_dict(LOCAL_QUADRIC)
-    disk_potential(kernel_data(fan), ("ray", 0), order)
+    _potential_of(case, order)
     assert 0 < pairs[0] <= ceiling
+
+
+@pytest.mark.parametrize("case, order, ceiling", [
+    # mono_grade calls: 3,758 when every series operation re-graded its
+    # terms; 40 now that the grades are the keys of the stored pieces
+    ("kp2", 12, 80),
+    # 5,128 before; 48 now
+    ("local_quadric", 5, 100),
+], ids=["kp2-12", "local_quadric-5"])
+def test_disk_potential_grade_count(monkeypatch, case, order, ceiling):
+    # a term is graded once, when it enters the series layer from outside
+    from orbidisk import series
+
+    calls = [0]
+    mono_grade = series.mono_grade
+
+    def counted(m, weights):
+        calls[0] += 1
+        return mono_grade(m, weights)
+
+    monkeypatch.setattr(series, "mono_grade", counted)
+    _potential_of(case, order)
+    assert 0 < calls[0] <= ceiling

@@ -137,8 +137,3 @@ def test_complete_to_unimodular():
     assert abs(linalg.det_rational(m)) == 1
     with pytest.raises(ValueError):
         linalg.complete_to_unimodular([[2, 0]], 2)
-
-
-def test_primitive():
-    assert linalg.primitive([2, 4, -6]) == [1, 2, -3]
-    assert linalg.primitive([0, 0]) == [0, 0]

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbidisk.errors import ValidationError
-from orbidisk.series import (Series, invert_map, mono, mono_mul, mono_pow,
-                             var_key)
+from orbidisk.series import (Series, invert_map, mono, mono_grade, mono_mul,
+                             mono_pow, var_key)
 
 F = Fraction
 W1 = {"y": F(1)}
@@ -282,6 +282,61 @@ def test_log_exp_round_trip(s):
 @given(random_series())
 def test_serialization_round_trip_random(s):
     assert Series.from_json(s.to_json()) == s
+
+
+GRADINGS = [{"a": F(1), "b": F(1)}, {"a": F(1), "b": F(1, 2)},
+            {"a": F(2, 3), "b": F(1, 2)}]
+
+
+@st.composite
+def graded_series(draw, weights):
+    """Up to five terms a^i b^j (i, j <= 3) at order 3 or 7/2."""
+    order = draw(st.sampled_from([F(3), F(7, 2)]))
+    terms = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        i, j = (draw(st.integers(min_value=0, max_value=3)) for _ in "ab")
+        terms[mono(("a", i), ("b", j))] = draw(coeffs)
+    return Series(weights, order, terms)
+
+
+def assert_stored_by_grade(s):
+    for g, piece in s.pieces.items():
+        assert 0 <= g <= s.order
+        assert piece
+        for m, c in piece.items():
+            assert mono_grade(m, s.weights) == g
+            assert c != 0
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(st.data())
+def test_operations_store_terms_by_grade(data):
+    # every operation's result keeps each term under its own grade, within
+    # [0, order], with no zero coefficient and no empty piece
+    w = data.draw(st.sampled_from(GRADINGS))
+    a, b = data.draw(graded_series(w)), data.draw(graded_series(w))
+    u = a - a.constant_term()
+    unit = 1 + u
+    ab = mono(("a", 1), ("b", 2))
+    # a^(1/2) and a^2/b need the images' leading monomials factored out
+    source = Series(w, 3, {mono(("a", 1), ("b", 1)): 2, mono(("a", F(1, 2))): 1,
+                           mono(("a", 2), ("b", -1)): F(-1, 3)})
+    images = {v: unit.mul_monomial(mono((v, 1))) for v in w}
+    results = [a + b, a - a, a * b, a * F(-2, 3), a.mul_monomial(ab, F(5, 2)),
+               a.truncate(F(3, 2)), u.exp(), u.log_one_plus(),
+               unit.pow_frac(F(-1, 3)), images["a"].pow_frac(F(1, 2)),
+               images["b"].factor_unit()[2], a.substitute(images),
+               source.substitute(images)]
+    for s in results:
+        assert_stored_by_grade(s)
+
+
+def test_negative_grade_refused():
+    # neither outside input nor a result may hold a term of negative grade
+    with pytest.raises(ValidationError, match="negative grade"):
+        S(3, {y(-1): 1})
+    with pytest.raises(ValidationError, match=r"y\^\(-1\) has negative grade"):
+        S(3, {y(): 1, y(2): 1}).pow_frac(-1)
 
 
 def test_substitute_unassigned_variable():
