@@ -10,7 +10,7 @@ from .hyper import hyper_factor, z_extract, relative_ifunction_oracle
 from .mirrormap import (MirrorMap, g_series, toric_mirror_map,
                         relative_mirror_map, inverse_mirror_map)
 from .invariants import (DiskPotential, InvariantTable, disk_potential,
-                         extract_invariants, oracle_potential,
+                         disk_potentials, extract_invariants, oracle_potential,
                          compare_potentials)
 from .syz import (GaugeChoice, MirrorPotential, solve_coefficient_system,
                   mirror_potential, emit_lg_model)
@@ -26,6 +26,7 @@ __all__ = [
     "sector", "dual_class", "invert_map", "hyper_factor", "z_extract",
     "relative_ifunction_oracle", "g_series", "toric_mirror_map",
     "relative_mirror_map", "inverse_mirror_map", "disk_potential",
+    "disk_potentials",
     "extract_invariants", "oracle_potential", "compare_potentials",
     "solve_coefficient_system", "mirror_potential", "emit_lg_model",
 ]

@@ -166,15 +166,8 @@ def cmd_syz(args):
     fan, basis_p = load_fan_file(args.fan)
     data = kernel_data(fan, basis_p)
     order = parse_order(args.order)
-    mm = toric_mirror_map(data, order)
-    pots = {}
-    for i in range(data.m):
-        pots[("ray", i)] = disk_potential(data, ("ray", i), order, mirror=mm)
-    for j in data.extra_columns():
-        pots[("box", j)] = disk_potential(data, ("box", j), order, mirror=mm)
     gauge = GaugeChoice.for_data(data, args.gauge)
-    mp = mirror_potential(data, pots, gauge, order)
-    return emit_lg_model(mp)
+    return emit_lg_model(mirror_potential(data, gauge, order))
 
 
 def cmd_oracle(args):

@@ -99,15 +99,23 @@ def parse_stacky_fan(document: str) -> StackyFan:
     return fan_from_dict(raw)
 
 
+def _json_int(x):
+    """A JSON integer as it is; a float, bool or string is refused."""
+    if type(x) is not int:
+        raise TypeError(f"{x!r} is not an integer")
+    return x
+
+
 def fan_from_dict(raw: dict) -> StackyFan:
     op = "parse_stacky_fan"
     if not isinstance(raw, dict):
         raise _verr(op, "document must be a JSON object", raw)
     try:
-        rank = int(raw["rank"])
-        rays = [tuple(int(x) for x in r) for r in raw["rays"]]
-        cones = [tuple(sorted(int(i) for i in c)) for c in raw["cones"]]
-        extra = [tuple(int(x) for x in v) for v in raw.get("extra_vectors", [])]
+        rank = _json_int(raw["rank"])
+        rays = [tuple(_json_int(x) for x in r) for r in raw["rays"]]
+        cones = [tuple(sorted(_json_int(i) for i in c)) for c in raw["cones"]]
+        extra = [tuple(_json_int(x) for x in v)
+                 for v in raw.get("extra_vectors", [])]
     except (KeyError, TypeError, ValueError) as e:
         raise _verr(op, f"malformed document: {e}", raw)
     labels = raw.get("labels", [])
@@ -292,7 +300,7 @@ def box_elements(fan: StackyFan, cy_mode: bool = False):
 # derived toric data
 
 
-@dataclass
+@dataclass(frozen=True)
 class ToricData:
     fan: StackyFan
     gamma: list                  # kernel basis, columns of Z^{m'} (length r)
@@ -306,7 +314,6 @@ class ToricData:
     infinity_column: int | None = None
     q_count: int | None = None          # number of plain q variables
     tau_names: dict = field(default_factory=dict)
-    _coord_solver: list | None = None
 
     @property
     def n(self):
@@ -369,24 +376,16 @@ class ToricData:
         return out
 
     def coords_from_pairings(self, pairings):
-        """Coordinates of a pairing vector in the gamma basis (exact)."""
-        if self._coord_solver is None:
-            g = [[self.gamma[a][i] for a in range(self.r)]
-                 for i in range(self.m_prime)]
-            # choose r independent rows once
-            rows = []
-            idx = []
-            for i in range(self.m_prime):
-                if linalg.rank_rational(rows + [g[i]]) > len(rows):
-                    rows.append(g[i])
-                    idx.append(i)
-                if len(rows) == self.r:
-                    break
-            self._coord_solver = [idx, linalg.invert_rational(rows)]
-        idx, inv = self._coord_solver
-        sub = [frac(pairings[i]) for i in idx]
-        return [sum(inv[a][k] * sub[k] for k in range(self.r))
-                for a in range(self.r)]
+        """Coordinates of a pairing vector in the gamma basis (exact); a
+        vector outside the span of the kernel basis is refused."""
+        g = [[self.gamma[a][i] for a in range(self.r)]
+             for i in range(self.m_prime)]
+        x = linalg.solve_rational(g, [frac(p) for p in pairings])
+        if x is None:
+            raise ConsistencyError(MODULE, "coords_from_pairings",
+                                   "pairing vector is not in the kernel",
+                                   pairings)
+        return x
 
     def grade(self, coords):
         return sum((frac(c) for c in coords), Fraction(0))
@@ -622,7 +621,7 @@ def verify_semi_fano(data: ToricData):
 # compactification
 
 
-@dataclass
+@dataclass(frozen=True)
 class CompactifiedData:
     base: ToricData
     bar: ToricData
@@ -670,12 +669,6 @@ def _facet_pairing_complete(fan: StackyFan):
     return bool(maxc) and all(v == 2 for v in count.values())
 
 
-def _covers(fan: StackyFan, vector):
-    return any(
-        cone_membership([fan.rays[i] for i in c], vector) is not None
-        for c in fan.cones)
-
-
 def validate_compactification(base_fan: StackyFan, bar_fan: StackyFan,
                               disk, basis_p=None) -> CompactifiedData:
     """Validate a user-supplied compactified fan against its base.
@@ -716,7 +709,8 @@ def validate_compactification(base_fan: StackyFan, bar_fan: StackyFan,
     certificate = {
         "facets_paired": _facet_pairing_complete(bar_fan),
         "covers_ray_negatives": all(
-            _covers(bar_fan, tuple(-x for x in r)) for r in bar_fan.rays),
+            minimal_cone(bar_fan, tuple(-x for x in r)) is not None
+            for r in bar_fan.rays),
     }
 
     # column order of the bar fan: base rays, infinity ray, extras

@@ -18,7 +18,7 @@ pairing is positive, and 1 when it vanishes (empty products are 1).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -58,7 +58,7 @@ def hyper_factor(p) -> FactorExpansion:
                            int(p < 0 and p.denominator == 1))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ZFactors:
     """Combined factor data of one class."""
     z_exponent: Fraction
@@ -129,12 +129,12 @@ def y_monomial(data, cls):
     return mono(*((names[a], cls.coords[a]) for a in range(data.r)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Slice:
     """z^-1 and z^-2 coefficient data summed over enumerated classes."""
-    sector_series: dict = field(default_factory=dict)   # box vector -> Series
-    divisor_series: dict = field(default_factory=dict)  # column -> Series
-    h0_z2: Series | None = None
+    sector_series: dict   # box vector -> Series
+    divisor_series: dict  # column -> Series
+    h0_z2: Series
 
 
 def closed_form_ray_coefficient(pairings, j, skip=()):
@@ -159,8 +159,8 @@ def coefficient_slice(data, classes, order, cd=None) -> Slice:
     Every divisor-linear coefficient is checked against its closed form.
     """
     weights = data.y_weights()
-    out = Slice()
-    out.h0_z2 = Series.zero(weights, frac(order))
+    sectors, divisors = {}, {}
+    h0_z2 = Series.zero(weights, frac(order))
     for cls in classes:
         zf = z_extract(data, cls, cd=cd)
         kind = zf.classify(cls)
@@ -170,7 +170,7 @@ def coefficient_slice(data, classes, order, cd=None) -> Slice:
                                frac(order))
         if kind[0] == "sector":
             key = kind[1].vector
-            out.sector_series[key] = out.sector_series.get(
+            sectors[key] = sectors.get(
                 key, Series.zero(weights, frac(order))) + term
         elif kind[0] == "divisor":
             key = kind[1]
@@ -187,11 +187,11 @@ def coefficient_slice(data, classes, order, cd=None) -> Slice:
                                        "closed form",
                                        {"pairings": cls.pairings,
                                         "got": zf.scalar, "want": expected})
-            out.divisor_series[key] = out.divisor_series.get(
+            divisors[key] = divisors.get(
                 key, Series.zero(weights, frac(order))) + term
         else:
-            out.h0_z2 = out.h0_z2 + term
-    return out
+            h0_z2 = h0_z2 + term
+    return Slice(sector_series=sectors, divisor_series=divisors, h0_z2=h0_z2)
 
 
 def relative_ifunction_oracle(cd, bound):

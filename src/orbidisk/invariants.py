@@ -15,7 +15,7 @@ from math import factorial
 
 from .effective import dual_class
 from .errors import ConsistencyError
-from .fan import CompactifiedData, ToricData, parse_disk_selector
+from .fan import CompactifiedData, ToricData
 from .hyper import y_monomial
 from .mirrormap import (MirrorMap, inverse_mirror_map, relative_mirror_map,
                         toric_mirror_map)
@@ -24,7 +24,7 @@ from .series import Series, frac, mono, mono_pow
 MODULE = "invariants"
 
 
-@dataclass
+@dataclass(frozen=True)
 class DiskPotential:
     disk: tuple             # ("ray", i) or ("box", j)
     series: Series          # in flat/twisted variables
@@ -39,17 +39,29 @@ class DiskPotential:
         }
 
 
-def disk_potential(data: ToricData, disk, order, mirror: MirrorMap = None
-                   ) -> DiskPotential:
-    """Generating series of the invariants attached to one basic disk class."""
-    op = "disk_potential"
-    if isinstance(disk, str):
-        disk = parse_disk_selector(disk, data)
-    kind, idx = disk
+def disk_potential(data: ToricData, disk, order) -> DiskPotential:
+    """Generating series of the invariants attached to one basic disk class,
+    ("ray", i) or ("box", j)."""
     order = frac(order)
-    if mirror is None:
-        mirror = toric_mirror_map(data, order)
-    inverse = mirror.inverse()
+    mirror = toric_mirror_map(data, order)
+    return _potential(data, mirror, inverse_mirror_map(mirror), disk, order)
+
+
+def disk_potentials(data: ToricData, order) -> dict:
+    """{disk: DiskPotential} for every ray and every extra column, in column
+    order, all read off one mirror map and its inverse."""
+    order = frac(order)
+    mirror = toric_mirror_map(data, order)
+    inverse = inverse_mirror_map(mirror)
+    disks = [("ray", i) for i in range(data.m)] + \
+        [("box", j) for j in data.extra_columns()]
+    return {d: _potential(data, mirror, inverse, d, order) for d in disks}
+
+
+def _potential(data: ToricData, mirror: MirrorMap, inverse: dict, disk,
+               order) -> DiskPotential:
+    op = "disk_potential"
+    kind, idx = disk
     weights = data.y_weights()
 
     if kind == "ray":
@@ -86,7 +98,7 @@ def disk_potential(data: ToricData, disk, order, mirror: MirrorMap = None
 # invariant extraction
 
 
-@dataclass
+@dataclass(frozen=True)
 class InvariantTable:
     disk: tuple
     entries: dict   # (alpha tuple, ((label, count), ...)) -> Fraction
@@ -189,7 +201,7 @@ def oracle_potential(cd: CompactifiedData, order) -> Series:
     return Series(weights, min(out.order, order), dict(out.terms))
 
 
-def compare_potentials(cd: CompactifiedData, order, mirror: MirrorMap = None):
+def compare_potentials(cd: CompactifiedData, order):
     """Both derivations of the potential; they must agree exactly.
 
     Returns (disk_potential, oracle_series).  Raises ConsistencyError with
@@ -197,17 +209,10 @@ def compare_potentials(cd: CompactifiedData, order, mirror: MirrorMap = None):
     """
     op = "compare_potentials"
     order = frac(order)
-    dp = disk_potential(cd.base, cd.disk, order, mirror=mirror)
+    dp = disk_potential(cd.base, cd.disk, order)
     oracle = oracle_potential(cd, order)
-    a, b = dp.series, oracle
-    if set(a.weights) != set(b.weights):
-        shared = {v: w for v, w in a.weights.items()}
-        for v, w in b.weights.items():
-            shared.setdefault(v, w)
-        a = Series(shared, a.order, dict(a.terms))
-        b = Series(shared, b.order, dict(b.terms))
-    if not a.same_terms(b, up_to=order):
+    if not dp.series.same_terms(oracle, up_to=order):
         raise ConsistencyError(MODULE, op,
                                "potential disagrees with its compactified "
-                               "derivation", a.first_difference(b))
+                               "derivation", dp.series.first_difference(oracle))
     return dp, oracle

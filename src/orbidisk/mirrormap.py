@@ -13,7 +13,7 @@ which is asserted.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .effective import dual_class, enumerate_effective
@@ -36,7 +36,7 @@ def g_series(data: ToricData, sector_series, divisor_series, order) -> dict:
     return g
 
 
-@dataclass
+@dataclass(frozen=True)
 class Relation:
     """One forward relation: target = monomial(y) * exp(correction(y)),
     or target = series(y) for twisted-sector targets."""
@@ -53,25 +53,18 @@ class Relation:
         return d
 
 
-@dataclass
+@dataclass(frozen=True)
 class MirrorMap:
     data: ToricData
     order: Fraction
     g: dict                      # column -> Series
     relations: list
-    cd: CompactifiedData | None = None
-    _inverse: dict | None = field(default=None, repr=False)
 
     def relation_for(self, target):
         for rel in self.relations:
             if rel.target == target:
                 return rel
         raise KeyError(target)
-
-    def inverse(self):
-        if self._inverse is None:
-            self._inverse = inverse_mirror_map(self)
-        return self._inverse
 
     def to_json(self):
         return {
@@ -191,7 +184,7 @@ def relative_mirror_map(cd: CompactifiedData, order) -> MirrorMap:
     for a in range(bar.r_prime):
         got = relations[a]
         want = base_mm.relation_for(f"q{a + 1}")
-        if not got.series.same_terms(_reweight(want.series, bar_weights)):
+        if not got.series.same_terms(want.series):
             raise ConsistencyError(MODULE, op,
                                    "flat relation differs from the base "
                                    "mirror map", got.target)
@@ -199,7 +192,7 @@ def relative_mirror_map(cd: CompactifiedData, order) -> MirrorMap:
         got = next(r for r in relations
                    if r.kind == "twisted" and r.target == cd.base.tau_name(j))
         want = base_mm.relation_for(cd.base.tau_name(j))
-        if not got.series.same_terms(_reweight(want.series, bar_weights)):
+        if not got.series.same_terms(want.series):
             raise ConsistencyError(MODULE, op,
                                    "twisted relation differs from the base "
                                    "mirror map", got.target)
@@ -213,7 +206,7 @@ def relative_mirror_map(cd: CompactifiedData, order) -> MirrorMap:
                                    "ray-disk relation has a nontrivial "
                                    "monomial part", rel_inf.monomial)
         base_g = base_mm.g[idx]
-        if not rel_inf.correction.same_terms(_reweight(base_g, bar_weights)):
+        if not rel_inf.correction.same_terms(base_g):
             raise ConsistencyError(MODULE, op,
                                    "ray-disk correction is not the base ray "
                                    "series", idx)
@@ -241,25 +234,15 @@ def relative_mirror_map(cd: CompactifiedData, order) -> MirrorMap:
             raise ConsistencyError(MODULE, op,
                                    "compactified flat variable has "
                                    "non-positive weight", expo)
-    return MirrorMap(data=bar, order=order, g=g, relations=relations, cd=cd)
+    return MirrorMap(data=bar, order=order, g=g, relations=relations)
 
 
-def _reweight(series: Series, weights) -> Series:
-    """Recast a series into a larger variable space with the same weights on
-    shared variables."""
-    for v, w in series.weights.items():
-        if weights.get(v) != w:
-            raise ConsistencyError(MODULE, "reweight",
-                                   f"variable {v} missing or reweighted", v)
-    return Series(weights, series.order, dict(series.terms))
-
-
-def inverse_mirror_map(mm: MirrorMap, order=None) -> dict:
-    """Formal inverse assignment y_b -> series in the flat/twisted variables.
+def inverse_mirror_map(mm: MirrorMap) -> dict:
+    """Formal inverse assignment y_b -> series in the flat/twisted variables,
+    at the order of the map.
 
     Delegates to the generic fixed-point inversion; the round trip is
     verified there.
     """
-    order = mm.order if order is None else frac(order)
     rels = [(r.target, r.series) for r in mm.relations]
-    return invert_map(rels, order)
+    return invert_map(rels, mm.order)

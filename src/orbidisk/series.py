@@ -245,7 +245,13 @@ class Series:
                 for m, c in p.items()}
 
     def same_terms(self, other, up_to=None) -> bool:
-        """Exact equality of coefficients up to min(self.order, other.order, up_to)."""
+        """Exact equality of coefficients up to min(self.order, other.order,
+        up_to); a variable of both gradings must weigh the same in each."""
+        for v, w in self.weights.items():
+            if other.weights.get(v, w) != w:
+                raise ConsistencyError(MODULE, "same_terms",
+                                       f"variable {v} is weighted differently "
+                                       "in the two gradings", v)
         bound = min(self.order, other.order)
         if up_to is not None:
             bound = min(bound, frac(up_to))

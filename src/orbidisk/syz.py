@@ -15,7 +15,7 @@ from . import linalg
 from .effective import dual_class
 from .errors import ConsistencyError, ValidationError
 from .fan import ToricData
-from .invariants import DiskPotential
+from .invariants import disk_potentials
 from .series import frac, frac_str
 
 MODULE = "syz-builder"
@@ -26,9 +26,7 @@ class GaugeChoice:
     cone: tuple  # ray indices of a listed full-dimensional cone
 
     @classmethod
-    def for_data(cls, data: ToricData, cone_index=None):
-        if cone_index is None:
-            cone_index = 0
+    def for_data(cls, data: ToricData, cone_index=0):
         cones = data.max_cones
         if not (0 <= cone_index < len(cones)):
             raise ValidationError(MODULE, "gauge", f"no maximal cone {cone_index}",
@@ -148,7 +146,7 @@ def reduced_exponent(data: ToricData, basis, w, b):
     return [int(c) for c in x]
 
 
-@dataclass
+@dataclass(frozen=True)
 class MirrorPotential:
     data: ToricData
     gauge: GaugeChoice
@@ -158,28 +156,16 @@ class MirrorPotential:
     section: list             # w
 
 
-def mirror_potential(data: ToricData, potentials: dict, gauge: GaugeChoice,
+def mirror_potential(data: ToricData, gauge: GaugeChoice,
                      order) -> MirrorPotential:
-    """Assemble the corrected potential from per-class disk potentials.
-
-    `potentials` maps ("ray", i) / ("box", j) to DiskPotential; one entry per
-    ray and per extra vector is required.
-    """
-    op = "mirror_potential"
+    """Assemble the corrected potential from the disk potentials of every ray
+    and every extra vector."""
     order = frac(order)
+    potentials = disk_potentials(data, order)
     sol = solve_coefficient_system(data, gauge)
     basis, w = covector_splitting(data)
     terms = []
-    for i in range(data.m_prime):
-        key = ("ray", i) if i < data.m else ("box", i)
-        if key not in potentials:
-            raise ValidationError(MODULE, op,
-                                  f"missing disk potential for {key}", key)
-        dp = potentials[key]
-        if not isinstance(dp, DiskPotential) or dp.disk != key:
-            raise ValidationError(MODULE, op,
-                                  f"potential for {key} belongs to {getattr(dp, 'disk', None)}",
-                                  key)
+    for (_, i), dp in potentials.items():
         vec = tuple(data.column_vector(i))
         red = reduced_exponent(data, basis, w, vec)
         terms.append((i, vec, tuple(red), dp.series.truncate(

@@ -20,7 +20,7 @@ from orbidisk.effective import enumerate_effective
 from orbidisk.fan import box_elements, kernel_data, validate_compactification
 from orbidisk.hyper import relative_ifunction_oracle, z_extract
 from orbidisk.invariants import (compare_potentials, disk_potential,
-                                 extract_invariants)
+                                 disk_potentials, extract_invariants)
 from orbidisk.mirrormap import (inverse_mirror_map, relative_mirror_map,
                                 toric_mirror_map)
 from orbidisk.series import Series, mono
@@ -149,9 +149,8 @@ def test_criterion_3_trivial_fans(capsys):
     coni = kernel_data(fans.load("conifold"))
     mm = toric_mirror_map(coni, 10)
     assert all(s.is_zero() for s in mm.g.values())
-    for i in range(4):
-        table = extract_invariants(disk_potential(coni, ("ray", i), 10,
-                                                  mirror=mm))
+    for dp in disk_potentials(coni, 10).values():
+        table = extract_invariants(dp)
         for (alpha, _), val in table.entries.items():
             if any(alpha):
                 pytest.fail(f"nonzero invariant at {alpha}: {val}")
@@ -302,11 +301,8 @@ def test_criterion_7_property_suites(capsys):
 
     # defining relations as exact monomial identities + gauge covariance
     data = kernel_data(fans.load("kp2"))
-    mm = toric_mirror_map(data, 3)
-    pots = {("ray", i): disk_potential(data, ("ray", i), 3, mirror=mm)
-            for i in range(4)}
-    mp_a = mirror_potential(data, pots, GaugeChoice.for_data(data, 0), 3)
-    mp_b = mirror_potential(data, pots, GaugeChoice(cone=(0, 2, 3)), 3)
+    mp_a = mirror_potential(data, GaugeChoice.for_data(data, 0), 3)
+    mp_b = mirror_potential(data, GaugeChoice(cone=(0, 2, 3)), 3)
     for sol in (mp_a.coefficients, mp_b.coefficients):
         for a in range(data.r):
             lhs = [sum(data.gamma[a][i] * sol[i][k] for i in range(4))

@@ -196,8 +196,15 @@ def test_malformed_fan_file(capsys, tmp_path):
     ("basis_p", 5), ("basis_p", [5]),
     ("extra_vectors", 5), ("extra_vectors", [["a", 0, 1]]),
     ("labels", 5), ("labels", ["a"]), ("labels", [1, 2, 3, 4]),
+    ("rays", [[0, 0, 1], [1.7, 0, 1], [0, 1, 1], [-1, -1, 1]]),
+    ("rays", [[0, 0, 1], [True, False, True], [0, 1, 1], [-1, -1, 1]]),
+    ("rays", [[0, 0, 1], ["1", "0", "1"], [0, 1, 1], [-1, -1, 1]]),
+    ("rank", 3.9),
+    ("cones", [[0, 1, 2], [0, 2, 3], [0, 1.0, 3]]),
 ], ids=["basis_p=5", "basis_p=[5]", "extra_vectors=5", "extra_vectors=[[a,0,1]]",
-        "labels=5", "labels=[a]", "labels=[1,2,3,4]"])
+        "labels=5", "labels=[a]", "labels=[1,2,3,4]",
+        "rays[1]=[1.7,0,1]", "rays[1]=[true,false,true]",
+        "rays[1]=[str,str,str]", "rank=3.9", "cones[2]=[0,1.0,3]"])
 def test_malformed_fan_field(capsys, tmp_path, field, value):
     # kp2 has four rays; each field is refused as input, never a traceback
     doc = json.loads(fans.read("kp2"))

@@ -1,11 +1,15 @@
+import dataclasses
+import importlib
 import itertools
 import json
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
+import orbidisk
 from orbidisk import fans, linalg
-from orbidisk.errors import ValidationError
+from orbidisk.errors import ConsistencyError, ValidationError
 from orbidisk.fan import (box_elements, calabi_yau_covector, fan_from_dict,
                           kernel_data, parse_stacky_fan,
                           validate_compactification, verify_calabi_yau,
@@ -371,3 +375,30 @@ def test_fan_face_of_orbifold_cone():
     fan = fan_from_dict(doc)
     boxes, age1 = box_elements(fan, cy_mode=True)
     assert [b.vector for b in boxes] == [(0, 0, 1), (0, 0, 2)]
+
+
+# ---------------------------------------------------------------------------
+# immutable values
+
+
+def test_every_dataclass_is_frozen():
+    found = []
+    for info in pkgutil.iter_modules(orbidisk.__path__):
+        mod = importlib.import_module(f"orbidisk.{info.name}")
+        found += [obj for obj in vars(mod).values()
+                  if isinstance(obj, type) and dataclasses.is_dataclass(obj)
+                  and obj.__module__ == mod.__name__]
+    assert len(found) >= 10
+    assert [c.__name__ for c in found
+            if not c.__dataclass_params__.frozen] == []
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        kernel_data(load("kp2")).gamma = []
+
+
+def test_coords_from_pairings():
+    data = kernel_data(load("kp2"))
+    assert data.coords_from_pairings(data.pairings_from_coords([F(5, 2)])) \
+        == [F(5, 2)]
+    # not a kernel vector: refused, not read off a subset of its entries
+    with pytest.raises(ConsistencyError):
+        data.coords_from_pairings([1, 0, 0, 0])

@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from orbidisk import fans
-from orbidisk.fan import kernel_data, validate_compactification
+from orbidisk.fan import (kernel_data, parse_disk_selector,
+                         validate_compactification)
 from orbidisk.invariants import (compare_potentials, disk_potential,
                                  extract_invariants, oracle_potential)
 from orbidisk.series import mono
@@ -76,7 +77,7 @@ def test_potential_c3z3_deeper():
 
 def test_potential_selector_string():
     data = data_for("kp2")
-    dp = disk_potential(data, "ray:0", 2)
+    dp = disk_potential(data, parse_disk_selector("ray:0", data), 2)
     assert dp.series.coefficient(mono(("q1", 1))) == -2
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbidisk.errors import ValidationError
+from orbidisk.errors import ConsistencyError, ValidationError
 from orbidisk.series import (Series, invert_map, mono, mono_grade, mono_mul,
                              mono_pow, var_key)
 
@@ -68,6 +68,16 @@ def test_grading_mismatch_rejected():
         a + b
     with pytest.raises(ValidationError):
         a * b
+
+
+def test_same_terms_refuses_a_reweighted_variable():
+    a = Series({"x": F(1)}, 2, {mono(("x", 1)): 1})
+    b = Series({"x": F(2)}, 2, {mono(("x", 1)): 1})
+    with pytest.raises(ConsistencyError, match="variable x"):
+        a.same_terms(b)
+    # gradings over different variables compare their terms
+    c = Series({"x": F(1), "z": F(1)}, 2, {mono(("x", 1)): 1})
+    assert a.same_terms(c) and c.same_terms(a)
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from orbidisk import fans
+from orbidisk import fans, invariants
 from orbidisk.errors import ValidationError
 from orbidisk.fan import kernel_data
-from orbidisk.invariants import disk_potential
-from orbidisk.mirrormap import toric_mirror_map
 from orbidisk.series import mono
 from orbidisk.syz import (GaugeChoice, emit_lg_model, gauge_character,
                           mirror_potential, solve_coefficient_system)
@@ -16,16 +14,6 @@ F = Fraction
 
 def data_for(name):
     return kernel_data(fans.load(name))
-
-
-def potentials_for(data, order):
-    mm = toric_mirror_map(data, order)
-    pots = {}
-    for i in range(data.m):
-        pots[("ray", i)] = disk_potential(data, ("ray", i), order, mirror=mm)
-    for j in data.extra_columns():
-        pots[("box", j)] = disk_potential(data, ("box", j), order, mirror=mm)
-    return pots
 
 
 # ---------------------------------------------------------------------------
@@ -92,8 +80,7 @@ def test_gauge_character_kp2():
 
 def test_mirror_potential_c3():
     data = data_for("c3")
-    mp = mirror_potential(data, potentials_for(data, 4),
-                          GaugeChoice.for_data(data), 4)
+    mp = mirror_potential(data, GaugeChoice.for_data(data), 4)
     assert len(mp.terms) == 3
     for _, vec, red, series in mp.terms:
         assert series.terms == {(): F(1)}
@@ -105,8 +92,7 @@ def test_mirror_potential_c3():
 
 def test_mirror_potential_kp2():
     data = data_for("kp2")
-    mp = mirror_potential(data, potentials_for(data, 3),
-                          GaugeChoice.for_data(data), 3)
+    mp = mirror_potential(data, GaugeChoice.for_data(data), 3)
     by_col = {t[0]: t for t in mp.terms}
     q = lambda e: mono(("q1", e))
     assert by_col[0][3].terms == {(): F(1), q(1): F(-2), q(2): F(5),
@@ -123,8 +109,7 @@ def test_mirror_potential_kp2():
 
 def test_mirror_potential_c3z3():
     data = data_for("c3z3")
-    mp = mirror_potential(data, potentials_for(data, F(4, 3)),
-                          GaugeChoice.for_data(data), F(4, 3))
+    mp = mirror_potential(data, GaugeChoice.for_data(data), F(4, 3))
     by_col = {t[0]: t for t in mp.terms}
     t = lambda e: mono(("t3", e))
     assert by_col[3][3].terms == {t(1): F(1), t(4): F(1, 648)}
@@ -134,18 +119,24 @@ def test_mirror_potential_c3z3():
     assert len(doc["terms"]) == 4
 
 
-def test_missing_potential_rejected():
-    data = data_for("kp2")
-    pots = potentials_for(data, 2)
-    del pots[("ray", 2)]
-    with pytest.raises(ValidationError):
-        mirror_potential(data, pots, GaugeChoice.for_data(data), 2)
+@pytest.mark.parametrize("name, order", [("kp2", 3), ("c3z3", F(4, 3))],
+                         ids=["kp2-3", "c3z3-4/3"])
+def test_mirror_potential_builds_one_map_and_one_inverse(monkeypatch, name,
+                                                         order):
+    calls = []
+    for fn in ("toric_mirror_map", "inverse_mirror_map"):
+        def counted(*args, _fn=fn, _original=getattr(invariants, fn)):
+            calls.append(_fn)
+            return _original(*args)
+        monkeypatch.setattr(invariants, fn, counted)
+    data = data_for(name)
+    mirror_potential(data, GaugeChoice.for_data(data), order)
+    assert sorted(calls) == ["inverse_mirror_map", "toric_mirror_map"]
 
 
 def test_reduction_covector():
     data = data_for("kp2")
-    mp = mirror_potential(data, potentials_for(data, 2),
-                          GaugeChoice.for_data(data), 2)
+    mp = mirror_potential(data, GaugeChoice.for_data(data), 2)
     v = data.cy_covector
     # section pairs to 1, kernel basis pairs to 0
     assert sum(a * b for a, b in zip(v, mp.section)) == 1
@@ -163,9 +154,8 @@ def test_gauge_covariance_term_sets():
     # the reduced potential is gauge independent after the character shift
     data = data_for("kp2")
     order = 3
-    pots = potentials_for(data, order)
-    mp_a = mirror_potential(data, pots, GaugeChoice.for_data(data, 0), order)
-    mp_b = mirror_potential(data, pots, GaugeChoice(cone=(0, 2, 3)), order)
+    mp_a = mirror_potential(data, GaugeChoice.for_data(data, 0), order)
+    mp_b = mirror_potential(data, GaugeChoice(cone=(0, 2, 3)), order)
     u = gauge_character(data, mp_a.coefficients, mp_b.coefficients)
     for (ca, va, ra, sa), (cb, vb, rb, sb) in zip(mp_a.terms, mp_b.terms):
         assert (ca, va, ra) == (cb, vb, rb)
