@@ -77,15 +77,8 @@ def cone_membership(rays, vector):
     n = len(vector)
     a = [[rays[j][i] for j in range(len(rays))] for i in range(n)]
     x = linalg.solve_rational(a, list(vector))
-    if x is None:
+    if x is None or any(c < 0 for c in x):
         return None
-    if any(c < 0 for c in x):
-        return None
-    # solve_rational only checks consistency when the system is square/over-
-    # determined; re-verify for safety
-    for i in range(n):
-        if sum(Fraction(rays[j][i]) * x[j] for j in range(len(rays))) != vector[i]:
-            return None
     return x
 
 

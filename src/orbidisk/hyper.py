@@ -78,14 +78,13 @@ class ZFactors:
         return None
 
 
-def z_extract(data, cls, cd=None) -> ZFactors:
+def z_extract(data, cls) -> ZFactors:
     """Multiply the factor expansions of one effective class.
 
-    `data` is the toric data the class lives on; when `cd` is given it must be
-    the compactified data whose bar fan `data` is, and the infinity ray gets
-    the combined relative factor.
+    `data` is the toric data the class lives on; on a compactified fan the
+    infinity ray gets the combined relative factor.
     """
-    inf_col = data.infinity_column if cd is not None else None
+    inf_col = data.infinity_column
     z_exp = Fraction(0)
     scalar = Fraction(1)
     forced = []
@@ -153,7 +152,7 @@ def closed_form_ray_coefficient(pairings, j, skip=()):
     return num / den
 
 
-def coefficient_slice(data, classes, order, cd=None) -> Slice:
+def coefficient_slice(data, classes, order) -> Slice:
     """Accumulate the z^-1 / z^-2 extractions of a list of classes.
 
     Every divisor-linear coefficient is checked against its closed form.
@@ -162,7 +161,7 @@ def coefficient_slice(data, classes, order, cd=None) -> Slice:
     sectors, divisors = {}, {}
     h0_z2 = Series.zero(weights, frac(order))
     for cls in classes:
-        zf = z_extract(data, cls, cd=cd)
+        zf = z_extract(data, cls)
         kind = zf.classify(cls)
         if kind is None:
             continue
@@ -210,7 +209,7 @@ def relative_ifunction_oracle(cd, bound):
     bound = frac(bound)
     bar = cd.bar
     classes = enumerate_effective(bar, bound)
-    sl = coefficient_slice(bar, classes, bound, cd=cd)
+    sl = coefficient_slice(bar, classes, bound)
 
     inf_col = bar.infinity_column
     # the zero-infinity-pairing slice of the compactified enumeration must be

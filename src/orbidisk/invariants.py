@@ -211,7 +211,7 @@ def compare_potentials(cd: CompactifiedData, order):
     order = frac(order)
     dp = disk_potential(cd.base, cd.disk, order)
     oracle = oracle_potential(cd, order)
-    if not dp.series.same_terms(oracle, up_to=order):
+    if not dp.series.same_terms(oracle):
         raise ConsistencyError(MODULE, op,
                                "potential disagrees with its compactified "
                                "derivation", dp.series.first_difference(oracle))

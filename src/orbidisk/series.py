@@ -22,14 +22,15 @@ The kernels that carry the cost of the formal inversion:
   grading operator D (D m = grade(m) * m): g E_g = sum_h h f_h E_{g-h} for
   E = exp(f), and L_g = s_g - (1/g) sum_{0<h<g} (g-h) s_h L_{g-h} for
   L = log(1 + s).  Both need every term of positive grade.
-- invert_map runs its fixed point in precision-stepped rounds: each round
-  truncates the current assignment to the precision it can have gained so
-  far, and full-precision rounds then run only until the result is stable.
+- invert_map runs one loop and one check.  The loop is the fixed point in
+  precision-stepped rounds: each round truncates the current assignment to
+  the precision it can have gained so far.  The check evaluates the
+  relations at the result and requires the target variables back exactly.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, floor, lcm
+from math import floor, lcm
 
 from .errors import ValidationError, ConsistencyError
 
@@ -63,7 +64,8 @@ def frac_str(x: Fraction) -> str:
 
 
 def parse_frac(s) -> Fraction:
-    if isinstance(s, (str, int)):
+    """A rational from a string or an integer; a bool is refused."""
+    if isinstance(s, (str, int)) and not isinstance(s, bool):
         try:
             return Fraction(s)
         except (ValueError, ZeroDivisionError):
@@ -244,17 +246,15 @@ class Series:
         return {m: c for g, p in self.pieces.items() if g <= bound
                 for m, c in p.items()}
 
-    def same_terms(self, other, up_to=None) -> bool:
-        """Exact equality of coefficients up to min(self.order, other.order,
-        up_to); a variable of both gradings must weigh the same in each."""
+    def same_terms(self, other) -> bool:
+        """Exact equality of coefficients up to min(self.order, other.order);
+        a variable of both gradings must weigh the same in each."""
         for v, w in self.weights.items():
             if other.weights.get(v, w) != w:
                 raise ConsistencyError(MODULE, "same_terms",
                                        f"variable {v} is weighted differently "
                                        "in the two gradings", v)
         bound = min(self.order, other.order)
-        if up_to is not None:
-            bound = min(bound, frac(up_to))
         return self._terms_upto(bound) == other._terms_upto(bound)
 
     def first_difference(self, other):
@@ -610,17 +610,18 @@ def invert_map(relations, order):
     Each target variable takes the grade of its leading monomial, so the
     base solution (the monomial part of each source) has the source's weight.
 
-    The answer is the fixed point of source = base * prod (1 + unit)^-inv.
-    Each round gains at least `step`, the smallest grade of a unit
-    correction, so the rounds are precision-stepped: before round r every
-    assignment is truncated to its weight plus (r+1) * step, and early rounds
-    work on short series.  Once every assignment is known exact through its
-    order (or the cap reaches the base order), plain full-precision rounds
-    run from the stepped result until it is stable.
+    The answer is the fixed point of source = base * prod (1 + unit)^-inv,
+    reached in one loop.  Each round gains at least `step`, the smallest
+    grade of a unit correction, so the rounds are precision-stepped: before
+    round r every assignment is truncated to its weight plus (r+1) * step,
+    and early rounds work on short series.  The loop stops once every
+    assignment is known exact through its order or the cap reaches the base
+    order.
 
-    Returns {source_variable: Series in the target variables}; the composite
-    relations(result) = identity is verified exactly before returning, so a
-    round that went wrong ends in a ConsistencyError.
+    Returns {source_variable: Series in the target variables}.  One exact
+    check follows the loop: the relations evaluated at the result must give
+    back the target variables, so a round that went wrong ends in a
+    ConsistencyError.
     """
     from .linalg import invert_rational
 
@@ -670,35 +671,8 @@ def invert_map(relations, order):
         base_mono[v] = m
         base[v] = Series.monomial(m, 1, weights, top)
 
-    # smallest grade step contributed by any unit correction
-    steps = []
-    for _, m, unit in factored:
-        mg = unit.min_grade()
-        if mg is not None:
-            steps.append(mg)
-
-    def refine(assign):
-        """One fixed-point round: source = base * prod (1 + unit)^-inv."""
-        new = {}
-        units_at = [unit.substitute(assign) for _, _, unit in factored]
-        for b, v in enumerate(sources):
-            # multiply the unit corrections at their relative order, then
-            # shift by the base monomial: the product of a unit known to
-            # relative order k with a monomial of grade w is exact to k + w
-            prod = None
-            for t in range(len(factored)):
-                u = units_at[t]
-                if u.is_zero() or inv[b][t] == 0:
-                    continue
-                f = (1 + u).pow_frac(-inv[b][t])
-                prod = f if prod is None else prod * f
-            if prod is None:
-                new[v] = base[v]
-            else:
-                new[v] = prod.mul_monomial(base_mono[v])
-        return new
-
     assign = dict(base)
+    steps = [unit.min_grade() for _, _, unit in factored if not unit.is_zero()]
     if steps:
         step = min(steps)
         # The base monomial of v has grade src_weights[v] and every unit
@@ -712,21 +686,22 @@ def invert_map(relations, order):
             if all(caps[v] >= top or caps[v] > assign[v].order
                    for v in sources):
                 break
-            assign = refine({v: s.truncate(caps[v]) if caps[v] < s.order
-                             else s for v, s in assign.items()})
+            known = {v: s.truncate(caps[v]) if caps[v] < s.order else s
+                     for v, s in assign.items()}
+            units_at = [unit.substitute(known) for _, _, unit in factored]
+            for b, v in enumerate(sources):
+                # multiply the unit corrections at their relative order, then
+                # shift by the base monomial: the product of a unit known to
+                # relative order k with a monomial of grade w is exact to k + w
+                prod = None
+                for t, u in enumerate(units_at):
+                    if u.is_zero() or inv[b][t] == 0:
+                        continue
+                    f = (1 + u).pow_frac(-inv[b][t])
+                    prod = f if prod is None else prod * f
+                assign[v] = (base[v] if prod is None
+                             else prod.mul_monomial(base_mono[v]))
             r += 1
-        # full-precision rounds: the plain fixed point, started from the
-        # stepped result at the base order top so that the orders settle as
-        # they do from the base monomials.  Had the stepped rounds dropped
-        # exact terms, these rounds or the verification below would show it.
-        assign = {v: Series._make(s.weights, top, s.pieces) for v, s in assign.items()}
-        max_iter = int(ceil(top / step)) + 1
-        for _ in range(max_iter):
-            new = refine(assign)
-            if all(new[v].same_terms(assign[v]) for v in sources):
-                assign = new
-                break
-            assign = new
 
     # verify round trip: relation series evaluated at the assignment give back
     # exactly the target variables

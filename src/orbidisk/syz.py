@@ -201,26 +201,3 @@ def emit_lg_model(mp: MirrorPotential) -> dict:
         })
     return doc
 
-
-def gauge_character(data: ToricData, sol_a: dict, sol_b: dict):
-    """Covector family relating two gauge solutions.
-
-    Returns u with sol_b[i] - sol_a[i] = <u, column_i> for every column, one
-    exponent vector per flat variable; raises if no such character exists.
-    """
-    op = "gauge_character"
-    n, rp = data.n, data.r_prime
-    rows = []
-    rhs = []
-    for i in range(data.m_prime):
-        rows.append(list(data.column_vector(i)))
-        rhs.append([sol_b[i][k] - sol_a[i][k] for k in range(rp)])
-    out = []
-    for k in range(rp):
-        x = linalg.solve_rational(rows, [r[k] for r in rhs])
-        if x is None:
-            raise ConsistencyError(MODULE, op,
-                                   "gauge solutions are not related by a "
-                                   "character", k)
-        out.append(x)
-    return out

@@ -24,8 +24,9 @@ from orbidisk.invariants import (compare_potentials, disk_potential,
 from orbidisk.mirrormap import (inverse_mirror_map, relative_mirror_map,
                                 toric_mirror_map)
 from orbidisk.series import Series, mono
-from orbidisk.syz import GaugeChoice, gauge_character, mirror_potential
+from orbidisk.syz import GaugeChoice, mirror_potential
 from test_effective import brute_force_effective
+from test_syz import gauge_character
 
 F = Fraction
 
@@ -203,14 +204,14 @@ def test_criterion_5_round_trip(capsys):
 
 def test_criterion_6_closed_forms(capsys):
     checked = 0
-    jobs = [(kernel_data(fans.load(n)), None) for n in BASE_FANS]
+    jobs = [kernel_data(fans.load(n)) for n in BASE_FANS]
     for base, bar, disk in PAIRS:
-        cd = validate_compactification(fans.load(base), fans.load(bar), disk)
-        jobs.append((cd.bar, cd))
-    for data, cd in jobs:
+        jobs.append(validate_compactification(fans.load(base), fans.load(bar),
+                                              disk).bar)
+    for data in jobs:
         inf = data.infinity_column
         for cls in enumerate_effective(data, 6):
-            zf = z_extract(data, cls, cd=cd)
+            zf = z_extract(data, cls)
             kind = zf.classify(cls)
             if kind is None or kind[0] != "divisor":
                 continue

@@ -193,7 +193,7 @@ def test_malformed_fan_file(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("basis_p", 5), ("basis_p", [5]),
+    ("basis_p", 5), ("basis_p", [5]), ("basis_p", [[0, True, 0, 0]]),
     ("extra_vectors", 5), ("extra_vectors", [["a", 0, 1]]),
     ("labels", 5), ("labels", ["a"]), ("labels", [1, 2, 3, 4]),
     ("rays", [[0, 0, 1], [1.7, 0, 1], [0, 1, 1], [-1, -1, 1]]),
@@ -201,7 +201,8 @@ def test_malformed_fan_file(capsys, tmp_path):
     ("rays", [[0, 0, 1], ["1", "0", "1"], [0, 1, 1], [-1, -1, 1]]),
     ("rank", 3.9),
     ("cones", [[0, 1, 2], [0, 2, 3], [0, 1.0, 3]]),
-], ids=["basis_p=5", "basis_p=[5]", "extra_vectors=5", "extra_vectors=[[a,0,1]]",
+], ids=["basis_p=5", "basis_p=[5]", "basis_p=[[0,true,0,0]]",
+        "extra_vectors=5", "extra_vectors=[[a,0,1]]",
         "labels=5", "labels=[a]", "labels=[1,2,3,4]",
         "rays[1]=[1.7,0,1]", "rays[1]=[true,false,true]",
         "rays[1]=[str,str,str]", "rank=3.9", "cones[2]=[0,1.0,3]"])

@@ -99,7 +99,7 @@ def test_z_extract_compactified_unit():
                                    ("ray", 0))
     bar = cd.bar
     cls = eff_class(bar, bar.coords_from_pairings(cd.d_infinity))
-    zf = z_extract(bar, cls, cd=cd)
+    zf = z_extract(bar, cls)
     assert zf.z_exponent == -2
     assert zf.scalar == 1
     assert zf.classify(cls) == ("h0z2",)

@@ -7,6 +7,7 @@ from orbidisk.fan import (kernel_data, parse_disk_selector,
                          validate_compactification)
 from orbidisk.invariants import (compare_potentials, disk_potential,
                                  extract_invariants, oracle_potential)
+from orbidisk.mirrormap import inverse_mirror_map, toric_mirror_map
 from orbidisk.series import mono
 
 F = Fraction
@@ -153,7 +154,7 @@ def test_oracle_c3z3():
 def test_compare_potentials(base, bar, disk, order):
     cd = cd_for(base, bar, disk)
     dp, oracle = compare_potentials(cd, order)
-    assert dp.series.same_terms(oracle, up_to=order)
+    assert dp.series.same_terms(oracle)
 
 
 def test_compare_potentials_computes_each_artefact_once(monkeypatch):
@@ -189,11 +190,38 @@ def test_compare_potentials_computes_each_artefact_once(monkeypatch):
     assert calls["extract"] == calls["classes"]
 
 
-def _potential_of(case, order):
+def _data_of(case):
     from orbidisk.fan import fan_from_dict
     from test_generalization import LOCAL_QUADRIC
     fan = fans.load("kp2") if case == "kp2" else fan_from_dict(LOCAL_QUADRIC)
-    disk_potential(kernel_data(fan), ("ray", 0), order)
+    return kernel_data(fan)
+
+
+def _potential_of(case, order):
+    disk_potential(_data_of(case), ("ray", 0), order)
+
+
+@pytest.mark.parametrize("case, order, ceiling", [
+    # Series.substitute calls while inverting the mirror map: 13 and 12 when
+    # a full-precision fixed-point round followed the stepped rounds; the
+    # stepped rounds and the round-trip check make 12 and 10
+    ("kp2", 12, 12),
+    ("local_quadric", 5, 10),
+], ids=["kp2-12", "local_quadric-5"])
+def test_inversion_substitute_count(monkeypatch, case, order, ceiling):
+    from orbidisk import series
+
+    mm = toric_mirror_map(_data_of(case), order)
+    calls = [0]
+    substitute = series.Series.substitute
+
+    def counted(self, assignment):
+        calls[0] += 1
+        return substitute(self, assignment)
+
+    monkeypatch.setattr(series.Series, "substitute", counted)
+    inverse_mirror_map(mm)
+    assert 0 < calls[0] <= ceiling
 
 
 @pytest.mark.parametrize("case, order, ceiling", [

@@ -103,6 +103,11 @@ def test_solve_rational():
     x = linalg.solve_rational([[2, 0], [0, 3]], [1, 1])
     assert x == [Fraction(1, 2), Fraction(1, 3)]
     assert linalg.solve_rational([[1, 0], [1, 0]], [0, 1]) is None
+    # two rays in rank 3 and a vector outside their span: more rows than
+    # pivots, so the rows past the pivots carry the inconsistency
+    assert linalg.solve_rational([[1, 0], [0, 1], [0, 0]], [1, 1, 1]) is None
+    assert linalg.solve_rational([[1, 0], [0, 1], [1, 1]], [1, 1, 1]) is None
+    assert linalg.solve_rational([[1, 0], [0, 1], [1, 1]], [1, 1, 2]) == [1, 1]
 
 
 def test_invert_rational():

@@ -294,6 +294,126 @@ def test_serialization_round_trip_random(s):
     assert Series.from_json(s.to_json()) == s
 
 
+# ---------------------------------------------------------------------------
+# inversion against oracles that share no code with invert_map
+
+
+def _list_mul(a, b, n):
+    """Product of two coefficient lists, truncated to length n."""
+    out = [F(0)] * n
+    for i, x in enumerate(a[:n]):
+        for j, z in enumerate(b[:n - i]):
+            out[i + j] += x * z
+    return out
+
+
+def lagrange_inverse(u, order):
+    """[q^n] y = (1/n) [y^(n-1)] u(y)^(-n) for q = y u(y), u[0] = 1, as
+    {n: coefficient} for n = 1..order (Lagrange inversion)."""
+    inv = [F(1)] + [F(0)] * (order - 1)
+    for k in range(1, order):
+        inv[k] = -sum(u[j] * inv[k - j] for j in range(1, min(k, len(u) - 1) + 1))
+    out, power = {}, [F(1)] + [F(0)] * (order - 1)
+    for n in range(1, order + 1):
+        power = _list_mul(power, inv, order)
+        if power[n - 1]:
+            out[n] = power[n - 1] / n
+    return out
+
+
+@st.composite
+def rank_one_unit(draw, max_order=8):
+    order = draw(st.integers(min_value=2, max_value=max_order))
+    tail = draw(st.lists(coeffs, min_size=order - 1, max_size=order - 1))
+    return order, [F(1)] + tail
+
+
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(rank_one_unit())
+def test_invert_rank_one_against_lagrange(case):
+    order, u = case
+    rel = S(order, {y(k + 1): c for k, c in enumerate(u)})
+    out = invert_map([("q", rel)], order)["y"]
+    assert out.order >= order
+    got = {m: c for m, c in out.terms.items() if out.grade_of(m) <= order}
+    assert got == {q(n): c for n, c in lagrange_inverse(u, order).items()}
+
+
+def _dict_mul(a, b, n):
+    """Product of two {(i, j): coefficient} polynomials, total degree <= n."""
+    out = {}
+    for (i, j), x in a.items():
+        for (k, l), z in b.items():
+            if i + j + k + l <= n:
+                out[i + k, j + l] = out.get((i + k, j + l), 0) + x * z
+    return {e: c for e, c in out.items() if c}
+
+
+def triangular_fixed_point(u1, u2, order):
+    """y1, y2 in q1, q2 for q1 = y1 u1(y1, y2), q2 = y2 u2(y1, y2), as
+    {(i, j): coefficient} to total degree order, by the plain fixed point
+    y_k = q_k / u_k(y1, y2) run order times from y_k = q_k."""
+    def compose(u, y1, y2):
+        out = {}
+        for (a, b), c in u.items():
+            term = {(0, 0): c}
+            for _ in range(a):
+                term = _dict_mul(term, y1, order)
+            for _ in range(b):
+                term = _dict_mul(term, y2, order)
+            for e, x in term.items():
+                out[e] = out.get(e, 0) + x
+        return out
+
+    def unit_inverse(v):
+        # 1 / v = sum_k (1 - v)^k for v with constant term 1
+        x = {e: -c for e, c in v.items() if e != (0, 0)}
+        out, power = {(0, 0): F(1)}, {(0, 0): F(1)}
+        for _ in range(order):
+            power = _dict_mul(power, x, order)
+            for e, c in power.items():
+                out[e] = out.get(e, 0) + c
+        return out
+
+    y1, y2 = {(1, 0): F(1)}, {(0, 1): F(1)}
+    for _ in range(order):
+        y1, y2 = (_dict_mul({(1, 0): F(1)}, unit_inverse(compose(u1, y1, y2)), order),
+                  _dict_mul({(0, 1): F(1)}, unit_inverse(compose(u2, y1, y2)), order))
+    return y1, y2
+
+
+@st.composite
+def triangular_units(draw, max_order=5):
+    order = draw(st.integers(min_value=2, max_value=max_order))
+    exps = [(a, d - a) for d in range(1, order) for a in range(d + 1)]
+    units = []
+    for _ in range(2):
+        u = {(0, 0): F(1)}
+        for e in exps:
+            c = draw(st.one_of(st.just(F(0)), coeffs))
+            if c:
+                u[e] = c
+        units.append(u)
+    return order, units
+
+
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(triangular_units())
+def test_invert_rank_two_against_fixed_point(case):
+    order, (u1, u2) = case
+    w2 = {"y1": F(1), "y2": F(1)}
+    rels = [(t, Series(w2, order, {mono(("y1", a + da), ("y2", b + db)): c
+                                   for (a, b), c in u.items()}))
+            for t, u, (da, db) in (("q1", u1, (1, 0)), ("q2", u2, (0, 1)))]
+    out = invert_map(rels, order)
+    for v, want in zip(("y1", "y2"), triangular_fixed_point(u1, u2, order)):
+        s = out[v]
+        assert s.order >= order
+        got = {(int(dict(m).get("q1", 0)), int(dict(m).get("q2", 0))): c
+               for m, c in s.terms.items() if s.grade_of(m) <= order}
+        assert got == want
+
+
 GRADINGS = [{"a": F(1), "b": F(1)}, {"a": F(1), "b": F(1, 2)},
             {"a": F(2, 3), "b": F(1, 2)}]
 

@@ -2,18 +2,34 @@ from fractions import Fraction
 
 import pytest
 
-from orbidisk import fans, invariants
+from orbidisk import fans, invariants, linalg
 from orbidisk.errors import ValidationError
 from orbidisk.fan import kernel_data
 from orbidisk.series import mono
-from orbidisk.syz import (GaugeChoice, emit_lg_model, gauge_character,
-                          mirror_potential, solve_coefficient_system)
+from orbidisk.syz import (GaugeChoice, emit_lg_model, mirror_potential,
+                          solve_coefficient_system)
 
 F = Fraction
 
 
 def data_for(name):
     return kernel_data(fans.load(name))
+
+
+def gauge_character(data, sol_a, sol_b):
+    """Covector family relating two gauge solutions.
+
+    Returns u with sol_b[i] - sol_a[i] = <u, column_i> for every column, one
+    exponent vector per flat variable; fails if no such character exists.
+    """
+    rows = [list(data.column_vector(i)) for i in range(data.m_prime)]
+    out = []
+    for k in range(data.r_prime):
+        x = linalg.solve_rational(
+            rows, [sol_b[i][k] - sol_a[i][k] for i in range(data.m_prime)])
+        assert x is not None, f"gauge solutions differ by no character ({k})"
+        out.append(x)
+    return out
 
 
 # ---------------------------------------------------------------------------
