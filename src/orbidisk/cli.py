@@ -52,7 +52,7 @@ def load_fan_file(path):
                               path)
     try:
         raw = json.loads(document)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise ValidationError(MODULE, "load",
                               f"malformed fan file {path}: {e}", path)
     basis_p = None
@@ -120,7 +120,7 @@ def cmd_analyze(args):
                    "coefficients": [frac_str(c) for c in b.coefficients]}
                   for b in boxes],
         "age_one_boxes": [list(b.vector) for b in age1],
-        "anticones": [list(comp) for _, comp in data.minimal_anticones()],
+        "anticones": [list(comp) for _, comp, _ in data.anticones],
         "calabi_yau": data.cy_covector is not None,
         "basis": {"origin": data.basis_origin, "split_ok": data.split_ok},
     }
@@ -258,29 +258,34 @@ def write_output(text: str, path):
         sys.stdout.write(text)
         return
     d = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".orbidisk-")
     try:
-        with os.fdopen(fd, "w") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=d, prefix=".orbidisk-")
+        try:
+            with os.fdopen(fd, "w") as f:
+                f.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as e:
+        raise ValidationError(MODULE, "write",
+                              f"cannot write output {path}: {e.strerror or e}",
+                              path)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         report = COMMANDS[args.command](args)
+        if args.format == "json":
+            text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        else:
+            text = render_text(args.command, report)
+        write_output(text, args.output)
     except OrbidiskError as e:
         err = {"error": e.as_dict()}
         sys.stderr.write(json.dumps(err, sort_keys=True, indent=2) + "\n")
         return e.exit_code
-    if args.format == "json":
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    else:
-        text = render_text(args.command, report)
-    write_output(text, args.output)
     return 0
 
 

@@ -105,9 +105,8 @@ def enumerate_effective(data: ToricData, bound) -> list:
     if r == 0 or bound <= 0:
         return []
     found = {}
-    from .fan import _keff_generators
-    for cone, comp, gens in _keff_generators(data.fan, data.gamma, data.max_cones):
-        grades = [sum(g, Fraction(0)) for g in gens]
+    for cone, _, gens in data.anticones:
+        grades = [data.grade(g) for g in gens]
         for g, w in zip(gens, grades):
             if w <= 0:
                 raise ValidationError(

@@ -87,7 +87,7 @@ def parse_stacky_fan(document: str) -> StackyFan:
     op = "parse_stacky_fan"
     try:
         raw = json.loads(document)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise _verr(op, f"malformed document: {e}", document[:80])
     return fan_from_dict(raw)
 
@@ -297,7 +297,7 @@ def box_elements(fan: StackyFan, cy_mode: bool = False):
 class ToricData:
     fan: StackyFan
     gamma: list                  # kernel basis, columns of Z^{m'} (length r)
-    max_cones: list              # full-dimensional cones used for enumeration
+    anticones: tuple             # (cone, anticone, generators) per maximal cone
     boxes: list
     age1_boxes: list
     cy_covector: list | None
@@ -311,6 +311,10 @@ class ToricData:
     @property
     def n(self):
         return self.fan.rank
+
+    @property
+    def max_cones(self):
+        return [cone for cone, _, _ in self.anticones]
 
     @property
     def m(self):
@@ -351,6 +355,8 @@ class ToricData:
         return names
 
     def y_weights(self):
+        """Weight 1 per y variable: `grade` is the weighted coordinate sum
+        these weights define."""
         return {v: Fraction(1) for v in self.y_vars()}
 
     def tau_name(self, j):
@@ -382,17 +388,6 @@ class ToricData:
 
     def grade(self, coords):
         return sum((frac(c) for c in coords), Fraction(0))
-
-    # -- anticones -------------------------------------------------------------
-
-    def minimal_anticones(self):
-        """Complements of the maximal cones (rays outside the cone + extras)."""
-        out = []
-        for c in self.max_cones:
-            comp = tuple(sorted(set(range(self.m)) - set(c))) + \
-                tuple(self.extra_columns())
-            out.append((tuple(c), comp))
-        return out
 
     # -- dual classes ------------------------------------------------------------
 
@@ -426,18 +421,23 @@ class ToricData:
         return v
 
 
-def _keff_generators(fan, gamma, max_cones):
-    """Dual-basis generators per maximal cone, in gamma coordinates.
+def _anticones(fan, gamma):
+    """(cone, anticone, generators) for every maximal cone.
 
-    For each maximal cone, the divisors indexed by its complement (plus all
-    extras) form a basis of the dual kernel space; the generators returned are
-    the dual vectors, which span the effective classes attached to that cone.
+    The anticone is the rays outside the cone followed by every extra vector.
+    The divisors it indexes form a basis of the dual kernel space; the
+    generators are the dual vectors in gamma coordinates (generator k pairs
+    to 1 with anticone column k and to 0 with the others), and they span the
+    effective classes attached to the cone.  Anticones are upward closed, so
+    these minimal ones decide the family.
     """
     r = len(gamma)
     out = []
-    for cone in max_cones:
-        comp = sorted(set(range(fan.m)) - set(cone)) + \
-            list(range(fan.m, fan.m_prime))
+    for cone in fan.cones:
+        if len(cone) != fan.rank:
+            continue
+        comp = tuple(sorted(set(range(fan.m)) - set(cone))) + \
+            tuple(range(fan.m, fan.m_prime))
         if len(comp) != r:
             raise ConsistencyError(MODULE, "kernel_data",
                                    "anticone size does not match kernel rank",
@@ -448,18 +448,15 @@ def _keff_generators(fan, gamma, max_cones):
             raise ConsistencyError(MODULE, "kernel_data",
                                    "singular local system at cone", cone)
         # columns of inv = generator coordinates
-        gens = [[inv[a][k] for a in range(r)] for k in range(r)]
+        gens = tuple(tuple(inv[a][k] for a in range(r)) for k in range(r))
         out.append((tuple(cone), comp, gens))
-    return out
+    return tuple(out)
 
 
-def _default_kernel_basis(fan: StackyFan):
+def _default_kernel_basis(fan: StackyFan, kernel):
     """Deterministic kernel basis adapted to the extra-vector split and,
     where cheaply possible, oriented so effective classes have nonnegative
-    coordinates."""
-    cols = fan.columns()
-    a = [[cols[j][i] for j in range(len(cols))] for i in range(fan.rank)]
-    kernel = linalg.integer_kernel_basis(a)
+    coordinates.  `kernel` is the Smith-form kernel basis of the columns."""
     r = len(kernel)
     if r == 0:
         return [], True
@@ -486,15 +483,11 @@ def _default_kernel_basis(fan: StackyFan):
             split_ok = False
     # orient: flip basis vectors so the effective generators get nonnegative
     # coordinates where a sign flip suffices
-    max_cones = [c for c in fan.cones if len(c) == fan.rank]
-    if max_cones:
-        gens = []
-        for _, _, gg in _keff_generators(fan, kernel, max_cones):
-            gens.extend(gg)
-        for b in range(r):
-            vals = [g[b] for g in gens]
-            if any(v < 0 for v in vals) and all(v <= 0 for v in vals):
-                kernel[b] = [-x for x in kernel[b]]
+    gens = [g for _, _, gg in _anticones(fan, kernel) for g in gg]
+    for b in range(r):
+        vals = [g[b] for g in gens]
+        if any(v < 0 for v in vals) and all(v <= 0 for v in vals):
+            kernel[b] = [-x for x in kernel[b]]
     return kernel, split_ok
 
 
@@ -506,18 +499,17 @@ def kernel_data(fan: StackyFan, basis_p=None, cy_mode: bool = True) -> ToricData
     kernel basis.  Otherwise a deterministic default is constructed.
     """
     op = "kernel_data"
-    max_cones = [c for c in fan.cones if len(c) == fan.rank]
-    if not max_cones:
+    if not any(len(c) == fan.rank for c in fan.cones):
         raise _verr(op, "fan has no full-dimensional cone", fan.cones)
     boxes, age1 = box_elements(fan, cy_mode=cy_mode and bool(fan.extra_vectors))
+    cols = fan.columns()
+    kernel = linalg.integer_kernel_basis(
+        [[cols[j][i] for j in range(len(cols))] for i in range(fan.rank)])
 
     if basis_p is None:
-        gamma, split_ok = _default_kernel_basis(fan)
+        gamma, split_ok = _default_kernel_basis(fan, kernel)
         origin = "default"
     else:
-        cols = fan.columns()
-        a = [[cols[j][i] for j in range(len(cols))] for i in range(fan.rank)]
-        kernel = linalg.integer_kernel_basis(a)
         r = len(kernel)
         if len(basis_p) != r:
             raise _verr(op, f"basis_p must have {r} rows", basis_p)
@@ -550,7 +542,7 @@ def kernel_data(fan: StackyFan, basis_p=None, cy_mode: bool = True) -> ToricData
         split_ok = False
 
     return ToricData(fan=fan, gamma=[list(g) for g in gamma],
-                     max_cones=[tuple(c) for c in max_cones],
+                     anticones=_anticones(fan, gamma),
                      boxes=boxes, age1_boxes=age1,
                      cy_covector=calabi_yau_covector(fan),
                      basis_origin=origin, split_ok=split_ok)
@@ -583,24 +575,16 @@ def verify_semi_fano(data: ToricData):
     """Decide the semi-Fano property by exact feasibility.
 
     For every minimal anticone the sum of all divisor classes is written in
-    the divisor classes it indexes; the unique multipliers must be >= 0.
-    Anticones are upward closed, so the minimal ones decide the family.
-    Returns {cone: multipliers}; raises ConsistencyError with the violating
-    anticone otherwise.
+    the divisor classes it indexes; the unique multipliers, its pairings with
+    the anticone's generators, must be >= 0.  Returns {cone: multipliers};
+    raises ConsistencyError with the violating anticone otherwise.
     """
     op = "verify_semi_fano"
-    r = data.r
     # the divisor-class sum in dual coordinates: component a = sum_i gamma_a[i]
     rho = [sum(g) for g in data.gamma]
     witnesses = {}
-    for cone, comp in data.minimal_anticones():
-        if r == 0:
-            witnesses[cone] = []
-            continue
-        sub = [[data.gamma[a][i] for i in comp] for a in range(r)]
-        lam = linalg.solve_rational(sub, rho)
-        if lam is None:
-            raise ConsistencyError(MODULE, op, "singular anticone system", cone)
+    for cone, comp, gens in data.anticones:
+        lam = [sum(x * p for x, p in zip(g, rho)) for g in gens]
         if any(x < 0 for x in lam):
             raise ConsistencyError(
                 MODULE, op, "sum of divisor classes leaves the Kahler cone "
@@ -761,8 +745,7 @@ def validate_compactification(base_fan: StackyFan, bar_fan: StackyFan,
 
     tau_names = {col_map[j]: f"t{j}" for j in base.extra_columns()}
     bar = ToricData(fan=bar_fan, gamma=gamma_bar,
-                    max_cones=[tuple(c) for c in bar_fan.cones
-                               if len(c) == bar_fan.rank],
+                    anticones=_anticones(bar_fan, gamma_bar),
                     boxes=boxes, age1_boxes=age1,
                     cy_covector=None,
                     basis_origin="compactified", split_ok=base.split_ok,

@@ -177,7 +177,7 @@ def oracle_potential(cd: CompactifiedData, order) -> Series:
     order = frac(order)
     bar = cd.bar
     beta_coords = bar.coords_from_pairings(cd.beta_bar)
-    w_inf = sum((frac(c) for c in beta_coords), Fraction(0))
+    w_inf = bar.grade(beta_coords)
     if w_inf <= 0:
         raise ConsistencyError(MODULE, op,
                                "disk class has non-positive grade", w_inf)

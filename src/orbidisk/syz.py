@@ -44,37 +44,24 @@ def solve_coefficient_system(data: ToricData, gauge: GaugeChoice) -> dict:
     """Monomial coefficients per column, as flat-variable exponent vectors.
 
     Gauge-fixed columns get the empty exponent vector (coefficient 1).  The
-    exponent relations determine the rest uniquely; a rank-deficient system is
-    reported with a kernel witness.
+    exponent relations determine the rest uniquely: the unknowns are the
+    gauge cone's anticone, and its generators invert the relation block.
     """
     op = "solve_coefficient_system"
-    if tuple(sorted(gauge.cone)) not in {tuple(sorted(c)) for c in data.max_cones}:
+    gauge_cone = sorted(gauge.cone)
+    entry = next((e for e in data.anticones if sorted(e[0]) == gauge_cone), None)
+    if entry is None:
         raise ValidationError(MODULE, op, "gauge cone is not a listed maximal cone",
                               gauge.cone)
+    _, unknowns, gens = entry
     r, rp = data.r, data.r_prime
-    unknowns = [i for i in range(data.m) if i not in gauge.cone] + \
-        list(data.extra_columns())
-    if len(unknowns) != r:
-        raise ConsistencyError(MODULE, op, "gauge does not fix n coefficients",
-                               unknowns)
-    if r == 0:
-        return {i: [] for i in range(data.m_prime)}
-    a = [[data.gamma[row][u] for u in unknowns] for row in range(r)]
-    if linalg.rank_rational(a) != r:
-        witness = linalg.integer_kernel_basis(a)
-        raise ConsistencyError(MODULE, op,
-                               "residual gauge freedom after fixing a cone",
-                               witness)
-    ainv = linalg.invert_rational(a)
     rhs = _relation_rhs(data)
     sol = {i: [Fraction(0)] * rp for i in range(data.m_prime)}
-    for ui, u in enumerate(unknowns):
-        sol[u] = [sum(ainv[ui][row] * rhs[row][k] for row in range(r))
+    for u, g in zip(unknowns, gens):
+        sol[u] = [sum(g[row] * rhs[row][k] for row in range(r))
                   for k in range(rp)]
-    for i in gauge.cone:
-        sol[i] = [Fraction(0)] * rp
     _verify_coefficient_relations(data, sol, rhs)
-    return {i: sol[i] for i in range(data.m_prime)}
+    return sol
 
 
 def _relation_rhs(data: ToricData) -> list:

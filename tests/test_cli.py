@@ -139,6 +139,22 @@ def test_output_file_atomic(tmp_path, capsys):
     assert leftovers == []
 
 
+def test_output_path_unwritable(tmp_path, capsys):
+    # a missing parent directory, and a directory as the target; the
+    # temporary file of the second lands in tmp_path and must be removed
+    (tmp_path / "outdir").mkdir()
+    for target in (tmp_path / "nodir" / "x.json", tmp_path / "outdir"):
+        code, out, err = run(capsys, "analyze", "kp2", "--format", "json",
+                             "--output", str(target))
+        assert code == 2
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["module"] == "cli"
+        assert str(target) in error["message"]
+    assert [p.name for p in tmp_path.iterdir()
+            if p.name.startswith(".orbidisk-")] == []
+
+
 def test_series_round_trip_through_cli(capsys):
     from orbidisk.series import Series
     code, out, _ = run(capsys, "invariants", "c3z3", "--disk", "box:3",
@@ -186,10 +202,12 @@ def test_order_must_be_rational(capsys, order):
 
 def test_malformed_fan_file(capsys, tmp_path):
     bad = tmp_path / "bad.json"
-    bad.write_text('{"rank": 2,')
-    code, _, err = run(capsys, "analyze", str(bad))
-    assert code == 2
-    assert "malformed fan file" in json.loads(err)["error"]["message"]
+    # truncated, and nested past the decoder's recursion limit
+    for document in ('{"rank": 2,', "[" * 100000 + "]" * 100000):
+        bad.write_text(document)
+        code, _, err = run(capsys, "analyze", str(bad))
+        assert code == 2
+        assert "malformed fan file" in json.loads(err)["error"]["message"]
 
 
 @pytest.mark.parametrize("field, value", [

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import importlib
 import itertools
 import json
@@ -88,8 +89,10 @@ def test_reject_overlapping_cones():
 
 
 def test_parse_malformed_json():
-    with pytest.raises(ValidationError):
-        parse_stacky_fan("{not json")
+    # truncated, and nested past the decoder's recursion limit
+    for document in ("{not json", "[" * 100000 + "]" * 100000):
+        with pytest.raises(ValidationError, match="malformed document"):
+            parse_stacky_fan(document)
 
 
 # ---------------------------------------------------------------------------
@@ -345,16 +348,87 @@ def test_compactify_wrong_disk():
 def in_anticone_family(data, index_set):
     """Membership of an index set in the upward-closed anticone family."""
     s = set(index_set)
-    return any(set(comp) <= s for _, comp in data.minimal_anticones())
+    return any(set(comp) <= s for _, comp, _ in data.anticones)
 
 
 def test_anticone_upward_closure():
     data = kernel_data(load("kp2"))
-    minimal = [comp for _, comp in data.minimal_anticones()]
+    minimal = [comp for _, comp, _ in data.anticones]
     assert sorted(minimal) == [(1,), (2,), (3,)]
     assert in_anticone_family(data, (1, 2))
     assert in_anticone_family(data, (3,))
     assert not in_anticone_family(data, ())
+
+
+# ---------------------------------------------------------------------------
+# the anticone table
+
+
+@functools.lru_cache(maxsize=None)
+def table_data():
+    """{id: ToricData} for the bundled base fans, the bar data of the bundled
+    oracle pairs, the generalization fans and one fan that is not
+    semi-Fano."""
+    from test_generalization import (LOCAL_QUADRIC, WEIGHTED_BASIS,
+                                     WEIGHTED_SURFACE)
+    cases = [(name, kernel_data(load(name)))
+             for name in ("c3", "conifold", "kp2", "c3z3")]
+    for base, disk in (("c3", "ray:2"), ("kp2", "ray:0"), ("c3z3", "box:3")):
+        cd = validate_compactification(load(base), load(base + "_bar"), disk)
+        cases.append((base + "_bar", cd.bar))
+    cases.append(("local_quadric", kernel_data(fan_from_dict(LOCAL_QUADRIC))))
+    cases.append(("weighted_surface",
+                  kernel_data(fan_from_dict(WEIGHTED_SURFACE),
+                              basis_p=WEIGHTED_BASIS)))
+    # a (-3)-curve: the divisor-class sum is negative, so not semi-Fano
+    cases.append(("minus_three_curve", kernel_data(fan_from_dict(
+        {"rank": 2, "rays": [[1, 0], [0, 1], [-1, 3]],
+         "cones": [[0, 1], [1, 2]]}))))
+    return dict(cases)
+
+
+TABLE_IDS = ["c3", "conifold", "kp2", "c3z3", "c3_bar", "kp2_bar", "c3z3_bar",
+             "local_quadric", "weighted_surface", "minus_three_curve"]
+
+
+@pytest.mark.parametrize("case", TABLE_IDS)
+def test_anticone_generators_dual(case):
+    data = table_data()[case]
+    assert data.max_cones == [tuple(c) for c in data.fan.cones
+                              if len(c) == data.n]
+    for cone, comp, gens in data.anticones:
+        assert comp == tuple(i for i in range(data.m) if i not in cone) + \
+            tuple(data.extra_columns())
+        assert len(gens) == data.r
+        for k, g in enumerate(gens):
+            for l, col in enumerate(comp):
+                pairing = sum(g[a] * data.gamma[a][col] for a in range(data.r))
+                assert pairing == (k == l)
+
+
+def semi_fano_reference(data):
+    """The semi-Fano multipliers by a direct solve of each anticone system."""
+    rho = [sum(g) for g in data.gamma]
+    out = {}
+    for cone in data.max_cones:
+        comp = [i for i in range(data.m) if i not in cone] + \
+            list(data.extra_columns())
+        sub = [[data.gamma[a][i] for i in comp] for a in range(data.r)]
+        out[cone] = linalg.solve_rational(sub, rho) if sub else []
+    return out
+
+
+@pytest.mark.parametrize("case", TABLE_IDS)
+def test_semi_fano_matches_direct_solve(case):
+    data = table_data()[case]
+    want = semi_fano_reference(data)
+    bad = [(c, lam) for c, lam in want.items() if any(x < 0 for x in lam)]
+    if not bad:
+        assert verify_semi_fano(data) == want
+        return
+    with pytest.raises(ConsistencyError) as e:
+        verify_semi_fano(data)
+    assert e.value.datum["multipliers"] == [str(x) for x in bad[0][1]]
 
 
 def test_fan_with_listed_faces():

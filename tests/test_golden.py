@@ -1,6 +1,11 @@
-"""Golden outputs: every invocation recorded in perfbench/expected.json, run
-in-process through cli.main from the repository root.  The exit code and the
-SHA-256 of stdout must equal the recorded ones; the file is only read."""
+"""Golden outputs, run in-process through cli.main from the repository root.
+The exit code and the SHA-256 of stdout must equal the recorded ones.
+
+Two records: every invocation of perfbench/expected.json (only read here),
+and tests/golden_lattice.json, which pins the lattice data the benchmark
+does not show: `analyze --format json` on every bundled fan and on
+perfbench/local_quadric.json, and `syz --order 4 --format json --gauge k`
+for every maximal cone k of the four bundled base fans and the quadric."""
 import hashlib
 import json
 import os
@@ -10,15 +15,30 @@ import pytest
 from orbidisk.cli import main
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-with open(os.path.join(ROOT, "perfbench", "expected.json")) as f:
-    RECORDED = json.load(f)["invocations"]
+
+
+def recorded(*path):
+    with open(os.path.join(ROOT, *path)) as f:
+        return json.load(f)["invocations"]
+
+
+RECORDED = recorded("perfbench", "expected.json")
+LATTICE = recorded("tests", "golden_lattice.json")
+
+
+def run_invocation(capsys, monkeypatch, key):
+    monkeypatch.chdir(ROOT)
+    code = main(key.split(" "))
+    out = capsys.readouterr().out
+    return {"exit": code,
+            "stdout_sha256": hashlib.sha256(out.encode()).hexdigest()}
 
 
 @pytest.mark.parametrize("key", sorted(RECORDED))
 def test_recorded_invocation(capsys, monkeypatch, key):
-    monkeypatch.chdir(ROOT)
-    code = main(key.split(" "))
-    out = capsys.readouterr().out
-    assert {"exit": code,
-            "stdout_sha256": hashlib.sha256(out.encode()).hexdigest()} \
-        == RECORDED[key]
+    assert run_invocation(capsys, monkeypatch, key) == RECORDED[key]
+
+
+@pytest.mark.parametrize("key", sorted(LATTICE))
+def test_lattice_invocation(capsys, monkeypatch, key):
+    assert run_invocation(capsys, monkeypatch, key) == LATTICE[key]

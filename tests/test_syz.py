@@ -2,12 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from orbidisk import fans, invariants, linalg
+from orbidisk import fans, invariants, linalg, syz
+from orbidisk.effective import enumerate_effective
 from orbidisk.errors import ValidationError
-from orbidisk.fan import kernel_data
+from orbidisk.fan import kernel_data, verify_semi_fano
 from orbidisk.series import mono
 from orbidisk.syz import (GaugeChoice, emit_lg_model, mirror_potential,
                           solve_coefficient_system)
+from test_fan import TABLE_IDS, table_data
 
 F = Fraction
 
@@ -30,6 +32,58 @@ def gauge_character(data, sol_a, sol_b):
         assert x is not None, f"gauge solutions differ by no character ({k})"
         out.append(x)
     return out
+
+
+def coefficient_reference(data, cone):
+    """The gauge-fixed coefficients by a direct inversion of the relation
+    block on the columns outside the gauge cone."""
+    r, rp = data.r, data.r_prime
+    unknowns = [i for i in range(data.m) if i not in cone] + \
+        list(data.extra_columns())
+    sol = {i: [F(0)] * rp for i in range(data.m_prime)}
+    if r == 0:
+        return sol
+    a = [[data.gamma[row][u] for u in unknowns] for row in range(r)]
+    assert linalg.rank_rational(a) == r
+    ainv = linalg.invert_rational(a)
+    rhs = syz._relation_rhs(data)
+    for ui, u in enumerate(unknowns):
+        sol[u] = [sum(ainv[ui][row] * rhs[row][k] for row in range(r))
+                  for k in range(rp)]
+    return sol
+
+
+@pytest.mark.parametrize("case", TABLE_IDS)
+def test_coefficients_match_direct_inversion(case):
+    data = table_data()[case]
+    for k, cone in enumerate(data.max_cones):
+        gauge = GaugeChoice.for_data(data, k)
+        assert solve_coefficient_system(data, gauge) == \
+            coefficient_reference(data, cone)
+
+
+@pytest.mark.parametrize("name", ["kp2", "c3z3", "conifold"])
+def test_consumers_read_anticone_table(monkeypatch, name):
+    # once kernel_data has run, no consumer inverts an anticone block again
+    data = data_for(name)
+    calls = {"invert_rational": 0, "solve_rational": 0}
+
+    def counted(fname):
+        original = getattr(linalg, fname)
+
+        def wrapper(*args):
+            calls[fname] += 1
+            return original(*args)
+        return wrapper
+
+    for fname in calls:
+        monkeypatch.setattr(linalg, fname, counted(fname))
+    verify_semi_fano(data)
+    assert calls == {"invert_rational": 0, "solve_rational": 0}
+    assert enumerate_effective(data, 6)
+    for k in range(len(data.max_cones)):
+        solve_coefficient_system(data, GaugeChoice.for_data(data, k))
+    assert calls["invert_rational"] == 0
 
 
 # ---------------------------------------------------------------------------
