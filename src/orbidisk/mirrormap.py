@@ -20,7 +20,7 @@ from .effective import dual_class, enumerate_effective
 from .errors import ConsistencyError, ValidationError
 from .fan import CompactifiedData, ToricData, verify_semi_fano
 from .hyper import coefficient_slice, relative_ifunction_oracle, y_monomial
-from .series import Series, frac, invert_map, mono, mono_grade
+from .series import Series, frac, frac_str, invert_map, mono, mono_grade
 
 MODULE = "mirror-maps"
 
@@ -93,6 +93,9 @@ def _flat_relation(data: ToricData, target, curve_coords, g, order) -> Relation:
     names = data.y_vars()
     curve_coords = [frac(x) for x in curve_coords]
     m = mono(*((names[b], curve_coords[b]) for b in range(data.r)))
+    grade = mono_grade(m, weights)
+    if grade > order:
+        raise _order_refused(data, target, grade, order)
     pairings = data.pairings_from_coords(curve_coords)
     corr = Series.zero(weights, frac(order))
     for j in range(data.m):  # rays of this fan, including an added ray
@@ -104,11 +107,31 @@ def _flat_relation(data: ToricData, target, curve_coords, g, order) -> Relation:
                     correction=corr, curve_class=tuple(curve_coords))
 
 
+def _order_refused(data: ToricData, relation, grade, order) -> ValidationError:
+    """The refusal of an order below the grade of a relation's leading
+    monomial, where the relation's series is zero and cannot be inverted.  It
+    names the least order at which no relation is zero."""
+    weights = data.y_weights()
+    grades = [weights[v] for v in data.y_vars()[:data.r_prime]]
+    grades += [mono_grade(y_monomial(data, dual_class(data, j)), weights)
+               for j in data.extra_columns()]
+    least = frac_str(max(grades))
+    return ValidationError(MODULE, "toric_mirror_map",
+                           f"order {frac_str(order)} is below {frac_str(grade)}, "
+                           f"the grade of the leading monomial of the relation "
+                           f"for {relation}; the least order that works is {least}",
+                           {"relation": relation, "least_order": least})
+
+
 def _twisted_relations(data: ToricData, g, order):
     out = []
     for j in data.extra_columns():
         gj = g[j]
         if gj.is_zero():
+            grade = mono_grade(y_monomial(data, dual_class(data, j)), data.y_weights())
+            if grade > order:
+                raise _order_refused(data, f"{data.tau_name(j)} (column {j})",
+                                     grade, order)
             raise ConsistencyError(MODULE, "toric_mirror_map",
                                    f"twisted series of column {j} vanished; "
                                    "raise the order", j)

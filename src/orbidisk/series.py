@@ -1,36 +1,38 @@
 """Exact multivariate truncated power series with rational exponents.
 
-A series stores its terms by grade, grade -> {monomial -> Fraction}, with a
-positive weight per variable (the grading) and a truncation order: terms of
-grade > order are absent and undefined, terms of grade <= order are exact.  A
-term's grade is computed once, when the constructor takes it from outside;
-the operations know the grades of their results, since grades add under
-multiplication.  All arithmetic is over Q; nothing here ever touches a float.
+A series has a positive weight per variable (the grading) and a truncation
+order: terms of grade > order are absent and undefined, terms of grade <=
+order are exact.  All arithmetic is over Q; nothing here ever touches a float.
 
-Monomials are stored as sorted tuples of (variable, exponent) pairs with no
-zero exponents, so they are hashable and canonically ordered.
+The store is packed.  Variables are in var_key order, W is the lcm of the
+weight denominators, and e, per series, is the least positive integer with
+every exponent times e integral.  A monomial is the tuple of its exponents
+times e; a grade g is the int key g * e * W, so grades add and compare as
+ints; a grade piece is (den, {monomial: int numerator}) with den > 0
+coprime to the numerators.  _make keeps the store canonical, so equal
+series have equal stores; operands with different e meet at their lcm.
+Names and Fractions appear only at the boundary: the constructor (which
+grades each term once), terms, pieces, sorted_terms, text, to_json,
+same_terms, first_difference and the lead monomial factor_unit returns.
 
-The kernels that carry the cost of the formal inversion:
-
-- _mul_into multiplies two pieces; a product runs it once per pair of pieces
-  whose grades sum to at most the order, and so do the recurrences below.
+Where the formal inversion spends its time:
+- _mul_into multiplies the numerators of two pieces, once per pair of
+  pieces whose keys sum to at most the order's, in products and in the
+  exp/log recurrences.
 - substitute keeps one power table per variable for each call: the integer
-  powers the terms use, built in increasing exponent order, each from the
-  last lower one times the image to the gap; each term's coefficient is
-  multiplied in as a scalar.
-- exp and log_one_plus work grade by grade through the recurrences of the
-  grading operator D (D m = grade(m) * m): g E_g = sum_h h f_h E_{g-h} for
-  E = exp(f), and L_g = s_g - (1/g) sum_{0<h<g} (g-h) s_h L_{g-h} for
-  L = log(1 + s).  Both need every term of positive grade.
-- invert_map runs one loop and one check.  The loop is the fixed point in
-  precision-stepped rounds: each round truncates the current assignment to
-  the precision it can have gained so far.  The check evaluates the
-  relations at the result and requires the target variables back exactly.
+  powers the terms use, each built from the last lower one times the image
+  to the gap; each term's coefficient is multiplied in as a scalar.
+- exp and log_one_plus run the recurrences of the grading operator D
+  (D m = grade(m) * m) grade by grade.  Only ratios of grades appear in
+  them, so they run on the keys.
+- invert_map runs one precision-stepped fixed-point loop and one exact
+  round-trip check.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import floor, lcm
+from math import gcd, lcm
+from operator import add, sub
 
 from .errors import ValidationError, ConsistencyError
 
@@ -74,7 +76,7 @@ def parse_frac(s) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# monomials
+# named monomials
 
 ONE_MONO: tuple = ()
 
@@ -89,12 +91,8 @@ def mono(*pairs) -> tuple:
 def mono_mul(a: tuple, b: tuple) -> tuple:
     d = dict(a)
     for v, e in b:
-        e2 = d.get(v, Fraction(0)) + e
-        if e2 == 0:
-            d.pop(v, None)
-        else:
-            d[v] = e2
-    return tuple(sorted(d.items(), key=lambda p: var_key(p[0])))
+        d[v] = d.get(v, 0) + e
+    return mono(*d.items())
 
 
 def mono_pow(m: tuple, k) -> tuple:
@@ -106,31 +104,6 @@ def mono_pow(m: tuple, k) -> tuple:
 
 def mono_grade(m: tuple, weights: dict) -> Fraction:
     return sum((weights[v] * e for v, e in m), Fraction(0))
-
-
-def _mul_into(acc: dict, a: dict, b: dict):
-    """acc += a * b for term maps, untruncated: the product of two grade
-    pieces is a single grade piece."""
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            m = mono_mul(ma, mb)
-            acc[m] = acc.get(m, 0) + ca * cb
-
-
-def _grades_upto(gens, order) -> list:
-    """Sorted sums of one or more of the positive grades gens, up to order:
-    every positive grade a power series in those grades can have."""
-    den = lcm(*(h.denominator for h in gens))
-    steps = sorted({int(h * den) for h in gens})
-    top = floor(order * den)
-    reached = [True] + [False] * top
-    for g in range(top + 1):
-        if reached[g]:
-            for h in steps:
-                if g + h > top:
-                    break
-                reached[g + h] = True
-    return [Fraction(g, den) for g in range(1, top + 1) if reached[g]]
 
 
 def mono_str(m: tuple) -> str:
@@ -148,6 +121,96 @@ def mono_str(m: tuple) -> str:
 
 
 # ---------------------------------------------------------------------------
+# packed pieces
+
+
+def _pack(names: tuple, m: tuple, e: int) -> tuple:
+    """A named monomial as its exponents times e, in the order of names."""
+    out = [0] * len(names)
+    for v, x in m:
+        out[names.index(v)] += int(x * e)
+    return tuple(out)
+
+
+def _key(grade: Fraction, unit: int) -> int:
+    """floor(grade * unit): the key of a grade, or the top key of an order."""
+    return grade.numerator * unit // grade.denominator
+
+
+def _mul_into(acc: dict, a: dict, b: dict):
+    """acc += a * b for the numerators of two pieces, untruncated: the
+    product of two grade pieces is a single grade piece."""
+    get = acc.get
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = tuple(map(add, ma, mb))
+            acc[m] = get(m, 0) + ca * cb
+
+
+def _convolve(g: int, left: dict, right: dict, parts: dict) -> dict:
+    """parts += sum_h left[h] * right[g - h], left in key order, as
+    {den: numerators} over the den of each product."""
+    for h, (dh, ph) in left.items():
+        if h > g:
+            break
+        rest = right.get(g - h)
+        if rest:
+            _mul_into(parts.setdefault(dh * rest[0], {}), ph, rest[1])
+    return parts
+
+
+def _sum(parts) -> tuple:
+    """The piece summing (den, numerators) parts, over the lcm of the dens."""
+    parts = list(parts)
+    if len(parts) == 1:
+        return parts[0]
+    den = lcm(*(d for d, _ in parts))
+    out = {}
+    for d, nums in parts:
+        f = den // d
+        for m, n in nums.items():
+            out[m] = out.get(m, 0) + n * f
+    return den, out
+
+
+def _piece(den: int, nums: dict):
+    """A piece in lowest terms without zero numerators, or None if empty."""
+    nums = {m: n for m, n in nums.items() if n}
+    if den != 1 and nums:
+        r = gcd(den, *nums.values())
+        if r != 1:
+            den //= r
+            nums = {m: n // r for m, n in nums.items()}
+    return (den, nums) if nums else None
+
+
+def _canon(pieces: dict, e: int, top: int) -> tuple:
+    """(e, store): the pieces of key <= top in lowest terms and in key
+    order, at the least exponent denominator they need."""
+    store = {}
+    for k in sorted(pieces):
+        piece = _piece(*pieces[k]) if k <= top else None
+        if piece:
+            store[k] = piece
+    r = e
+    for _, nums in store.values():
+        for m in nums:
+            r = gcd(r, *m)
+            if r == 1:
+                return e, store
+    return e // r, {k // r: (d, {tuple(x // r for x in m): n for m, n in nums.items()})
+                    for k, (d, nums) in store.items()}
+
+
+def _scaled(store: dict, f: int) -> dict:
+    """A store with its exponent denominator multiplied by f."""
+    if f == 1:
+        return store
+    return {k * f: (d, {tuple(x * f for x in m): n for m, n in nums.items()})
+            for k, (d, nums) in store.items()}
+
+
+# ---------------------------------------------------------------------------
 
 
 class Series:
@@ -156,11 +219,11 @@ class Series:
     weights: var -> positive Fraction, the grading of each variable.
     order:   grade bound (inclusive).
     pieces:  grade -> {monomial -> nonzero Fraction}, every grade in
-             [0, order] and no piece empty; terms is a flat copy.
-    Operations build their results with _make, which grades nothing.
+             [0, order] and no piece empty; terms is a flat copy.  Both are
+             named views built from the packed store (module docstring).
     """
 
-    __slots__ = ("weights", "order", "pieces")
+    __slots__ = ("weights", "order", "_names", "_W", "_e", "_p")
 
     def __init__(self, weights: dict, order, terms: dict | None = None):
         self.weights = {v: frac(w) for v, w in weights.items()}
@@ -168,34 +231,48 @@ class Series:
             if w <= 0:
                 raise _err("grading", f"weight of {v} must be positive", w)
         self.order = frac(order)
-        self.pieces = {}
-        for m, c in (terms or {}).items():
+        self._names = names = tuple(sorted(self.weights, key=var_key))
+        self._W = W = lcm(*(w.denominator for w in self.weights.values()))
+        terms = terms or {}
+        e = lcm(*(frac(x).denominator for m in terms for _, x in m))
+        parts = {}
+        for m, c in terms.items():
             c = frac(c)
             if c == 0:
                 continue
-            g = mono_grade(m, self.weights)
-            if g < 0:
-                raise _err("grading", f"monomial {mono_str(m)} has negative grade", g)
-            if g <= self.order:
-                self.pieces.setdefault(g, {})[m] = c
+            gr = mono_grade(m, self.weights)
+            if gr < 0:
+                raise _err("grading", f"monomial {mono_str(m)} has negative grade", gr)
+            if gr <= self.order:
+                parts.setdefault(_key(gr, e * W), []).append(
+                    (c.denominator, {_pack(names, m, e): c.numerator}))
+        self._e, self._p = _canon({k: _sum(p) for k, p in parts.items()}, e,
+                                  _key(self.order, e * W))
 
-    @classmethod
-    def _make(cls, weights, order, pieces):
-        """A series on an operand's checked weights from pieces keyed by
-        their grades: the one place that drops pieces above order, zero
-        coefficients and empty pieces."""
-        s = object.__new__(cls)
-        s.weights, s.order, s.pieces = weights, order, {}
-        for g, piece in pieces.items():
-            if g <= order:
-                piece = {m: c for m, c in piece.items() if c}
-                if piece:
-                    s.pieces[g] = piece
+    def _make(self, order, e, pieces):
+        """A series on self's grading from pieces keyed at exponent denominator
+        e: the one place that drops pieces above order, zero numerators and
+        empty pieces, and reduces dens and e."""
+        s = object.__new__(Series)
+        s.weights, s.order, s._names, s._W = self.weights, order, self._names, self._W
+        s._e, s._p = _canon(pieces, e, _key(order, e * self._W))
         return s
+
+    def _named(self, m: tuple) -> tuple:
+        names, e = self._names, self._e
+        return tuple((names[i], Fraction(x, e)) for i, x in enumerate(m) if x)
+
+    @property
+    def pieces(self) -> dict:
+        unit = self._e * self._W
+        return {Fraction(k, unit): {self._named(m): Fraction(n, d)
+                                    for m, n in nums.items()}
+                for k, (d, nums) in self._p.items()}
 
     @property
     def terms(self) -> dict:
-        return {m: c for piece in self.pieces.values() for m, c in piece.items()}
+        return {self._named(m): Fraction(n, d)
+                for d, nums in self._p.values() for m, n in nums.items()}
 
     # -- constructors -------------------------------------------------------
 
@@ -217,10 +294,13 @@ class Series:
 
     # -- helpers ------------------------------------------------------------
 
-    def _check_compatible(self, other, op):
-        if self.weights != other.weights:
+    def _common(self, other, op):
+        """(e, self's store, other's store) at the lcm of their e."""
+        if self.weights is not other.weights and self.weights != other.weights:
             raise _err(op, "grading mismatch between operands",
                        (self.weights, other.weights))
+        e = lcm(self._e, other._e)
+        return e, _scaled(self._p, e // self._e), _scaled(other._p, e // other._e)
 
     def grade_of(self, m):
         return mono_grade(m, self.weights)
@@ -229,22 +309,20 @@ class Series:
         return self.terms.get(m, Fraction(0))
 
     def constant_term(self) -> Fraction:
-        return self.pieces.get(0, {}).get(ONE_MONO, Fraction(0))
+        p = self._p.get(0)
+        return Fraction(p[1].get((0,) * len(self._names), 0), p[0]) if p else Fraction(0)
 
     def is_zero(self) -> bool:
-        return not self.pieces
+        return not self._p
 
     def min_grade(self):
         """Smallest grade among stored terms, or None for the zero series."""
-        return min(self.pieces, default=None)
+        if not self._p:
+            return None
+        return Fraction(next(iter(self._p)), self._e * self._W)
 
     def sorted_terms(self):
-        return [(m, p[m]) for _, p in sorted(self.pieces.items())
-                for m in sorted(p)]
-
-    def _terms_upto(self, bound) -> dict:
-        return {m: c for g, p in self.pieces.items() if g <= bound
-                for m, c in p.items()}
+        return [t for _, p in sorted(self.pieces.items()) for t in sorted(p.items())]
 
     def same_terms(self, other) -> bool:
         """Exact equality of coefficients up to min(self.order, other.order);
@@ -254,16 +332,16 @@ class Series:
                 raise ConsistencyError(MODULE, "same_terms",
                                        f"variable {v} is weighted differently "
                                        "in the two gradings", v)
-        bound = min(self.order, other.order)
-        return self._terms_upto(bound) == other._terms_upto(bound)
+        return self.first_difference(other) is None
 
     def first_difference(self, other):
         """First (grade, monomial, coeff_self, coeff_other) where the two differ."""
         bound = min(self.order, other.order)
-        for g in sorted(set(self.pieces) | set(other.pieces)):
+        mine, theirs = self.pieces, other.pieces
+        for g in sorted(set(mine) | set(theirs)):
             if g > bound:
                 break
-            a, b = self.pieces.get(g, {}), other.pieces.get(g, {})
+            a, b = mine.get(g, {}), theirs.get(g, {})
             diffs = [(g, m, a.get(m, Fraction(0)), b.get(m, Fraction(0)))
                      for m in set(a) | set(b) if a.get(m) != b.get(m)]
             if diffs:
@@ -272,7 +350,8 @@ class Series:
 
     def __eq__(self, other):
         return (isinstance(other, Series) and self.weights == other.weights
-                and self.order == other.order and self.pieces == other.pieces)
+                and self.order == other.order and self._e == other._e
+                and self._p == other._p)
 
     def __hash__(self):
         raise TypeError("Series is not hashable")
@@ -281,48 +360,34 @@ class Series:
         return f"Series({self.text()}, order={frac_str(self.order)})"
 
     def text(self) -> str:
-        if not self.pieces:
-            return "0"
-        parts = []
+        out = ""
         for m, c in self.sorted_terms():
-            cs = frac_str(c)
-            ms = mono_str(m)
-            if ms == "1":
-                parts.append(cs)
-            elif cs == "1":
-                parts.append(ms)
-            elif cs == "-1":
-                parts.append(f"-{ms}")
-            else:
-                parts.append(f"{cs}*{ms}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+            ms, cs = mono_str(m), frac_str(abs(c))
+            t = cs if ms == "1" else ms if cs == "1" else f"{cs}*{ms}"
+            out = (f"{out} {'-' if c < 0 else '+'} {t}" if out
+                   else "-" + t if c < 0 else t)
+        return out or "0"
 
     # -- ring operations ----------------------------------------------------
 
     def __neg__(self):
-        return Series._make(self.weights, self.order,
-                            {g: {m: -c for m, c in p.items()}
-                             for g, p in self.pieces.items()})
+        return self._make(self.order, self._e, {k: (d, {m: -n for m, n in nums.items()})
+                                                for k, (d, nums) in self._p.items()})
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = _constant(self.weights, self.order, other)
-        self._check_compatible(other, "add")
-        out = {g: dict(p) for g, p in self.pieces.items()}
-        for g, p in other.pieces.items():
-            acc = out.setdefault(g, {})
-            for m, c in p.items():
-                acc[m] = acc.get(m, 0) + c
-        return Series._make(self.weights, min(self.order, other.order), out)
+            other = _constant(self, self.order, other)
+        e, out, b = self._common(other, "add")
+        out = dict(out)
+        for k, p in b.items():
+            out[k] = _sum([out[k], p]) if k in out else p
+        return self._make(min(self.order, other.order), e, out)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = _constant(self.weights, self.order, other)
+            other = _constant(self, self.order, other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -331,17 +396,21 @@ class Series:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = frac(other)
-            return Series._make(self.weights, self.order,
-                                {g: {m: c * x for m, x in p.items()}
-                                 for g, p in self.pieces.items()})
-        self._check_compatible(other, "mul")
+            return self._make(self.order, self._e,
+                              {k: (d * c.denominator,
+                                   {m: n * c.numerator for m, n in nums.items()})
+                               for k, (d, nums) in self._p.items()})
+        e, a, b = self._common(other, "mul")
         order = min(self.order, other.order)
+        top = _key(order, e * self._W)
         out = {}
-        for ga, pa in self.pieces.items():
-            for gb, pb in other.pieces.items():
-                if ga + gb <= order:
-                    _mul_into(out.setdefault(ga + gb, {}), pa, pb)
-        return Series._make(self.weights, order, out)
+        for ka, (da, pa) in a.items():
+            for kb, (db, pb) in b.items():   # in key order
+                if ka + kb > top:
+                    break
+                parts = out.setdefault(ka + kb, {})
+                _mul_into(parts.setdefault(da * db, {}), pa, pb)
+        return self._make(order, e, {k: _sum(parts.items()) for k, parts in out.items()})
 
     __rmul__ = __mul__
 
@@ -353,23 +422,27 @@ class Series:
             bad = mono_mul(min(self.pieces[low]), m)
             raise _err("grading", f"monomial {mono_str(bad)} has negative grade",
                        low + g)
-        return Series._make(self.weights, self.order + g,
-                            {ga + g: {mono_mul(ma, m): ca * c for ma, ca in p.items()}
-                             for ga, p in self.pieces.items()})
+        e = lcm(self._e, *(frac(x).denominator for _, x in m))
+        shift, dk = _pack(self._names, m, e), _key(g, e * self._W)
+        return self._make(self.order + g, e,
+                          {k + dk: (d * c.denominator,
+                                    {tuple(map(add, ma, shift)): n * c.numerator
+                                     for ma, n in nums.items()})
+                           for k, (d, nums) in _scaled(self._p, e // self._e).items()})
 
     def truncate(self, order):
         order = frac(order)
         if order > self.order:
             raise _err("truncate", "cannot extend a series beyond its known order",
                        (self.order, order))
-        return Series._make(self.weights, order, self.pieces)
+        return self._make(order, self._e, self._p)
 
     def pow_int(self, k: int):
         """self^k by repeated squaring; k = 1 returns self itself."""
         if k < 0:
             raise _err("pow", "negative integer power of a general series", k)
         if k == 0:
-            return _constant(self.weights, self.order, 1)
+            return _constant(self, self.order, 1)
         result = None
         base = self
         while True:
@@ -382,9 +455,11 @@ class Series:
 
     # -- transcendental operations ------------------------------------------
 
-    def _check_positive_grades(self, op):
-        """The grading-operator recurrences divide by grades."""
-        if self.pieces.get(0):
+    def _check_positive_grades(self, op, name):
+        """exp and log need a zero constant term; their recurrences divide by grades."""
+        if self.constant_term() != 0:
+            raise _err(op, f"{name} requires zero constant term", self.constant_term())
+        if 0 in self._p:
             m = mono_str(min(self.pieces[0]))
             raise _err(op, f"every term needs a positive grade; {m} has grade 0", m)
 
@@ -395,23 +470,19 @@ class Series:
         multiplies each monomial by its grade.  Grade by grade:
         g * E_g = sum_h h * f_h * E_{g-h}.
         """
-        if self.constant_term() != 0:
-            raise _err("exp", "exp requires zero constant term", self.constant_term())
-        self._check_positive_grades("exp")
-        # grade h -> h * f_h
-        scaled = {h: {m: h * c for m, c in fh.items()}
-                  for h, fh in self.pieces.items()}
-        out = {Fraction(0): {ONE_MONO: Fraction(1)}}
-        for g in _grades_upto(self.pieces, self.order):
-            acc = {}
-            for h, hf in scaled.items():
-                rest = out.get(g - h)
-                if rest:
-                    _mul_into(acc, hf, rest)
-            piece = {m: c / g for m, c in acc.items() if c}
-            if piece:
-                out[g] = piece
-        return Series._make(self.weights, self.order, out)
+        self._check_positive_grades("exp", "exp")
+        # key h -> h * f_h
+        scaled = {h: (d, {m: h * n for m, n in nums.items()})
+                  for h, (d, nums) in self._p.items()}
+        out = {0: (1, {(0,) * len(self._names): 1})}
+        for g in range(1, _key(self.order, self._e * self._W) + 1):
+            parts = _convolve(g, scaled, out, {})
+            if parts:
+                d, acc = _sum(parts.items())
+                piece = _piece(d * g, acc)
+                if piece:
+                    out[g] = piece
+        return self._make(self.order, self._e, out)
 
     def log_one_plus(self):
         """log(1 + s) for s with zero constant term, exact to self.order.
@@ -419,26 +490,22 @@ class Series:
         L = log(1 + s) solves (1 + s) * D(L) = D(s) for the grading operator
         D.  Grade by grade: L_g = s_g - (1/g) sum_{0<h<g} (g-h) s_h L_{g-h}.
         """
-        if self.constant_term() != 0:
-            raise _err("log", "log_one_plus requires zero constant term",
-                       self.constant_term())
-        self._check_positive_grades("log")
+        self._check_positive_grades("log", "log_one_plus")
+        neg = {h: (d, {m: -n for m, n in nums.items()})
+               for h, (d, nums) in self._p.items()}
         out = {}
-        scaled = {}   # grade k -> k * L_k
-        for g in _grades_upto(self.pieces, self.order):
-            acc = {}
-            for h, sh in self.pieces.items():
-                rest = scaled.get(g - h)
-                if rest:
-                    _mul_into(acc, sh, rest)
-            piece = dict(self.pieces.get(g, {}))
-            for m, c in acc.items():
-                piece[m] = piece.get(m, 0) - c / g
-            piece = {m: c for m, c in piece.items() if c}
-            if piece:
-                out[g] = piece
-                scaled[g] = {m: g * c for m, c in piece.items()}
-        return Series._make(self.weights, self.order, out)
+        scaled = {}   # key k -> k * L_k
+        for g in range(1, _key(self.order, self._e * self._W) + 1):
+            # g * L_g = g * s_g - sum_h s_h * (g-h) L_{g-h}
+            own = self._p.get(g)
+            parts = {own[0]: {m: g * n for m, n in own[1].items()}} if own else {}
+            if _convolve(g, neg, scaled, parts):
+                d, acc = _sum(parts.items())
+                piece = _piece(d * g, acc)
+                if piece:
+                    out[g] = piece
+                    scaled[g] = (piece[0], {m: g * n for m, n in piece[1].items()})
+        return self._make(self.order, self._e, out)
 
     def pow_frac(self, alpha):
         """Raise to a rational power.
@@ -458,22 +525,22 @@ class Series:
     def factor_unit(self, op="factor"):
         """Write self = c * m * (1 + u) with u of positive grade.
 
-        Returns (m, c, u).  Requires a unique minimal-grade term.
+        Returns (m, c, u), m named.  Requires a unique minimal-grade term.
         """
         if self.is_zero():
             raise _err(op, "cannot factor the zero series")
-        g0 = self.min_grade()
-        leads = self.pieces[g0]
+        k0 = next(iter(self._p))
+        d0, leads = self._p[k0]
         if len(leads) > 1:
             raise _err(op, "leading monomial is not unique",
-                       [mono_str(m) for m in sorted(leads)])
-        (lead_m, lead_c), = leads.items()
-        inv_m = mono_pow(lead_m, -1)
-        unit = Series._make(self.weights, self.order - g0,
-                            {g - g0: {mono_mul(m, inv_m): c / lead_c
-                                      for m, c in p.items()}
-                             for g, p in self.pieces.items() if g != g0})
-        return lead_m, lead_c, unit
+                       [mono_str(m) for m in sorted(map(self._named, leads))])
+        (lead_m, n0), = leads.items()
+        dn, nd = (n0, d0) if n0 > 0 else (-n0, -d0)   # divide by n0 / d0, den > 0
+        unit = self._make(self.order - self.min_grade(), self._e,
+                          {k - k0: (d * dn, {tuple(map(sub, m, lead_m)): n * nd
+                                             for m, n in nums.items()})
+                           for k, (d, nums) in self._p.items() if k != k0})
+        return self._named(lead_m), Fraction(n0, d0), unit
 
     # -- substitution ---------------------------------------------------------
 
@@ -484,17 +551,17 @@ class Series:
         truncation requires each image's minimal grade to be at least the
         weight of the variable it replaces; this is checked.
         """
-        terms = self.terms
-        used = sorted({v for m in terms for v, _ in m}, key=var_key)
+        names, e = self._names, self._e
+        monos = [m for _, nums in self._p.values() for m in nums]
+        used = sorted({names[i] for m in monos for i, x in enumerate(m) if x}, key=var_key)
         for v in used:
             if v not in assignment:
                 raise _err("substitute", f"unassigned variable {v}", v)
         images = {v: assignment[v] for v in used}
-        pool = list(images.values()) or list(assignment.values())
-        tw = pool[0].weights if pool else self.weights
+        like = next(iter(images.values() or assignment.values()), self)
         torder = min((s.order for s in images.values()), default=self.order)
         for v, s in images.items():
-            if s.weights != tw:
+            if s.weights != like.weights:
                 raise _err("substitute", "assigned series use different gradings", v)
             mg = s.min_grade()
             if mg is not None and mg < self.weights[v]:
@@ -508,65 +575,71 @@ class Series:
         # fractional or negative exponents are factored once; their pure
         # monomial parts combine by exponent arithmetic so that interim
         # negative grades cancel before any series is built, and their unit
-        # parts enter as exp(e * log(unit)), one per (variable, exponent)
+        # parts enter as exp(x * log(unit)), one per (variable, exponent)
         needed, factored = {}, {}
-        for m in terms:
-            for v, e in m:
-                if e.denominator == 1 and e >= 0:
-                    needed.setdefault(v, set()).add(int(e))
-                elif v not in factored:
-                    lead_m, lead_c, unit = images[v].factor_unit("substitute")
+        for m in monos:
+            for i, x in enumerate(m):
+                if x > 0 and x % e == 0:
+                    needed.setdefault(i, set()).add(x // e)
+                elif x and i not in factored:
+                    lead_m, lead_c, unit = images[names[i]].factor_unit("substitute")
                     if lead_c != 1:
-                        raise _err("substitute",
-                                   f"image of {v} must have leading "
-                                   f"coefficient 1 for fractional powers",
-                                   lead_c)
-                    factored[v] = (lead_m, unit)
+                        raise _err("substitute", f"image of {names[i]} must have leading "
+                                   "coefficient 1 for fractional powers", lead_c)
+                    factored[i] = (lead_m, unit)
         powers = {}
-        for v, exps in needed.items():
-            img = images[v]
+        for i, exps in needed.items():
+            img = images[names[i]]
             if img.order > order:
                 img = img.truncate(order)
-            last_e, last = 0, None
-            for e in sorted(exps):
-                gap = img.pow_int(e - last_e)
+            last_x, last = 0, None
+            for x in sorted(exps):
+                gap = img.pow_int(x - last_x)
                 last = gap if last is None else last * gap
-                powers[v, e] = last
-                last_e = e
+                powers[i, x] = last
+                last_x = x
         logs, frac_powers = {}, {}
         out_order = order
-        acc = {}
-        for m, c in terms.items():
-            term = None
-            mono_acc = ONE_MONO
-            for v, e in m:
-                if e.denominator == 1 and e >= 0:
-                    f = powers[v, int(e)]
-                else:
-                    lead_m, unit = factored[v]
-                    mono_acc = mono_mul(mono_acc, mono_pow(lead_m, e))
-                    if unit.is_zero():
+        terms = []
+        for d, nums in self._p.values():
+            for m, n in nums.items():
+                term = None
+                mono_acc = ONE_MONO
+                for i, x in enumerate(m):
+                    if x > 0 and x % e == 0:
+                        f = powers[i, x // e]
+                    elif not x:
                         continue
-                    f = frac_powers.get((v, e))
-                    if f is None:
-                        if v not in logs:
-                            logs[v] = unit.log_one_plus()
-                        f = frac_powers[v, e] = (logs[v] * e).exp()
-                term = f if term is None else term * f
-            if term is None:
-                term = _constant(tw, order, 1)
-            elif term.order > order:
-                term = term.truncate(order)
-            if mono_acc:
-                term = term.mul_monomial(mono_acc)
-                if term.order > order:
+                    else:
+                        lead_m, unit = factored[i]
+                        mono_acc = mono_mul(mono_acc, mono_pow(lead_m, Fraction(x, e)))
+                        if unit.is_zero():
+                            continue
+                        f = frac_powers.get((i, x))
+                        if f is None:
+                            if i not in logs:
+                                logs[i] = unit.log_one_plus()
+                            f = frac_powers[i, x] = (logs[i] * Fraction(x, e)).exp()
+                    term = f if term is None else term * f
+                if term is None:
+                    term = _constant(like, order, 1)
+                elif term.order > order:
                     term = term.truncate(order)
-            out_order = min(out_order, term.order)
-            for g, p in term.pieces.items():
-                piece = acc.setdefault(g, {})
-                for tm, tc in p.items():
-                    piece[tm] = piece.get(tm, 0) + c * tc
-        return Series._make(tw, out_order, acc)
+                if mono_acc:
+                    term = term.mul_monomial(mono_acc)
+                    if term.order > order:
+                        term = term.truncate(order)
+                out_order = min(out_order, term.order)
+                terms.append((term, d, n))
+        # the coefficient n / d of each term enters as a scalar, at the lcm
+        # of the terms' exponent denominators
+        te = lcm(*(term._e for term, _, _ in terms))
+        acc = {}
+        for term, d, n in terms:
+            for k, (td, tnums) in _scaled(term._p, te // term._e).items():
+                acc.setdefault(k, []).append(
+                    (d * td, {tm: n * tn for tm, tn in tnums.items()}))
+        return like._make(out_order, te, {k: _sum(parts) for k, parts in acc.items()})
 
     # -- serialization --------------------------------------------------------
 
@@ -592,9 +665,10 @@ class Series:
         return cls(weights, parse_frac(d["order"]), terms)
 
 
-def _constant(weights, order, c) -> Series:
-    """The constant series c on weights a series already holds."""
-    return Series._make(weights, order, {Fraction(0): {ONE_MONO: frac(c)}})
+def _constant(like: Series, order, c) -> Series:
+    """The constant series c on the grading of the series like."""
+    c, one = frac(c), (0,) * len(like._names)
+    return like._make(order, 1, {0: (c.denominator, {one: c.numerator})})
 
 
 # ---------------------------------------------------------------------------

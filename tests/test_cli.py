@@ -192,6 +192,30 @@ def test_order_must_be_positive(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, relation, least", [
+    (("mirror-map", "kp2", "--order", "1/2"), "q1", "1"),
+    (("mirror-map", "conifold", "--order", "1/2"), "q1", "1"),
+    (("syz", "kp2", "--order", "1/2"), "q1", "1"),
+    (("oracle", "kp2", "--bar", "kp2_bar", "--disk", "ray:0", "--order", "1/2"),
+     "q1", "1"),
+    (("mirror-map", "c3z3", "--order", "1/6"), "t3 (column 3)", "1/3"),
+], ids=["mirror-map-kp2", "mirror-map-conifold", "syz-kp2", "oracle-kp2",
+        "mirror-map-c3z3"])
+def test_order_below_first_relation(capsys, argv, relation, least):
+    # a relation whose leading monomial lies above the order would be the
+    # zero series: refused as input, naming the relation and the least order
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    message = json.loads(err)["error"]["message"]
+    assert f"relation for {relation};" in message
+    assert message.endswith(f"the least order that works is {least}")
+    # an order at that bound works, and a fan without relations takes any
+    code, _, _ = run(capsys, *argv[:-1], least)
+    assert code == 0
+    code, _, _ = run(capsys, "mirror-map", "c3", "--order", "1/6")
+    assert code == 0
+
+
 @pytest.mark.parametrize("order", ["abc", "1/0"])
 def test_order_must_be_rational(capsys, order):
     code, _, err = run(capsys, "invariants", "kp2", "--disk", "ray:0",

@@ -272,3 +272,31 @@ def test_disk_potential_grade_count(monkeypatch, case, order, ceiling):
     monkeypatch.setattr(series, "mono_grade", counted)
     _potential_of(case, order)
     assert 0 < calls[0] <= ceiling
+
+
+@pytest.mark.parametrize("case, disk, order", [
+    ("kp2", ("ray", 0), 12),
+    ("local_quadric", ("ray", 0), 5),
+    ("c3z3", ("box", 3), F(4, 3)),   # exponents in thirds
+], ids=["kp2-12", "local_quadric-5", "c3z3-4/3"])
+def test_disk_potential_kernel_stays_packed(monkeypatch, case, disk, order):
+    # the multiplication kernel sees packed pieces only: monomials are
+    # tuples of int exponents and coefficients int numerators, so no name,
+    # no var_key sort and no Fraction enters the inner loop
+    from orbidisk import series
+
+    calls = [0]
+    mul_into = series._mul_into
+
+    def checked(acc, a, b):
+        mul_into(acc, a, b)
+        for piece in (a, b, acc):
+            for m, n in piece.items():
+                assert type(m) is tuple and all(type(x) is int for x in m)
+                assert type(n) is int
+        calls[0] += 1
+
+    monkeypatch.setattr(series, "_mul_into", checked)
+    data = data_for("c3z3") if case == "c3z3" else _data_of(case)
+    disk_potential(data, disk, order)
+    assert calls[0] > 0

@@ -442,7 +442,8 @@ def assert_stored_by_grade(s):
 @given(st.data())
 def test_operations_store_terms_by_grade(data):
     # every operation's result keeps each term under its own grade, within
-    # [0, order], with no zero coefficient and no empty piece
+    # [0, order], with no zero coefficient and no empty piece; and its store
+    # is canonical, the one the constructor builds from its terms
     w = data.draw(st.sampled_from(GRADINGS))
     a, b = data.draw(graded_series(w)), data.draw(graded_series(w))
     u = a - a.constant_term()
@@ -452,13 +453,22 @@ def test_operations_store_terms_by_grade(data):
     source = Series(w, 3, {mono(("a", 1), ("b", 1)): 2, mono(("a", F(1, 2))): 1,
                            mono(("a", 2), ("b", -1)): F(-1, 3)})
     images = {v: unit.mul_monomial(mono((v, 1))) for v in w}
+    # operands whose exponent denominators differ (thirds, halves), and
+    # results whose exponents or coefficients then share a factor
+    thirds = Series(w, 3, {mono(("a", F(1, 3))): 1,
+                           mono(("a", F(2, 3)), ("b", 1)): F(1, 2)})
+    root = Series(w, 3, {mono(("a", F(1, 2))): 2, mono(("b", F(1, 2))): -1})
+    mixed = Series(w, 3, {mono(("a", F(2, 3))): 1, mono(("a", F(1, 2)), ("b", 1)): -2})
     results = [a + b, a - a, a * b, a * F(-2, 3), a.mul_monomial(ab, F(5, 2)),
                a.truncate(F(3, 2)), u.exp(), u.log_one_plus(),
                unit.pow_frac(F(-1, 3)), images["a"].pow_frac(F(1, 2)),
                images["b"].factor_unit()[2], a.substitute(images),
-               source.substitute(images)]
+               source.substitute(images), thirds * root, root * root,
+               thirds.mul_monomial(mono(("a", F(1, 2)))), thirds + root - root,
+               (a * F(3, 2)) * F(2, 3), mixed.substitute(images)]
     for s in results:
         assert_stored_by_grade(s)
+        assert Series(s.weights, s.order, s.terms) == s
 
 
 def test_negative_grade_refused():

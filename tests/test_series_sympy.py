@@ -147,3 +147,29 @@ def test_substitute_matches_sympy(case):
         simultaneous=True)
     assert ours.order == min(img.order for img in images.values())
     assert_matches(ours, expr, den)
+
+
+@settings(max_examples=6, derandomize=True, deadline=None)
+@given(coeffs, coeffs)
+def test_mixed_exponent_denominators_match_sympy(c1, c2):
+    # operands in thirds and in halves are rescaled to sixths; the results
+    # must still be the plain products and the fractional power
+    w = {"x": F(1), "y": F(1, 2)}
+    den = denominator(w)
+    thirds = Series(w, 3, {mono(("x", F(1, 3))): c1,
+                           mono(("x", F(2, 3)), ("y", 1)): c2})
+    halves = Series(w, 3, {mono(("x", F(1, 2))): 1, mono(("y", F(3, 2))): c2})
+    assert_matches(thirds * halves, to_sympy(thirds, den) * to_sympy(halves, den),
+                   den)
+    x_half = SYMS["x"] ** sp.Rational(1, 2) * T ** rat(F(1, 2) * den)
+    assert_matches(thirds.mul_monomial(mono(("x", F(1, 2)))),
+                   to_sympy(thirds, den) * x_half, den)
+    # x -> q + c2 q^2 at x^(2/3): q^(2/3) (1 + c2 q)^(2/3)
+    s = Series({"x": F(1)}, 3, {mono(("x", F(2, 3))): c1, mono(("x", 1)): 1})
+    img = Series({"q": F(1)}, F(7, 3), {mono(("q", 1)): 1, mono(("q", 2)): c2})
+    ours = s.substitute({"x": img})
+    qt = SYMS["q"] * T
+    oracle = (rat(c1) * qt ** sp.Rational(2, 3)
+              * series_in_t((1 + rat(c2) * qt) ** sp.Rational(2, 3), img)
+              + to_sympy(img, 1))
+    assert_matches(ours, oracle, 1)
