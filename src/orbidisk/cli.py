@@ -65,8 +65,16 @@ def load_fan_file(path):
     return fan_from_dict(raw), basis_p
 
 
+class _Parser(argparse.ArgumentParser):
+    """A malformed command line is a ValidationError (exit 2, reported on
+    stderr as JSON like every other), not argparse's usage text."""
+
+    def error(self, message):
+        raise ValidationError(MODULE, "argv", message)
+
+
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="orbidisk",
         description="disk potentials, mirror maps and Landau-Ginzburg mirrors "
                     "of toric Calabi-Yau orbifolds")
@@ -274,8 +282,8 @@ def write_output(text: str, path):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         report = COMMANDS[args.command](args)
         if args.format == "json":
             text = json.dumps(report, sort_keys=True, indent=2) + "\n"

@@ -15,12 +15,16 @@ z^-2, which nothing downstream consumes either.
 In compactified mode the added ray's factor combines with the relative
 modification into 1/(D + (D.d) z): a single 1/((D.d) z) scalar when the
 pairing is positive, and 1 when it vanishes (empty products are 1).
+
+The factors run on ints: z_extract takes a class's pairings as int numerators
+P over their common denominator N, multiplies the int ratios num/den of its
+columns and makes one Fraction per class, the ZFactors scalar.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm, prod
 
 from .errors import ConsistencyError
 from .series import Series, frac, mono
@@ -35,27 +39,21 @@ class FactorExpansion:
     forced_divisor: int  # 0 or 1
 
 
-def hyper_factor(p) -> FactorExpansion:
-    """Expand one column factor by literal iteration over the progression.
+def _factor(P, N) -> tuple:
+    """(num, den, z-count, forced), all ints, of the factor at p = P/N with
+    scalar num/den: p > 0 divides by p, p - 1, ... while positive; p < 0 keeps
+    the numerator terms p + 1, p + 2, ... while negative, and a bare divisor
+    (its a = 0 term) when p is an integer."""
+    up, down = range(P, 0, -N), range(P + N, 0, N)
+    return (prod(down) * N ** len(up), prod(up) * N ** len(down),
+            len(down) - len(up), int(P < 0 and P % N == 0))
 
-    p > 0 divides by p, p - 1, ... while they are positive; p < 0 keeps the
-    numerator terms p + 1, p + 2, ... while they are negative.  A negative
-    integer p also leaves a bare divisor (its numerator term a = 0).
-    """
+
+def hyper_factor(p) -> FactorExpansion:
+    """Expand one column factor: _factor at p's numerator and denominator."""
     p = frac(p)
-    scalar, count = Fraction(1), 0
-    a = p
-    while a > 0:
-        scalar /= a
-        count -= 1
-        a -= 1
-    a = p + 1
-    while a < 0:
-        scalar *= a
-        count += 1
-        a += 1
-    return FactorExpansion(Fraction(count), scalar,
-                           int(p < 0 and p.denominator == 1))
+    num, den, count, forced = _factor(p.numerator, p.denominator)
+    return FactorExpansion(Fraction(count), Fraction(num, den), forced)
 
 
 @dataclass(frozen=True)
@@ -79,53 +77,42 @@ class ZFactors:
 
 
 def z_extract(data, cls) -> ZFactors:
-    """Multiply the factor expansions of one effective class.
-
-    `data` is the toric data the class lives on; on a compactified fan the
-    infinity ray gets the combined relative factor.
-    """
+    """Multiply the factor expansions of one effective class of `data`; on
+    a compactified fan the infinity ray gets the combined relative factor."""
     inf_col = data.infinity_column
-    z_exp = Fraction(0)
-    scalar = Fraction(1)
-    forced = []
-    inf_pair = None
-    for i, p in enumerate(cls.pairings):
-        p = frac(p)
-        if i == inf_col:
-            inf_pair = p
-            if p < 0 or p.denominator != 1:
-                raise ConsistencyError(MODULE, "z_extract",
-                                       "class pairs badly with the added divisor",
-                                       p)
-            if p > 0:
-                z_exp -= 1
-                scalar /= p
-            continue
-        f = hyper_factor(p)
-        z_exp += f.z_exponent
-        scalar *= f.scalar
-        if f.forced_divisor:
+    N = lcm(*(p.denominator for p in cls.pairings))
+    P = [p.numerator * (N // p.denominator) for p in cls.pairings]
+    num, den, z_exp, forced = 1, 1, 0, []
+    for i, p in enumerate(P):
+        if i != inf_col:
+            a, b, count, f = _factor(p, N)
+        elif p < 0 or p % N:
+            raise ConsistencyError(MODULE, "z_extract",
+                                   "class pairs badly with the added divisor",
+                                   cls.pairings[i])
+        else:
+            a, b, count, f = (N, p, -1, 0) if p else (1, 1, 0, 0)
+        num, den, z_exp = num * a, den * b, z_exp + count
+        if f:
             forced.append(i)
 
     # exponent bookkeeping: total z-weight plus surviving divisor count is
     # fixed by the anticanonical pairing and the sector age
-    toric_sum = sum((frac(p) for i, p in enumerate(cls.pairings) if i != inf_col),
-                    Fraction(0))
-    expected = -toric_sum - cls.sector.age - len(forced)
-    if inf_pair is not None and inf_pair > 0:
-        expected -= 1
-    if z_exp != expected:
+    inf = 0 if inf_col is None else P[inf_col]
+    age, shift = cls.sector.age, len(forced) + (inf > 0)
+    if ((z_exp + shift) * N + sum(P) - inf) * age.denominator != \
+            -age.numerator * N:
         raise ConsistencyError(MODULE, "z_extract",
                                "z-weight bookkeeping violated",
-                               {"got": z_exp, "want": expected})
-    return ZFactors(z_exponent=z_exp, scalar=scalar,
-                    forced_columns=tuple(forced), infinity_pairing=inf_pair)
+                               {"got": Fraction(z_exp), "want":
+                                Fraction(inf - sum(P), N) - age - shift})
+    return ZFactors(Fraction(z_exp), Fraction(num, den), tuple(forced),
+                    None if inf_col is None else cls.pairings[inf_col])
 
 
 def y_monomial(data, cls):
     """Monomial of a class in the y-variables (one per kernel basis vector)."""
-    names = data.y_vars()
-    return mono(*((names[a], cls.coords[a]) for a in range(data.r)))
+    return mono(*zip(data.y_vars(), cls.coords))
 
 
 @dataclass(frozen=True)
@@ -140,45 +127,32 @@ def closed_form_ray_coefficient(pairings, j, skip=()):
     """Coefficient of a ray-series class in closed form:
     (-1)^(p-1) (-p-1)! / prod_{i != j} (pairing_i)! for pairing p < 0 at j."""
     p = frac(pairings[j])
+    qs = [frac(q) for i, q in enumerate(pairings) if i != j and i not in skip]
     assert p.denominator == 1 and p < 0
-    num = Fraction((-1) ** (int(-p) - 1)) * factorial(int(-p) - 1)
-    den = Fraction(1)
-    for i, q in enumerate(pairings):
-        if i == j or i in skip:
-            continue
-        q = frac(q)
-        assert q.denominator == 1 and q >= 0
-        den *= factorial(int(q))
-    return num / den
+    assert all(q.denominator == 1 and q >= 0 for q in qs)
+    k = -p.numerator
+    return Fraction((-1) ** (k - 1) * factorial(k - 1),
+                    prod(factorial(q.numerator) for q in qs))
 
 
 def coefficient_slice(data, classes, order) -> Slice:
-    """Accumulate the z^-1 / z^-2 extractions of a list of classes.
-
-    Every divisor-linear coefficient is checked against its closed form.
-    """
-    weights = data.y_weights()
-    sectors, divisors = {}, {}
-    h0_z2 = Series.zero(weights, frac(order))
+    """Accumulate the z^-1 / z^-2 extractions of a list of classes: the terms
+    of each series in one dict, then each Series built once.  Every
+    divisor-linear coefficient is checked against its closed form."""
+    inf_col = data.infinity_column
+    # divisor-linear terms never pair with the added divisor
+    skip = () if inf_col is None else (inf_col,)
+    sectors, divisors, h0_z2 = {}, {}, {}
     for cls in classes:
         zf = z_extract(data, cls)
         kind = zf.classify(cls)
         if kind is None:
             continue
-        term = Series.monomial(y_monomial(data, cls), zf.scalar, weights,
-                               frac(order))
         if kind[0] == "sector":
-            key = kind[1].vector
-            sectors[key] = sectors.get(
-                key, Series.zero(weights, frac(order))) + term
+            terms = sectors.setdefault(kind[1].vector, {})
         elif kind[0] == "divisor":
-            key = kind[1]
-            skip = ()
-            if data.infinity_column is not None:
-                # divisor-linear terms never pair with the added divisor
-                assert cls.pairings[data.infinity_column] == 0
-                skip = (data.infinity_column,)
-            expected = closed_form_ray_coefficient(cls.pairings, key,
+            assert inf_col is None or cls.pairings[inf_col] == 0
+            expected = closed_form_ray_coefficient(cls.pairings, kind[1],
                                                    skip=skip)
             if zf.scalar != expected:
                 raise ConsistencyError(MODULE, "coefficient_slice",
@@ -186,11 +160,14 @@ def coefficient_slice(data, classes, order) -> Slice:
                                        "closed form",
                                        {"pairings": cls.pairings,
                                         "got": zf.scalar, "want": expected})
-            divisors[key] = divisors.get(
-                key, Series.zero(weights, frac(order))) + term
+            terms = divisors.setdefault(kind[1], {})
         else:
-            h0_z2 = h0_z2 + term
-    return Slice(sector_series=sectors, divisor_series=divisors, h0_z2=h0_z2)
+            terms = h0_z2
+        terms[y_monomial(data, cls)] = zf.scalar
+    weights, order = data.y_weights(), frac(order)
+    return Slice({k: Series(weights, order, t) for k, t in sectors.items()},
+                 {k: Series(weights, order, t) for k, t in divisors.items()},
+                 Series(weights, order, h0_z2))
 
 
 def relative_ifunction_oracle(cd, bound):
@@ -234,7 +211,5 @@ def relative_ifunction_oracle(cd, bound):
             MODULE, op,
             "z^-2 degree-0 extraction is not the single compactifying "
             "monomial", sl.h0_z2.first_difference(expect))
-    return {"z1_sectors": sl.sector_series,
-            "z1_divisors": sl.divisor_series,
-            "z2_h0": sl.h0_z2,
-            "base_classes": base_classes}
+    return {"z1_sectors": sl.sector_series, "z1_divisors": sl.divisor_series,
+            "z2_h0": sl.h0_z2, "base_classes": base_classes}

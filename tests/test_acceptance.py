@@ -109,22 +109,26 @@ def corrected_potential_oracle(n):
 
 def test_criterion_1_kp2_potential(capsys):
     t0 = time.perf_counter()
-    code = main(["invariants", "kp2", "--disk", "ray:0", "--order", "4",
+    code = main(["invariants", "kp2", "--disk", "ray:0", "--order", "8",
                  "--format", "json"])
     out = capsys.readouterr().out
     assert code == 0
     rep = json.loads(out)
     got = Series.from_json(rep["potential"]["series"])
-    oracle = corrected_potential_oracle(4)
-    assert oracle[:4] == [F(1), F(-2), F(5), F(-32)]  # frozen hand values
-    want = Series({"q1": F(1)}, 4,
-                  {mono(("q1", k)): oracle[k] for k in range(5)})
+    oracle = corrected_potential_oracle(8)
+    # the local-plane disk numbers (Aganagic-Klemm-Vafa, hep-th/0105045;
+    # Graber-Zaslow, hep-th/0109075)
+    assert oracle == [F(1), F(-2), F(5), F(-32), F(286), F(-3038), F(35870),
+                      F(-454880), F(6073311)]
+    want = Series({"q1": F(1)}, 8,
+                  {mono(("q1", k)): oracle[k] for k in range(9)})
     assert got == want
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
     with capsys.disabled():
-        report(1, f"local-plane potential 1 - 2q + 5q^2 - 32q^3 + "
-                  f"{oracle[4]}q^4 exact in {elapsed:.2f}s")
+        report(1, f"local-plane potential 1 - 2q + 5q^2 - 32q^3 + 286q^4 "
+                  f"- 3038q^5 + 35870q^6 - 454880q^7 + {oracle[8]}q^8 exact "
+                  f"in {elapsed:.2f}s")
 
 
 def test_criterion_2_c3z3_potential(capsys):

@@ -216,6 +216,28 @@ def test_order_below_first_relation(capsys, argv, relation, least):
     assert code == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ("nosuchcmd",), (), ("analyze", "kp2", "--format", "xml"),
+    ("invariants", "kp2", "--order", "2"), ("mirror-map", "kp2", "--bogus"),
+], ids=["unknown-command", "no-arguments", "bad-format", "missing-disk",
+        "unknown-option"])
+def test_malformed_argv_is_structured(capsys, argv):
+    # argparse's own errors become a structured error: JSON on stderr, exit
+    # code 2, returned from main rather than raised as SystemExit
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    payload = json.loads(err)["error"]
+    assert (payload["module"], payload["operation"]) == ("cli", "argv")
+    assert "usage:" not in err
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: orbidisk")
+
+
 @pytest.mark.parametrize("order", ["abc", "1/0"])
 def test_order_must_be_rational(capsys, order):
     code, _, err = run(capsys, "invariants", "kp2", "--disk", "ray:0",

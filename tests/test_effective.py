@@ -5,10 +5,11 @@ from math import gcd
 import pytest
 
 from orbidisk import fans
-from orbidisk.effective import (dual_class, eff_class, enumerate_effective,
+from orbidisk.effective import (EffClass, dual_class, enumerate_effective,
                                 is_effective, sector)
 from orbidisk.errors import ValidationError
-from orbidisk.fan import fan_from_dict, kernel_data, validate_compactification
+from orbidisk.fan import (fan_from_dict, kernel_data, validate_compactification,
+                          zero_box)
 from orbidisk.hyper import y_monomial
 from test_generalization import LOCAL_QUADRIC
 from test_mirrormap import column_series
@@ -20,12 +21,60 @@ def data_for(name, **kw):
     return kernel_data(fans.load(name), **kw)
 
 
+# Fraction reference of the class layer: production runs on int numerators
+# over one class denominator, these restate each value from its definition
+# with Fraction arithmetic (test oracle)
+
+
+def pairings_reference(data, coords) -> tuple:
+    """Pairing with every column of d = sum_a coords_a gamma_a."""
+    return tuple(sum((F(c) * g[i] for c, g in zip(coords, data.gamma)), F(0))
+                 for i in range(data.m_prime))
+
+
+def effective_reference(data, pairings) -> bool:
+    """The columns pairing outside Z>=0 are rays spanning a cone."""
+    bad = {i for i, p in enumerate(pairings) if not _is_nonneg_int(F(p))}
+    if any(data.is_extra(i) for i in bad):
+        return False
+    return any(bad <= set(c) for c in data.max_cones)
+
+
+def sector_reference(data, pairings):
+    """Ray-wise fractional parts of the negated pairings, as a box element
+    (of an admissible class: its fractional rays span a cone)."""
+    support, coeffs = [], []
+    for i, p in enumerate(pairings):
+        f = -F(p) - (-F(p)).__floor__()
+        if f != 0:
+            assert not data.is_extra(i)
+            support.append(i)
+            coeffs.append(f)
+    if not support:
+        return zero_box(data.n)
+    assert any(set(support) <= set(c) for c in data.max_cones)
+    vec = tuple(sum((data.column_vector(i)[k] * c
+                     for i, c in zip(support, coeffs)), F(0))
+                for k in range(data.n))
+    assert all(x.denominator == 1 for x in vec)
+    (box,) = [b for b in data.boxes if b.vector == tuple(map(int, vec))]
+    return box
+
+
+def eff_class_reference(data, coords) -> EffClass:
+    coords = tuple(F(c) for c in coords)
+    pairings = pairings_reference(data, coords)
+    return EffClass(coords=coords, pairings=pairings,
+                    grade=sum(coords, F(0)),
+                    sector=sector_reference(data, pairings))
+
+
 def brute_force_effective(data, bound, denominator=None) -> list:
     """Independent grid enumeration for small kernel ranks (test oracle).
 
     Scans all coordinate tuples with the box-denominator cleared inside a box
     large enough to contain every class of grade <= bound, keeping those that
-    pass the membership predicate.
+    pass the membership predicate restated above.
     """
     bound = F(bound)
     r = data.r
@@ -47,9 +96,8 @@ def brute_force_effective(data, bound, denominator=None) -> list:
         grade = sum(coords, F(0))
         if grade <= 0 or grade > bound:
             continue
-        pairings = data.pairings_from_coords(coords)
-        if is_effective(data, pairings):
-            out.append(eff_class(data, coords))
+        if effective_reference(data, pairings_reference(data, coords)):
+            out.append(eff_class_reference(data, coords))
     out.sort(key=lambda c: (c.grade, c.coords))
     return out
 
@@ -187,13 +235,25 @@ def test_membership_predicate():
     assert not is_effective(dataz, [F(-1, 3), F(-1, 3), F(-1, 3), F(1, 2)])
 
 
+def _rank_two_data(name):
+    if name == "local_quadric":
+        return kernel_data(fan_from_dict(LOCAL_QUADRIC))
+    if name == "c3z3_bar":
+        return validate_compactification(fans.load("c3z3"),
+                                         fans.load("c3z3_bar"),
+                                         ("box", 3)).bar
+    return data_for(name)
+
+
 @pytest.mark.parametrize("name,bound", [
-    ("kp2", 4), ("conifold", 4), ("c3z3", F(7, 3))])
+    ("kp2", 4), ("conifold", 4), ("c3z3", F(7, 3)), ("local_quadric", 3),
+    ("c3z3_bar", 2)])
 def test_brute_force_completeness(name, bound):
-    data = data_for(name)
+    # whole classes: coordinates, pairings, grade and sector
+    data = _rank_two_data(name)
     fast = enumerate_effective(data, bound)
     slow = brute_force_effective(data, bound)
-    assert [c.coords for c in fast] == [c.coords for c in slow]
+    assert fast and fast == slow
 
 
 def test_additivity_closure():

@@ -1,16 +1,145 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbidisk import fans
-from orbidisk.effective import eff_class, enumerate_effective
-from orbidisk.fan import kernel_data, validate_compactification
-from orbidisk.hyper import (coefficient_slice, hyper_factor,
-                            relative_ifunction_oracle, z_extract)
-from orbidisk.series import mono
+from orbidisk.effective import eff_class, enumerate_effective, sector
+from orbidisk.errors import ValidationError
+from orbidisk.fan import fan_from_dict, kernel_data, validate_compactification
+from orbidisk.hyper import (FactorExpansion, Slice, ZFactors,
+                            coefficient_slice, hyper_factor,
+                            relative_ifunction_oracle, y_monomial, z_extract)
+from orbidisk.series import Series, mono
+from test_effective import eff_class_reference, sector_reference
+from test_generalization import LOCAL_QUADRIC, WEIGHTED_BASIS, WEIGHTED_SURFACE
 
 F = Fraction
+
+
+# ---------------------------------------------------------------------------
+# Fraction reference of the forward layer: production multiplies int
+# numerators over one denominator per class; these iterate the progressions
+# in Fractions and add one single-term Series per class (test oracle)
+
+
+def hyper_factor_reference(p) -> FactorExpansion:
+    p = F(p)
+    scalar, count = F(1), 0
+    a = p
+    while a > 0:
+        scalar /= a
+        count -= 1
+        a -= 1
+    a = p + 1
+    while a < 0:
+        scalar *= a
+        count += 1
+        a += 1
+    return FactorExpansion(F(count), scalar, int(p < 0 and p.denominator == 1))
+
+
+def z_extract_reference(data, cls) -> ZFactors:
+    inf_col = data.infinity_column
+    z_exp, scalar, forced, inf_pair = F(0), F(1), [], None
+    for i, p in enumerate(cls.pairings):
+        if i == inf_col:
+            inf_pair = p
+            assert p >= 0 and p.denominator == 1
+            if p > 0:
+                z_exp -= 1
+                scalar /= p
+            continue
+        f = hyper_factor_reference(p)
+        z_exp += f.z_exponent
+        scalar *= f.scalar
+        if f.forced_divisor:
+            forced.append(i)
+    toric_sum = sum((p for i, p in enumerate(cls.pairings) if i != inf_col),
+                    F(0))
+    expected = -toric_sum - cls.sector.age - len(forced)
+    assert z_exp == expected - (inf_pair is not None and inf_pair > 0)
+    return ZFactors(z_exp, scalar, tuple(forced), inf_pair)
+
+
+def closed_form_reference(pairings, j, skip=()):
+    k = int(-pairings[j])
+    den = F(1)
+    for i, q in enumerate(pairings):
+        if i != j and i not in skip:
+            assert q.denominator == 1 and q >= 0
+            den *= factorial(int(q))
+    return F((-1) ** (k - 1) * factorial(k - 1)) / den
+
+
+def coefficient_slice_reference(data, classes, order) -> Slice:
+    weights = data.y_weights()
+    zero = Series.zero(weights, order)
+    sectors, divisors, h0_z2 = {}, {}, zero
+    skip = () if data.infinity_column is None else (data.infinity_column,)
+    for cls in classes:
+        zf = z_extract_reference(data, cls)
+        kind = zf.classify(cls)
+        if kind is None:
+            continue
+        term = Series.monomial(y_monomial(data, cls), zf.scalar, weights,
+                               order)
+        if kind[0] == "sector":
+            key = kind[1].vector
+            sectors[key] = sectors.get(key, zero) + term
+        elif kind[0] == "divisor":
+            assert zf.scalar == closed_form_reference(cls.pairings, kind[1],
+                                                      skip)
+            divisors[kind[1]] = divisors.get(kind[1], zero) + term
+        else:
+            h0_z2 = h0_z2 + term
+    return Slice(sectors, divisors, h0_z2)
+
+
+def _forward_case(name):
+    """(data, bound): the bundled fans at bound 6 (c3z3_bar, which enumerates
+    only through its compactification, is covered below), the three bar fans
+    at the bound their oracle enumerates for order 10 (4 on c3), the local
+    quadric at 7, and the weighted surface, whose pairings are halves."""
+    if name in fans.NAMES:
+        return kernel_data(fans.load(name)), 6
+    if name == "local_quadric":
+        return kernel_data(fan_from_dict(LOCAL_QUADRIC)), 7
+    if name == "weighted_surface":
+        return kernel_data(fan_from_dict(WEIGHTED_SURFACE),
+                           basis_p=WEIGHTED_BASIS), 4
+    base, disk, order = {"c3_oracle": ("c3", ("ray", 2), 4),
+                         "kp2_oracle": ("kp2", ("ray", 0), 10),
+                         "c3z3_oracle": ("c3z3", ("box", 3), 10)}[name]
+    cd = validate_compactification(fans.load(base), fans.load(base + "_bar"),
+                                   disk)
+    bar = cd.bar
+    return bar, order + bar.grade(bar.coords_from_pairings(cd.beta_bar))
+
+
+@pytest.mark.parametrize("name", [
+    "c3", "conifold", "kp2", "c3z3", "c3_bar", "kp2_bar", "c3_oracle",
+    "kp2_oracle", "c3z3_oracle", "local_quadric", "weighted_surface"])
+def test_forward_layer_matches_fraction_reference(name):
+    data, bound = _forward_case(name)
+    classes = enumerate_effective(data, bound)
+    assert classes == [eff_class_reference(data, c.coords) for c in classes]
+    for cls in classes:
+        assert eff_class(data, cls.coords) == cls
+        assert sector(data, cls.pairings) == sector_reference(data,
+                                                              cls.pairings)
+        assert z_extract(data, cls) == z_extract_reference(data, cls)
+        for p in cls.pairings:
+            assert hyper_factor(p) == hyper_factor_reference(p)
+    assert coefficient_slice(data, classes, bound) == \
+        coefficient_slice_reference(data, classes, bound)
+
+
+def test_c3z3_bar_plain_fan_refuses():
+    # without its compactification the bar fan's default basis is not nef
+    with pytest.raises(ValidationError, match="negative coordinate"):
+        enumerate_effective(kernel_data(fans.load("c3z3_bar")), 6)
 
 
 # ---------------------------------------------------------------------------

@@ -300,3 +300,36 @@ def test_disk_potential_kernel_stays_packed(monkeypatch, case, disk, order):
     data = data_for("c3z3") if case == "c3z3" else _data_of(case)
     disk_potential(data, disk, order)
     assert calls[0] > 0
+
+
+@pytest.mark.parametrize("case", ["c3z3-oracle-4/3", "local_quadric-5"])
+def test_forward_layer_stays_integral(monkeypatch, case):
+    # the class scan and the hypergeometric factor core see ints only:
+    # Fractions enter the forward layer at EffClass and ZFactors, never in
+    # its inner loops
+    from orbidisk import effective, hyper
+
+    calls = {"scan": 0, "factor": 0}
+    scan, factor = effective._scan, hyper._factor
+
+    def ints(x):
+        return type(x) is int or (type(x) is tuple and all(map(ints, x)))
+
+    def checked_scan(gens, grades, i, room, coords, found):
+        assert all(map(ints, (gens, grades, i, room, coords)))
+        calls["scan"] += 1
+        scan(gens, grades, i, room, coords, found)
+
+    def checked_factor(P, N):
+        out = factor(P, N)
+        assert ints((P, N)) and ints(out)
+        calls["factor"] += 1
+        return out
+
+    monkeypatch.setattr(effective, "_scan", checked_scan)
+    monkeypatch.setattr(hyper, "_factor", checked_factor)
+    if case.startswith("c3z3"):
+        compare_potentials(cd_for("c3z3", "c3z3_bar", ("box", 3)), F(4, 3))
+    else:
+        disk_potential(_data_of("local_quadric"), ("ray", 0), 5)
+    assert calls["scan"] and calls["factor"]
