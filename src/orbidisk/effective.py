@@ -16,21 +16,19 @@ have one int core on (L, P).  An EffClass gets its Fractions after the sort.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import lcm
 from operator import add, mul
 
-from .errors import ValidationError, ConsistencyError
+from .errors import ValidationError, ConsistencyError, Value
 from .fan import BoxElement, ToricData, zero_box
 from .series import frac
 
 MODULE = "class-enumerator"
 
 
-@dataclass(frozen=True)
-class EffClass:
+class EffClass(Value):
     coords: tuple     # coordinates in the kernel basis
     pairings: tuple   # pairing with every divisor column
     grade: Fraction

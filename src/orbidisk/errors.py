@@ -1,4 +1,4 @@
-"""Error types shared by all modules.
+"""Error types and the immutable value base shared by all modules.
 
 Every error names the module and operation it came from, plus the offending
 datum, so a CLI report can be produced mechanically.
@@ -38,3 +38,68 @@ class ConsistencyError(OrbidiskError):
     """A mathematical cross-check failed (oracle mismatch, broken identity)."""
 
     exit_code = 3
+
+
+class Value:
+    """Base of the package's immutable values, in place of frozen dataclasses.
+
+    A subclass's fields are its annotations, in order; a class attribute named
+    like a field is its default, and a dict default is copied per instance.
+    Instances take fields positionally or by keyword, refuse assignment and
+    deletion, compare and hash by their field tuple, and repr like a
+    dataclass.  Nothing is generated at class creation, and `dataclasses`
+    (with `inspect` behind it) stays out of every process's start-up.
+    """
+
+    _fields = ()
+    _defaults = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = cls.__dict__.get("__annotations__", {})
+        cls._fields = tuple(dict.fromkeys((*cls._fields, *own)))
+        cls._defaults = {n: getattr(cls, n) for n in cls._fields
+                         if hasattr(cls, n)}
+
+    def __init__(self, *args, **kwargs):
+        # the instance dict holds exactly the fields, in field order
+        cls = type(self)
+        names = cls._fields
+        if len(args) > len(names):
+            raise TypeError(f"{cls.__name__}() takes {len(names)} arguments "
+                            f"but {len(args)} were given")
+        values = self.__dict__
+        values.update(zip(names, args))
+        for name in names[len(args):]:
+            if name in kwargs:
+                values[name] = kwargs.pop(name)
+            elif name in cls._defaults:
+                default = cls._defaults[name]
+                values[name] = dict(default) if type(default) is dict \
+                    else default
+            else:
+                raise TypeError(f"{cls.__name__}() missing required "
+                                f"argument {name!r}")
+        if kwargs:
+            name = next(iter(kwargs))
+            problem = "got multiple values for" if name in values else \
+                "got an unexpected keyword"
+            raise TypeError(f"{cls.__name__}() {problem} argument {name!r}")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.__dict__ == other.__dict__
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={v!r}" for n, v in self.__dict__.items())
+        return f"{type(self).__qualname__}({fields})"

@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
 from . import linalg
-from .errors import ValidationError, ConsistencyError
+from .errors import ValidationError, ConsistencyError, Value
 from .series import frac, frac_str
 
 MODULE = "fan-core"
@@ -33,8 +32,7 @@ def _verr(op, msg, datum=None):
 # stacky fans
 
 
-@dataclass(frozen=True)
-class StackyFan:
+class StackyFan(Value):
     rank: int
     rays: tuple            # tuple of integer vectors
     cones: tuple           # tuple of sorted index tuples
@@ -219,11 +217,10 @@ def minimal_cone(fan: StackyFan, vector):
 # box elements
 
 
-@dataclass(frozen=True)
-class BoxElement:
+class BoxElement(Value):
     vector: tuple
     cone: tuple         # ray indices of the minimal cone
-    coefficients: tuple  # (ray index, Fraction) pairs, matching `cone`
+    coefficients: tuple  # Fractions in (0, 1), one per ray of `cone`
     age: Fraction
 
     def is_zero(self):
@@ -293,8 +290,7 @@ def box_elements(fan: StackyFan, cy_mode: bool = False):
 # derived toric data
 
 
-@dataclass(frozen=True)
-class ToricData:
+class ToricData(Value):
     fan: StackyFan
     gamma: list                  # kernel basis, columns of Z^{m'} (length r)
     anticones: tuple             # (cone, anticone, generators) per maximal cone
@@ -306,7 +302,7 @@ class ToricData:
     # compactified bookkeeping (None for plain fans)
     infinity_column: int | None = None
     q_count: int | None = None          # number of plain q variables
-    tau_names: dict = field(default_factory=dict)
+    tau_names: dict = {}
 
     @property
     def n(self):
@@ -392,10 +388,17 @@ class ToricData:
     # -- dual classes ------------------------------------------------------------
 
     def extra_cone_data(self, j):
-        """(ray indices, coefficients) of the minimal cone containing extra j."""
+        """(ray indices, coefficients) of the minimal cone containing extra j.
+
+        An age-1 extra vector (every one, on a CY fan) is read off the box
+        element `box_elements` already solved; only another extra vector,
+        such as one equal to a ray, is solved here."""
         if not (self.m <= j < self.m_prime):
             raise _verr("dual_class", f"index {j} is not an extra vector column", j)
         vec = self.fan.column(j)
+        for b in self.age1_boxes:
+            if b.vector == vec:
+                return b.cone, b.coefficients
         mc = minimal_cone(self.fan, vec)
         if mc is None:
             raise ConsistencyError(MODULE, "dual_class",
@@ -598,8 +601,7 @@ def verify_semi_fano(data: ToricData):
 # compactification
 
 
-@dataclass(frozen=True)
-class CompactifiedData:
+class CompactifiedData(Value):
     base: ToricData
     bar: ToricData
     disk: tuple                 # ("ray", i0) or ("box", j0) in base columns
@@ -607,7 +609,7 @@ class CompactifiedData:
     d_infinity: list            # pairing vector over bar columns
     beta_bar: list              # pairing vector over bar columns
     col_map: dict               # base column -> bar column
-    complete_certificate: dict = field(default_factory=dict)
+    complete_certificate: dict = {}
 
     def base_to_bar_pairings(self, pairings):
         out = [Fraction(0)] * self.bar.m_prime

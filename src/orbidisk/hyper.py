@@ -22,18 +22,16 @@ columns and makes one Fraction per class, the ZFactors scalar.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm, prod
 
-from .errors import ConsistencyError
+from .errors import ConsistencyError, Value
 from .series import Series, frac, mono
 
 MODULE = "ifunction-engine"
 
 
-@dataclass(frozen=True)
-class FactorExpansion:
+class FactorExpansion(Value):
     z_exponent: Fraction
     scalar: Fraction
     forced_divisor: int  # 0 or 1
@@ -56,8 +54,7 @@ def hyper_factor(p) -> FactorExpansion:
     return FactorExpansion(Fraction(count), Fraction(num, den), forced)
 
 
-@dataclass(frozen=True)
-class ZFactors:
+class ZFactors(Value):
     """Combined factor data of one class."""
     z_exponent: Fraction
     scalar: Fraction
@@ -115,8 +112,7 @@ def y_monomial(data, cls):
     return mono(*zip(data.y_vars(), cls.coords))
 
 
-@dataclass(frozen=True)
-class Slice:
+class Slice(Value):
     """z^-1 and z^-2 coefficient data summed over enumerated classes."""
     sector_series: dict   # box vector -> Series
     divisor_series: dict  # column -> Series

@@ -9,12 +9,11 @@ variable.  The two must agree exactly, term by term.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
 from .effective import dual_class
-from .errors import ConsistencyError
+from .errors import ConsistencyError, Value
 from .fan import CompactifiedData, ToricData
 from .hyper import y_monomial
 from .mirrormap import (MirrorMap, inverse_mirror_map, relative_mirror_map,
@@ -24,8 +23,7 @@ from .series import Series, frac, mono, mono_pow
 MODULE = "invariants"
 
 
-@dataclass(frozen=True)
-class DiskPotential:
+class DiskPotential(Value):
     disk: tuple             # ("ray", i) or ("box", j)
     series: Series          # in flat/twisted variables
     normalization: str      # "1+delta" or "tau+delta"
@@ -98,8 +96,7 @@ def _potential(data: ToricData, mirror: MirrorMap, inverse: dict, disk,
 # invariant extraction
 
 
-@dataclass(frozen=True)
-class InvariantTable:
+class InvariantTable(Value):
     disk: tuple
     entries: dict   # (alpha tuple, ((label, count), ...)) -> Fraction
     data: ToricData

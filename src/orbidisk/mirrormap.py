@@ -13,11 +13,10 @@ which is asserted.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .effective import dual_class, enumerate_effective
-from .errors import ConsistencyError, ValidationError
+from .errors import ConsistencyError, ValidationError, Value
 from .fan import CompactifiedData, ToricData, verify_semi_fano
 from .hyper import coefficient_slice, relative_ifunction_oracle, y_monomial
 from .series import Series, frac, frac_str, invert_map, mono, mono_grade
@@ -36,8 +35,7 @@ def g_series(data: ToricData, sector_series, divisor_series, order) -> dict:
     return g
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(Value):
     """One forward relation: target = monomial(y) * exp(correction(y)),
     or target = series(y) for twisted-sector targets."""
     target: str
@@ -53,8 +51,7 @@ class Relation:
         return d
 
 
-@dataclass(frozen=True)
-class MirrorMap:
+class MirrorMap(Value):
     data: ToricData
     order: Fraction
     g: dict                      # column -> Series

@@ -8,12 +8,11 @@ splitting the lattice along the Calabi-Yau covector.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
 from .effective import dual_class
-from .errors import ConsistencyError, ValidationError
+from .errors import ConsistencyError, ValidationError, Value
 from .fan import ToricData
 from .invariants import disk_potentials
 from .series import frac, frac_str
@@ -21,8 +20,7 @@ from .series import frac, frac_str
 MODULE = "syz-builder"
 
 
-@dataclass(frozen=True)
-class GaugeChoice:
+class GaugeChoice(Value):
     cone: tuple  # ray indices of a listed full-dimensional cone
 
     @classmethod
@@ -133,8 +131,7 @@ def reduced_exponent(data: ToricData, basis, w, b):
     return [int(c) for c in x]
 
 
-@dataclass(frozen=True)
-class MirrorPotential:
+class MirrorPotential(Value):
     data: ToricData
     gauge: GaugeChoice
     coefficients: dict        # column -> exponent vector over flat variables

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -88,6 +91,42 @@ def test_oracle_kp2(capsys):
     assert code == 0
     assert out.startswith("MATCH")
     assert "1 - 2*q1 + 5*q1^2 - 32*q1^3" in out
+
+
+def test_oracle_solves_each_minimal_cone_once(capsys, monkeypatch):
+    # extra columns read their minimal cone off the age-1 box table; what is
+    # left is validate_fan's one extra vector per fan and the bar fan's
+    # ray-negative certificate, one call per ray of c3z3_bar
+    from orbidisk import fan
+    calls = []
+    solve = fan.minimal_cone
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(fan, "minimal_cone", counted)
+    code, out, _ = run(capsys, "oracle", "c3z3", "--bar", "c3z3_bar",
+                       "--disk", "box:3", "--order", "10")
+    assert code == 0 and out.startswith("MATCH")
+    assert len(calls) == 1 + 1 + 4
+
+
+def test_import_loads_no_dataclasses():
+    # dataclasses, and inspect behind it, cost a start-up's import and the
+    # exec of every generated method; modules `site` loads do not count
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+
+    def loaded(statement):
+        probe = f"import sys; {statement}; print(*sorted(sys.modules))"
+        child = subprocess.run([sys.executable, "-c", probe],
+                               env={**os.environ, "PYTHONPATH": src},
+                               capture_output=True, text=True, check=True)
+        return set(child.stdout.split())
+
+    added = loaded("import orbidisk.cli") - loaded("pass")
+    assert "orbidisk.cli" in added
+    assert added & {"dataclasses", "inspect"} == set()
 
 
 def test_validation_error_exit_code(capsys, tmp_path):

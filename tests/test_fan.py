@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import importlib
 import itertools
@@ -10,7 +9,7 @@ import pytest
 
 import orbidisk
 from orbidisk import fans, linalg
-from orbidisk.errors import ConsistencyError, ValidationError
+from orbidisk.errors import ConsistencyError, ValidationError, Value
 from orbidisk.fan import (box_elements, calabi_yau_covector, fan_from_dict,
                           kernel_data, parse_stacky_fan,
                           validate_compactification, verify_calabi_yau,
@@ -284,6 +283,8 @@ def test_dual_class_extra_on_ray():
            "extra_vectors": [[1, 0]]}
     fan = fan_from_dict(doc)
     data = kernel_data(fan, cy_mode=False)
+    assert data.age1_boxes == []
+    assert data.extra_cone_data(2) == ((0,), (F(1),))
     assert data.dual_class_pairings(2) == [F(-1), F(0), F(1)]
 
 
@@ -431,6 +432,16 @@ def test_semi_fano_matches_direct_solve(case):
     assert e.value.datum["multipliers"] == [str(x) for x in bad[0][1]]
 
 
+@pytest.mark.parametrize("case", TABLE_IDS)
+def test_extra_cone_data_matches_minimal_cone(case):
+    # the age-1 box table answers what minimal_cone would solve afresh
+    from orbidisk.fan import minimal_cone
+    data = table_data()[case]
+    for j in data.extra_columns():
+        assert data.extra_cone_data(j) == \
+            minimal_cone(data.fan, data.fan.column(j))
+
+
 def test_fan_with_listed_faces():
     # explicitly listed faces are tolerated and change nothing
     doc = json.loads(fans.read("kp2"))
@@ -455,18 +466,28 @@ def test_fan_face_of_orbifold_cone():
 # immutable values
 
 
-def test_every_dataclass_is_frozen():
+def value_classes():
+    """Every `Value` subclass defined in one of the package's modules."""
     found = []
     for info in pkgutil.iter_modules(orbidisk.__path__):
         mod = importlib.import_module(f"orbidisk.{info.name}")
         found += [obj for obj in vars(mod).values()
-                  if isinstance(obj, type) and dataclasses.is_dataclass(obj)
+                  if isinstance(obj, type) and issubclass(obj, Value)
+                  and obj is not Value
                   and obj.__module__ == mod.__name__]
-    assert len(found) >= 10
-    assert [c.__name__ for c in found
-            if not c.__dataclass_params__.frozen] == []
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        kernel_data(load("kp2")).gamma = []
+    return found
+
+
+def test_every_value_is_frozen():
+    assert len(value_classes()) >= 10
+    box = box_elements(load("c3z3"))[0][0]
+    for value, field in ((kernel_data(load("kp2")), "gamma"), (box, "age")):
+        before = getattr(value, field)
+        with pytest.raises(AttributeError):
+            setattr(value, field, [])
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+        assert getattr(value, field) is before
 
 
 def test_coords_from_pairings():
