@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 
 from . import fans
 from .errors import OrbidiskError, ValidationError
@@ -265,6 +264,7 @@ def write_output(text: str, path):
     if path is None:
         sys.stdout.write(text)
         return
+    import tempfile
     d = os.path.dirname(os.path.abspath(path)) or "."
     try:
         fd, tmp = tempfile.mkstemp(dir=d, prefix=".orbidisk-")

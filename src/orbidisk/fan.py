@@ -174,14 +174,11 @@ def _check_fan_pairs(fan: StackyFan):
     n = fan.rank
     for c1, c2 in itertools.combinations(fan.cones, 2):
         shared = set(c1) & set(c2)
-        for i in set(c1) - shared:
-            if cone_membership([fan.rays[j] for j in c2], fan.rays[i]) is not None:
-                raise _verr(op, f"ray {i} of cone {c1} lies inside cone {c2} "
-                                "but is not a shared ray", (c1, c2))
-        for i in set(c2) - shared:
-            if cone_membership([fan.rays[j] for j in c1], fan.rays[i]) is not None:
-                raise _verr(op, f"ray {i} of cone {c2} lies inside cone {c1} "
-                                "but is not a shared ray", (c1, c2))
+        for c, d in ((c1, c2), (c2, c1)):
+            for i in set(c) - shared:
+                if cone_membership([fan.rays[j] for j in d], fan.rays[i]) is not None:
+                    raise _verr(op, f"ray {i} of cone {c} lies inside cone {d} "
+                                    "but is not a shared ray", (c1, c2))
         if len(c1) == n and len(c2) == n and len(shared) == n - 1:
             facet = sorted(shared)
             a = [list(fan.rays[i]) for i in facet]
@@ -263,11 +260,10 @@ def _box_of_cone(fan: StackyFan, cone):
     return out
 
 
-def box_elements(fan: StackyFan, cy_mode: bool = False):
-    """All nonzero box elements of the fan, deduplicated, plus the age-1 subset.
-
-    In CY mode the declared extra vectors must equal the age-1 set exactly.
-    """
+def box_elements(fan: StackyFan):
+    """All nonzero box elements of the fan, deduplicated and sorted by (age,
+    vector), plus the age-1 subset.  Each keeps its minimal cone.  Comparing
+    the age-1 set with the declared extra vectors is `kernel_data`'s job."""
     seen = {}
     for cone in fan.cones:
         for b in _box_of_cone(fan, cone):
@@ -275,15 +271,7 @@ def box_elements(fan: StackyFan, cy_mode: bool = False):
             if prev is None or len(b.cone) < len(prev.cone):
                 seen[b.vector] = b
     boxes = sorted(seen.values(), key=lambda b: (b.age, b.vector))
-    age1 = [b for b in boxes if b.age == 1]
-    if cy_mode:
-        declared = sorted(fan.extra_vectors)
-        computed = sorted(b.vector for b in age1)
-        if declared != computed:
-            raise _verr("box_elements",
-                        "declared extra vectors do not match the age-1 box set",
-                        {"declared": declared, "computed": computed})
-    return boxes, age1
+    return boxes, [b for b in boxes if b.age == 1]
 
 
 # ---------------------------------------------------------------------------
@@ -388,22 +376,18 @@ class ToricData(Value):
     # -- dual classes ------------------------------------------------------------
 
     def extra_cone_data(self, j):
-        """(ray indices, coefficients) of the minimal cone containing extra j.
-
-        An age-1 extra vector (every one, on a CY fan) is read off the box
-        element `box_elements` already solved; only another extra vector,
-        such as one equal to a ray, is solved here."""
+        """(ray indices, coefficients) of the minimal cone containing extra j,
+        read off the age-1 box element `box_elements` already solved: the
+        extra vectors are exactly the age-1 set (`kernel_data` checks it, and
+        `validate_compactification` that the bar fan has the base's)."""
         if not (self.m <= j < self.m_prime):
             raise _verr("dual_class", f"index {j} is not an extra vector column", j)
         vec = self.fan.column(j)
         for b in self.age1_boxes:
             if b.vector == vec:
                 return b.cone, b.coefficients
-        mc = minimal_cone(self.fan, vec)
-        if mc is None:
-            raise ConsistencyError(MODULE, "dual_class",
-                                   f"extra vector {vec} left the support", vec)
-        return mc
+        raise ConsistencyError(MODULE, "dual_class", f"extra vector {vec} is "
+                               "not an age-1 box element", vec)
 
     def dual_class_pairings(self, j):
         """Pairing vector of the dual class attached to extra column j:
@@ -494,17 +478,37 @@ def _default_kernel_basis(fan: StackyFan, kernel):
     return kernel, split_ok
 
 
-def kernel_data(fan: StackyFan, basis_p=None, cy_mode: bool = True) -> ToricData:
+def _toric_data(fan: StackyFan, gamma, op, **bookkeeping) -> ToricData:
+    """ToricData of `fan` on the kernel basis `gamma`, with its boxes, its
+    anticone table and the `bookkeeping` fields, once gamma is checked: each
+    vector in the kernel, m' - n of them, elementary divisors all +-1."""
+    for g in gamma:
+        for k in range(fan.rank):
+            if sum(g[i] * fan.column(i)[k] for i in range(fan.m_prime)) != 0:
+                raise ConsistencyError(MODULE, op, "kernel relation violated", g)
+    divs = linalg.elementary_divisors(gamma)
+    if len(gamma) != fan.m_prime - fan.rank or len(divs) != len(gamma) or \
+            any(abs(d) != 1 for d in divs):
+        raise ConsistencyError(MODULE, op, "kernel basis is not saturated",
+                               {"gamma": gamma, "divisors": divs})
+    gamma = [list(g) for g in gamma]
+    boxes, age1 = box_elements(fan)
+    return ToricData(fan=fan, gamma=gamma, anticones=_anticones(fan, gamma),
+                     boxes=boxes, age1_boxes=age1, **bookkeeping)
+
+
+def kernel_data(fan: StackyFan, basis_p=None) -> ToricData:
     """Derive the toric data of a stacky fan.
 
     basis_p, when given, is a list of r rational row vectors of length m'
     (lifts of a dual-lattice basis); it must induce a unimodular change of
-    kernel basis.  Otherwise a deterministic default is constructed.
+    kernel basis.  Otherwise a deterministic default is constructed.  The
+    extra vectors, when any are listed, must be exactly the age-1 box
+    elements, whether or not the fan is Calabi-Yau (ValidationError).
     """
     op = "kernel_data"
     if not any(len(c) == fan.rank for c in fan.cones):
         raise _verr(op, "fan has no full-dimensional cone", fan.cones)
-    boxes, age1 = box_elements(fan, cy_mode=cy_mode and bool(fan.extra_vectors))
     cols = fan.columns()
     kernel = linalg.integer_kernel_basis(
         [[cols[j][i] for j in range(len(cols))] for i in range(fan.rank)])
@@ -532,23 +536,20 @@ def kernel_data(fan: StackyFan, basis_p=None, cy_mode: bool = True) -> ToricData
         origin = "user"
         split_ok = True
 
-    # verify the kernel relation for every basis vector
-    for g in gamma:
-        for k in range(fan.rank):
-            if sum(g[i] * fan.column(i)[k] for i in range(fan.m_prime)) != 0:
-                raise ConsistencyError(MODULE, op, "kernel relation violated", g)
-
     # extra divisors must have no component along the distinguished prefix of
     # the basis (their classes die in the quotient); reject otherwise
     if any(gamma[a][j] for a in range(fan.m - fan.rank)
            for j in range(fan.m, fan.m_prime)):
         split_ok = False
 
-    return ToricData(fan=fan, gamma=[list(g) for g in gamma],
-                     anticones=_anticones(fan, gamma),
-                     boxes=boxes, age1_boxes=age1,
-                     cy_covector=calabi_yau_covector(fan),
-                     basis_origin=origin, split_ok=split_ok)
+    data = _toric_data(fan, gamma, op, cy_covector=calabi_yau_covector(fan),
+                       basis_origin=origin, split_ok=split_ok)
+    declared = sorted(fan.extra_vectors)
+    computed = sorted(b.vector for b in data.age1_boxes)
+    if declared and declared != computed:
+        raise _verr(op, "declared extra vectors do not match the age-1 box set",
+                    {"declared": declared, "computed": computed})
+    return data
 
 
 def calabi_yau_covector(fan: StackyFan):
@@ -709,50 +710,21 @@ def validate_compactification(base_fan: StackyFan, bar_fan: StackyFan,
             gext[col_map[c]] = x
         gamma_bar.append(gext)
     d_inf = [0] * mp_bar
-    disk_col_bar = col_map[idx]
-    d_inf[disk_col_bar] = 1
+    d_inf[col_map[idx]] = 1
     d_inf[inf_col] = 1
     gamma_bar.append(d_inf)
 
-    # the chosen vectors must be a saturated basis of the bar kernel
-    cols = bar_fan.columns()
-    a = [[cols[j][i] for j in range(len(cols))] for i in range(bar_fan.rank)]
-    snf_kernel = linalg.integer_kernel_basis(a)
-    if len(snf_kernel) != len(gamma_bar):
-        raise ConsistencyError(MODULE, op, "kernel rank mismatch on compactified fan",
-                               (len(snf_kernel), len(gamma_bar)))
-    if snf_kernel:
-        # express gamma_bar in the SNF kernel basis; the change of basis must
-        # be unimodular for the chosen vectors to be saturated
-        gmat = [[snf_kernel[b][i] for b in range(len(snf_kernel))]
-                for i in range(mp_bar)]
-        tmat = []
-        for g in gamma_bar:
-            x = linalg.solve_rational(gmat, g)
-            if x is None or any(v.denominator != 1 for v in x):
-                raise ConsistencyError(MODULE, op,
-                                       "compactified kernel basis is not integral", g)
-            tmat.append([int(v) for v in x])
-        if abs(linalg.det_rational(tmat)) != 1:
-            raise ConsistencyError(MODULE, op,
-                                   "compactified kernel basis is not saturated", tmat)
-
-    boxes, age1 = box_elements(bar_fan, cy_mode=False)
+    tau_names = {col_map[j]: f"t{j}" for j in base.extra_columns()}
+    bar = _toric_data(bar_fan, gamma_bar, op, cy_covector=None,
+                      basis_origin="compactified", split_ok=base.split_ok,
+                      infinity_column=inf_col, q_count=base.r_prime,
+                      tau_names=tau_names)
     base_age1 = sorted(b.vector for b in base.age1_boxes)
-    bar_age1 = sorted(b.vector for b in age1)
+    bar_age1 = sorted(b.vector for b in bar.age1_boxes)
     if base_age1 != bar_age1:
         raise _verr(op, "compactified fan has different age-1 box elements than "
                         "the base fan",
                     {"base": base_age1, "bar": bar_age1})
-
-    tau_names = {col_map[j]: f"t{j}" for j in base.extra_columns()}
-    bar = ToricData(fan=bar_fan, gamma=gamma_bar,
-                    anticones=_anticones(bar_fan, gamma_bar),
-                    boxes=boxes, age1_boxes=age1,
-                    cy_covector=None,
-                    basis_origin="compactified", split_ok=base.split_ok,
-                    infinity_column=inf_col, q_count=base.r_prime,
-                    tau_names=tau_names)
 
     # beta_bar
     if kind == "ray":

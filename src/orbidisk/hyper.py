@@ -59,7 +59,6 @@ class ZFactors(Value):
     z_exponent: Fraction
     scalar: Fraction
     forced_columns: tuple
-    infinity_pairing: Fraction | None
 
     def classify(self, cls):
         """One of ("sector", box), ("divisor", column), ("h0z2",), or None."""
@@ -103,8 +102,7 @@ def z_extract(data, cls) -> ZFactors:
                                "z-weight bookkeeping violated",
                                {"got": Fraction(z_exp), "want":
                                 Fraction(inf - sum(P), N) - age - shift})
-    return ZFactors(Fraction(z_exp), Fraction(num, den), tuple(forced),
-                    None if inf_col is None else cls.pairings[inf_col])
+    return ZFactors(Fraction(z_exp), Fraction(num, den), tuple(forced))
 
 
 def y_monomial(data, cls):
@@ -169,12 +167,11 @@ def coefficient_slice(data, classes, order) -> Slice:
 def relative_ifunction_oracle(cd, bound):
     """Sum the extractions over the compactified effective classes.
 
-    Returns {"z1_sectors", "z1_divisors", "z2_h0", "base_classes"}: the
-    slice of the compactified fan and the base fan's own enumeration at the
-    same bound.  The z^-2 part valued in the added divisor's degree-0
-    cohomology must be the single monomial of the compactifying class with
-    coefficient one; anything else means the fan or the enumeration is
-    inconsistent.
+    Returns (Slice, base_classes): the slice of the compactified fan and the
+    base fan's own enumeration at the same bound.  The z^-2 part valued in
+    the added divisor's degree-0 cohomology must be the single monomial of
+    the compactifying class with coefficient one; anything else means the
+    fan or the enumeration is inconsistent.
     """
     from .effective import enumerate_effective, eff_class
 
@@ -207,5 +204,4 @@ def relative_ifunction_oracle(cd, bound):
             MODULE, op,
             "z^-2 degree-0 extraction is not the single compactifying "
             "monomial", sl.h0_z2.first_difference(expect))
-    return {"z1_sectors": sl.sector_series, "z1_divisors": sl.divisor_series,
-            "z2_h0": sl.h0_z2, "base_classes": base_classes}
+    return sl, base_classes

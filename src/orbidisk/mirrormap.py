@@ -144,6 +144,18 @@ def _twisted_relations(data: ToricData, g, order):
     return out
 
 
+def _forward(data: ToricData, sl, order):
+    """(g, flat relations, twisted relations) of `data` from the coefficient
+    slice `sl`: one flat relation per plain q variable, one twisted relation
+    per extra column."""
+    g = g_series(data, sl.sector_series, sl.divisor_series, order)
+    flat = [_flat_relation(data, f"q{a + 1}",
+                           [Fraction(int(b == a)) for b in range(data.r)],
+                           g, order)
+            for a in range(data.r_prime)]
+    return g, flat, _twisted_relations(data, g, order)
+
+
 def toric_mirror_map(data: ToricData, order, classes=None) -> MirrorMap:
     """Forward mirror map of a Calabi-Yau semi-Fano fan.
 
@@ -154,42 +166,32 @@ def toric_mirror_map(data: ToricData, order, classes=None) -> MirrorMap:
     order = frac(order)
     if classes is None:
         classes = enumerate_effective(data, order)
-    sl = coefficient_slice(data, classes, order)
-    g = g_series(data, sl.sector_series, sl.divisor_series, order)
-    relations = []
-    for a in range(data.r_prime):
-        coords = [Fraction(int(b == a)) for b in range(data.r)]
-        relations.append(_flat_relation(data, f"q{a + 1}", coords, g, order))
-    relations.extend(_twisted_relations(data, g, order))
-    return MirrorMap(data=data, order=order, g=g, relations=relations)
+    g, flat, twisted = _forward(data, coefficient_slice(data, classes, order),
+                                order)
+    return MirrorMap(data=data, order=order, g=g, relations=flat + twisted)
 
 
 def relative_mirror_map(cd: CompactifiedData, order) -> MirrorMap:
     """Forward mirror map of the compactified pair.
 
     Computed with the same machinery on the compactified fan, from the z^-1
-    pieces of the relative I-function oracle (which runs its own checks);
-    afterwards the non-infinity relations are asserted to coincide with the
-    plain mirror map of the base fan, and the infinity relation matches the
-    disk-class case split: for a ray disk it is the base ray series on top of
-    the new flat variable, for a box disk the dual-class monomial migrates
-    into the relation and its correction is the cone-weighted sum of ray
-    series.
+    pieces of the relative I-function oracle (which runs its own checks),
+    plus the qinf relation of the compactified disk class; afterwards the
+    other relations are asserted to coincide with the plain mirror map of the
+    base fan, and the infinity relation matches the disk-class case split:
+    for a ray disk it is the base ray series on top of the new flat variable,
+    for a box disk the dual-class monomial migrates into the relation and its
+    correction is the cone-weighted sum of ray series.
     """
     op = "relative_mirror_map"
     _require_cy_semifano(cd.base, op)
     order = frac(order)
     bar = cd.bar
-    oracle = relative_ifunction_oracle(cd, order)
-    g = g_series(bar, oracle["z1_sectors"], oracle["z1_divisors"], order)
-    relations = []
-    for a in range(bar.r_prime):
-        coords = [Fraction(int(b == a)) for b in range(bar.r)]
-        relations.append(_flat_relation(bar, f"q{a + 1}", coords, g, order))
-    beta_coords = bar.coords_from_pairings(cd.beta_bar)
-    rel_inf = _flat_relation(bar, "qinf", beta_coords, g, order)
-    relations.append(rel_inf)
-    relations.extend(_twisted_relations(bar, g, order))
+    sl, base_classes = relative_ifunction_oracle(cd, order)
+    g, flat, twisted = _forward(bar, sl, order)
+    rel_inf = _flat_relation(bar, "qinf", bar.coords_from_pairings(cd.beta_bar),
+                             g, order)
+    relations = flat + [rel_inf] + twisted
 
     # the added ray's own series must vanish: its pairing with every
     # enumerated class is nonnegative
@@ -198,23 +200,12 @@ def relative_mirror_map(cd: CompactifiedData, order) -> MirrorMap:
                                "added ray acquired a nonzero series",
                                g[cd.infinity_ray].to_json())
 
-    # restriction consistency with the base mirror map
-    base_mm = toric_mirror_map(cd.base, order, classes=oracle["base_classes"])
-    bar_weights = bar.y_weights()
-    for a in range(bar.r_prime):
-        got = relations[a]
-        want = base_mm.relation_for(f"q{a + 1}")
-        if not got.series.same_terms(want.series):
+    # restriction consistency with the base mirror map, relation by relation
+    base_mm = toric_mirror_map(cd.base, order, classes=base_classes)
+    for got, want in zip(flat + twisted, base_mm.relations, strict=True):
+        if got.target != want.target or not got.series.same_terms(want.series):
             raise ConsistencyError(MODULE, op,
-                                   "flat relation differs from the base "
-                                   "mirror map", got.target)
-    for j in cd.base.extra_columns():
-        got = next(r for r in relations
-                   if r.kind == "twisted" and r.target == cd.base.tau_name(j))
-        want = base_mm.relation_for(cd.base.tau_name(j))
-        if not got.series.same_terms(want.series):
-            raise ConsistencyError(MODULE, op,
-                                   "twisted relation differs from the base "
+                                   f"{got.kind} relation differs from the base "
                                    "mirror map", got.target)
 
     # disk-class case split
@@ -232,7 +223,7 @@ def relative_mirror_map(cd: CompactifiedData, order) -> MirrorMap:
                                    "series", idx)
     else:
         dual = dual_class(cd.base, idx)
-        expo = mono_grade(rel_inf.monomial, bar_weights)
+        expo = mono_grade(rel_inf.monomial, bar.y_weights())
         want_mono = mono((names[-1], 1),
                          *((names[b], -dual.coords[b])
                            for b in range(cd.base.r)))
@@ -243,7 +234,7 @@ def relative_mirror_map(cd: CompactifiedData, order) -> MirrorMap:
                                    {"got": rel_inf.monomial,
                                     "want": want_mono})
         support, coeffs = cd.base.extra_cone_data(idx)
-        want = Series.zero(bar_weights, order)
+        want = Series.zero(bar.y_weights(), order)
         for i, c in zip(support, coeffs):
             want = want + g[cd.col_map[i]] * c
         if not rel_inf.correction.same_terms(want):

@@ -108,10 +108,10 @@ def covector_splitting(data: ToricData):
     if v is None:
         raise ValidationError(MODULE, op, "Calabi-Yau covector required", None)
     n = data.n
-    basis = linalg.integer_kernel_basis([list(v)])
     s, u, vm = linalg.smith_normal_form([list(v)])
     if abs(s[0][0]) != 1:
         raise ConsistencyError(MODULE, op, "covector is not primitive", v)
+    basis = [[vm[i][j] for i in range(n)] for j in range(1, n)]  # ker of v
     sign = s[0][0] * u[0][0]
     w = [sign * vm[i][0] for i in range(n)]
     if sum(vi * wi for vi, wi in zip(v, w)) != 1:

@@ -171,8 +171,8 @@ def test_criterion_4_relative_oracle(capsys):
     for base, bar, disk in PAIRS:
         cd = validate_compactification(fans.load(base), fans.load(bar), disk)
         for bound in range(1, 7):
-            out = relative_ifunction_oracle(cd, bound)
-            assert out["z2_h0"].terms == {mono(("yinf", 1)): F(1)}
+            sl, _ = relative_ifunction_oracle(cd, bound)
+            assert sl.h0_z2.terms == {mono(("yinf", 1)): F(1)}
         order = F(7, 3) if disk[0] == "box" else 3
         compare_potentials(cd, order)
     elapsed = time.perf_counter() - t0

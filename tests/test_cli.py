@@ -129,6 +129,35 @@ def test_import_loads_no_dataclasses():
     assert added & {"dataclasses", "inspect"} == set()
 
 
+def test_import_loads_no_resources_or_tempfile():
+    # bundled-fan lookup and --output need neither module at start-up; run
+    # without `site`, whose .pth files may import both before orbidisk does
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    probe = "import sys, orbidisk.cli; print(*sorted(sys.modules))"
+    child = subprocess.run([sys.executable, "-S", "-c", probe],
+                           env={**os.environ, "PYTHONPATH": src},
+                           capture_output=True, text=True, check=True)
+    loaded = set(child.stdout.split())
+    assert "orbidisk.cli" in loaded and "site" not in loaded
+    assert loaded & {"importlib.resources", "tempfile"} == set()
+
+
+def test_extras_not_age1_exit_code(capsys, tmp_path):
+    # declared extras that are not the age-1 box set are refused up front
+    c3z3 = json.loads(fans.read("c3z3"))
+    on_ray = {"rank": 2, "rays": [[1, 0], [0, 1]], "cones": [[0, 1]],
+              "extra_vectors": [[1, 0]]}
+    for name, doc in (("age2", {**c3z3, "extra_vectors": [[0, 0, 2]]}),
+                      ("on_ray", on_ray)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        for argv in (("analyze", str(path)),
+                     ("invariants", str(path), "--disk", "ray:0")):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == ""
+            assert "age-1 box set" in err
+
+
 def test_validation_error_exit_code(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({

@@ -286,7 +286,7 @@ def test_pointed_line_fan_enumerates():
     # the complete rank-1 fan has a pointed effective cone; no abort
     from orbidisk.fan import fan_from_dict
     doc = {"rank": 1, "rays": [[1], [-1]], "cones": [[0], [1]]}
-    data = kernel_data(fan_from_dict(doc), cy_mode=False)
+    data = kernel_data(fan_from_dict(doc))
     classes = enumerate_effective(data, 3)
     assert [list(c.pairings) for c in classes] == [[1, 1], [2, 2], [3, 3]]
 

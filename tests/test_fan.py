@@ -10,8 +10,8 @@ import pytest
 import orbidisk
 from orbidisk import fans, linalg
 from orbidisk.errors import ConsistencyError, ValidationError, Value
-from orbidisk.fan import (box_elements, calabi_yau_covector, fan_from_dict,
-                          kernel_data, parse_stacky_fan,
+from orbidisk.fan import (_toric_data, box_elements, calabi_yau_covector,
+                          fan_from_dict, kernel_data, parse_stacky_fan,
                           validate_compactification, verify_calabi_yau,
                           verify_semi_fano)
 
@@ -164,7 +164,7 @@ def test_box_conifold_empty():
 
 
 def test_box_c3z3():
-    boxes, age1 = box_elements(load("c3z3"), cy_mode=True)
+    boxes, age1 = box_elements(load("c3z3"))
     assert [(b.vector, b.age) for b in boxes] == [
         ((0, 0, 1), F(1)), ((0, 0, 2), F(2))]
     assert boxes[0].coefficients == (F(1, 3), F(1, 3), F(1, 3))
@@ -172,12 +172,15 @@ def test_box_c3z3():
     assert [b.vector for b in age1] == [(0, 0, 1)]
 
 
-def test_box_cy_mode_mismatch():
+def test_extras_not_age1_refused():
+    # kernel_data compares the declared extras with the age-1 box set
     doc = json.loads(fans.read("c3z3"))
     doc["extra_vectors"] = [[0, 0, 2]]  # age-2 box declared as extra
     fan = fan_from_dict(doc)
-    with pytest.raises(ValidationError):
-        box_elements(fan, cy_mode=True)
+    assert [b.vector for b in box_elements(fan)[1]] == [(0, 0, 1)]
+    with pytest.raises(ValidationError, match="age-1 box set") as e:
+        kernel_data(fan)
+    assert e.value.datum == {"declared": [(0, 0, 2)], "computed": [(0, 0, 1)]}
 
 
 def brute_force_boxes(fan):
@@ -261,7 +264,7 @@ def test_semi_fano_weighted_chart():
            "cones": [[0, 1, 2], [0, 2, 3], [0, 1, 3]]}
     fan = fan_from_dict(doc)
     assert calabi_yau_covector(fan) == [0, 0, 1]
-    data = kernel_data(fan, cy_mode=False)
+    data = kernel_data(fan)
     assert data.gamma == [[-4, 1, 2, 1]]
     w = verify_semi_fano(data)
     assert len(w) == 3
@@ -278,14 +281,15 @@ def test_dual_class_c3z3():
 
 
 def test_dual_class_extra_on_ray():
-    # extra vector equal to a ray: dual pairings 1 at itself, -1 at the ray
+    # an extra vector equal to a ray is no age-1 box element: refused, so no
+    # dual class is ever formed for it
     doc = {"rank": 2, "rays": [[1, 0], [0, 1]], "cones": [[0, 1]],
            "extra_vectors": [[1, 0]]}
     fan = fan_from_dict(doc)
-    data = kernel_data(fan, cy_mode=False)
-    assert data.age1_boxes == []
-    assert data.extra_cone_data(2) == ((0,), (F(1),))
-    assert data.dual_class_pairings(2) == [F(-1), F(0), F(1)]
+    assert box_elements(fan) == ([], [])
+    with pytest.raises(ValidationError, match="age-1 box set") as e:
+        kernel_data(fan)
+    assert e.value.datum == {"declared": [(1, 0)], "computed": []}
 
 
 def test_dual_class_bad_index():
@@ -341,6 +345,107 @@ def test_compactify_wrong_disk():
     # the added ray must be opposite the selected disk ray
     with pytest.raises(ValidationError):
         validate_compactification(load("kp2"), load("kp2_bar"), ("ray", 1))
+
+
+# ---------------------------------------------------------------------------
+# the checked ToricData builder
+
+
+def saturated_basis_reference(fan, gamma):
+    """The bar-basis check validate_compactification used to run (test
+    oracle): written in the Smith-form kernel basis, the vectors must be
+    integral, as many as its vectors, and change basis with determinant
+    +-1."""
+    cols = fan.columns()
+    kernel = linalg.integer_kernel_basis(
+        [[cols[j][i] for j in range(len(cols))] for i in range(fan.rank)])
+    if len(kernel) != len(gamma):
+        return False
+    gmat = [[kernel[b][i] for b in range(len(kernel))]
+            for i in range(fan.m_prime)]
+    tmat = []
+    for g in gamma:
+        x = linalg.solve_rational(gmat, g)
+        if x is None or any(v.denominator != 1 for v in x):
+            return False
+        tmat.append(x)
+    return not tmat or abs(linalg.det_rational(tmat)) == 1
+
+
+def basis_variants(gamma):
+    """gamma and its neighbours: each vector doubled, negated, repeated,
+    dropped, pushed off the kernel, replaced by its sum with another vector
+    (still a basis) and replaced by another vector."""
+    r = len(gamma)
+    out = [gamma]
+    for a in range(r):
+        def swap(v):
+            return gamma[:a] + [v] + gamma[a + 1:]
+        g = gamma[a]
+        out += [swap([2 * x for x in g]), swap([-x for x in g]),
+                gamma + [g], gamma[:a] + gamma[a + 1:],
+                swap([g[0] + 1] + g[1:])]
+        for b in range(r):
+            if b != a:
+                out += [swap([x + y for x, y in zip(g, gamma[b])]),
+                        swap(gamma[b])]
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def bar_data():
+    """{id: bar ToricData} for the bundled oracle pairs and the
+    generalization pairs."""
+    from test_generalization import (A1_CHART, A1_CHART_BAR, LOCAL_QUADRIC,
+                                     LOCAL_QUADRIC_BAR, WEIGHTED_BASIS,
+                                     WEIGHTED_SURFACE, WEIGHTED_SURFACE_BAR)
+    cases = {name: table_data()[name]
+             for name in ("c3_bar", "kp2_bar", "c3z3_bar")}
+    for name, base, bar, disk, basis_p in (
+            ("local_quadric_bar", LOCAL_QUADRIC, LOCAL_QUADRIC_BAR,
+             ("ray", 0), None),
+            ("a1_chart_bar", A1_CHART, A1_CHART_BAR, ("box", 2), None),
+            ("weighted_surface_bar", WEIGHTED_SURFACE, WEIGHTED_SURFACE_BAR,
+             ("ray", 0), WEIGHTED_BASIS)):
+        cases[name] = validate_compactification(
+            fan_from_dict(base), fan_from_dict(bar), disk, basis_p).bar
+    return cases
+
+
+@pytest.mark.parametrize("case", ["c3_bar", "kp2_bar", "c3z3_bar",
+                                  "local_quadric_bar", "a1_chart_bar",
+                                  "weighted_surface_bar"])
+def test_toric_data_agrees_with_smith_reference(case):
+    bar = bar_data()[case]
+    accepted = 0
+    for gamma in basis_variants(bar.gamma):
+        want = saturated_basis_reference(bar.fan, gamma)
+        try:
+            data = _toric_data(bar.fan, gamma, "test", cy_covector=None)
+        except ConsistencyError:
+            assert not want, gamma
+            continue
+        assert want, gamma
+        assert data.gamma == gamma
+        assert (data.boxes, data.age1_boxes) == (bar.boxes, bar.age1_boxes)
+        accepted += 1
+    assert accepted == 1 + bar.r + bar.r * (bar.r - 1)
+
+
+def test_toric_data_refuses_bad_basis():
+    fan = load("kp2")
+    assert _toric_data(fan, [[-3, 1, 1, 1]], "test",
+                       cy_covector=None).anticones == \
+        kernel_data(fan).anticones
+    for gamma, match in (([[-6, 2, 2, 2]], "saturated"),
+                         ([[-3, 1, 1, 1], [-3, 1, 1, 1]], "saturated"),
+                         ([[-3, 1, 1, 2]], "kernel relation")):
+        with pytest.raises(ConsistencyError, match=match):
+            _toric_data(fan, gamma, "test", cy_covector=None)
+    # as many vectors as the kernel rank, but dependent
+    bar = bar_data()["kp2_bar"]
+    with pytest.raises(ConsistencyError, match="saturated"):
+        _toric_data(bar.fan, [bar.gamma[1]] * 2, "test", cy_covector=None)
 
 
 # anticone family membership
@@ -458,7 +563,7 @@ def test_fan_face_of_orbifold_cone():
     doc = json.loads(fans.read("c3z3"))
     doc["cones"] += [[0, 1]]
     fan = fan_from_dict(doc)
-    boxes, age1 = box_elements(fan, cy_mode=True)
+    boxes, age1 = box_elements(fan)
     assert [b.vector for b in boxes] == [(0, 0, 1), (0, 0, 2)]
 
 

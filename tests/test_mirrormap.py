@@ -103,10 +103,12 @@ def test_toric_mirror_map_c3z3():
 
 
 def test_mirror_map_requires_cy():
-    doc = {"rank": 2, "rays": [[1, 0], [0, 1]], "cones": [[0, 1]],
-           "extra_vectors": [[1, 1]]}
-    data = kernel_data(fan_from_dict(doc), cy_mode=False)
-    with pytest.raises(ValidationError):
+    # the fan of P^2: no covector pairs to 1 with all three rays
+    doc = {"rank": 2, "rays": [[1, 0], [0, 1], [-1, -1]],
+           "cones": [[0, 1], [1, 2], [0, 2]]}
+    data = kernel_data(fan_from_dict(doc))
+    assert data.cy_covector is None
+    with pytest.raises(ValidationError, match="not Calabi-Yau"):
         toric_mirror_map(data, 2)
 
 
@@ -187,6 +189,33 @@ def test_relative_map_c3z3():
     # twisted relation named after the base column
     t3 = mm.relation_for("t3")
     assert t3.series.coefficient(mono(("y1", F(1, 3)))) == 1
+
+
+@pytest.mark.parametrize("base,disk,order,target,kind", [
+    ("kp2", ("ray", 0), 3, "q1", "flat"),
+    ("c3z3", ("box", 3), 2, "t3", "twisted"),
+])
+def test_relative_map_refuses_base_mismatch(monkeypatch, base, disk, order,
+                                            target, kind):
+    # every flat and twisted relation is compared with the base map's; a
+    # perturbed base relation is refused and named
+    from orbidisk import mirrormap
+    from orbidisk.errors import ConsistencyError
+    cd = validate_compactification(fans.load(base), fans.load(base + "_bar"),
+                                   disk)
+    plain = mirrormap.toric_mirror_map
+
+    def perturbed(data, order, classes=None):
+        mm = plain(data, order, classes)
+        rels = [mirrormap.Relation(r.target, r.kind, r.series * 2)
+                if r.target == target else r for r in mm.relations]
+        return mirrormap.MirrorMap(mm.data, mm.order, mm.g, rels)
+
+    monkeypatch.setattr(mirrormap, "toric_mirror_map", perturbed)
+    with pytest.raises(ConsistencyError,
+                       match=f"{kind} relation differs") as e:
+        relative_mirror_map(cd, order)
+    assert e.value.datum == target
 
 
 def test_relative_inverse_round_trip():
