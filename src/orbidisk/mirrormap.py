@@ -252,8 +252,8 @@ def inverse_mirror_map(mm: MirrorMap) -> dict:
     """Formal inverse assignment y_b -> series in the flat/twisted variables,
     at the order of the map.
 
-    Delegates to the generic fixed-point inversion; the round trip is
-    verified there.
+    Delegates to the generic Newton inversion; the round trip is verified
+    there.
     """
     rels = [(r.target, r.series) for r in mm.relations]
     return invert_map(rels, mm.order)

@@ -21,12 +21,13 @@ Where the formal inversion spends its time:
   exp/log recurrences.
 - substitute keeps one power table per variable for each call: the integer
   powers the terms use, each built from the last lower one times the image
-  to the gap; each term's coefficient is multiplied in as a scalar.
+  to the gap; each term's coefficient is multiplied in as a scalar, and
+  for the Euler images also its exponent of each variable.
 - exp and log_one_plus run the recurrences of the grading operator D
   (D m = grade(m) * m) grade by grade.  Only ratios of grades appear in
   them, so they run on the keys.
-- invert_map runs one precision-stepped fixed-point loop and one exact
-  round-trip check.
+- invert_map runs Newton rounds, each about doubling the known order, so
+  the last round and the exact round-trip check cost most of it.
 """
 from __future__ import annotations
 
@@ -544,12 +545,15 @@ class Series:
 
     # -- substitution ---------------------------------------------------------
 
-    def substitute(self, assignment: dict):
+    def substitute(self, assignment: dict, euler=False):
         """Simultaneous substitution var -> Series.
 
         Every variable occurring in self must be assigned.  Soundness of the
         truncation requires each image's minimal grade to be at least the
-        weight of the variable it replaces; this is checked.
+        weight of the variable it replaces; this is checked.  With euler,
+        returns (image, {v: image of theta_v self}) for every variable v of
+        self's grading, theta_v = v d/dv the Euler operator, from the same
+        pass: a term's image enters theta_v's scaled by its exponent of v.
         """
         names, e = self._names, self._e
         monos = [m for _, nums in self._p.values() for m in nums]
@@ -630,16 +634,21 @@ class Series:
                     if term.order > order:
                         term = term.truncate(order)
                 out_order = min(out_order, term.order)
-                terms.append((term, d, n))
+                terms.append((term, d, n, m))
         # the coefficient n / d of each term enters as a scalar, at the lcm
-        # of the terms' exponent denominators
-        te = lcm(*(term._e for term, _, _ in terms))
-        acc = {}
-        for term, d, n in terms:
-            for k, (td, tnums) in _scaled(term._p, te // term._e).items():
-                acc.setdefault(k, []).append(
-                    (d * td, {tm: n * tn for tm, tn in tnums.items()}))
-        return like._make(out_order, te, {k: _sum(parts) for k, parts in acc.items()})
+        # of the terms' exponent denominators; under theta_i it is n * x / (d * e)
+        te = lcm(*(term._e for term, *_ in terms))
+        accs = [{} for _ in range(1 + len(names) * euler)]
+        for term, d, n, m in terms:
+            pieces = _scaled(term._p, te // term._e).items()
+            scalars = [(d, n)] + ([(d * e, n * x) for x in m] if euler else [])
+            for acc, (sd, sn) in zip(accs, scalars):
+                for k, (td, tnums) in pieces if sn else ():
+                    acc.setdefault(k, []).append(
+                        (sd * td, {tm: sn * tn for tm, tn in tnums.items()}))
+        out = [like._make(out_order, te, {k: _sum(parts) for k, parts in acc.items()})
+               for acc in accs]
+        return (out[0], dict(zip(names, out[1:]))) if euler else out[0]
 
     # -- serialization --------------------------------------------------------
 
@@ -675,27 +684,45 @@ def _constant(like: Series, order, c) -> Series:
 # formal inversion of triangular coordinate changes
 
 
+def _at(s: Series, order) -> Series:
+    """s with its order set to order: truncated below its own, lifted above
+    it without re-grading a term, where the caller knows the absent terms
+    do not matter."""
+    return s._make(order, s._e, s._p)
+
+
 def invert_map(relations, order):
     """Invert a formal coordinate change given by target = series-in-sources.
 
     relations: list of (target_variable, Series in the source variables).
     Each relation must factor as (monomial in sources) * (unit series with
-    constant term 1); the matrix of leading exponents must be invertible.
+    constant term 1); the matrix A of leading exponents must be invertible.
     Each target variable takes the grade of its leading monomial, so the
     base solution (the monomial part of each source) has the source's weight.
 
-    The answer is the fixed point of source = base * prod (1 + unit)^-inv,
-    reached in one loop.  Each round gains at least `step`, the smallest
-    grade of a unit correction, so the rounds are precision-stepped: before
-    round r every assignment is truncated to its weight plus (r+1) * step,
-    and early rounds work on short series.  The loop stops once every
-    assignment is known exact through its order or the cap reaches the base
-    order.
+    Newton's method on log-corrections.  With x_v = base_v * exp(L_v) the
+    relations say G = L + A^-1 log(1 + U) = 0, U_t = u_t(x) for the units
+    u_t.  A round solves (I - M) D = G with M_vw = -sum_t A^-1_vt
+    (theta_w u_t)(x) / (1 + U_t), theta_w = w d/dw, and sets L -= D; errors
+    of L from grade s on leave errors from grade 2s + step on, step the
+    least grade of a unit term.  L = 0 errs from step on, so one round
+    reaches any order below 3 * step, and a round from L exact through p
+    reaches 2p + step: the orders run p_k = (p_{k+1} - step) / 2 back from
+    the top one until one is below 3 * step.  One substitute of
+    log(1 + u_t) per unit per round gives log(1 + U_t) and, from the same
+    pass, every theta_w u_t(x) / (1 + U_t).  G has grade >= s, so M is
+    computed to order p - s only and lifted to p: its terms above p - s
+    only reach grades above p in (I - M)^-1 G.
+
+    A source no unit corrects is its base monomial, exact to order + max
+    weight + 1.  Any other is known to its weight plus the least order its
+    units support: a unit's own order, and for each of its terms, the
+    term's grade plus the least order of the sources the term holds.
 
     Returns {source_variable: Series in the target variables}.  One exact
-    check follows the loop: the relations evaluated at the result must give
-    back the target variables, so a round that went wrong ends in a
-    ConsistencyError.
+    check follows: the relations evaluated at the result must give back
+    the target variables, so a wrong inversion ends in a ConsistencyError
+    that names the target, the order checked and the first wrong monomial.
     """
     from .linalg import invert_rational
 
@@ -733,57 +760,64 @@ def invert_map(relations, order):
             raise _err(op, f"target {t} would have non-positive weight {w}", t)
 
     order = frac(order)
-    # a base monomial is exact to any order; orders of the corrected
-    # assignments then settle to what the relation data honestly supports
-    # (weight of the variable plus the smallest relative unit order involved),
-    # which can exceed the requested order and is needed for verification
     top = order + max(src_weights.values()) + 1
-    base_mono = {}
-    base = {}
-    for b, v in enumerate(sources):
-        m = mono(*((factored[t][0], inv[b][t]) for t in range(len(factored))))
-        base_mono[v] = m
-        base[v] = Series.monomial(m, 1, weights, top)
-
-    assign = dict(base)
-    steps = [unit.min_grade() for _, _, unit in factored if not unit.is_zero()]
-    if steps:
-        step = min(steps)
-        # The base monomial of v has grade src_weights[v] and every unit
-        # correction has grade >= step, so a round turns assignments exact
-        # below weight + k into ones exact below weight + k + step.  Before
-        # round r they are exact below weight + (r+1)*step: truncating there
-        # drops only terms that are still wrong.
-        r = 0
-        while True:
-            caps = {v: src_weights[v] + (r + 1) * step for v in sources}
-            if all(caps[v] >= top or caps[v] > assign[v].order
-                   for v in sources):
-                break
-            known = {v: s.truncate(caps[v]) if caps[v] < s.order else s
-                     for v, s in assign.items()}
-            units_at = [unit.substitute(known) for _, _, unit in factored]
-            for b, v in enumerate(sources):
-                # multiply the unit corrections at their relative order, then
-                # shift by the base monomial: the product of a unit known to
-                # relative order k with a monomial of grade w is exact to k + w
-                prod = None
-                for t, u in enumerate(units_at):
-                    if u.is_zero() or inv[b][t] == 0:
-                        continue
-                    f = (1 + u).pow_frac(-inv[b][t])
-                    prod = f if prod is None else prod * f
-                assign[v] = (base[v] if prod is None
-                             else prod.mul_monomial(base_mono[v]))
-            r += 1
+    n = len(sources)
+    base_mono = [mono(*((factored[t][0], inv[b][t]) for t in range(n)))
+                 for b in range(n)]
+    units = [unit for _, _, unit in factored]
+    live = [t for t in range(n) if not units[t].is_zero()]
+    # the relative order each source is known to (docstring); one pass per
+    # source settles it, since every grade is positive
+    rel = {v: top - w for v, w in src_weights.items()}
+    for _ in sources:
+        rel = {v: min([top - src_weights[v]] + [min([units[t].order] + [
+            g + min(rel[c] for c, _ in m) for g, piece in units[t].pieces.items()
+            for m in piece]) for t in live if inv[b][t]]) for b, v in enumerate(sources)}
+    # substitute loses up to the grade of a term's negative exponents from
+    # the order of its images, so the rounds run that much above their order
+    logs = {t: units[t].log_one_plus() for t in live}
+    margin = max([0] + [-sum(x * src_weights[v] for v, x in m if x < 0)
+                        for t in live for m in logs[t].terms])
+    L = [Series.zero(weights, top)] * n
+    if live:
+        step = min(units[t].min_grade() for t in live)
+        plan = [max(rel[v] for b, v in enumerate(sources) if any(inv[b][t] for t in live))]
+        while plan[-1] >= 3 * step:
+            plan.append((plan[-1] - step) / 2)
+        known = step   # L = 0 is wrong from grade step on
+        for p in reversed(plan):
+            x = {v: _at(L[b], p + margin).exp().mul_monomial(base_mono[b])
+                 for b, v in enumerate(sources)}
+            # (log(1 + U_t), {w: theta_w log(1 + u_t) at x}) from one pass
+            sub = {t: _at(logs[t], p + margin).substitute(x, euler=True) for t in live}
+            L = [_at(l, p) for l in L]
+            G = [L[b] + sum(_at(sub[t][0], p) * inv[b][t] for t in live if inv[b][t])
+                 for b in range(n)]
+            B = [[sum((_at(sub[t][1][w], p - known) * inv[b][t] for t in live if inv[b][t]),
+                      Series.zero(weights, p - known)) + int(b == c)
+                  for c, w in enumerate(sources)] for b in range(n)]
+            # Gauss-Jordan on [B | G] with unit pivots; a multiplier from B,
+            # known to p - known, meets G of grade >= known lifted to p
+            for k in range(n):
+                pivot = B[k][k].pow_frac(-1)
+                B[k], G[k] = [e * pivot for e in B[k]], G[k] * _at(pivot, p)
+                for i in range(n):
+                    if i != k:
+                        f = B[i][k]
+                        B[i] = [a - f * e for a, e in zip(B[i], B[k])]
+                        G[i] = G[i] - _at(f, p) * G[k]
+            L = [l - d for l, d in zip(L, G)]
+            known = p
+    assign = {v: _at(L[b], rel[v]).exp().mul_monomial(base_mono[b])
+              for b, v in enumerate(sources)}
 
     # verify round trip: relation series evaluated at the assignment give back
     # exactly the target variables
-    for (t, s), (_, m, unit) in zip(relations, factored):
+    for t, s in relations:
         lhs = s.substitute(assign)
         rhs = Series.variable(t, weights, lhs.order)
         if not lhs.same_terms(rhs):
-            raise ConsistencyError(MODULE, op,
-                                   f"inversion failed to stabilize for {t}",
-                                   lhs.first_difference(rhs))
+            raise ConsistencyError(MODULE, op, f"inversion round trip failed for {t}",
+                                   {"target": t, "order": frac_str(lhs.order),
+                                    "monomial": mono_str(lhs.first_difference(rhs)[1])})
     return assign

@@ -202,12 +202,15 @@ def _potential_of(case, order):
 
 
 @pytest.mark.parametrize("case, order, ceiling", [
-    # Series.substitute calls while inverting the mirror map: 13 and 12 when
-    # a full-precision fixed-point round followed the stepped rounds; the
-    # stepped rounds and the round-trip check make 12 and 10
-    ("kp2", 12, 12),
-    ("local_quadric", 5, 10),
-], ids=["kp2-12", "local_quadric-5"])
+    # substitution passes while inverting the mirror map, the Euler passes
+    # of the Newton rounds included: 12 and 10 with one stepped round per
+    # grade step; one pass per unit per Newton round (orders 2, 5, 11 on
+    # kp2 at 12; 3/2, 4 on the quadric) and the round-trip check make 4
+    # and 6; 7 at kp2 order 80, where the stepped rounds made 80
+    ("kp2", 12, 5),
+    ("local_quadric", 5, 6),
+    ("kp2", 80, 8),
+], ids=["kp2-12", "local_quadric-5", "kp2-80"])
 def test_inversion_substitute_count(monkeypatch, case, order, ceiling):
     from orbidisk import series
 
@@ -215,9 +218,9 @@ def test_inversion_substitute_count(monkeypatch, case, order, ceiling):
     calls = [0]
     substitute = series.Series.substitute
 
-    def counted(self, assignment):
+    def counted(self, assignment, euler=False):
         calls[0] += 1
-        return substitute(self, assignment)
+        return substitute(self, assignment, euler)
 
     monkeypatch.setattr(series.Series, "substitute", counted)
     inverse_mirror_map(mm)

@@ -1,11 +1,12 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbidisk.errors import ConsistencyError, ValidationError
 from orbidisk.series import (Series, invert_map, mono, mono_grade, mono_mul,
-                             mono_pow, var_key)
+                             mono_pow, mono_str, var_key)
 
 F = Fraction
 W1 = {"y": F(1)}
@@ -217,6 +218,53 @@ def test_invert_round_trip_verified():
     # composite check is internal; re-check externally
     back = rel.substitute(out)
     assert back.same_terms(Series.variable("q", {"q": F(1)}, 3))
+
+
+def test_invert_round_trip_failure_names_target_order_and_monomial(monkeypatch):
+    # one coefficient of the final assignment perturbed before the check:
+    # the error names the target, the order checked and the first monomial
+    # where the relation misses its target
+    corr = S(4, {y(): -6, y(2): 45, y(3): -560, y(4): F(17325, 2)})
+    rel = Series.variable("y", W1, 4) * corr.exp()
+    substitute = Series.substitute
+
+    def perturbed(self, assignment, euler=False):
+        if not euler:   # the round-trip check, after the Newton rounds
+            img = assignment["y"]
+            assignment = {"y": img + Series.monomial(q(3), 1, img.weights, img.order)}
+        return substitute(self, assignment, euler)
+
+    monkeypatch.setattr(Series, "substitute", perturbed)
+    with pytest.raises(ConsistencyError, match="inversion round trip failed for q") as err:
+        invert_map([("q", rel)], 4)
+    assert err.value.datum == {"target": "q", "order": "4", "monomial": "q^3"}
+
+
+def test_invert_negative_exponent_unit():
+    # q1 = y1, q2 = y2 (1 + y2^2 / y1): x2 + x2^3 / q1 = q2, so by Lagrange
+    # x2 = sum_k (-1)^k C(3k, k) / (2k + 1) q2^(2k+1) q1^-k, of grade k + 1
+    w2 = {"y1": F(1), "y2": F(1)}
+    rels = [("q1", Series(w2, 6, {mono(("y1", 1)): 1})),
+            ("q2", Series(w2, 6, {mono(("y2", 1)): 1,
+                                  mono(("y1", -1), ("y2", 3)): 1}))]
+    x2 = invert_map(rels, 6)["y2"]
+    assert x2.order == 6
+    assert x2.terms == {mono(("q1", -k), ("q2", 2 * k + 1)):
+                        F((-1) ** k * comb(3 * k, k), 2 * k + 1) for k in range(6)}
+
+
+def test_invert_order_honest_when_units_couple():
+    # q1 = y1 (1 + y2) is known to order 10 but q2 = y2 (1 + y1) only to 3,
+    # so y1 = q1 / (1 + y2) is known to 1 + 3 only: terms of q2's relation
+    # above its order must not reach y1 below the order it claims
+    w2 = {"y1": F(1), "y2": F(1)}
+    r1 = Series(w2, 10, {mono(("y1", 1)): 1, mono(("y1", 1), ("y2", 1)): 1})
+    r2 = {mono(("y2", 1)): 1, mono(("y1", 1), ("y2", 1)): 1}
+    out = invert_map([("q1", r1), ("q2", Series(w2, 3, r2))], 3)
+    assert (out["y1"].order, out["y2"].order) == (4, 3)
+    r2_more = {**r2, mono(("y1", 3), ("y2", 1)): 5}
+    more = invert_map([("q1", r1), ("q2", Series(w2, 6, r2_more))], 3)
+    assert out["y1"].same_terms(more["y1"])
 
 
 def test_invert_rejects_singular():
@@ -483,3 +531,147 @@ def test_substitute_unassigned_variable():
     s = S(2, {y(): 1})
     with pytest.raises(ValidationError):
         s.substitute({})
+
+
+# ---------------------------------------------------------------------------
+# Newton inversion against a stepped fixed-point reference: equal terms and
+# equal orders on every bundled map and the generalization fans
+
+
+def stepped_inverse_reference(relations, order):
+    """The fixed point source = base * prod (1 + unit)^-inv by stepped
+    rounds: round r works on assignments truncated to their weight plus
+    (r+1) * step, step the least unit grade, and gains step.  It builds the
+    same base monomials at the same top order as invert_map, and shares no
+    code with its rounds."""
+    from orbidisk.linalg import invert_rational
+
+    src_weights = relations[0][1].weights
+    sources = sorted(src_weights, key=var_key)
+    factored = [(t, *s.factor_unit()) for t, s in relations]
+    inv = invert_rational([[dict(m).get(v, F(0)) for v in sources]
+                           for _, m, _, _ in factored])
+    weights = {t: mono_grade(m, src_weights) for t, m, _, _ in factored}
+    top = F(order) + max(src_weights.values()) + 1
+    base_mono = {v: mono(*((factored[t][0], inv[b][t]) for t in range(len(factored))))
+                 for b, v in enumerate(sources)}
+    base = {v: Series.monomial(m, 1, weights, top) for v, m in base_mono.items()}
+    assign = dict(base)
+    steps = [unit.min_grade() for _, _, _, unit in factored if not unit.is_zero()]
+    if not steps:
+        return assign
+    step, r = min(steps), 0
+    while True:
+        caps = {v: src_weights[v] + (r + 1) * step for v in sources}
+        if all(caps[v] >= top or caps[v] > assign[v].order for v in sources):
+            return assign
+        known = {v: s.truncate(caps[v]) if caps[v] < s.order else s
+                 for v, s in assign.items()}
+        units_at = [unit.substitute(known) for _, _, _, unit in factored]
+        for b, v in enumerate(sources):
+            prod = None
+            for t, u in enumerate(units_at):
+                if u.is_zero() or inv[b][t] == 0:
+                    continue
+                f = (1 + u).pow_frac(-inv[b][t])
+                prod = f if prod is None else prod * f
+            assign[v] = base[v] if prod is None else prod.mul_monomial(base_mono[v])
+        r += 1
+
+
+def _forward_map(fan, order, basis_p=None):
+    from orbidisk import fans
+    from orbidisk.fan import fan_from_dict, kernel_data
+    from orbidisk.mirrormap import toric_mirror_map
+    fan = fans.load(fan) if isinstance(fan, str) else fan_from_dict(fan)
+    return toric_mirror_map(kernel_data(fan, basis_p), order)
+
+
+def _relative_map(base, bar, disk, order):
+    # the map oracle_potential inverts: the bar map at order + w_inf
+    from orbidisk import fans
+    from orbidisk.fan import validate_compactification
+    from orbidisk.mirrormap import relative_mirror_map
+    cd = validate_compactification(fans.load(base), fans.load(bar), disk)
+    w_inf = cd.bar.grade(cd.bar.coords_from_pairings(cd.beta_bar))
+    return relative_mirror_map(cd, F(order) + w_inf)
+
+
+def _newton_cases():
+    from test_generalization import (A1_CHART, LOCAL_QUADRIC, WEIGHTED_BASIS,
+                                     WEIGHTED_SURFACE)
+    for fan in ("c3", "conifold", "kp2"):
+        for order in range(1, 9):
+            yield f"{fan}-{order}", lambda f=fan, o=order: _forward_map(f, o)
+    for k in range(1, 25):
+        yield f"c3z3-{k}/3", lambda k=k: _forward_map("c3z3", F(k, 3))
+    for order in range(1, 7):
+        yield f"quadric-{order}", lambda o=order: _forward_map(LOCAL_QUADRIC, o)
+        yield f"a1-{order}", lambda o=order: _forward_map(A1_CHART, o)
+    for order in (F(3, 2), 2, F(5, 2), 3, 4, 5, 6):
+        yield f"weighted-{order}", lambda o=order: _forward_map(
+            WEIGHTED_SURFACE, o, WEIGHTED_BASIS)
+    for order in range(1, 7):
+        yield f"c3-bar-{order}", lambda o=order: _relative_map(
+            "c3", "c3_bar", ("ray", 2), o)
+        yield f"kp2-bar-{order}", lambda o=order: _relative_map(
+            "kp2", "kp2_bar", ("ray", 0), o)
+    for k in range(1, 19):
+        yield f"c3z3-bar-{k}/3", lambda k=k: _relative_map(
+            "c3z3", "c3z3_bar", ("box", 3), F(k, 3))
+
+
+NEWTON_CASES = dict(_newton_cases())
+
+
+@pytest.mark.parametrize("case", sorted(NEWTON_CASES))
+def test_invert_matches_stepped_reference(case):
+    mm = NEWTON_CASES[case]()
+    rels = [(r.target, r.series) for r in mm.relations]
+    got = invert_map(rels, mm.order)
+    want = stepped_inverse_reference(rels, mm.order) if rels else {}
+    assert set(got) == set(want)
+    for v in want:
+        assert got[v].order == want[v].order, v
+        assert got[v] == want[v], v
+
+
+def _theta(s, v):
+    """theta_v s = v ds/dv, term by term through the constructor."""
+    return Series(s.weights, s.order,
+                  {m: c * dict(m).get(v, 0) for m, c in s.terms.items()})
+
+
+@st.composite
+def fractional_source(draw, weights):
+    """Up to six terms a^i b^j with i, j in halves and thirds, of grade in
+    (0, 3], at order 3 or 7/2."""
+    exps = st.sampled_from([F(0), F(1, 3), F(1, 2), F(2, 3), F(1), F(3, 2), F(2)])
+    terms = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        m = mono(("a", draw(exps)), ("b", draw(exps)))
+        if 0 < mono_grade(m, weights) <= 3:
+            terms[m] = draw(coeffs)
+    return Series(weights, draw(st.sampled_from([F(3), F(7, 2)])), terms)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(st.data())
+def test_substitute_euler_images(data):
+    # substitute(..., euler=True) gives theta_v of the image for every
+    # variable v from the same pass; each equals the plain substitute of
+    # theta_v s.  Images a * (1 + u) need the fractional-power path.  The
+    # Euler images carry the order of the image of s, which is at most that
+    # of the plain substitute of a series with fewer terms.
+    w = data.draw(st.sampled_from(GRADINGS))
+    s = data.draw(fractional_source(w))
+    tail = data.draw(graded_series(w))
+    u = tail - tail.constant_term()
+    images = {v: (1 + u).mul_monomial(mono((v, 1))) for v in w}
+    value, thetas = s.substitute(images, euler=True)
+    assert value == s.substitute(images)
+    assert set(thetas) == set(w)
+    for v, img in thetas.items():
+        want = _theta(s, v).substitute(images)
+        assert img.order == value.order <= want.order
+        assert img.same_terms(want), (v, mono_str(img.first_difference(want)[1]))
