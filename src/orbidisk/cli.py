@@ -160,7 +160,7 @@ def cmd_invariants(args):
     data = kernel_data(fan, basis_p)
     order = parse_order(args.order)
     disk = parse_disk_selector(args.disk, data)
-    dp = disk_potential(data, disk, order)
+    dp = disk_potential(toric_mirror_map(data, order), disk)
     table = extract_invariants(dp)
     return {
         "order": frac_str(order),

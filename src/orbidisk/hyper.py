@@ -164,31 +164,30 @@ def coefficient_slice(data, classes, order) -> Slice:
                  Series(weights, order, h0_z2))
 
 
-def relative_ifunction_oracle(cd, bound):
-    """Sum the extractions over the compactified effective classes.
+def relative_ifunction_oracle(cd, base):
+    """Sum the extractions over the compactified effective classes at the
+    order of `base`, the base fan's mirror map.
 
-    Returns (Slice, base_classes): the slice of the compactified fan and the
-    base fan's own enumeration at the same bound.  The z^-2 part valued in
-    the added divisor's degree-0 cohomology must be the single monomial of
-    the compactifying class with coefficient one; anything else means the
-    fan or the enumeration is inconsistent.
+    Returns (Slice, classes) of the compactified fan.  The z^-2 part valued
+    in the added divisor's degree-0 cohomology must be the single monomial of
+    the compactifying class with coefficient one; anything else means the fan
+    or the enumeration is inconsistent.
     """
     from .effective import enumerate_effective, eff_class
 
     op = "relative_ifunction_oracle"
-    bound = frac(bound)
+    bound = base.order
     bar = cd.bar
     classes = enumerate_effective(bar, bound)
     sl = coefficient_slice(bar, classes, bound)
 
     inf_col = bar.infinity_column
     # the zero-infinity-pairing slice of the compactified enumeration must be
-    # exactly the base enumeration: a class with an empty bad set is effective
+    # exactly the classes `base` was built from: a class with an empty bad set is effective
     # for both, and a fractional one invisible to the base would mean its
     # support spans only an added cone, which the construction excludes
-    base_classes = enumerate_effective(cd.base, bound)
     embedded = {
-        tuple(cd.base_to_bar_pairings(c.pairings)) for c in base_classes}
+        tuple(cd.base_to_bar_pairings(c.pairings)) for c in base.classes}
     flat = {tuple(c.pairings) for c in classes if c.pairings[inf_col] == 0}
     if embedded != flat:
         raise ConsistencyError(MODULE, op,
@@ -204,4 +203,4 @@ def relative_ifunction_oracle(cd, bound):
             MODULE, op,
             "z^-2 degree-0 extraction is not the single compactifying "
             "monomial", sl.h0_z2.first_difference(expect))
-    return sl, base_classes
+    return sl, classes

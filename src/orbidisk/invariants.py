@@ -5,7 +5,8 @@ inverse mirror map; a box disk class contributes its dual-class monomial times
 exp of minus the cone-weighted ray series.  The same series is reproduced
 along an independent route on the compactified fan: invert the relative
 mirror map and read off the compactifying monomial divided by its flat
-variable.  The two must agree exactly, term by term.
+variable.  The two must agree exactly, term by term; both rest on one base
+mirror map, built at the compactified order.
 """
 from __future__ import annotations
 
@@ -37,28 +38,24 @@ class DiskPotential(Value):
         }
 
 
-def disk_potential(data: ToricData, disk, order) -> DiskPotential:
+def disk_potential(mirror: MirrorMap, disk) -> DiskPotential:
     """Generating series of the invariants attached to one basic disk class,
-    ("ray", i) or ("box", j)."""
-    order = frac(order)
-    mirror = toric_mirror_map(data, order)
-    return _potential(data, mirror, inverse_mirror_map(mirror), disk, order)
+    ("ray", i) or ("box", j), read off a mirror map at its order."""
+    return _potential(mirror, inverse_mirror_map(mirror), disk)
 
 
-def disk_potentials(data: ToricData, order) -> dict:
+def disk_potentials(mirror: MirrorMap) -> dict:
     """{disk: DiskPotential} for every ray and every extra column, in column
     order, all read off one mirror map and its inverse."""
-    order = frac(order)
-    mirror = toric_mirror_map(data, order)
-    inverse = inverse_mirror_map(mirror)
+    data, inverse = mirror.data, inverse_mirror_map(mirror)
     disks = [("ray", i) for i in range(data.m)] + \
         [("box", j) for j in data.extra_columns()]
-    return {d: _potential(data, mirror, inverse, d, order) for d in disks}
+    return {d: _potential(mirror, inverse, d) for d in disks}
 
 
-def _potential(data: ToricData, mirror: MirrorMap, inverse: dict, disk,
-               order) -> DiskPotential:
+def _potential(mirror: MirrorMap, inverse: dict, disk) -> DiskPotential:
     op = "disk_potential"
+    data, order = mirror.data, mirror.order
     kind, idx = disk
     weights = data.y_weights()
 
@@ -163,29 +160,22 @@ def extract_invariants(dp: DiskPotential) -> InvariantTable:
 # the independent route through the compactified fan
 
 
-def oracle_potential(cd: CompactifiedData, order) -> Series:
-    """The same potential out of the compactified mirror map alone.
-
+def oracle_potential(cd: CompactifiedData, base: MirrorMap) -> Series:
+    """The same potential out of the compactified mirror map alone, at the
+    order of the base fan's mirror map `base` less the weight of qinf.
     Inverts the relative mirror map, evaluates the compactifying-class
     monomial under the inverse and strips its flat variable.  Runs the
     hypergeometric summation check along the way.
     """
     op = "oracle_potential"
-    order = frac(order)
     bar = cd.bar
-    beta_coords = bar.coords_from_pairings(cd.beta_bar)
-    w_inf = bar.grade(beta_coords)
-    if w_inf <= 0:
-        raise ConsistencyError(MODULE, op,
-                               "disk class has non-positive grade", w_inf)
-    bar_order = order + w_inf
-    mm = relative_mirror_map(cd, bar_order)
+    mm = relative_mirror_map(cd, base)
     inverse = inverse_mirror_map(mm)
 
     names = bar.y_vars()
     dinf_coords = bar.coords_from_pairings(cd.d_infinity)
     head = mono(*((names[b], dinf_coords[b]) for b in range(bar.r)))
-    val = Series.monomial(head, 1, bar.y_weights(), bar_order)
+    val = Series.monomial(head, 1, bar.y_weights(), base.order)
     val = val.substitute(inverse)
     out = val.mul_monomial(mono_pow(mono(("qinf", 1)), -1))
     for m in out.terms:
@@ -193,21 +183,27 @@ def oracle_potential(cd: CompactifiedData, order) -> Series:
             raise ConsistencyError(MODULE, op,
                                    "flat compactification variable failed to "
                                    "cancel", m)
-    # re-express without the qinf variable
+    # re-express without the qinf variable (stripping it lowered the order)
     weights = {v: w for v, w in out.weights.items() if v != "qinf"}
-    return Series(weights, min(out.order, order), dict(out.terms))
+    return Series(weights, out.order, dict(out.terms))
 
 
 def compare_potentials(cd: CompactifiedData, order):
     """Both derivations of the potential; they must agree exactly.
 
-    Returns (disk_potential, oracle_series).  Raises ConsistencyError with
-    the first differing monomial on mismatch.
+    One base mirror map, built at the bar order order + w_inf, serves both
+    routes; route 1 truncates it to `order`.  Returns (disk_potential,
+    oracle_series) or raises ConsistencyError at the first difference.
     """
     op = "compare_potentials"
     order = frac(order)
-    dp = disk_potential(cd.base, cd.disk, order)
-    oracle = oracle_potential(cd, order)
+    w_inf = cd.bar.grade(cd.bar.coords_from_pairings(cd.beta_bar))
+    if w_inf <= 0:
+        raise ConsistencyError(MODULE, op,
+                               "disk class has non-positive grade", w_inf)
+    base = toric_mirror_map(cd.base, order + w_inf)
+    dp = disk_potential(base.truncate(order), cd.disk)
+    oracle = oracle_potential(cd, base)
     if not dp.series.same_terms(oracle):
         raise ConsistencyError(MODULE, op,
                                "potential disagrees with its compactified "

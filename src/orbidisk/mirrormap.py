@@ -8,8 +8,8 @@ flat coordinate variable corresponds to a curve class c, and its relation is
 
 with the tau relation tau_v = g_v(y) for every extra vector.  On compactified
 data the added variable's curve class is the compactified disk class; the
-non-infinity relations must restrict to the plain mirror map of the base fan,
-which is asserted.
+non-infinity relations must restrict to the base fan's mirror map, which the
+caller builds once at the compactified order and which is asserted.
 """
 from __future__ import annotations
 
@@ -56,6 +56,16 @@ class MirrorMap(Value):
     order: Fraction
     g: dict                      # column -> Series
     relations: list
+    classes: list                # the effective classes g was summed over
+
+    def truncate(self, order) -> MirrorMap:
+        """The same map at a lower order: g truncated and the relations
+        reassembled from it, so an order below a relation's leading grade is
+        refused exactly as toric_mirror_map refuses it."""
+        order = frac(order)
+        g = {j: s.truncate(order) for j, s in self.g.items()}
+        return MirrorMap(self.data, order, g, _relations(self.data, g, order),
+                         [c for c in self.classes if c.grade <= order])
 
     def relation_for(self, target):
         for rel in self.relations:
@@ -69,19 +79,6 @@ class MirrorMap(Value):
             "g": {str(j): s.to_json() for j, s in sorted(self.g.items())},
             "relations": [r.to_json() for r in self.relations],
         }
-
-
-def _require_cy_semifano(data: ToricData, op):
-    if data.cy_covector is None:
-        raise ValidationError(MODULE, op,
-                              "fan is not Calabi-Yau: no covector pairs to 1 "
-                              "with every ray and extra vector", None)
-    verify_semi_fano(data)
-    if not data.split_ok:
-        raise ValidationError(MODULE, op,
-                              "kernel basis is not adapted to the extra "
-                              "vectors (their divisor classes must vanish on "
-                              "the flat prefix); supply basis_p", None)
 
 
 def _flat_relation(data: ToricData, target, curve_coords, g, order) -> Relation:
@@ -144,54 +141,63 @@ def _twisted_relations(data: ToricData, g, order):
     return out
 
 
-def _forward(data: ToricData, sl, order):
-    """(g, flat relations, twisted relations) of `data` from the coefficient
-    slice `sl`: one flat relation per plain q variable, one twisted relation
-    per extra column."""
-    g = g_series(data, sl.sector_series, sl.divisor_series, order)
+def _relations(data: ToricData, g, order) -> list:
+    """The relations of `data` assembled from its column series g: one flat
+    relation per plain q variable, then one twisted relation per extra
+    column."""
     flat = [_flat_relation(data, f"q{a + 1}",
                            [Fraction(int(b == a)) for b in range(data.r)],
                            g, order)
             for a in range(data.r_prime)]
-    return g, flat, _twisted_relations(data, g, order)
+    return flat + _twisted_relations(data, g, order)
 
 
-def toric_mirror_map(data: ToricData, order, classes=None) -> MirrorMap:
-    """Forward mirror map of a Calabi-Yau semi-Fano fan.
-
-    `classes`, when given, must be enumerate_effective(data, order).
-    """
+def toric_mirror_map(data: ToricData, order) -> MirrorMap:
+    """Forward mirror map of a Calabi-Yau semi-Fano fan, summed over
+    enumerate_effective(data, order)."""
     op = "toric_mirror_map"
-    _require_cy_semifano(data, op)
+    if data.cy_covector is None:
+        raise ValidationError(MODULE, op,
+                              "fan is not Calabi-Yau: no covector pairs to 1 "
+                              "with every ray and extra vector", None)
+    verify_semi_fano(data)
+    if not data.split_ok:
+        raise ValidationError(MODULE, op,
+                              "kernel basis is not adapted to the extra "
+                              "vectors (their divisor classes must vanish on "
+                              "the flat prefix); supply basis_p", None)
     order = frac(order)
-    if classes is None:
-        classes = enumerate_effective(data, order)
-    g, flat, twisted = _forward(data, coefficient_slice(data, classes, order),
-                                order)
-    return MirrorMap(data=data, order=order, g=g, relations=flat + twisted)
+    classes = enumerate_effective(data, order)
+    sl = coefficient_slice(data, classes, order)
+    g = g_series(data, sl.sector_series, sl.divisor_series, order)
+    return MirrorMap(data, order, g, _relations(data, g, order), classes)
 
 
-def relative_mirror_map(cd: CompactifiedData, order) -> MirrorMap:
-    """Forward mirror map of the compactified pair.
+def relative_mirror_map(cd: CompactifiedData, base: MirrorMap) -> MirrorMap:
+    """Forward mirror map of the compactified pair at the order of `base`,
+    the base fan's mirror map.
 
     Computed with the same machinery on the compactified fan, from the z^-1
     pieces of the relative I-function oracle (which runs its own checks),
     plus the qinf relation of the compactified disk class; afterwards the
-    other relations are asserted to coincide with the plain mirror map of the
-    base fan, and the infinity relation matches the disk-class case split:
-    for a ray disk it is the base ray series on top of the new flat variable,
-    for a box disk the dual-class monomial migrates into the relation and its
-    correction is the cone-weighted sum of ray series.
+    other relations are asserted to coincide with those of `base`, and the
+    infinity relation matches the disk-class case split: for a ray disk it is
+    the base ray series on top of the new flat variable, for a box disk the
+    dual-class monomial migrates into the relation and its correction is the
+    cone-weighted sum of ray series.
     """
     op = "relative_mirror_map"
-    _require_cy_semifano(cd.base, op)
-    order = frac(order)
+    if base.data != cd.base:
+        raise ValidationError(MODULE, op, "base map is not built on the base "
+                              "fan of the compactification", None)
+    order = base.order
     bar = cd.bar
-    sl, base_classes = relative_ifunction_oracle(cd, order)
-    g, flat, twisted = _forward(bar, sl, order)
+    sl, classes = relative_ifunction_oracle(cd, base)
+    g = g_series(bar, sl.sector_series, sl.divisor_series, order)
+    own = _relations(bar, g, order)
     rel_inf = _flat_relation(bar, "qinf", bar.coords_from_pairings(cd.beta_bar),
                              g, order)
-    relations = flat + [rel_inf] + twisted
+    relations = own[:bar.r_prime] + [rel_inf] + own[bar.r_prime:]
 
     # the added ray's own series must vanish: its pairing with every
     # enumerated class is nonnegative
@@ -201,8 +207,7 @@ def relative_mirror_map(cd: CompactifiedData, order) -> MirrorMap:
                                g[cd.infinity_ray].to_json())
 
     # restriction consistency with the base mirror map, relation by relation
-    base_mm = toric_mirror_map(cd.base, order, classes=base_classes)
-    for got, want in zip(flat + twisted, base_mm.relations, strict=True):
+    for got, want in zip(own, base.relations, strict=True):
         if got.target != want.target or not got.series.same_terms(want.series):
             raise ConsistencyError(MODULE, op,
                                    f"{got.kind} relation differs from the base "
@@ -216,8 +221,7 @@ def relative_mirror_map(cd: CompactifiedData, order) -> MirrorMap:
             raise ConsistencyError(MODULE, op,
                                    "ray-disk relation has a nontrivial "
                                    "monomial part", rel_inf.monomial)
-        base_g = base_mm.g[idx]
-        if not rel_inf.correction.same_terms(base_g):
+        if not rel_inf.correction.same_terms(base.g[idx]):
             raise ConsistencyError(MODULE, op,
                                    "ray-disk correction is not the base ray "
                                    "series", idx)
@@ -245,7 +249,7 @@ def relative_mirror_map(cd: CompactifiedData, order) -> MirrorMap:
             raise ConsistencyError(MODULE, op,
                                    "compactified flat variable has "
                                    "non-positive weight", expo)
-    return MirrorMap(data=bar, order=order, g=g, relations=relations)
+    return MirrorMap(bar, order, g, relations, classes)
 
 
 def inverse_mirror_map(mm: MirrorMap) -> dict:

@@ -15,6 +15,7 @@ from .effective import dual_class
 from .errors import ConsistencyError, ValidationError, Value
 from .fan import ToricData
 from .invariants import disk_potentials
+from .mirrormap import toric_mirror_map
 from .series import frac, frac_str
 
 MODULE = "syz-builder"
@@ -145,7 +146,7 @@ def mirror_potential(data: ToricData, gauge: GaugeChoice,
     """Assemble the corrected potential from the disk potentials of every ray
     and every extra vector."""
     order = frac(order)
-    potentials = disk_potentials(data, order)
+    potentials = disk_potentials(toric_mirror_map(data, order))
     sol = solve_coefficient_system(data, gauge)
     basis, w = covector_splitting(data)
     terms = []

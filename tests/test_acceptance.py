@@ -134,7 +134,7 @@ def test_criterion_1_kp2_potential(capsys):
 def test_criterion_2_c3z3_potential(capsys):
     t0 = time.perf_counter()
     data = kernel_data(fans.load("c3z3"))
-    dp = disk_potential(data, ("box", 3), F(4, 3))
+    dp = disk_potential(toric_mirror_map(data, F(4, 3)), ("box", 3))
     t = lambda e: mono(("t3", e))
     assert dp.series.terms == {t(1): F(1), t(4): F(1, 648)}
     table = extract_invariants(dp)
@@ -150,11 +150,12 @@ def test_criterion_3_trivial_fans(capsys):
     t0 = time.perf_counter()
     c3 = kernel_data(fans.load("c3"))
     for i in range(3):
-        assert disk_potential(c3, ("ray", i), 10).series.terms == {(): F(1)}
+        dp = disk_potential(toric_mirror_map(c3, 10), ("ray", i))
+        assert dp.series.terms == {(): F(1)}
     coni = kernel_data(fans.load("conifold"))
     mm = toric_mirror_map(coni, 10)
     assert all(s.is_zero() for s in mm.g.values())
-    for dp in disk_potentials(coni, 10).values():
+    for dp in disk_potentials(mm).values():
         table = extract_invariants(dp)
         for (alpha, _), val in table.entries.items():
             if any(alpha):
@@ -171,7 +172,8 @@ def test_criterion_4_relative_oracle(capsys):
     for base, bar, disk in PAIRS:
         cd = validate_compactification(fans.load(base), fans.load(bar), disk)
         for bound in range(1, 7):
-            sl, _ = relative_ifunction_oracle(cd, bound)
+            sl, _ = relative_ifunction_oracle(
+                cd, toric_mirror_map(cd.base, bound))
             assert sl.h0_z2.terms == {mono(("yinf", 1)): F(1)}
         order = F(7, 3) if disk[0] == "box" else 3
         compare_potentials(cd, order)
@@ -195,7 +197,8 @@ def test_criterion_5_round_trip(capsys):
                 Series.variable(rel.target, back.weights, back.order))
     for base, bar, disk in PAIRS:
         cd = validate_compactification(fans.load(base), fans.load(bar), disk)
-        mm = relative_mirror_map(cd, order)  # restriction asserted inside
+        # restriction asserted inside
+        mm = relative_mirror_map(cd, toric_mirror_map(cd.base, order))
         inv = inverse_mirror_map(mm)
         for rel in mm.relations:
             back = rel.series.substitute(inv)

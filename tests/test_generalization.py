@@ -114,7 +114,7 @@ def test_a1_chart_orbifold():
 
 def test_a1_chart_potential_and_oracle():
     data = kernel_data(fan_from_dict(A1_CHART))
-    dp = disk_potential(data, ("box", 2), F(3, 2))
+    dp = disk_potential(toric_mirror_map(data, F(3, 2)), ("box", 2))
     t = lambda e: mono(("t2", e))
     # invert tau = u + u^3/24: u = tau - tau^3/24 + ...
     assert dp.series.terms == {t(1): F(1), t(3): F(-1, 24)}
@@ -129,7 +129,8 @@ def test_a1_chart_potential_and_oracle():
 def test_a1_smooth_disks_trivial():
     data = kernel_data(fan_from_dict(A1_CHART))
     for i in (0, 1):
-        assert disk_potential(data, ("ray", i), 3).series.terms == {(): F(1)}
+        dp = disk_potential(toric_mirror_map(data, 3), ("ray", i))
+        assert dp.series.terms == {(): F(1)}
 
 
 WEIGHTED_SURFACE = {
@@ -224,7 +225,7 @@ def test_a1_sine_closed_form():
     u = lambda e: mono(("y1", e))
     for k in range(5):
         assert g2.coefficient(u(F(2 * k + 1, 2))) == arcsin2_coeff(k)
-    dp = disk_potential(data, ("box", 2), order)
+    dp = disk_potential(toric_mirror_map(data, order), ("box", 2))
     t = lambda e: mono(("t2", e))
     for k in range(5):
         assert dp.series.coefficient(t(2 * k + 1)) == sin2_coeff(k)

@@ -11,6 +11,7 @@ from orbidisk.fan import fan_from_dict, kernel_data, validate_compactification
 from orbidisk.hyper import (FactorExpansion, Slice, ZFactors,
                             coefficient_slice, hyper_factor,
                             relative_ifunction_oracle, y_monomial, z_extract)
+from orbidisk.mirrormap import toric_mirror_map
 from orbidisk.series import Series, mono
 from test_effective import eff_class_reference, sector_reference
 from test_generalization import LOCAL_QUADRIC, WEIGHTED_BASIS, WEIGHTED_SURFACE
@@ -282,7 +283,7 @@ def test_slice_c3z3():
 def test_oracle_compactified_c3():
     cd = validate_compactification(fans.load("c3"), fans.load("c3_bar"),
                                    ("ray", 2))
-    sl, _ = relative_ifunction_oracle(cd, 4)
+    sl, _ = relative_ifunction_oracle(cd, toric_mirror_map(cd.base, 4))
     assert sl.h0_z2.terms == {mono(("yinf", 1)): F(1)}
     assert sl.sector_series == {}
     assert sl.divisor_series == {}
@@ -291,7 +292,7 @@ def test_oracle_compactified_c3():
 def test_oracle_compactified_kp2():
     cd = validate_compactification(fans.load("kp2"), fans.load("kp2_bar"),
                                    ("ray", 0))
-    sl, _ = relative_ifunction_oracle(cd, 3)
+    sl, _ = relative_ifunction_oracle(cd, toric_mirror_map(cd.base, 3))
     assert sl.h0_z2.terms == {mono(("yinf", 1)): F(1)}
     g0 = sl.divisor_series[0]
     assert g0.terms == {mono(("y1", 1)): F(2), mono(("y1", 2)): F(-15),
@@ -303,7 +304,7 @@ def test_oracle_compactified_kp2():
 def test_oracle_compactified_c3z3():
     cd = validate_compactification(fans.load("c3z3"), fans.load("c3z3_bar"),
                                    ("box", 3))
-    sl, _ = relative_ifunction_oracle(cd, 2)
+    sl, _ = relative_ifunction_oracle(cd, toric_mirror_map(cd.base, 2))
     assert sl.h0_z2.terms == {mono(("yinf", 1)): F(1)}
     g3 = sl.sector_series[(0, 0, 1)]
     assert g3.coefficient(mono(("y1", F(1, 3)))) == 1
@@ -319,8 +320,25 @@ def test_oracle_compactified_c3z3():
 @pytest.mark.parametrize("bound", [1, 2, 3, 4, 5, 6])
 def test_oracle_single_monomial_every_bound(base, bar, disk, bound):
     cd = validate_compactification(fans.load(base), fans.load(bar), disk)
-    sl, _ = relative_ifunction_oracle(cd, bound)
+    sl, _ = relative_ifunction_oracle(cd, toric_mirror_map(cd.base, bound))
     assert sl.h0_z2.terms == {mono(("yinf", 1)): F(1)}
+
+
+@pytest.mark.parametrize("base,bar,disk", [
+    ("kp2", "kp2_bar", ("ray", 0)),
+    ("c3z3", "c3z3_bar", ("box", 3)),
+])
+def test_oracle_refuses_base_classes_off_the_zero_infinity_slice(base, bar,
+                                                                 disk):
+    # the compactified classes that miss the added divisor must be exactly
+    # the classes the base map was summed over
+    from orbidisk.errors import ConsistencyError
+    from orbidisk.mirrormap import MirrorMap
+    cd = validate_compactification(fans.load(base), fans.load(bar), disk)
+    mm = toric_mirror_map(cd.base, 3)
+    short = MirrorMap(mm.data, mm.order, mm.g, mm.relations, mm.classes[:-1])
+    with pytest.raises(ConsistencyError, match="zero-infinity slice"):
+        relative_ifunction_oracle(cd, short)
 
 
 def test_oracle_z1_rebuilds_relations():
@@ -330,8 +348,9 @@ def test_oracle_z1_rebuilds_relations():
 
     cd = validate_compactification(fans.load("kp2"), fans.load("kp2_bar"),
                                    ("ray", 0))
-    sl, _ = relative_ifunction_oracle(cd, 3)
-    mm = relative_mirror_map(cd, 3)
+    base = toric_mirror_map(cd.base, 3)
+    sl, _ = relative_ifunction_oracle(cd, base)
+    mm = relative_mirror_map(cd, base)
     zero = Series.zero(cd.bar.y_weights(), 3)
     for rel in mm.relations:
         if rel.kind != "flat":
@@ -343,11 +362,10 @@ def test_oracle_z1_rebuilds_relations():
                 want = want + sl.divisor_series[j] * pair[j]
         assert rel.correction.same_terms(want)
     # twisted pieces are the sector series themselves
-    t3 = next(r for r in relative_mirror_map(
-        validate_compactification(fans.load("c3z3"), fans.load("c3z3_bar"),
-                                  ("box", 3)), 2).relations
-        if r.kind == "twisted")
-    sl2, _ = relative_ifunction_oracle(
-        validate_compactification(fans.load("c3z3"), fans.load("c3z3_bar"),
-                                  ("box", 3)), 2)
+    cd = validate_compactification(fans.load("c3z3"), fans.load("c3z3_bar"),
+                                   ("box", 3))
+    base = toric_mirror_map(cd.base, 2)
+    t3 = next(r for r in relative_mirror_map(cd, base).relations
+              if r.kind == "twisted")
+    sl2, _ = relative_ifunction_oracle(cd, base)
     assert t3.series.same_terms(sl2.sector_series[(0, 0, 1)])

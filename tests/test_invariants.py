@@ -21,6 +21,13 @@ def cd_for(base, bar, disk):
     return validate_compactification(fans.load(base), fans.load(bar), disk)
 
 
+def bar_base(cd, order):
+    """The base map oracle_potential reads for a potential at `order`: built
+    at the bar order, order + w_inf."""
+    w_inf = cd.bar.grade(cd.bar.coords_from_pairings(cd.beta_bar))
+    return toric_mirror_map(cd.base, F(order) + w_inf)
+
+
 # ---------------------------------------------------------------------------
 # potentials
 
@@ -28,7 +35,7 @@ def cd_for(base, bar, disk):
 def test_potential_c3_trivial():
     data = data_for("c3")
     for i in range(3):
-        dp = disk_potential(data, ("ray", i), 6)
+        dp = disk_potential(toric_mirror_map(data, 6), ("ray", i))
         assert dp.series.terms == {(): F(1)}
         assert dp.normalization == "1+delta"
 
@@ -36,33 +43,33 @@ def test_potential_c3_trivial():
 def test_potential_conifold_trivial():
     data = data_for("conifold")
     for i in range(4):
-        dp = disk_potential(data, ("ray", i), 10)
+        dp = disk_potential(toric_mirror_map(data, 10), ("ray", i))
         assert dp.series.terms == {(): F(1)}
 
 
 def test_potential_kp2():
     data = data_for("kp2")
-    dp = disk_potential(data, ("ray", 0), 3)
+    dp = disk_potential(toric_mirror_map(data, 3), ("ray", 0))
     q = lambda e: mono(("q1", e))
     assert dp.series.terms == {(): F(1), q(1): F(-2), q(2): F(5), q(3): F(-32)}
 
 
 def test_potential_kp2_order4():
     data = data_for("kp2")
-    dp = disk_potential(data, ("ray", 0), 4)
+    dp = disk_potential(toric_mirror_map(data, 4), ("ray", 0))
     assert dp.series.coefficient(mono(("q1", 4))) == 286
 
 
 def test_potential_kp2_outer_rays():
     data = data_for("kp2")
     for i in (1, 2, 3):
-        dp = disk_potential(data, ("ray", i), 4)
+        dp = disk_potential(toric_mirror_map(data, 4), ("ray", i))
         assert dp.series.terms == {(): F(1)}
 
 
 def test_potential_c3z3():
     data = data_for("c3z3")
-    dp = disk_potential(data, ("box", 3), F(4, 3))
+    dp = disk_potential(toric_mirror_map(data, F(4, 3)), ("box", 3))
     t = lambda e: mono(("t3", e))
     assert dp.series.terms == {t(1): F(1), t(4): F(1, 648)}
     assert dp.normalization == "tau+delta"
@@ -72,13 +79,14 @@ def test_potential_c3z3_deeper():
     # grade 7/3 term: u = tau + u^4/648 - 4 u^7 / 229635 inverts to
     # tau + tau^4/648 - 29 tau^7 / 3674160  (hand computation)
     data = data_for("c3z3")
-    dp = disk_potential(data, ("box", 3), F(7, 3))
+    dp = disk_potential(toric_mirror_map(data, F(7, 3)), ("box", 3))
     assert dp.series.coefficient(mono(("t3", 7))) == F(-29, 3674160)
 
 
 def test_potential_selector_string():
     data = data_for("kp2")
-    dp = disk_potential(data, parse_disk_selector("ray:0", data), 2)
+    dp = disk_potential(toric_mirror_map(data, 2),
+                        parse_disk_selector("ray:0", data))
     assert dp.series.coefficient(mono(("q1", 1))) == -2
 
 
@@ -87,7 +95,7 @@ def test_potential_selector_string():
 
 
 def test_invariants_kp2():
-    dp = disk_potential(data_for("kp2"), ("ray", 0), 4)
+    dp = disk_potential(toric_mirror_map(data_for("kp2"), 4), ("ray", 0))
     table = extract_invariants(dp)
     assert table.value([0]) == 1
     assert table.value([1]) == -2
@@ -98,7 +106,8 @@ def test_invariants_kp2():
 
 
 def test_invariants_c3z3():
-    dp = disk_potential(data_for("c3z3"), ("box", 3), F(4, 3))
+    dp = disk_potential(toric_mirror_map(data_for("c3z3"), F(4, 3)),
+                        ("box", 3))
     table = extract_invariants(dp)
     # coefficient 1/648 times 4! = 1/27
     assert table.value([], [("b0,0,1", 4)]) == F(1, 27)
@@ -108,7 +117,8 @@ def test_invariants_c3z3():
 def test_invariants_conifold_vanish():
     data = data_for("conifold")
     for i in range(4):
-        table = extract_invariants(disk_potential(data, ("ray", i), 10))
+        table = extract_invariants(
+            disk_potential(toric_mirror_map(data, 10), ("ray", i)))
         for (alpha, ins), val in table.entries.items():
             if any(alpha):
                 assert val == 0
@@ -116,7 +126,8 @@ def test_invariants_conifold_vanish():
 
 
 def test_invariants_json():
-    dp = disk_potential(data_for("c3z3"), ("box", 3), F(4, 3))
+    dp = disk_potential(toric_mirror_map(data_for("c3z3"), F(4, 3)),
+                        ("box", 3))
     rows = extract_invariants(dp).to_json()
     assert {"alpha": [], "insertions": {"b0,0,1": 4},
             "value": "1/27"} in rows
@@ -128,20 +139,20 @@ def test_invariants_json():
 
 def test_oracle_c3():
     cd = cd_for("c3", "c3_bar", ("ray", 2))
-    s = oracle_potential(cd, 4)
+    s = oracle_potential(cd, bar_base(cd, 4))
     assert s.terms == {(): F(1)}
 
 
 def test_oracle_kp2():
     cd = cd_for("kp2", "kp2_bar", ("ray", 0))
-    s = oracle_potential(cd, 3)
+    s = oracle_potential(cd, bar_base(cd, 3))
     q = lambda e: mono(("q1", e))
     assert s.terms == {(): F(1), q(1): F(-2), q(2): F(5), q(3): F(-32)}
 
 
 def test_oracle_c3z3():
     cd = cd_for("c3z3", "c3z3_bar", ("box", 3))
-    s = oracle_potential(cd, F(4, 3))
+    s = oracle_potential(cd, bar_base(cd, F(4, 3)))
     t = lambda e: mono(("t3", e))
     assert s.terms == {t(1): F(1), t(4): F(1, 648)}
 
@@ -158,17 +169,20 @@ def test_compare_potentials(base, bar, disk, order):
 
 
 def test_compare_potentials_computes_each_artefact_once(monkeypatch):
-    # one enumeration of the base fan at the order, one of each fan at the
-    # compactified order, and one extraction per enumerated class
+    # one base mirror map, built at the bar order and read by both routes:
+    # one enumeration and one slice of each fan, one semi-Fano certificate,
+    # and one extraction per enumerated class
     import sys
-    from orbidisk import effective, hyper
+    from orbidisk import effective, fan, hyper, mirrormap
 
-    calls = {"enumerate": 0, "classes": 0, "extract": 0}
+    calls = {}
 
-    def counted(name, fn, tally):
+    def counted(name, fn, tally=None):
         def wrapper(*args, **kwargs):
             out = fn(*args, **kwargs)
-            tally(out)
+            calls[name] += 1
+            if tally:
+                tally(out)
             return out
         for mod in list(sys.modules.values()):
             if (getattr(mod, "__name__", "").startswith("orbidisk")
@@ -176,18 +190,25 @@ def test_compare_potentials_computes_each_artefact_once(monkeypatch):
                 monkeypatch.setattr(mod, name, wrapper)
 
     def on_enumerate(out):
-        calls["enumerate"] += 1
         calls["classes"] += len(out)
 
-    def on_extract(out):
-        calls["extract"] += 1
-
+    counted("toric_mirror_map", mirrormap.toric_mirror_map)
     counted("enumerate_effective", effective.enumerate_effective, on_enumerate)
-    counted("z_extract", hyper.z_extract, on_extract)
-    compare_potentials(cd_for("c3z3", "c3z3_bar", ("box", 3)), 2)
-    assert calls["enumerate"] == 3
+    counted("verify_semi_fano", fan.verify_semi_fano)
+    counted("coefficient_slice", hyper.coefficient_slice)
+    counted("z_extract", hyper.z_extract)
+    for base, disk in (("c3", ("ray", 2)), ("kp2", ("ray", 0)),
+                       ("c3z3", ("box", 3))):
+        calls.update(dict.fromkeys(
+            ("toric_mirror_map", "enumerate_effective", "verify_semi_fano",
+             "coefficient_slice", "z_extract", "classes"), 0))
+        compare_potentials(cd_for(base, base + "_bar", disk), 2)
+        assert calls["toric_mirror_map"] == 1, base
+        assert calls["enumerate_effective"] == 2, base
+        assert calls["verify_semi_fano"] == 1, base
+        assert calls["coefficient_slice"] == 2, base
+        assert calls["z_extract"] == calls["classes"], base
     assert calls["classes"] > 0
-    assert calls["extract"] == calls["classes"]
 
 
 def _data_of(case):
@@ -198,7 +219,7 @@ def _data_of(case):
 
 
 def _potential_of(case, order):
-    disk_potential(_data_of(case), ("ray", 0), order)
+    disk_potential(toric_mirror_map(_data_of(case), order), ("ray", 0))
 
 
 @pytest.mark.parametrize("case, order, ceiling", [
@@ -301,7 +322,7 @@ def test_disk_potential_kernel_stays_packed(monkeypatch, case, disk, order):
 
     monkeypatch.setattr(series, "_mul_into", checked)
     data = data_for("c3z3") if case == "c3z3" else _data_of(case)
-    disk_potential(data, disk, order)
+    disk_potential(toric_mirror_map(data, order), disk)
     assert calls[0] > 0
 
 
@@ -334,5 +355,6 @@ def test_forward_layer_stays_integral(monkeypatch, case):
     if case.startswith("c3z3"):
         compare_potentials(cd_for("c3z3", "c3z3_bar", ("box", 3)), F(4, 3))
     else:
-        disk_potential(_data_of("local_quadric"), ("ray", 0), 5)
+        disk_potential(toric_mirror_map(_data_of("local_quadric"), 5),
+                       ("ray", 0))
     assert calls["scan"] and calls["factor"]

@@ -149,6 +149,47 @@ def test_round_trip_to_grade_8(name):
         assert back.same_terms(target)
 
 
+def _quadric_data():
+    from test_generalization import LOCAL_QUADRIC
+    return kernel_data(fan_from_dict(LOCAL_QUADRIC))
+
+
+@pytest.mark.parametrize("name, lo, hi", [
+    ("c3", 1, 3), ("c3", 4, 5),            # hi = lo + w_inf of c3_bar ray:2
+    ("conifold", 2, 5), ("conifold", 3, 4),
+    ("kp2", 1, 2), ("kp2", 3, 4), ("kp2", 2, 7),   # w_inf of kp2_bar is 1
+    ("c3z3", F(1, 3), F(4, 3)), ("c3z3", F(4, 3), 2),  # w_inf 2/3
+    ("c3z3", 2, F(8, 3)), ("c3z3", F(7, 3), 4),
+    ("local_quadric", 2, 3), ("local_quadric", 1, 4),
+])
+def test_truncate_equals_map_built_at_lower_order(name, lo, hi):
+    # a map built high and truncated is the map built low: the same column
+    # series, relations and class list
+    data = _quadric_data() if name == "local_quadric" else data_for(name)
+    got = toric_mirror_map(data, hi).truncate(lo)
+    want = toric_mirror_map(data, lo)
+    assert got.order == want.order == F(lo)
+    assert got.g == want.g
+    assert got.relations == want.relations
+    assert got.classes == want.classes
+
+
+@pytest.mark.parametrize("name, hi, lo", [
+    ("kp2", 2, F(1, 2)),
+    ("c3z3", F(4, 3), F(1, 6)),
+])
+def test_truncate_below_leading_grade_refused_as_toric_mirror_map(name, hi,
+                                                                   lo):
+    data = data_for(name)
+    with pytest.raises(ValidationError) as built:
+        toric_mirror_map(data, lo)
+    with pytest.raises(ValidationError) as truncated:
+        toric_mirror_map(data, hi).truncate(lo)
+    assert str(truncated.value) == str(built.value)
+    assert truncated.value.datum == built.value.datum
+    assert truncated.value.as_dict() == built.value.as_dict()
+
+
 # ---------------------------------------------------------------------------
 # relative maps
 
@@ -156,7 +197,7 @@ def test_round_trip_to_grade_8(name):
 def test_relative_map_c3():
     cd = validate_compactification(fans.load("c3"), fans.load("c3_bar"),
                                    ("ray", 2))
-    mm = relative_mirror_map(cd, 4)
+    mm = relative_mirror_map(cd, toric_mirror_map(cd.base, 4))
     rel = mm.relation_for("qinf")
     assert rel.monomial == mono(("yinf", 1))
     assert rel.correction.is_zero()
@@ -165,7 +206,7 @@ def test_relative_map_c3():
 def test_relative_map_kp2():
     cd = validate_compactification(fans.load("kp2"), fans.load("kp2_bar"),
                                    ("ray", 0))
-    mm = relative_mirror_map(cd, 3)
+    mm = relative_mirror_map(cd, toric_mirror_map(cd.base, 3))
     rel = mm.relation_for("qinf")
     assert rel.monomial == mono(("yinf", 1))
     base_g0 = column_series(cd.base, 3)[0]
@@ -180,7 +221,7 @@ def test_relative_map_kp2():
 def test_relative_map_c3z3():
     cd = validate_compactification(fans.load("c3z3"), fans.load("c3z3_bar"),
                                    ("box", 3))
-    mm = relative_mirror_map(cd, 2)
+    mm = relative_mirror_map(cd, toric_mirror_map(cd.base, 2))
     rel = mm.relation_for("qinf")
     # flat compactified variable carries the dual-class twist
     assert rel.monomial == mono(("yinf", 1), ("y1", F(-1, 3)))
@@ -195,33 +236,37 @@ def test_relative_map_c3z3():
     ("kp2", ("ray", 0), 3, "q1", "flat"),
     ("c3z3", ("box", 3), 2, "t3", "twisted"),
 ])
-def test_relative_map_refuses_base_mismatch(monkeypatch, base, disk, order,
-                                            target, kind):
+def test_relative_map_refuses_base_mismatch(base, disk, order, target, kind):
     # every flat and twisted relation is compared with the base map's; a
     # perturbed base relation is refused and named
-    from orbidisk import mirrormap
     from orbidisk.errors import ConsistencyError
+    from orbidisk.mirrormap import MirrorMap, Relation
     cd = validate_compactification(fans.load(base), fans.load(base + "_bar"),
                                    disk)
-    plain = mirrormap.toric_mirror_map
-
-    def perturbed(data, order, classes=None):
-        mm = plain(data, order, classes)
-        rels = [mirrormap.Relation(r.target, r.kind, r.series * 2)
-                if r.target == target else r for r in mm.relations]
-        return mirrormap.MirrorMap(mm.data, mm.order, mm.g, rels)
-
-    monkeypatch.setattr(mirrormap, "toric_mirror_map", perturbed)
+    mm = toric_mirror_map(cd.base, order)
+    rels = [Relation(r.target, r.kind, r.series * 2) if r.target == target
+            else r for r in mm.relations]
+    perturbed = MirrorMap(mm.data, mm.order, mm.g, rels, mm.classes)
     with pytest.raises(ConsistencyError,
                        match=f"{kind} relation differs") as e:
-        relative_mirror_map(cd, order)
+        relative_mirror_map(cd, perturbed)
     assert e.value.datum == target
+
+
+def test_relative_map_refuses_foreign_base():
+    # the base map must be built on the compactification's own base fan
+    cd = validate_compactification(fans.load("kp2"), fans.load("kp2_bar"),
+                                   ("ray", 0))
+    with pytest.raises(ValidationError, match="base map is not built") as e:
+        relative_mirror_map(cd, toric_mirror_map(data_for("c3"), 3))
+    assert e.value.operation == "relative_mirror_map"
+    assert e.value.exit_code == 2
 
 
 def test_relative_inverse_round_trip():
     cd = validate_compactification(fans.load("kp2"), fans.load("kp2_bar"),
                                    ("ray", 0))
-    mm = relative_mirror_map(cd, 5)
+    mm = relative_mirror_map(cd, toric_mirror_map(cd.base, 5))
     inv = inverse_mirror_map(mm)
     # the base variable inverts exactly as in the plain map
     q = lambda e: mono(("q1", e))

@@ -591,10 +591,11 @@ def _relative_map(base, bar, disk, order):
     # the map oracle_potential inverts: the bar map at order + w_inf
     from orbidisk import fans
     from orbidisk.fan import validate_compactification
-    from orbidisk.mirrormap import relative_mirror_map
+    from orbidisk.mirrormap import relative_mirror_map, toric_mirror_map
     cd = validate_compactification(fans.load(base), fans.load(bar), disk)
     w_inf = cd.bar.grade(cd.bar.coords_from_pairings(cd.beta_bar))
-    return relative_mirror_map(cd, F(order) + w_inf)
+    return relative_mirror_map(cd, toric_mirror_map(cd.base,
+                                                    F(order) + w_inf))
 
 
 def _newton_cases():

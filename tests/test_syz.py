@@ -193,12 +193,14 @@ def test_mirror_potential_c3z3():
                          ids=["kp2-3", "c3z3-4/3"])
 def test_mirror_potential_builds_one_map_and_one_inverse(monkeypatch, name,
                                                          order):
+    # syz builds the map, invariants inverts it
     calls = []
-    for fn in ("toric_mirror_map", "inverse_mirror_map"):
-        def counted(*args, _fn=fn, _original=getattr(invariants, fn)):
+    for mod, fn in ((syz, "toric_mirror_map"),
+                    (invariants, "inverse_mirror_map")):
+        def counted(*args, _fn=fn, _original=getattr(mod, fn)):
             calls.append(_fn)
             return _original(*args)
-        monkeypatch.setattr(invariants, fn, counted)
+        monkeypatch.setattr(mod, fn, counted)
     data = data_for(name)
     mirror_potential(data, GaugeChoice.for_data(data), order)
     assert sorted(calls) == ["inverse_mirror_map", "toric_mirror_map"]

@@ -30,8 +30,8 @@ def samples():
                                         fans.load("c3z3_bar"), "box:3")
     c1, c2 = enumerate_effective(kp2, 2)[:2]
     mm_kp2, mm_c3z3 = toric_mirror_map(kp2, 3), toric_mirror_map(c3z3, 2)
-    dp_kp2 = disk_potential(kp2, ("ray", 0), 3)
-    dp_c3z3 = disk_potential(c3z3, ("box", 3), 2)
+    dp_kp2 = disk_potential(toric_mirror_map(kp2, 3), ("ray", 0))
+    dp_c3z3 = disk_potential(toric_mirror_map(c3z3, 2), ("box", 3))
     gauges = GaugeChoice.for_data(kp2, 0), GaugeChoice.for_data(kp2, 1)
     return {
         type(kp2.fan): (kp2.fan, c3z3.fan),
