@@ -101,9 +101,8 @@ def eff_class(data: ToricData, coords) -> EffClass:
 
 
 def dual_class(data: ToricData, j) -> EffClass:
-    """The effective class dual to extra column j."""
-    return eff_class(data,
-                     data.coords_from_pairings(data.dual_class_pairings(j)))
+    """The effective class dual to extra column j, from the disk table."""
+    return eff_class(data, data.disk_class(("box", j))[3])
 
 
 def is_effective(data: ToricData, pairings) -> bool:

@@ -3,8 +3,9 @@
 A stacky fan is given by primitive ray vectors, simplicial cones (as index
 sets) and optional extra vectors inside the support.  From it we derive the
 kernel lattice of the ray map, divisor pairings, box elements with their ages,
-anticones, the Calabi-Yau covector and the semi-Fano certificate, plus the
-validated compactification data used by the relative pipeline.
+anticones, the basic disk classes with their cones and dual classes, the
+Calabi-Yau covector and the semi-Fano certificate, plus the validated
+compactification data used by the relative pipeline.
 
 Column convention: the m' columns are the rays 0..m-1 followed by the extra
 vectors m..m'-1.  A class d in the kernel (tensored with Q) is identified with
@@ -284,13 +285,11 @@ class ToricData(Value):
     anticones: tuple             # (cone, anticone, generators) per maximal cone
     boxes: list
     age1_boxes: list
+    disks: dict                  # basic disk class -> see _disk_table
     cy_covector: list | None
     basis_origin: str = "default"
     split_ok: bool = True
-    # compactified bookkeeping (None for plain fans)
-    infinity_column: int | None = None
-    q_count: int | None = None          # number of plain q variables
-    tau_names: dict = {}
+    infinity_column: int | None = None  # the added ray of a compactification
 
     @property
     def n(self):
@@ -314,9 +313,8 @@ class ToricData(Value):
 
     @property
     def r_prime(self):
-        if self.q_count is not None:
-            return self.q_count
-        return self.fan.m - self.fan.rank
+        # plain q variables: the added ray of a compactification brings qinf
+        return self.fan.m - self.fan.rank - (self.infinity_column is not None)
 
     def column_vector(self, i):
         return self.fan.column(i)
@@ -344,9 +342,8 @@ class ToricData(Value):
         return {v: Fraction(1) for v in self.y_vars()}
 
     def tau_name(self, j):
-        if j in self.tau_names:
-            return self.tau_names[j]
-        return f"t{j}"
+        # the base column: a compactification adds its ray before the extras
+        return f"t{j - (self.infinity_column is not None)}"
 
     # -- pairings and coordinates ---------------------------------------------
 
@@ -373,39 +370,11 @@ class ToricData(Value):
     def grade(self, coords):
         return sum((frac(c) for c in coords), Fraction(0))
 
-    # -- dual classes ------------------------------------------------------------
-
-    def extra_cone_data(self, j):
-        """(ray indices, coefficients) of the minimal cone containing extra j,
-        read off the age-1 box element `box_elements` already solved: the
-        extra vectors are exactly the age-1 set (`kernel_data` checks it, and
-        `validate_compactification` that the bar fan has the base's)."""
-        if not (self.m <= j < self.m_prime):
-            raise _verr("dual_class", f"index {j} is not an extra vector column", j)
-        vec = self.fan.column(j)
-        for b in self.age1_boxes:
-            if b.vector == vec:
-                return b.cone, b.coefficients
-        raise ConsistencyError(MODULE, "dual_class", f"extra vector {vec} is "
-                               "not an age-1 box element", vec)
-
-    def dual_class_pairings(self, j):
-        """Pairing vector of the dual class attached to extra column j:
-        1 at j, minus the cone coefficient at each ray of its minimal cone,
-        0 elsewhere.  Lies in the kernel automatically."""
-        support, coeffs = self.extra_cone_data(j)
-        v = [Fraction(0)] * self.m_prime
-        v[j] = Fraction(1)
-        for i, c in zip(support, coeffs):
-            v[i] = -c
-        # sanity: the vector is a kernel element
-        n = self.n
-        for k in range(n):
-            s = sum(v[i] * self.fan.column(i)[k] for i in range(self.m_prime))
-            if s != 0:
-                raise ConsistencyError(MODULE, "dual_class",
-                                       "dual class failed the kernel relation", v)
-        return v
+    def disk_class(self, disk):
+        """The disk table's entry for ("ray", i) or ("box", j)."""
+        if tuple(disk) not in self.disks:
+            raise _verr("disk_class", f"no basic disk class {disk!r}", disk)
+        return self.disks[tuple(disk)]
 
 
 def _anticones(fan, gamma):
@@ -478,10 +447,33 @@ def _default_kernel_basis(fan: StackyFan, kernel):
     return kernel, split_ok
 
 
+def _disk_table(data: ToricData) -> dict:
+    """{disk: (cone, coefficients, dual pairings, dual coordinates)}, rays
+    first.  A ray is its own cone with the zero dual class; extra column j
+    takes the minimal cone of its age-1 box element, and its dual class pairs
+    to 1 with j and to minus the cone coefficients with the cone's rays.
+    Solving for the coordinates checks that the class lies in the kernel.  A
+    column that is no age-1 box gets no entry; the callers refuse it."""
+    zero = (Fraction(0),) * data.m_prime, (Fraction(0),) * data.r
+    table = {("ray", i): ((i,), (Fraction(1),), *zero) for i in range(data.m)}
+    age1 = {b.vector: b for b in data.age1_boxes}
+    for j in data.extra_columns():
+        b = age1.get(data.fan.column(j))
+        if b is not None:
+            dual = [Fraction(int(i == j)) for i in range(data.m_prime)]
+            for i, c in zip(b.cone, b.coefficients):
+                dual[i] = -c
+            table[("box", j)] = (b.cone, b.coefficients, tuple(dual),
+                                 tuple(data.coords_from_pairings(dual)))
+    return table
+
+
 def _toric_data(fan: StackyFan, gamma, op, **bookkeeping) -> ToricData:
     """ToricData of `fan` on the kernel basis `gamma`, with its boxes, its
-    anticone table and the `bookkeeping` fields, once gamma is checked: each
-    vector in the kernel, m' - n of them, elementary divisors all +-1."""
+    anticone and disk tables and the `bookkeeping` fields, once gamma is
+    checked: each vector in the kernel, m' - n of them, elementary divisors
+    all +-1.  The disk table is filled once the instance exists, as its
+    dual classes are solved on the instance's kernel basis."""
     for g in gamma:
         for k in range(fan.rank):
             if sum(g[i] * fan.column(i)[k] for i in range(fan.m_prime)) != 0:
@@ -493,8 +485,10 @@ def _toric_data(fan: StackyFan, gamma, op, **bookkeeping) -> ToricData:
                                {"gamma": gamma, "divisors": divs})
     gamma = [list(g) for g in gamma]
     boxes, age1 = box_elements(fan)
-    return ToricData(fan=fan, gamma=gamma, anticones=_anticones(fan, gamma),
-                     boxes=boxes, age1_boxes=age1, **bookkeeping)
+    data = ToricData(fan=fan, gamma=gamma, anticones=_anticones(fan, gamma),
+                     boxes=boxes, age1_boxes=age1, disks={}, **bookkeeping)
+    data.disks.update(_disk_table(data))
+    return data
 
 
 def kernel_data(fan: StackyFan, basis_p=None) -> ToricData:
@@ -606,7 +600,6 @@ class CompactifiedData(Value):
     base: ToricData
     bar: ToricData
     disk: tuple                 # ("ray", i0) or ("box", j0) in base columns
-    infinity_ray: int           # bar ray index of the added ray
     d_infinity: list            # pairing vector over bar columns
     beta_bar: list              # pairing vector over bar columns
     col_map: dict               # base column -> bar column
@@ -664,8 +657,8 @@ def validate_compactification(base_fan: StackyFan, bar_fan: StackyFan,
     if isinstance(disk, str):
         disk = parse_disk_selector(disk, base)
     kind, idx = disk
-    b_disk = base_fan.column(idx)
-    b_inf = tuple(-x for x in b_disk)
+    dual = base.disk_class(disk)[2]  # refuses a disk the base fan lacks
+    b_inf = tuple(-x for x in base_fan.column(idx))
 
     if bar_fan.rank != base_fan.rank:
         raise _verr(op, "rank mismatch between fan and compactified fan",
@@ -682,8 +675,8 @@ def validate_compactification(base_fan: StackyFan, bar_fan: StackyFan,
     for c in base_fan.cones:
         if tuple(c) not in set(bar_fan.cones):
             raise _verr(op, f"base cone {c} missing from the compactified fan", c)
-    inf_ray = base_fan.m
-    if not any(inf_ray in c for c in bar_fan.cones):
+    inf_col = base_fan.m
+    if not any(inf_col in c for c in bar_fan.cones):
         raise _verr(op, "incomplete fan: the added ray lies in no cone", b_inf)
 
     certificate = {
@@ -702,7 +695,6 @@ def validate_compactification(base_fan: StackyFan, bar_fan: StackyFan,
 
     # bar kernel basis: extended base basis plus the compactifying class
     mp_bar = bar_fan.m_prime
-    inf_col = inf_ray
     gamma_bar = []
     for g in base.gamma:
         gext = [0] * mp_bar
@@ -714,11 +706,9 @@ def validate_compactification(base_fan: StackyFan, bar_fan: StackyFan,
     d_inf[inf_col] = 1
     gamma_bar.append(d_inf)
 
-    tau_names = {col_map[j]: f"t{j}" for j in base.extra_columns()}
     bar = _toric_data(bar_fan, gamma_bar, op, cy_covector=None,
                       basis_origin="compactified", split_ok=base.split_ok,
-                      infinity_column=inf_col, q_count=base.r_prime,
-                      tau_names=tau_names)
+                      infinity_column=inf_col)
     base_age1 = sorted(b.vector for b in base.age1_boxes)
     bar_age1 = sorted(b.vector for b in bar.age1_boxes)
     if base_age1 != bar_age1:
@@ -726,18 +716,13 @@ def validate_compactification(base_fan: StackyFan, bar_fan: StackyFan,
                         "the base fan",
                     {"base": base_age1, "bar": bar_age1})
 
-    # beta_bar
-    if kind == "ray":
-        beta_bar = list(d_inf)
-    else:
-        dual = base.dual_class_pairings(idx)
-        beta_bar = list(d_inf)
-        for c, x in enumerate(dual):
-            beta_bar[col_map[c]] -= x
-        beta_bar = [frac(x) for x in beta_bar]
+    # beta_bar: D_inf minus the disk's dual class (zero for a ray disk)
+    beta_bar = [frac(x) for x in d_inf]
+    for c, x in enumerate(dual):
+        beta_bar[col_map[c]] -= x
 
     cd = CompactifiedData(base=base, bar=bar, disk=(kind, idx),
-                          infinity_ray=inf_ray, d_infinity=[frac(x) for x in d_inf],
+                          d_infinity=[frac(x) for x in d_inf],
                           beta_bar=beta_bar, col_map=col_map,
                           complete_certificate=certificate)
 
@@ -752,10 +737,7 @@ def validate_compactification(base_fan: StackyFan, bar_fan: StackyFan,
         raise ConsistencyError(MODULE, op,
                                f"anticanonical degree of the disk class is {c1}, "
                                "want 2", beta_bar)
-    if kind == "box":
-        for j in bar.extra_columns():
-            if beta_bar[j] != 0:
-                raise ConsistencyError(MODULE, op,
-                                       "disk class pairs nontrivially with an "
-                                       "extra divisor", beta_bar)
+    if any(beta_bar[j] for j in bar.extra_columns()):
+        raise ConsistencyError(MODULE, op, "disk class pairs nontrivially "
+                               "with an extra divisor", beta_bar)
     return cd

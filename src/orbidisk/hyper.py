@@ -105,9 +105,10 @@ def z_extract(data, cls) -> ZFactors:
     return ZFactors(Fraction(z_exp), Fraction(num, den), tuple(forced))
 
 
-def y_monomial(data, cls):
-    """Monomial of a class in the y-variables (one per kernel basis vector)."""
-    return mono(*zip(data.y_vars(), cls.coords))
+def y_monomial(data, coords):
+    """Monomial of a class in the y-variables, from its coordinates (one per
+    kernel basis vector)."""
+    return mono(*zip(data.y_vars(), coords))
 
 
 class Slice(Value):
@@ -157,7 +158,7 @@ def coefficient_slice(data, classes, order) -> Slice:
             terms = divisors.setdefault(kind[1], {})
         else:
             terms = h0_z2
-        terms[y_monomial(data, cls)] = zf.scalar
+        terms[y_monomial(data, cls.coords)] = zf.scalar
     weights, order = data.y_weights(), frac(order)
     return Slice({k: Series(weights, order, t) for k, t in sectors.items()},
                  {k: Series(weights, order, t) for k, t in divisors.items()},
@@ -173,7 +174,7 @@ def relative_ifunction_oracle(cd, base):
     the compactifying class with coefficient one; anything else means the fan
     or the enumeration is inconsistent.
     """
-    from .effective import enumerate_effective, eff_class
+    from .effective import enumerate_effective
 
     op = "relative_ifunction_oracle"
     bound = base.order
@@ -195,10 +196,9 @@ def relative_ifunction_oracle(cd, base):
                                "enumeration differs from the base enumeration",
                                sorted(embedded ^ flat)[:3])
 
-    d_inf_cls = eff_class(bar, bar.coords_from_pairings(cd.d_infinity))
-    expect = Series.monomial(y_monomial(bar, d_inf_cls), 1, bar.y_weights(),
-                             bound)
-    if bound >= d_inf_cls.grade and not sl.h0_z2.same_terms(expect):
+    d_inf = bar.coords_from_pairings(cd.d_infinity)
+    expect = Series.monomial(y_monomial(bar, d_inf), 1, bar.y_weights(), bound)
+    if bound >= bar.grade(d_inf) and not sl.h0_z2.same_terms(expect):
         raise ConsistencyError(
             MODULE, op,
             "z^-2 degree-0 extraction is not the single compactifying "

@@ -1,25 +1,27 @@
 """Disk potentials, individual invariants, and the two-route cross-check.
 
-The potential of a ray disk class is exp(-g(y)) with y replaced by the
-inverse mirror map; a box disk class contributes its dual-class monomial times
-exp of minus the cone-weighted ray series.  The same series is reproduced
-along an independent route on the compactified fan: invert the relative
-mirror map and read off the compactifying monomial divided by its flat
-variable.  The two must agree exactly, term by term; both rest on one base
-mirror map, built at the compactified order.
+The potential of a basic disk class is y^dual * exp(-sum_i c_i g_i(y)) with y
+replaced by the inverse mirror map: the sum runs over the rays i of the
+disk's cone with their coefficients c_i, and y^dual is the monomial of its
+dual class.  A ray disk is its own cone with coefficient 1 and no dual class,
+so its potential is exp(-g_i) and starts at 1; a box disk's starts at its
+twisted variable.  The same series is reproduced along an independent route
+on the compactified fan: invert the relative mirror map and read off the
+compactifying monomial divided by its flat variable.  The two must agree
+exactly, term by term; both rest on one base mirror map, built at the
+compactified order.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
 
-from .effective import dual_class
 from .errors import ConsistencyError, Value
 from .fan import CompactifiedData, ToricData
 from .hyper import y_monomial
-from .mirrormap import (MirrorMap, inverse_mirror_map, relative_mirror_map,
-                        toric_mirror_map)
-from .series import Series, frac, mono, mono_pow
+from .mirrormap import (MirrorMap, cone_sum, inverse_mirror_map,
+                        relative_mirror_map, toric_mirror_map)
+from .series import Series, frac, mono, mono_pow, mono_str
 
 MODULE = "invariants"
 
@@ -45,47 +47,34 @@ def disk_potential(mirror: MirrorMap, disk) -> DiskPotential:
 
 
 def disk_potentials(mirror: MirrorMap) -> dict:
-    """{disk: DiskPotential} for every ray and every extra column, in column
-    order, all read off one mirror map and its inverse."""
-    data, inverse = mirror.data, inverse_mirror_map(mirror)
-    disks = [("ray", i) for i in range(data.m)] + \
-        [("box", j) for j in data.extra_columns()]
-    return {d: _potential(mirror, inverse, d) for d in disks}
+    """{disk: DiskPotential} for every disk of the disk table (each ray and
+    each extra column, in column order), all read off one mirror map and its
+    inverse."""
+    inverse = inverse_mirror_map(mirror)
+    return {d: _potential(mirror, inverse, d) for d in mirror.data.disks}
 
 
 def _potential(mirror: MirrorMap, inverse: dict, disk) -> DiskPotential:
     op = "disk_potential"
     data, order = mirror.data, mirror.order
     kind, idx = disk
-    weights = data.y_weights()
-
-    if kind == "ray":
-        pot = (-(mirror.g[idx].substitute(inverse))).exp()
-        if pot.constant_term() != 1:
-            raise ConsistencyError(MODULE, op,
-                                   "ray potential does not start at 1",
-                                   pot.constant_term())
-        return DiskPotential(disk=disk, series=pot, normalization="1+delta",
-                             data=data)
-
-    # box disk: dual-class monomial times exp of minus the cone-weighted sum
-    dual = dual_class(data, idx)
-    support, coeffs = data.extra_cone_data(idx)
-    expo = Series.zero(weights, order)
-    for i, c in zip(support, coeffs):
-        expo = expo + mirror.g[i] * c
-    head = Series.monomial(y_monomial(data, dual), 1, weights, order)
+    cone, coeffs, _, dual = data.disk_class(disk)
+    expo = cone_sum(mirror, cone, coeffs)
+    head = Series.monomial(y_monomial(data, dual), 1, data.y_weights(), order)
     pot = head.substitute(inverse)
     if not expo.is_zero():
         pot = pot * (-(expo.substitute(inverse))).exp()
+    if kind == "ray":
+        lead, normalization = mono(), "1+delta"
+    else:
+        lead, normalization = mono((data.tau_name(idx), 1)), "tau+delta"
     lead_m, lead_c, _ = pot.factor_unit(op)
-    tau = mono((data.tau_name(idx), 1))
-    if lead_m != tau or lead_c != 1:
+    if lead_m != lead or lead_c != 1:
         raise ConsistencyError(MODULE, op,
-                               "box potential does not start at its twisted "
-                               "variable with coefficient 1",
+                               f"{kind} potential does not start at "
+                               f"{mono_str(lead)} with coefficient 1",
                                {"lead": lead_m, "coeff": lead_c})
-    return DiskPotential(disk=disk, series=pot, normalization="tau+delta",
+    return DiskPotential(disk=disk, series=pot, normalization=normalization,
                          data=data)
 
 

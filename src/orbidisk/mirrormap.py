@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .effective import dual_class, enumerate_effective
+from .effective import enumerate_effective
 from .errors import ConsistencyError, ValidationError, Value
 from .fan import CompactifiedData, ToricData, verify_semi_fano
 from .hyper import coefficient_slice, relative_ifunction_oracle, y_monomial
@@ -81,6 +81,14 @@ class MirrorMap(Value):
         }
 
 
+def cone_sum(mm: MirrorMap, cone, coeffs) -> Series:
+    """sum_i c_i g_i of a map's column series over a disk's cone."""
+    out = Series.zero(mm.data.y_weights(), mm.order)
+    for i, c in zip(cone, coeffs):
+        out = out + mm.g[i] * c
+    return out
+
+
 def _flat_relation(data: ToricData, target, curve_coords, g, order) -> Relation:
     """Assemble target = prod_b y_b^{p_b.c} * exp(sum_j (D_j.c) g_j)."""
     weights = data.y_weights()
@@ -107,8 +115,8 @@ def _order_refused(data: ToricData, relation, grade, order) -> ValidationError:
     names the least order at which no relation is zero."""
     weights = data.y_weights()
     grades = [weights[v] for v in data.y_vars()[:data.r_prime]]
-    grades += [mono_grade(y_monomial(data, dual_class(data, j)), weights)
-               for j in data.extra_columns()]
+    grades += [mono_grade(y_monomial(data, data.disk_class(("box", j))[3]),
+                          weights) for j in data.extra_columns()]
     least = frac_str(max(grades))
     return ValidationError(MODULE, "toric_mirror_map",
                            f"order {frac_str(order)} is below {frac_str(grade)}, "
@@ -121,8 +129,9 @@ def _twisted_relations(data: ToricData, g, order):
     out = []
     for j in data.extra_columns():
         gj = g[j]
+        expect = y_monomial(data, data.disk_class(("box", j))[3])
         if gj.is_zero():
-            grade = mono_grade(y_monomial(data, dual_class(data, j)), data.y_weights())
+            grade = mono_grade(expect, data.y_weights())
             if grade > order:
                 raise _order_refused(data, f"{data.tau_name(j)} (column {j})",
                                      grade, order)
@@ -130,8 +139,6 @@ def _twisted_relations(data: ToricData, g, order):
                                    f"twisted series of column {j} vanished; "
                                    "raise the order", j)
         lead_m, lead_c, _ = gj.factor_unit()
-        dual = dual_class(data, j)
-        expect = y_monomial(data, dual)
         if lead_m != expect or lead_c != 1:
             raise ConsistencyError(MODULE, "toric_mirror_map",
                                    "twisted series does not start at its dual "
@@ -181,10 +188,9 @@ def relative_mirror_map(cd: CompactifiedData, base: MirrorMap) -> MirrorMap:
     pieces of the relative I-function oracle (which runs its own checks),
     plus the qinf relation of the compactified disk class; afterwards the
     other relations are asserted to coincide with those of `base`, and the
-    infinity relation matches the disk-class case split: for a ray disk it is
-    the base ray series on top of the new flat variable, for a box disk the
-    dual-class monomial migrates into the relation and its correction is the
-    cone-weighted sum of ray series.
+    qinf relation to be that of the disk class: its monomial is yinf over the
+    dual-class monomial, and its correction the cone-weighted sum of the base
+    ray series (a ray disk: yinf, and the ray's own series).
     """
     op = "relative_mirror_map"
     if base.data != cd.base:
@@ -201,10 +207,10 @@ def relative_mirror_map(cd: CompactifiedData, base: MirrorMap) -> MirrorMap:
 
     # the added ray's own series must vanish: its pairing with every
     # enumerated class is nonnegative
-    if not g[cd.infinity_ray].is_zero():
+    if not g[bar.infinity_column].is_zero():
         raise ConsistencyError(MODULE, op,
                                "added ray acquired a nonzero series",
-                               g[cd.infinity_ray].to_json())
+                               g[bar.infinity_column].to_json())
 
     # restriction consistency with the base mirror map, relation by relation
     for got, want in zip(own, base.relations, strict=True):
@@ -213,42 +219,24 @@ def relative_mirror_map(cd: CompactifiedData, base: MirrorMap) -> MirrorMap:
                                    f"{got.kind} relation differs from the base "
                                    "mirror map", got.target)
 
-    # disk-class case split
+    # the qinf relation of the disk class
     kind, idx = cd.disk
+    cone, coeffs, _, dual = cd.base.disk_class(cd.disk)
     names = bar.y_vars()
-    if kind == "ray":
-        if rel_inf.monomial != mono((names[-1], 1)):
-            raise ConsistencyError(MODULE, op,
-                                   "ray-disk relation has a nontrivial "
-                                   "monomial part", rel_inf.monomial)
-        if not rel_inf.correction.same_terms(base.g[idx]):
-            raise ConsistencyError(MODULE, op,
-                                   "ray-disk correction is not the base ray "
-                                   "series", idx)
-    else:
-        dual = dual_class(cd.base, idx)
-        expo = mono_grade(rel_inf.monomial, bar.y_weights())
-        want_mono = mono((names[-1], 1),
-                         *((names[b], -dual.coords[b])
-                           for b in range(cd.base.r)))
-        if rel_inf.monomial != want_mono:
-            raise ConsistencyError(MODULE, op,
-                                   "box-disk relation monomial is not the "
-                                   "dual-class twist of the new variable",
-                                   {"got": rel_inf.monomial,
-                                    "want": want_mono})
-        support, coeffs = cd.base.extra_cone_data(idx)
-        want = Series.zero(bar.y_weights(), order)
-        for i, c in zip(support, coeffs):
-            want = want + g[cd.col_map[i]] * c
-        if not rel_inf.correction.same_terms(want):
-            raise ConsistencyError(MODULE, op,
-                                   "box-disk correction is not the "
-                                   "cone-weighted ray sum", idx)
-        if expo <= 0:
-            raise ConsistencyError(MODULE, op,
-                                   "compactified flat variable has "
-                                   "non-positive weight", expo)
+    want = mono((names[-1], 1), *((v, -x) for v, x in zip(names, dual)))
+    if rel_inf.monomial != want:
+        raise ConsistencyError(MODULE, op,
+                               f"{kind}-disk relation monomial is not yinf "
+                               "over the dual-class monomial",
+                               rel_inf.monomial)
+    if not rel_inf.correction.same_terms(cone_sum(base, cone, coeffs)):
+        raise ConsistencyError(MODULE, op,
+                               f"{kind}-disk correction is not the "
+                               "cone-weighted base ray sum", idx)
+    expo = mono_grade(want, bar.y_weights())
+    if expo <= 0:
+        raise ConsistencyError(MODULE, op, "compactified flat variable has "
+                               "non-positive weight", expo)
     return MirrorMap(bar, order, g, relations, classes)
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
-from .effective import dual_class
 from .errors import ConsistencyError, ValidationError, Value
 from .fan import ToricData
 from .invariants import disk_potentials
@@ -35,8 +34,7 @@ class GaugeChoice(Value):
 
 def _q_exponents_of_dual(data: ToricData, j):
     """Flat-variable exponent vector of the dual-class monomial of extra j."""
-    d = dual_class(data, j)
-    return [d.coords[a] for a in range(data.r_prime)]
+    return list(data.disk_class(("box", j))[3][:data.r_prime])
 
 
 def solve_coefficient_system(data: ToricData, gauge: GaugeChoice) -> dict:

@@ -342,7 +342,7 @@ def test_filters_match_g_series(name, bound):
     g = column_series(data, bound)
     for j in range(data.m_prime):
         pick = filter_g_smooth if j < data.m else filter_g_orbi
-        want = {y_monomial(data, c) for c in pick(data, classes, j)}
+        want = {y_monomial(data, c.coords) for c in pick(data, classes, j)}
         assert set(g[j].terms) == want
 
 

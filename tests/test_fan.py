@@ -276,8 +276,10 @@ def test_semi_fano_weighted_chart():
 
 def test_dual_class_c3z3():
     data = kernel_data(load("c3z3"))
-    v = data.dual_class_pairings(3)
-    assert v == [F(-1, 3), F(-1, 3), F(-1, 3), F(1)]
+    cone, coeffs, pairings, coords = data.disk_class(("box", 3))
+    assert (cone, coeffs) == ((0, 1, 2), (F(1, 3),) * 3)
+    assert pairings == (F(-1, 3), F(-1, 3), F(-1, 3), F(1))
+    assert data.pairings_from_coords(coords) == list(pairings)
 
 
 def test_dual_class_extra_on_ray():
@@ -293,9 +295,10 @@ def test_dual_class_extra_on_ray():
 
 
 def test_dual_class_bad_index():
+    from orbidisk.effective import dual_class
     data = kernel_data(load("c3z3"))
     with pytest.raises(ValidationError):
-        data.dual_class_pairings(1)
+        dual_class(data, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -306,9 +309,16 @@ def test_compactify_kp2():
     cd = validate_compactification(load("kp2"), load("kp2_bar"), ("ray", 0))
     assert cd.bar.gamma == [[-3, 1, 1, 1, 0], [1, 0, 0, 0, 1]]
     assert cd.beta_bar == [1, 0, 0, 0, 1]
-    assert cd.beta_bar[cd.infinity_ray] == 1
+    assert cd.beta_bar[cd.bar.infinity_column] == 1
     assert cd.complete_certificate["facets_paired"] is True
     assert cd.complete_certificate["covers_ray_negatives"] is True
+
+
+def test_compactify_refuses_disk_outside_the_fan():
+    for disk in (("ray", 9), ("box", 1)):
+        with pytest.raises(ValidationError) as e:
+            validate_compactification(load("kp2"), load("kp2_bar"), disk)
+        assert e.value.operation == "disk_class"
 
 
 def test_compactify_c3():
@@ -539,12 +549,54 @@ def test_semi_fano_matches_direct_solve(case):
 
 @pytest.mark.parametrize("case", TABLE_IDS)
 def test_extra_cone_data_matches_minimal_cone(case):
-    # the age-1 box table answers what minimal_cone would solve afresh
+    # the disk table: every ray is its own cone with the zero dual class, and
+    # every extra column has the cone minimal_cone would solve afresh and a
+    # kernel dual class, 1 at the column and minus the cone coefficients
     from orbidisk.fan import minimal_cone
     data = table_data()[case]
-    for j in data.extra_columns():
-        assert data.extra_cone_data(j) == \
-            minimal_cone(data.fan, data.fan.column(j))
+    rays = [("ray", i) for i in range(data.m)]
+    boxes = [("box", j) for j in data.extra_columns()]
+    assert list(data.disks) == rays + boxes
+    for disk in rays:
+        assert data.disks[disk] == ((disk[1],), (1,), (0,) * data.m_prime,
+                                    (0,) * data.r)
+    for disk in boxes:
+        j = disk[1]
+        cone, coeffs, pairings, coords = data.disks[disk]
+        assert (cone, coeffs) == minimal_cone(data.fan, data.fan.column(j))
+        want = [0] * data.m_prime
+        want[j] = 1
+        for i, c in zip(cone, coeffs):
+            want[i] = -c
+        assert list(pairings) == want
+        for k in range(data.n):
+            assert sum(p * data.fan.column(i)[k]
+                       for i, p in enumerate(pairings)) == 0
+        assert data.pairings_from_coords(coords) == want
+
+
+@pytest.mark.parametrize("argv,calls", [
+    ("oracle c3z3 --bar c3z3_bar --disk box:3 --order 10", 6),
+    ("invariants c3z3 --disk box:3", 1),
+    ("syz c3z3", 1),
+])
+def test_dual_classes_solved_once(monkeypatch, capsys, argv, calls):
+    # each extra column's dual class is solved when its ToricData is built;
+    # the other solves are the oracle's own classes (w_inf, the qinf
+    # relation and D_inf twice)
+    from orbidisk.cli import main
+    from orbidisk.fan import ToricData
+    count = [0]
+    solve = ToricData.coords_from_pairings
+
+    def counted(self, pairings):
+        count[0] += 1
+        return solve(self, pairings)
+
+    monkeypatch.setattr(ToricData, "coords_from_pairings", counted)
+    assert main(argv.split(" ")) == 0
+    capsys.readouterr()
+    assert count[0] == calls
 
 
 def test_fan_with_listed_faces():

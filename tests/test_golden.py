@@ -5,7 +5,10 @@ Two records: every invocation of perfbench/expected.json (only read here),
 and tests/golden_lattice.json, which pins the lattice data the benchmark
 does not show: `analyze --format json` on every bundled fan and on
 perfbench/local_quadric.json, and `syz --order 4 --format json --gauge k`
-for every maximal cone k of the four bundled base fans and the quadric."""
+for every maximal cone k of the four bundled base fans and the quadric.
+A third, tests/golden_errors.json, pins the exit code and the stderr bytes
+of refusals: the six of the sweep_small workload and three oracle runs
+refused before or at the base map, with stdout empty."""
 import hashlib
 import json
 import os
@@ -24,6 +27,7 @@ def recorded(*path):
 
 RECORDED = recorded("perfbench", "expected.json")
 LATTICE = recorded("tests", "golden_lattice.json")
+ERRORS = recorded("tests", "golden_errors.json")
 
 
 def run_invocation(capsys, monkeypatch, key):
@@ -42,3 +46,12 @@ def test_recorded_invocation(capsys, monkeypatch, key):
 @pytest.mark.parametrize("key", sorted(LATTICE))
 def test_lattice_invocation(capsys, monkeypatch, key):
     assert run_invocation(capsys, monkeypatch, key) == LATTICE[key]
+
+
+@pytest.mark.parametrize("key", sorted(ERRORS))
+def test_refusal_stderr(capsys, monkeypatch, key):
+    monkeypatch.chdir(ROOT)
+    code = main(key.split(" "))
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == \
+        (ERRORS[key]["exit"], "", ERRORS[key]["stderr"])

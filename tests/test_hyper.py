@@ -84,7 +84,7 @@ def coefficient_slice_reference(data, classes, order) -> Slice:
         kind = zf.classify(cls)
         if kind is None:
             continue
-        term = Series.monomial(y_monomial(data, cls), zf.scalar, weights,
+        term = Series.monomial(y_monomial(data, cls.coords), zf.scalar, weights,
                                order)
         if kind[0] == "sector":
             key = kind[1].vector

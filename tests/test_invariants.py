@@ -90,6 +90,24 @@ def test_potential_selector_string():
     assert dp.series.coefficient(mono(("q1", 1))) == -2
 
 
+def test_potential_refuses_box_lead():
+    # c3z3 box:3 with its twisted relation times its own leading monomial:
+    # the inverse takes the dual-class monomial to the square root of t3, so
+    # the potential starts there.  (A ray potential is exp of a series
+    # without constant term, so it always starts at 1.)
+    from orbidisk.errors import ConsistencyError
+    from orbidisk.mirrormap import MirrorMap, Relation
+    mm = toric_mirror_map(data_for("c3z3"), 2)
+    rels = [Relation(r.target, r.kind,
+                     r.series.mul_monomial(r.series.factor_unit()[0]))
+            if r.target == "t3" else r for r in mm.relations]
+    perturbed = MirrorMap(mm.data, mm.order, mm.g, rels, mm.classes)
+    with pytest.raises(ConsistencyError) as e:
+        disk_potential(perturbed, ("box", 3))
+    assert e.value.operation == "disk_potential"
+    assert e.value.datum == {"lead": mono(("t3", F(1, 2))), "coeff": 1}
+
+
 # ---------------------------------------------------------------------------
 # invariant tables
 

@@ -253,6 +253,51 @@ def test_relative_map_refuses_base_mismatch(base, disk, order, target, kind):
     assert e.value.datum == target
 
 
+def refusal(cd, base):
+    from orbidisk.errors import ConsistencyError
+    with pytest.raises(ConsistencyError) as e:
+        relative_mirror_map(cd, base)
+    assert e.value.operation == "relative_mirror_map"
+    return e.value.datum
+
+
+@pytest.mark.parametrize("base,disk,order,change", [
+    # kp2 ray:0, the disk class shifted by the base class: y1 joins yinf
+    ("kp2", ("ray", 0), 3,
+     lambda cd: {"beta_bar": [b + g for b, g in
+                              zip(cd.beta_bar, cd.bar.gamma[0])]}),
+    # c3z3 box:3 read as a ray disk: the dual-class twist is unexpected
+    ("c3z3", ("box", 3), 2, lambda cd: {"disk": ("ray", 0)}),
+])
+def test_relative_map_refuses_disk_monomial(base, disk, order, change):
+    # the qinf relation's monomial must be yinf times the inverse dual-class
+    # monomial of the disk (none for a ray); the datum is the monomial got
+    cd = validate_compactification(fans.load(base), fans.load(base + "_bar"),
+                                   disk)
+    cd = type(cd)(**{**vars(cd), **change(cd)})
+    coords = cd.bar.coords_from_pairings(cd.beta_bar)
+    assert refusal(cd, toric_mirror_map(cd.base, order)) == \
+        mono(*zip(cd.bar.y_vars(), coords))
+
+
+@pytest.mark.parametrize("base,disk,order,column", [
+    ("kp2", ("ray", 0), 3, 0),     # the ray's own series
+    ("c3z3", ("box", 3), 2, 0),    # one ray of the box's cone
+])
+def test_relative_map_refuses_disk_correction(base, disk, order, column):
+    # the qinf correction must be the cone-weighted sum of the base ray
+    # series; y1 added to one base series, the relations kept, is refused,
+    # naming the disk column
+    from orbidisk.mirrormap import MirrorMap
+    cd = validate_compactification(fans.load(base), fans.load(base + "_bar"),
+                                   disk)
+    mm = toric_mirror_map(cd.base, order)
+    y1 = Series.variable("y1", mm.data.y_weights(), mm.order)
+    g = {**mm.g, column: mm.g[column] + y1}
+    perturbed = MirrorMap(mm.data, mm.order, g, mm.relations, mm.classes)
+    assert refusal(cd, perturbed) == disk[1]
+
+
 def test_relative_map_refuses_foreign_base():
     # the base map must be built on the compactification's own base fan
     cd = validate_compactification(fans.load("kp2"), fans.load("kp2_bar"),
