@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from . import linalg
 from .errors import ValidationError, ConsistencyError, Value
@@ -73,12 +73,11 @@ class StackyFan(Value):
 def cone_membership(rays, vector):
     """Coefficients of `vector` over the linearly independent `rays`, if the
     vector lies in their nonnegative span; None otherwise."""
-    n = len(vector)
-    a = [[rays[j][i] for j in range(len(rays))] for i in range(n)]
-    x = linalg.solve_rational(a, list(vector))
-    if x is None or any(c < 0 for c in x):
+    a = [[ray[i] for ray in rays] for i in range(len(vector))]
+    s = linalg.solve_integer(a, vector)
+    if s is None or any(x < 0 for x in s[0]):
         return None
-    return x
+    return [Fraction(x, s[1]) for x in s[0]]
 
 
 def parse_stacky_fan(document: str) -> StackyFan:
@@ -132,10 +131,7 @@ def validate_fan(fan: StackyFan):
     for r in fan.rays:
         if all(x == 0 for x in r):
             raise _verr(op, "zero ray", r)
-        g = 0
-        for x in r:
-            g = gcd(g, abs(x))
-        if g != 1:
+        if gcd(*r) != 1:
             raise _verr(op, f"non-primitive ray {r}", r)
     if len(set(fan.rays)) != len(fan.rays):
         raise _verr(op, "duplicate ray", fan.rays)
@@ -147,8 +143,7 @@ def validate_fan(fan: StackyFan):
             raise _verr(op, f"repeated index in cone {c}", c)
         if any(i < 0 or i >= fan.m for i in c):
             raise _verr(op, f"cone {c} uses an invalid ray index", c)
-        vecs = [fan.rays[i] for i in c]
-        if linalg.rank_rational([list(v) for v in vecs]) != len(c):
+        if linalg.rank_rational([fan.rays[i] for i in c]) != len(c):
             raise _verr(op, f"non-simplicial cone {c}: rays are dependent", c)
     _check_fan_pairs(fan)
     # extra vectors inside the support
@@ -182,8 +177,7 @@ def _check_fan_pairs(fan: StackyFan):
                                     "but is not a shared ray", (c1, c2))
         if len(c1) == n and len(c2) == n and len(shared) == n - 1:
             facet = sorted(shared)
-            a = [list(fan.rays[i]) for i in facet]
-            normal = linalg.integer_kernel_basis(a)
+            normal = linalg.integer_kernel_basis([fan.rays[i] for i in facet])
             if len(normal) != 1:
                 continue
             eta = normal[0]
@@ -234,30 +228,32 @@ def zero_box(n) -> BoxElement:
 
 def _box_of_cone(fan: StackyFan, cone):
     """All box elements of one simplicial cone, via the Smith normal form of
-    its ray matrix: residues of the finite group (coefficient lattice)/Z^s."""
+    its ray matrix: residues of the finite group (coefficient lattice)/Z^s,
+    enumerated as integer numerators over the lcm of its divisors."""
     n = fan.rank
     rays = [fan.rays[i] for i in cone]
     s = len(rays)
     a = [[rays[j][i] for j in range(s)] for i in range(n)]  # n x s
     snf, _, v = linalg.smith_normal_form(a)
-    divisors = [snf[i][i] for i in range(s)]
+    divisors = [abs(snf[i][i]) for i in range(s)]
+    den = lcm(*divisors)
+    steps = [[v[i][j] * (den // d) for i in range(s)]
+             for j, d in enumerate(divisors)]
     out = []
-    ranges = [range(abs(d)) for d in divisors]
-    for combo in itertools.product(*ranges):
-        chat = [Fraction(k, abs(d)) for k, d in zip(combo, divisors)]
-        c = [sum(Fraction(v[i][j]) * chat[j] for j in range(s)) for i in range(s)]
-        c = [ci - ci.__floor__() for ci in c]  # reduce to [0,1)
-        vec = tuple(sum(int(rays[j][i]) * c[j] for j in range(s)) for i in range(n))
-        ivec = tuple(int(x) for x in vec)
-        if any(Fraction(iv) != x for iv, x in zip(ivec, vec)):
-            raise ConsistencyError(MODULE, "box_elements",
-                                   "non-integral box candidate", vec)
-        if all(x == 0 for x in ivec) and all(ci == 0 for ci in c):
+    for combo in itertools.product(*map(range, divisors)):
+        c = [sum(k * step[i] for k, step in zip(combo, steps)) % den
+             for i in range(s)]  # numerators of coefficients in [0, 1)
+        if not any(c):
             continue
-        support = tuple(i for i, ci in zip(cone, c) if ci != 0)
-        coeffs = tuple(ci for ci in c if ci != 0)
-        age = sum(c, Fraction(0))
-        out.append(BoxElement(ivec, support, coeffs, age))
+        vec = [sum(ray[i] * ci for ray, ci in zip(rays, c)) for i in range(n)]
+        if any(x % den for x in vec):
+            raise ConsistencyError(MODULE, "box_elements",
+                                   "non-integral box candidate",
+                                   tuple(Fraction(x, den) for x in vec))
+        support = tuple(i for i, ci in zip(cone, c) if ci)
+        coeffs = tuple(Fraction(ci, den) for ci in c if ci)
+        out.append(BoxElement(tuple(x // den for x in vec), support, coeffs,
+                              Fraction(sum(c), den)))
     return out
 
 
@@ -548,15 +544,11 @@ def kernel_data(fan: StackyFan, basis_p=None) -> ToricData:
 
 def calabi_yau_covector(fan: StackyFan):
     """Integer covector pairing to 1 with every ray and extra vector, or None."""
-    cols = fan.columns()
-    a = [list(c) for c in cols]  # one row per column vector, unknowns in Z^n
-    x = linalg.solve_rational(a, [1] * len(cols))
-    if x is None:
+    cols = fan.columns()  # one row per column vector, unknowns in Z^n
+    s = linalg.solve_integer(cols, [1] * len(cols))
+    if s is None or any(x % s[1] for x in s[0]):
         return None
-    ix = [int(v) for v in x]
-    if any(Fraction(i) != v for i, v in zip(ix, x)):
-        return None
-    return ix
+    return [x // s[1] for x in s[0]]
 
 
 def verify_calabi_yau(fan: StackyFan):
@@ -687,11 +679,7 @@ def validate_compactification(base_fan: StackyFan, bar_fan: StackyFan,
     }
 
     # column order of the bar fan: base rays, infinity ray, extras
-    col_map = {}
-    for c in range(base_fan.m):
-        col_map[c] = c
-    for j in range(base_fan.m, base_fan.m_prime):
-        col_map[j] = j + 1
+    col_map = {c: c + (c >= base_fan.m) for c in range(base_fan.m_prime)}
 
     # bar kernel basis: extended base basis plus the compactifying class
     mp_bar = bar_fan.m_prime

@@ -1,16 +1,15 @@
 """Exact integer and rational linear algebra on small matrices.
 
-Everything works on plain lists of Python ints / Fractions.  Matrices are
-lists of rows.  The Smith normal form uses deterministic pivoting (smallest
-absolute value, first position wins) so that derived bases are reproducible.
+Matrices are lists of rows of Python ints or Fractions.  The Smith normal
+form uses deterministic pivoting (smallest absolute value, first position
+wins) so that derived bases are reproducible.  The rational routines share
+one fraction-free Gauss-Jordan kernel, `row_reduce`, which eliminates on
+integer rows; `Fraction`s are built only for the values they return.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-
-
-def mat_copy(a):
-    return [list(row) for row in a]
+from math import lcm
 
 
 def identity(n):
@@ -23,7 +22,7 @@ def smith_normal_form(a):
     Deterministic: pivot = smallest nonzero |entry| in the remaining block,
     ties broken by row-major position.
     """
-    s = mat_copy(a)
+    s = [list(row) for row in a]
     rows = len(s)
     cols = len(s[0]) if rows else 0
     u = identity(rows)
@@ -117,78 +116,91 @@ def integer_kernel_basis(a):
     if cols == 0:
         return []
     if rows == 0:
-        return [[1 if i == j else 0 for i in range(cols)] for j in range(cols)]
+        return identity(cols)
     s, _, v = smith_normal_form(a)
-    rank = 0
-    for i in range(min(rows, cols)):
-        if s[i][i]:
-            rank += 1
+    rank = sum(1 for i in range(min(rows, cols)) if s[i][i])
     # kernel = span of columns rank..cols-1 of v
     return [[v[i][j] for i in range(cols)] for j in range(rank, cols)]
 
 
 def row_reduce(a, cols=None):
-    """Gauss-Jordan elimination over Q on the first `cols` columns of a.
+    """Fraction-free Gauss-Jordan elimination on the first `cols` columns of a.
 
-    Returns (rows, pivots, det): the reduced rows as Fractions, the pivot
-    column of each leading row, and the determinant factor, the product of
-    the pivots signed by the row swaps.  Pivoting is deterministic (first
-    nonzero entry at or below the current row).
+    Each row is scaled to integers by the lcm of its denominators.  Pivot p
+    in row r, after pivot q, replaces every other row i by
+    (p*row_i - row_i[c]*row_r) / q; the division is exact, as every entry
+    stays an integer minor of the scaled matrix (Bareiss).  Returns (rows,
+    pivots, p, scale): the integer rows, the pivot column of each leading
+    row, the last pivot p (1 if none) and the product of the row scales
+    signed by the row swaps.  Leading row i over p is row i of the reduced
+    row echelon form over Q; a square matrix of full rank has determinant
+    p / scale.  Pivoting takes the first nonzero entry at or below row r.
     """
-    m = [[Fraction(x) for x in row] for row in a]
+    m, scale = [], 1
+    for row in a:
+        d = lcm(*[x.denominator for x in row])
+        scale *= d
+        m.append([x.numerator * (d // x.denominator) for x in row])
     rows = len(m)
     if cols is None:
         cols = len(m[0]) if rows else 0
     pivots = []
-    det = Fraction(1)
+    p = 1
     for c in range(cols):
         r = len(pivots)
         if r == rows:
             break
-        p = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if p is None:
+        for k in range(r, rows):
+            if m[k][c]:
+                break
+        else:
             continue
-        if p != r:
-            m[r], m[p] = m[p], m[r]
-            det = -det
-        det *= m[r][c]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
+        if k != r:
+            m[r], m[k] = m[k], m[r]
+            scale = -scale
+        q, p, top = p, m[r][c], m[r]
         for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+            f = m[i][c]
+            if i != r and (f or p != q):
+                m[i] = [(p * x - f * y) // q for x, y in zip(m[i], top)]
         pivots.append(c)
-    return m, pivots, det
+    return m, pivots, p, scale
+
+
+def solve_integer(a, b):
+    """(x, p) with a*(x/p) = b over Q, x integers and p > 0, or None; free
+    unknowns are 0.  a: rows list, b: vector."""
+    cols = len(a[0]) if a else 0
+    m, pivots, p, _ = row_reduce(
+        [list(row) + [b[i]] for i, row in enumerate(a)], cols)
+    if any(row[cols] for row in m[len(pivots):]):
+        return None
+    x = [0] * cols
+    for row, c in zip(m, pivots):
+        x[c] = row[cols] if p > 0 else -row[cols]
+    return x, abs(p)
 
 
 def solve_rational(a, b):
     """One exact solution x of a*x = b over Q, or None.  a: rows list, b: vector."""
-    cols = len(a[0]) if a else 0
-    m, pivots, _ = row_reduce([list(row) + [b[i]] for i, row in enumerate(a)],
-                              cols)
-    if any(row[cols] != 0 for row in m[len(pivots):]):
-        return None
-    x = [Fraction(0)] * cols
-    for row, c in zip(m, pivots):
-        x[c] = row[cols]
-    return x
+    s = solve_integer(a, b)
+    return None if s is None else [Fraction(x, s[1]) for x in s[0]]
 
 
 def invert_rational(a):
     """Exact inverse of a square rational matrix, or None if singular."""
     n = len(a)
-    m, pivots, _ = row_reduce(
+    m, pivots, p, _ = row_reduce(
         [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)],
         n)
     if len(pivots) < n:
         return None
-    return [row[n:] for row in m]
+    return [[Fraction(x, p) for x in row[n:]] for row in m]
 
 
 def det_rational(a):
-    _, pivots, det = row_reduce(a)
-    return det if len(pivots) == len(a) else Fraction(0)
+    _, pivots, p, scale = row_reduce(a)
+    return Fraction(p, scale) if len(pivots) == len(a) else Fraction(0)
 
 
 def rank_rational(a):
@@ -213,8 +225,7 @@ def complete_to_unimodular(cols, n):
     extra = []
     for j in range(k, n):
         col = [uinv[i][j] for i in range(n)]
-        icol = [int(x) for x in col]
-        if any(Fraction(ix) != x for ix, x in zip(icol, col)):
+        if any(x.denominator != 1 for x in col):
             raise ValueError("unimodular completion failed")
-        extra.append(icol)
+        extra.append([int(x) for x in col])
     return [list(c) for c in cols] + extra

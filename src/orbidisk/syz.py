@@ -123,11 +123,11 @@ def reduced_exponent(data: ToricData, basis, w, b):
     n = data.n
     target = [b[i] - w[i] for i in range(n)]
     a = [[basis[j][i] for j in range(len(basis))] for i in range(n)]
-    x = linalg.solve_rational(a, target)
-    if x is None or any(c.denominator != 1 for c in x):
+    s = linalg.solve_integer(a, target)
+    if s is None or any(x % s[1] for x in s[0]):
         raise ConsistencyError(MODULE, "mirror_potential",
                                "exponent does not reduce integrally", b)
-    return [int(c) for c in x]
+    return [x // s[1] for x in s[0]]
 
 
 class MirrorPotential(Value):

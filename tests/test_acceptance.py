@@ -5,7 +5,6 @@ plain univariate coefficient-list arithmetic for the corrected potential,
 factorial closed forms for the ray series, bounding-box scans for box
 elements, and grid scans for effective classes.
 """
-import itertools
 import json
 import random
 import time
@@ -14,7 +13,7 @@ from math import factorial
 
 import pytest
 
-from orbidisk import fans, linalg
+from orbidisk import fans
 from orbidisk.cli import main
 from orbidisk.effective import enumerate_effective
 from orbidisk.fan import box_elements, kernel_data, validate_compactification
@@ -26,6 +25,7 @@ from orbidisk.mirrormap import (inverse_mirror_map, relative_mirror_map,
 from orbidisk.series import Series, mono
 from orbidisk.syz import GaugeChoice, mirror_potential
 from test_effective import brute_force_effective
+from test_fan import brute_force_boxes
 from test_syz import gauge_character
 
 F = Fraction
@@ -243,24 +243,6 @@ def test_criterion_6_closed_forms(capsys):
 
 # ---------------------------------------------------------------------------
 # criterion 7: property suites
-
-
-def brute_force_boxes(fan):
-    out = {}
-    for cone in fan.cones:
-        rays = [fan.rays[i] for i in cone]
-        n = fan.rank
-        lo = [sum(min(0, r[k]) for r in rays) for k in range(n)]
-        hi = [sum(max(0, r[k]) for r in rays) for k in range(n)]
-        for pt in itertools.product(*[range(l, h + 1)
-                                      for l, h in zip(lo, hi)]):
-            a = [[rays[j][i] for j in range(len(rays))] for i in range(n)]
-            x = linalg.solve_rational(a, list(pt))
-            if x is None:
-                continue
-            if all(0 <= c < 1 for c in x) and any(c > 0 for c in x):
-                out[pt] = sum(x, F(0))
-    return out
 
 
 def random_series_pool(count, order=6):

@@ -14,6 +14,7 @@ from orbidisk.fan import (_toric_data, box_elements, calabi_yau_covector,
                           fan_from_dict, kernel_data, parse_stacky_fan,
                           validate_compactification, verify_calabi_yau,
                           verify_semi_fano)
+from test_linalg import oracle_solve
 
 F = Fraction
 
@@ -184,7 +185,8 @@ def test_extras_not_age1_refused():
 
 
 def brute_force_boxes(fan):
-    """Scan integer points of the coefficient cube per cone (test oracle)."""
+    """Scan integer points of the coefficient cube per cone, solving each by
+    the Fraction Gauss-Jordan oracle (test oracle)."""
     out = {}
     for cone in fan.cones:
         rays = [fan.rays[i] for i in cone]
@@ -193,7 +195,7 @@ def brute_force_boxes(fan):
         hi = [sum(max(0, r[k]) for r in rays) for k in range(n)]
         for pt in itertools.product(*[range(l, h + 1) for l, h in zip(lo, hi)]):
             a = [[rays[j][i] for j in range(len(rays))] for i in range(n)]
-            x = linalg.solve_rational(a, list(pt))
+            x = oracle_solve(a, list(pt))
             if x is None:
                 continue
             if all(0 <= c < 1 for c in x) and any(c > 0 for c in x):
@@ -201,10 +203,30 @@ def brute_force_boxes(fan):
     return out
 
 
-@pytest.mark.parametrize("name", ["c3", "conifold", "kp2", "c3z3",
-                                  "kp2_bar", "c3z3_bar"])
+def c3_zk_chart(k):
+    """C^3/Z_k with weights (1, k-2, 1)/k: one cone, and its age-1 box
+    element (0, 0, 1) as the extra vector that completes the lattice."""
+    return {"rank": 3, "rays": [[1, 0, 1], [0, 1, 1], [-1, 2 - k, 1]],
+            "cones": [[0, 1, 2]], "extra_vectors": [[0, 0, 1]]}
+
+
+def box_fixture(name):
+    """A bundled fan, a fan of test_generalization or a c3z<k>_chart."""
+    import test_generalization
+    if name in fans.NAMES:
+        return load(name)
+    if name.endswith("_chart"):
+        return fan_from_dict(c3_zk_chart(int(name[3:-len("_chart")])))
+    return fan_from_dict(getattr(test_generalization, name))
+
+
+@pytest.mark.parametrize("name", [
+    "c3", "conifold", "kp2", "c3z3", "c3_bar", "kp2_bar", "c3z3_bar",
+    "LOCAL_QUADRIC", "LOCAL_QUADRIC_BAR", "A1_CHART", "A1_CHART_BAR",
+    "WEIGHTED_SURFACE", "WEIGHTED_SURFACE_BAR",
+    *[f"c3z{k}_chart" for k in range(2, 8)]])
 def test_box_brute_force_equivalence(name):
-    fan = load(name)
+    fan = box_fixture(name)
     boxes, _ = box_elements(fan)
     got = {b.vector: b.age for b in boxes}
     want = brute_force_boxes(fan)

@@ -4,10 +4,14 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbidisk import linalg
+from orbidisk import fans, linalg
+from orbidisk.fan import kernel_data
 
 
 small_int = st.integers(min_value=-9, max_value=9)
+# entries as callers pass them: ints, and Fractions with small denominators
+entry = st.one_of(small_int, st.fractions(min_value=-9, max_value=9,
+                                          max_denominator=6))
 
 
 def mat_strategy(rows, cols):
@@ -18,6 +22,89 @@ def mat_strategy(rows, cols):
 def mat_mul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
             for row in a]
+
+
+def oracle_row_reduce(a, cols=None):
+    """Gauss-Jordan over Fractions, each pivot row divided by its pivot
+    (independent oracle for the fraction-free kernel).  Returns (rows,
+    pivots, det) with det the product of the pivots signed by the swaps."""
+    m = [[Fraction(x) for x in row] for row in a]
+    rows = len(m)
+    if cols is None:
+        cols = len(m[0]) if rows else 0
+    pivots = []
+    det = Fraction(1)
+    for c in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
+        p = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if p is None:
+            continue
+        if p != r:
+            m[r], m[p] = m[p], m[r]
+            det = -det
+        det *= m[r][c]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return m, pivots, det
+
+
+def oracle_solve(a, b):
+    cols = len(a[0]) if a else 0
+    m, pivots, _ = oracle_row_reduce(
+        [list(row) + [b[i]] for i, row in enumerate(a)], cols)
+    if any(row[cols] != 0 for row in m[len(pivots):]):
+        return None
+    x = [Fraction(0)] * cols
+    for row, c in zip(m, pivots):
+        x[c] = row[cols]
+    return x
+
+
+def oracle_invert(a):
+    n = len(a)
+    m, pivots, _ = oracle_row_reduce(
+        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)],
+        n)
+    return None if len(pivots) < n else [row[n:] for row in m]
+
+
+def oracle_det(a):
+    _, pivots, det = oracle_row_reduce(a)
+    return det if len(pivots) == len(a) else Fraction(0)
+
+
+def oracle_rank(a):
+    return len(oracle_row_reduce(a)[1])
+
+
+@st.composite
+def rational_matrix(draw, shapes):
+    """A matrix of one of `shapes` with `entry` entries; one row may be made
+    zero or a rational combination of two others, so that ranks below the
+    full one are common."""
+    rows, cols = draw(st.sampled_from(shapes))
+    a = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                      min_size=rows, max_size=rows))
+    kind = draw(st.sampled_from(["full", "zero", "combination"]))
+    k = draw(st.integers(0, rows - 1))
+    if kind == "zero":
+        a[k] = [0] * cols
+    elif kind == "combination" and rows >= 3:
+        i, j = [x for x in range(rows) if x != k][:2]
+        s, t = draw(entry), draw(entry)
+        a[k] = [s * x + t * y for x, y in zip(a[i], a[j])]
+    return a
+
+
+ALL_SHAPES = [(2, 3), (4, 3), (3, 4), (2, 2), (3, 3), (4, 4), (1, 3), (3, 1)]
+SQUARE = [(1, 1), (2, 2), (3, 3), (4, 4)]
 
 
 def leibniz_det(a):
@@ -118,21 +205,83 @@ def test_invert_rational():
 
 
 @settings(max_examples=60, derandomize=True)
-@given(mat_strategy(3, 3))
+@given(st.sampled_from([3, 4]).flatmap(lambda n: mat_strategy(n, n)))
 def test_row_reduction_random(a):
     # det, rank and inverse share one elimination; check each independently
+    n = len(a)
     det = leibniz_det(a)
     assert linalg.det_rational(a) == det
-    assert (linalg.rank_rational(a) == 3) == (det != 0)
+    assert (linalg.rank_rational(a) == n) == (det != 0)
     inv = linalg.invert_rational(a)
     if det == 0:
         assert inv is None
         return
-    assert mat_mul(inv, a) == [[int(i == j) for j in range(3)]
-                               for i in range(3)]
-    b = [1, -2, 3]
+    assert mat_mul(inv, a) == [[int(i == j) for j in range(n)]
+                               for i in range(n)]
+    b = [1, -2, 3, -4][:n]
     x = linalg.solve_rational(a, b)
     assert [sum(r * v for r, v in zip(row, x)) for row in a] == b
+
+
+@settings(max_examples=100, derandomize=True)
+@given(rational_matrix(ALL_SHAPES), st.data())
+def test_solve_and_rank_match_fraction_oracle(a, data):
+    # b either arbitrary (often inconsistent) or in the column span
+    if data.draw(st.booleans()):
+        b = data.draw(st.lists(entry, min_size=len(a), max_size=len(a)))
+    else:
+        x = data.draw(st.lists(entry, min_size=len(a[0]),
+                               max_size=len(a[0])))
+        b = [sum(r * v for r, v in zip(row, x)) for row in a]
+    assert linalg.solve_rational(a, b) == oracle_solve(a, b)
+    assert linalg.rank_rational(a) == oracle_rank(a)
+
+
+@settings(max_examples=100, derandomize=True)
+@given(rational_matrix(SQUARE))
+def test_invert_and_det_match_fraction_oracle(a):
+    assert linalg.det_rational(a) == oracle_det(a)
+    assert linalg.invert_rational(a) == oracle_invert(a)
+
+
+@settings(max_examples=100, derandomize=True)
+@given(rational_matrix(ALL_SHAPES), st.data())
+def test_row_reduce_is_the_reduced_echelon_form(a, data):
+    # leading rows over the last pivot are the reduced row echelon form over
+    # Q, on any number of leading columns; the rows past the pivots are
+    # nonzero exactly where the oracle's are
+    cols = data.draw(st.integers(0, len(a[0])))
+    rows, pivots, p, _ = linalg.row_reduce(a, cols)
+    want, want_pivots, _ = oracle_row_reduce(a, cols)
+    assert pivots == want_pivots
+    assert all(type(x) is int for row in rows for x in row)
+    k = len(pivots)
+    assert [[Fraction(x, p) for x in row] for row in rows[:k]] == want[:k]
+    assert [[x != 0 for x in row] for row in rows[k:]] == \
+        [[x != 0 for x in row] for row in want[k:]]
+
+
+def test_kernel_builds_fractions_only_for_returned_values(monkeypatch):
+    # on integer input the elimination is all ints: rank builds no Fraction,
+    # a solution one per unknown, an inverse one per entry
+    count = [0]
+
+    def counting(*args):
+        count[0] += 1
+        return Fraction(*args)
+
+    monkeypatch.setattr(linalg, "Fraction", counting)
+    a = [[2, 4, 4, 1], [-6, 6, 12, 0], [10, 4, 16, 3]]
+    assert linalg.rank_rational(a) == 3
+    assert count[0] == 0
+    x = linalg.solve_rational([row[:3] for row in a], [1, 2, 3])
+    assert x is not None and count[0] <= 3
+    count[0] = 0
+    inv = linalg.invert_rational([row[:3] for row in a])
+    assert inv is not None and count[0] <= 9
+    count[0] = 0
+    assert linalg.det_rational([row[:3] for row in a]) == 624
+    assert count[0] == 1
 
 
 def test_complete_to_unimodular():
@@ -142,3 +291,31 @@ def test_complete_to_unimodular():
     assert abs(linalg.det_rational(m)) == 1
     with pytest.raises(ValueError):
         linalg.complete_to_unimodular([[2, 0]], 2)
+
+
+@pytest.mark.parametrize("name", fans.NAMES)
+def test_kernel_data_builds_only_returned_fractions(monkeypatch, name):
+    # every Fraction linalg builds while a bundled fan is parsed and its
+    # lattice data derived is an entry of a solution, inverse or determinant
+    want = kernel_data(fans.load(name))
+    built, returned = [0], [0]
+
+    def counting(*args):
+        built[0] += 1
+        return Fraction(*args)
+
+    def returning(f, size):
+        def wrapper(*args):
+            out = f(*args)
+            returned[0] += size(out)
+            return out
+        return wrapper
+
+    monkeypatch.setattr(linalg, "Fraction", counting)
+    for fname, size in [("solve_rational", lambda x: len(x or ())),
+                        ("invert_rational", lambda m: sum(map(len, m or ()))),
+                        ("det_rational", lambda d: 1)]:
+        monkeypatch.setattr(linalg, fname,
+                            returning(getattr(linalg, fname), size))
+    assert kernel_data(fans.load(name)) == want
+    assert built[0] == returned[0]
