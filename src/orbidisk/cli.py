@@ -12,14 +12,10 @@ import json
 import os
 import sys
 
-from . import fans
-from .errors import OrbidiskError, ValidationError
-from .fan import (fan_from_dict, kernel_data, parse_disk_selector,
-                  validate_compactification, verify_semi_fano)
-from .invariants import compare_potentials, disk_potential, extract_invariants
-from .mirrormap import inverse_mirror_map, toric_mirror_map
-from .series import Series, frac_str, parse_frac
-from .syz import GaugeChoice, emit_lg_model, mirror_potential
+# the layers are bound as modules and read at call time: each loads the
+# first time a command uses it (see __init__)
+from . import fan, fans, invariants, mirrormap, series, syz
+from .errors import OrbidiskError, ValidationError, frac_str, parse_frac
 
 MODULE = "cli"
 
@@ -61,7 +57,7 @@ def load_fan_file(path):
             raise ValidationError(MODULE, "load", "basis_p must be a list of rows",
                                   rows)
         basis_p = [[parse_frac(x) for x in row] for row in rows]
-    return fan_from_dict(raw), basis_p
+    return fan.fan_from_dict(raw), basis_p
 
 
 class _Parser(argparse.ArgumentParser):
@@ -114,11 +110,11 @@ def build_parser():
 
 
 def cmd_analyze(args):
-    fan, basis_p = load_fan_file(args.fan)
-    data = kernel_data(fan, basis_p)
+    stacky, basis_p = load_fan_file(args.fan)
+    data = fan.kernel_data(stacky, basis_p)
     boxes, age1 = data.boxes, data.age1_boxes
     report = {
-        "fan": fan.to_dict(),
+        "fan": stacky.to_dict(),
         "kernel_basis": [list(g) for g in data.gamma],
         "kernel_rank": data.r,
         "flat_rank": data.r_prime,
@@ -133,7 +129,7 @@ def cmd_analyze(args):
     }
     if data.cy_covector is not None:
         report["cy_covector"] = list(data.cy_covector)
-        witnesses = verify_semi_fano(data)
+        witnesses = fan.verify_semi_fano(data)
         report["semi_fano"] = {
             "holds": True,
             "witnesses": {",".join(map(str, c)): [frac_str(x) for x in lam]
@@ -143,11 +139,10 @@ def cmd_analyze(args):
 
 
 def cmd_mirror_map(args):
-    fan, basis_p = load_fan_file(args.fan)
-    data = kernel_data(fan, basis_p)
+    data = fan.kernel_data(*load_fan_file(args.fan))
     order = parse_order(args.order)
-    mm = toric_mirror_map(data, order)
-    inv = inverse_mirror_map(mm)
+    mm = mirrormap.toric_mirror_map(data, order)
+    inv = mirrormap.inverse_mirror_map(mm)
     return {
         "order": frac_str(order),
         "forward": mm.to_json(),
@@ -156,12 +151,12 @@ def cmd_mirror_map(args):
 
 
 def cmd_invariants(args):
-    fan, basis_p = load_fan_file(args.fan)
-    data = kernel_data(fan, basis_p)
+    data = fan.kernel_data(*load_fan_file(args.fan))
     order = parse_order(args.order)
-    disk = parse_disk_selector(args.disk, data)
-    dp = disk_potential(toric_mirror_map(data, order), disk)
-    table = extract_invariants(dp)
+    disk = fan.parse_disk_selector(args.disk, data)
+    dp = invariants.disk_potential(mirrormap.toric_mirror_map(data, order),
+                                   disk)
+    table = invariants.extract_invariants(dp)
     return {
         "order": frac_str(order),
         "potential": dp.to_json(),
@@ -170,19 +165,18 @@ def cmd_invariants(args):
 
 
 def cmd_syz(args):
-    fan, basis_p = load_fan_file(args.fan)
-    data = kernel_data(fan, basis_p)
+    data = fan.kernel_data(*load_fan_file(args.fan))
     order = parse_order(args.order)
-    gauge = GaugeChoice.for_data(data, args.gauge)
-    return emit_lg_model(mirror_potential(data, gauge, order))
+    gauge = syz.GaugeChoice.for_data(data, args.gauge)
+    return syz.emit_lg_model(syz.mirror_potential(data, gauge, order))
 
 
 def cmd_oracle(args):
-    fan, basis_p = load_fan_file(args.fan)
-    bar_fan, _ = load_fan_file(args.bar)
+    stacky, basis_p = load_fan_file(args.fan)
+    bar, _ = load_fan_file(args.bar)
     order = parse_order(args.order)
-    cd = validate_compactification(fan, bar_fan, args.disk, basis_p)
-    dp, oracle = compare_potentials(cd, order)
+    cd = fan.validate_compactification(stacky, bar, args.disk, basis_p)
+    dp, oracle = invariants.compare_potentials(cd, order)
     return {
         "order": frac_str(order),
         "match": True,
@@ -206,7 +200,7 @@ COMMANDS = {
 
 
 def _series_text(d):
-    return Series.from_json(d).text()
+    return series.Series.from_json(d).text()
 
 
 def render_text(command, report) -> str:

@@ -21,9 +21,8 @@ from functools import cache
 from math import lcm
 from operator import add, mul
 
-from .errors import ValidationError, ConsistencyError, Value
+from .errors import ValidationError, ConsistencyError, Value, frac
 from .fan import BoxElement, ToricData, zero_box
-from .series import frac
 
 MODULE = "class-enumerator"
 

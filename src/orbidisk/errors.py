@@ -1,9 +1,12 @@
-"""Error types and the immutable value base shared by all modules.
+"""Error types, the immutable value base and the rational helpers shared by
+all modules.
 
 Every error names the module and operation it came from, plus the offending
 datum, so a CLI report can be produced mechanically.
 """
 from __future__ import annotations
+
+from fractions import Fraction
 
 
 class OrbidiskError(Exception):
@@ -38,6 +41,29 @@ class ConsistencyError(OrbidiskError):
     """A mathematical cross-check failed (oracle mismatch, broken identity)."""
 
     exit_code = 3
+
+
+def frac(x) -> Fraction:
+    if isinstance(x, Fraction):
+        return x
+    return Fraction(x)
+
+
+def frac_str(x: Fraction) -> str:
+    x = frac(x)
+    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+
+def parse_frac(s) -> Fraction:
+    """A rational from a string or an integer; a bool is refused with the
+    series engine's parse error."""
+    if isinstance(s, (str, int)) and not isinstance(s, bool):
+        try:
+            return Fraction(s)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValidationError("series-engine", "parse", f"not a rational: {s!r}",
+                          s)
 
 
 class Value:

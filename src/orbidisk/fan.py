@@ -17,10 +17,10 @@ import itertools
 import json
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from . import linalg
-from .errors import ValidationError, ConsistencyError, Value
-from .series import frac, frac_str
+from .errors import ValidationError, ConsistencyError, Value, frac, frac_str
 
 MODULE = "fan-core"
 
@@ -408,10 +408,9 @@ def _anticones(fan, gamma):
 def _default_kernel_basis(fan: StackyFan, kernel):
     """Deterministic kernel basis adapted to the extra-vector split and,
     where cheaply possible, oriented so effective classes have nonnegative
-    coordinates.  `kernel` is the Smith-form kernel basis of the columns."""
+    coordinates.  `kernel` is the Smith-form kernel basis of the columns.
+    Returns (basis, split_ok, anticone table on that basis)."""
     r = len(kernel)
-    if r == 0:
-        return [], True
     m, mp = fan.m, fan.m_prime
     r_prime = m - fan.rank
     split_ok = True
@@ -434,13 +433,16 @@ def _default_kernel_basis(fan: StackyFan, kernel):
         else:
             split_ok = False
     # orient: flip basis vectors so the effective generators get nonnegative
-    # coordinates where a sign flip suffices
-    gens = [g for _, _, gg in _anticones(fan, kernel) for g in gg]
-    for b in range(r):
-        vals = [g[b] for g in gens]
-        if any(v < 0 for v in vals) and all(v <= 0 for v in vals):
-            kernel[b] = [-x for x in kernel[b]]
-    return kernel, split_ok
+    # coordinates where a sign flip suffices; flipping basis vector b only
+    # negates coordinate b of every generator, so the table carries over
+    table = _anticones(fan, kernel)
+    gens = [g for _, _, gg in table for g in gg]
+    sign = [-1 if any(g[b] < 0 for g in gens) and all(g[b] <= 0 for g in gens)
+            else 1 for b in range(r)]
+    kernel = [[s * x for x in row] for s, row in zip(sign, kernel)]
+    table = tuple((cone, comp, tuple(tuple(map(mul, sign, g)) for g in gg))
+                  for cone, comp, gg in table)
+    return kernel, split_ok, table
 
 
 def _disk_table(data: ToricData) -> dict:
@@ -464,12 +466,14 @@ def _disk_table(data: ToricData) -> dict:
     return table
 
 
-def _toric_data(fan: StackyFan, gamma, op, **bookkeeping) -> ToricData:
+def _toric_data(fan: StackyFan, gamma, op, anticones=None,
+                **bookkeeping) -> ToricData:
     """ToricData of `fan` on the kernel basis `gamma`, with its boxes, its
     anticone and disk tables and the `bookkeeping` fields, once gamma is
     checked: each vector in the kernel, m' - n of them, elementary divisors
-    all +-1.  The disk table is filled once the instance exists, as its
-    dual classes are solved on the instance's kernel basis."""
+    all +-1.  The anticone table is built here unless the caller already
+    holds it for gamma.  The disk table is filled once the instance exists,
+    as its dual classes are solved on the instance's kernel basis."""
     for g in gamma:
         for k in range(fan.rank):
             if sum(g[i] * fan.column(i)[k] for i in range(fan.m_prime)) != 0:
@@ -481,7 +485,9 @@ def _toric_data(fan: StackyFan, gamma, op, **bookkeeping) -> ToricData:
                                {"gamma": gamma, "divisors": divs})
     gamma = [list(g) for g in gamma]
     boxes, age1 = box_elements(fan)
-    data = ToricData(fan=fan, gamma=gamma, anticones=_anticones(fan, gamma),
+    if anticones is None:
+        anticones = _anticones(fan, gamma)
+    data = ToricData(fan=fan, gamma=gamma, anticones=anticones,
                      boxes=boxes, age1_boxes=age1, disks={}, **bookkeeping)
     data.disks.update(_disk_table(data))
     return data
@@ -504,7 +510,7 @@ def kernel_data(fan: StackyFan, basis_p=None) -> ToricData:
         [[cols[j][i] for j in range(len(cols))] for i in range(fan.rank)])
 
     if basis_p is None:
-        gamma, split_ok = _default_kernel_basis(fan, kernel)
+        gamma, split_ok, anticones = _default_kernel_basis(fan, kernel)
         origin = "default"
     else:
         r = len(kernel)
@@ -525,6 +531,7 @@ def kernel_data(fan: StackyFan, basis_p=None) -> ToricData:
                   for i in range(fan.m_prime)] for b in range(r)]
         origin = "user"
         split_ok = True
+        anticones = None
 
     # extra divisors must have no component along the distinguished prefix of
     # the basis (their classes die in the quotient); reject otherwise
@@ -532,7 +539,8 @@ def kernel_data(fan: StackyFan, basis_p=None) -> ToricData:
            for j in range(fan.m, fan.m_prime)):
         split_ok = False
 
-    data = _toric_data(fan, gamma, op, cy_covector=calabi_yau_covector(fan),
+    data = _toric_data(fan, gamma, op, anticones,
+                       cy_covector=calabi_yau_covector(fan),
                        basis_origin=origin, split_ok=split_ok)
     declared = sorted(fan.extra_vectors)
     computed = sorted(b.vector for b in data.age1_boxes)

@@ -25,8 +25,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, lcm, prod
 
-from .errors import ConsistencyError, Value
-from .series import Series, frac, mono
+from .errors import ConsistencyError, Value, frac
+from .series import Series, mono
 
 MODULE = "ifunction-engine"
 

@@ -16,12 +16,12 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .errors import ConsistencyError, Value
+from .errors import ConsistencyError, Value, frac, frac_str
 from .fan import CompactifiedData, ToricData
 from .hyper import y_monomial
 from .mirrormap import (MirrorMap, cone_sum, inverse_mirror_map,
                         relative_mirror_map, toric_mirror_map)
-from .series import Series, frac, mono, mono_pow, mono_str
+from .series import Series, mono, mono_pow, mono_str
 
 MODULE = "invariants"
 
@@ -93,7 +93,6 @@ class InvariantTable(Value):
         return self.entries.get(key, Fraction(0))
 
     def to_json(self):
-        from .series import frac_str
         rows = []
         for (alpha, ins), val in sorted(self.entries.items()):
             rows.append({"alpha": list(alpha),

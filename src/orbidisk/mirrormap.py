@@ -16,10 +16,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .effective import enumerate_effective
-from .errors import ConsistencyError, ValidationError, Value
+from .errors import ConsistencyError, ValidationError, Value, frac, frac_str
 from .fan import CompactifiedData, ToricData, verify_semi_fano
 from .hyper import coefficient_slice, relative_ifunction_oracle, y_monomial
-from .series import Series, frac, frac_str, invert_map, mono, mono_grade
+from .series import Series, invert_map, mono, mono_grade
 
 MODULE = "mirror-maps"
 

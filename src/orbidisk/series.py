@@ -35,7 +35,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import add, sub
 
-from .errors import ValidationError, ConsistencyError
+from .errors import (ValidationError, ConsistencyError, frac, frac_str,
+                     parse_frac)
 
 MODULE = "series-engine"
 
@@ -53,27 +54,6 @@ def var_key(v: str):
     if suffix == "inf":
         return (prefix, 1, 0)
     return (prefix, 0, int(suffix) if suffix else -1)
-
-
-def frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
-
-
-def frac_str(x: Fraction) -> str:
-    x = frac(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
-def parse_frac(s) -> Fraction:
-    """A rational from a string or an integer; a bool is refused."""
-    if isinstance(s, (str, int)) and not isinstance(s, bool):
-        try:
-            return Fraction(s)
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise _err("parse", f"not a rational: {s!r}", s)
 
 
 # ---------------------------------------------------------------------------

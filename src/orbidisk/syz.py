@@ -11,11 +11,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
-from .errors import ConsistencyError, ValidationError, Value
+from .errors import ConsistencyError, ValidationError, Value, frac, frac_str
 from .fan import ToricData
 from .invariants import disk_potentials
 from .mirrormap import toric_mirror_map
-from .series import frac, frac_str
 
 MODULE = "syz-builder"
 

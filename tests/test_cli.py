@@ -233,14 +233,14 @@ def test_series_round_trip_through_cli(capsys):
 
 
 def test_consistency_error_exit_code(capsys, monkeypatch):
-    from orbidisk import cli
+    from orbidisk import invariants
     from orbidisk.errors import ConsistencyError
 
     def boom(cd, order):
         raise ConsistencyError("invariants", "compare_potentials",
                                "potential disagrees", ("q1", 1))
 
-    monkeypatch.setattr(cli, "compare_potentials", boom)
+    monkeypatch.setattr(invariants, "compare_potentials", boom)
     code = main(["oracle", "kp2", "--bar", "kp2_bar", "--disk", "ray:0",
                  "--order", "2"])
     err = capsys.readouterr().err

@@ -621,6 +621,26 @@ def test_dual_classes_solved_once(monkeypatch, capsys, argv, calls):
     assert count[0] == calls
 
 
+@pytest.mark.parametrize("name", fans.NAMES)
+def test_anticone_table_built_once(monkeypatch, name):
+    # the default basis orients the Smith kernel by sign flips, and a flip
+    # negates one coordinate of every generator, so the table it reads is
+    # carried over to the final basis (test_anticone_generators_dual checks
+    # the carried table)
+    from orbidisk import fan
+    calls = []
+    build = fan._anticones
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(fan, "_anticones", counted)
+    data = kernel_data(load(name))
+    assert len(calls) == 1
+    assert data.anticones == build(data.fan, data.gamma)
+
+
 def test_fan_with_listed_faces():
     # explicitly listed faces are tolerated and change nothing
     doc = json.loads(fans.read("kp2"))

@@ -7,8 +7,9 @@ does not show: `analyze --format json` on every bundled fan and on
 perfbench/local_quadric.json, and `syz --order 4 --format json --gauge k`
 for every maximal cone k of the four bundled base fans and the quadric.
 A third, tests/golden_errors.json, pins the exit code and the stderr bytes
-of refusals: the six of the sweep_small workload and three oracle runs
-refused before or at the base map, with stdout empty."""
+of refusals: the six of the sweep_small workload, three oracle runs
+refused before or at the base map and an --order that is no rational, with
+stdout empty."""
 import hashlib
 import json
 import os

@@ -1,0 +1,82 @@
+"""Each layer module loads the first time one of its attributes is read.
+
+orbidisk/__init__.py registers the layers in sys.modules without running
+them, so a command compiles only the layers it calls.  A registered module
+that has not run yet is not of type ModuleType.  Every check runs in a fresh
+interpreter on this checkout's src/.
+"""
+import json
+import os
+import re
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# the modules the benchmark's tracer reads from sys.modules
+TRACED = {"cli", "fan", "linalg", "effective", "hyper", "mirrormap", "series",
+          "invariants", "syz"}
+
+RUN = """\
+import contextlib, io, json, sys, types
+import orbidisk.cli
+registered = sorted(n[9:] for n in sys.modules if n.startswith("orbidisk."))
+with contextlib.redirect_stdout(io.StringIO()):
+    code = orbidisk.cli.main(sys.argv[1:])
+unloaded = sorted(n[9:] for n, m in sys.modules.items()
+                  if n.startswith("orbidisk.") and type(m) is not types.ModuleType)
+print(json.dumps({"exit": code, "registered": registered,
+                  "unloaded": unloaded}))
+"""
+
+
+def child(code, *argv):
+    out = subprocess.run([sys.executable, "-c", code, *argv],
+                         env={**os.environ,
+                              "PYTHONPATH": os.path.join(ROOT, "src")},
+                         capture_output=True, text=True, check=True)
+    return out.stdout
+
+
+@pytest.mark.parametrize("argv, unloaded", [
+    ("analyze kp2",
+     {"series", "effective", "hyper", "mirrormap", "invariants", "syz"}),
+    ("mirror-map kp2 --order 2", {"invariants", "syz"}),
+    ("invariants kp2 --disk ray:0 --order 2", {"syz"}),
+    ("syz kp2 --order 2", set()),
+])
+def test_command_loads_only_its_layers(argv, unloaded):
+    report = json.loads(child(RUN, *argv.split(" ")))
+    assert report["exit"] == 0
+    assert TRACED <= set(report["registered"])
+    assert set(report["unloaded"]) == unloaded
+
+
+def test_package_names_resolve():
+    names = json.loads(child("""\
+import json, orbidisk
+print(json.dumps({n: getattr(orbidisk, n).__module__
+                  for n in orbidisk.__all__}))
+"""))
+    assert len(names) == 36
+    assert {m.split(".")[0] for m in names.values()} == {"orbidisk"}
+    out = child("""\
+import orbidisk
+try:
+    orbidisk.no_such_name
+except AttributeError as e:
+    print(e)
+""")
+    assert out == "module 'orbidisk' has no attribute 'no_such_name'\n"
+
+
+def test_readme_library_example_runs():
+    with open(os.path.join(ROOT, "README.md")) as f:
+        readme = f.read()
+    library = readme.split("## Library", 1)[1]
+    example = re.search(r"```python\n(.*?)```", library, re.S).group(1)
+    check = ("assert table.value([], [('b0,0,1', 4)]) == Fraction(1, 27)\n"
+             "assert pots[('box', 3)] == pot\n"
+             "print('ok')\n")
+    assert child(example + check) == "ok\n"
