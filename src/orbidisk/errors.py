@@ -66,6 +66,13 @@ def parse_frac(s) -> Fraction:
                           s)
 
 
+def parse_index(text: str) -> int:
+    """An index in ASCII digits without a leading zero; else ValueError."""
+    if text.isascii() and text.isdigit() and text == str(int(text)):
+        return int(text)
+    raise ValueError(f"not an index: {text!r}")
+
+
 class Value:
     """Base of the package's immutable values, in place of frozen dataclasses.
 

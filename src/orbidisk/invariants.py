@@ -61,9 +61,8 @@ def _potential(mirror: MirrorMap, inverse: dict, disk) -> DiskPotential:
     cone, coeffs, _, dual = data.disk_class(disk)
     expo = cone_sum(mirror, cone, coeffs)
     head = Series.monomial(y_monomial(data, dual), 1, data.y_weights(), order)
-    pot = head.substitute(inverse)
-    if not expo.is_zero():
-        pot = pot * (-(expo.substitute(inverse))).exp()
+    pot, expo = head.substitute(inverse, expo)
+    pot = pot * (-expo).exp()
     if kind == "ray":
         lead, normalization = mono(), "1+delta"
     else:

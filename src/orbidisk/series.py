@@ -19,10 +19,9 @@ Where the formal inversion spends its time:
 - _mul_into multiplies the numerators of two pieces, once per pair of
   pieces whose keys sum to at most the order's, in products and in the
   exp/log recurrences.
-- substitute keeps one power table per variable for each call: the integer
-  powers the terms use, each built from the last lower one times the image
-  to the gap; each term's coefficient is multiplied in as a scalar, and
-  for the Euler images also its exponent of each variable.
+- substitute takes several series to one assignment in one pass: each
+  image is split once as lead * w, one power table per variable holds the
+  integer powers of w, and each term's product of w powers is built once.
 - exp and log_one_plus run the recurrences of the grading operator D
   (D m = grade(m) * m) grade by grade.  Only ratios of grades appear in
   them, so they run on the keys.
@@ -32,7 +31,7 @@ Where the formal inversion spends its time:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import add, sub
 
 from .errors import (ValidationError, ConsistencyError, frac, frac_str,
@@ -59,8 +58,6 @@ def var_key(v: str):
 # ---------------------------------------------------------------------------
 # named monomials
 
-ONE_MONO: tuple = ()
-
 
 def mono(*pairs) -> tuple:
     """Build a monomial from (var, exponent) pairs; zero exponents dropped."""
@@ -79,7 +76,7 @@ def mono_mul(a: tuple, b: tuple) -> tuple:
 def mono_pow(m: tuple, k) -> tuple:
     k = frac(k)
     if k == 0:
-        return ONE_MONO
+        return ()
     return tuple((v, e * k) for v, e in m)
 
 
@@ -156,7 +153,8 @@ def _sum(parts) -> tuple:
 
 def _piece(den: int, nums: dict):
     """A piece in lowest terms without zero numerators, or None if empty."""
-    nums = {m: n for m, n in nums.items() if n}
+    if 0 in nums.values():
+        nums = {m: n for m, n in nums.items() if n}
     if den != 1 and nums:
         r = gcd(den, *nums.values())
         if r != 1:
@@ -260,10 +258,6 @@ class Series:
     @classmethod
     def zero(cls, weights, order):
         return cls(weights, order)
-
-    @classmethod
-    def constant(cls, c, weights, order):
-        return cls(weights, order, {ONE_MONO: frac(c)})
 
     @classmethod
     def variable(cls, v, weights, order):
@@ -525,110 +519,103 @@ class Series:
 
     # -- substitution ---------------------------------------------------------
 
-    def substitute(self, assignment: dict, euler=False):
-        """Simultaneous substitution var -> Series.
+    def substitute(self, assignment: dict, *more):
+        """Simultaneous substitution var -> Series into self and, in the same
+        pass, into each series of more on self's grading: the image of self,
+        or with more the list of all the images.
 
-        Every variable occurring in self must be assigned.  Soundness of the
-        truncation requires each image's minimal grade to be at least the
-        weight of the variable it replaces; this is checked.  With euler,
-        returns (image, {v: image of theta_v self}) for every variable v of
-        self's grading, theta_v = v d/dv the Euler operator, from the same
-        pass: a term's image enters theta_v's scaled by its exponent of v.
+        Every variable occurring must be assigned, to an image of least grade
+        at least its weight.  Each image is y^lead * w, lead one of its
+        least-grade monomials (1 for a zero image); a result is exact through
+        the least of its own order, its images' orders and, per term and w
+        factor, the term's leads' grade plus w's order.
         """
-        names, e = self._names, self._e
-        monos = [m for _, nums in self._p.values() for m in nums]
-        used = sorted({names[i] for m in monos for i, x in enumerate(m) if x}, key=var_key)
-        for v in used:
-            if v not in assignment:
-                raise _err("substitute", f"unassigned variable {v}", v)
-        images = {v: assignment[v] for v in used}
+        op, series = "substitute", (self, *more)
+        if any(s.weights != self.weights for s in more):
+            raise _err(op, "grading mismatch between operands", [s.weights for s in series])
+        names, E = self._names, lcm(*(s._e for s in series))
+        stores = [_scaled(s._p, E // s._e) for s in series]
+        monos = [[m for _, nums in p.values() for m in nums] for p in stores]
+        powers = {(i, x) for ms in monos for m in ms for i, x in enumerate(m) if x}
+        used = sorted({i for i, _ in powers})
+        fractional = {i for i, x in powers if x % E or x < 0}   # these need w = 1 + u
+        for i in used:
+            if names[i] not in assignment:
+                raise _err(op, f"unassigned variable {names[i]}", names[i])
+        images = {i: assignment[names[i]] for i in used}
         like = next(iter(images.values() or assignment.values()), self)
-        torder = min((s.order for s in images.values()), default=self.order)
-        for v, s in images.items():
+        # leads are ints over D = E * T, T the lcm of the images' e; grades are keys
+        T, W, lead, gkey, ws = lcm(*(s._e for s in images.values())), like._W, {}, {}, {}
+        D, unit = E * T, E * T * W
+        for i, s in images.items():
+            v, k0, f = names[i], next(iter(s._p), 0), T // s._e
             if s.weights != like.weights:
-                raise _err("substitute", "assigned series use different gradings", v)
-            mg = s.min_grade()
-            if mg is not None and mg < self.weights[v]:
-                raise _err("substitute",
-                           f"image of {v} has grade {mg} below its weight "
+                raise _err(op, "assigned series use different gradings", v)
+            g = Fraction(k0, s._e * W)
+            if s._p and g < self.weights[v]:
+                raise _err(op, f"image of {v} has grade {g} below its weight "
                            f"{self.weights[v]}; truncation would be unsound", v)
-        order = min(self.order, torder)
-        # one power table per variable: the positive integer powers the
-        # terms use, built in increasing exponent order, each from the last
-        # lower one times the image to the gap.  The images needed at
-        # fractional or negative exponents are factored once; their pure
-        # monomial parts combine by exponent arithmetic so that interim
-        # negative grades cancel before any series is built, and their unit
-        # parts enter as exp(x * log(unit)), one per (variable, exponent)
-        needed, factored = {}, {}
-        for m in monos:
-            for i, x in enumerate(m):
-                if x > 0 and x % e == 0:
-                    needed.setdefault(i, set()).add(x // e)
-                elif x and i not in factored:
-                    lead_m, lead_c, unit = images[names[i]].factor_unit("substitute")
-                    if lead_c != 1:
-                        raise _err("substitute", f"image of {names[i]} must have leading "
-                                   "coefficient 1 for fractional powers", lead_c)
-                    factored[i] = (lead_m, unit)
-        powers = {}
-        for i, exps in needed.items():
-            img = images[names[i]]
-            if img.order > order:
-                img = img.truncate(order)
-            last_x, last = 0, None
-            for x in sorted(exps):
-                gap = img.pow_int(x - last_x)
-                last = gap if last is None else last * gap
-                powers[i, x] = last
-                last_x = x
-        logs, frac_powers = {}, {}
-        out_order = order
-        terms = []
-        for d, nums in self._p.values():
-            for m, n in nums.items():
-                term = None
-                mono_acc = ONE_MONO
-                for i, x in enumerate(m):
-                    if x > 0 and x % e == 0:
-                        f = powers[i, x // e]
-                    elif not x:
-                        continue
-                    else:
-                        lead_m, unit = factored[i]
-                        mono_acc = mono_mul(mono_acc, mono_pow(lead_m, Fraction(x, e)))
-                        if unit.is_zero():
-                            continue
-                        f = frac_powers.get((i, x))
-                        if f is None:
-                            if i not in logs:
-                                logs[i] = unit.log_one_plus()
-                            f = frac_powers[i, x] = (logs[i] * Fraction(x, e)).exp()
-                    term = f if term is None else term * f
-                if term is None:
-                    term = _constant(like, order, 1)
-                elif term.order > order:
-                    term = term.truncate(order)
-                if mono_acc:
-                    term = term.mul_monomial(mono_acc)
-                    if term.order > order:
-                        term = term.truncate(order)
-                out_order = min(out_order, term.order)
-                terms.append((term, d, n, m))
-        # the coefficient n / d of each term enters as a scalar, at the lcm
-        # of the terms' exponent denominators; under theta_i it is n * x / (d * e)
-        te = lcm(*(term._e for term, *_ in terms))
-        accs = [{} for _ in range(1 + len(names) * euler)]
-        for term, d, n, m in terms:
-            pieces = _scaled(term._p, te // term._e).items()
-            scalars = [(d, n)] + ([(d * e, n * x) for x in m] if euler else [])
-            for acc, (sd, sn) in zip(accs, scalars):
-                for k, (td, tnums) in pieces if sn else ():
-                    acc.setdefault(k, []).append(
-                        (sd * td, {tm: sn * tn for tm, tn in tnums.items()}))
-        out = [like._make(out_order, te, {k: _sum(parts) for k, parts in acc.items()})
-               for acc in accs]
-        return (out[0], dict(zip(names, out[1:]))) if euler else out[0]
+            m0 = min(s._p[k0][1]) if s._p else (0,) * len(like._names)
+            if i in fractional and s._p.get(k0) != (1, {m0: 1}):
+                raise _err(op, f"image of {v} must have a unique lead of coefficient "
+                           "1 for powers other than positive integers", v)
+            lead[i], gkey[i] = tuple(x * f for x in m0), k0 * f
+            ws[i] = s._make(s.order - g, s._e, {
+                k - k0: (d, {tuple(map(sub, m, m0)): n for m, n in nums.items()})
+                for k, (d, nums) in s._p.items()})
+        term = {m: sum(x * gkey[i] for i, x in enumerate(m) if x)   # its leads' grade
+                for ms in monos for m in ms}
+        orders = [min([s.order] + [min(images[i].order, ws[i].order + Fraction(
+            min(term[m] for m in ms if m[i]), unit)) for i in used if any(m[i] for m in ms)])
+                  for s, ms in zip(series, monos)]
+        # the order each term's w product and each w power is needed to
+        need, want = {}, {}
+        for o, ms in zip(orders, monos):
+            for m in ms:
+                r = _key(o, unit) - term[m]
+                if r >= need.get(m, 0):
+                    need[m] = r
+                    want.update({(i, x): max(want.get((i, x), 0), r)
+                                 for i, x in enumerate(m) if x})
+        # one power table per variable, each entry the last lower one times w
+        # to the gap, so kept to the highest order a higher one needs
+        top, factors, last = {}, {}, {}
+        for i, x in sorted(want, reverse=True):
+            top[i] = want[i, x] = max(want[i, x], top.get(i, 0))
+        logs = {i: (_at(ws[i], Fraction(top[i], unit)) - 1).log_one_plus()
+                for i in fractional if i in top}
+        for (i, x), r in sorted(want.items()):
+            if x > 0 and not x % E:
+                k, p = last.get(i, (0, None))
+                gap = ws[i].pow_int(x // E - k)
+                r = Fraction(r, unit)
+                p = factors[i, x] = _at(gap, r) if p is None else _at(p, r) * gap
+                last[i] = (x // E, p)
+            else:
+                factors[i, x] = (_at(logs[i], Fraction(r, unit)) * Fraction(x, E)).exp()
+        # each term's w product, to be shifted by its leads into each result
+        prods = {}
+        for m, r in need.items():
+            fs = [factors[i, x] for i, x in enumerate(m) if x]
+            p = prod(fs[1:], start=_at(fs[0], Fraction(r, unit))) if fs else \
+                _constant(like, 0, 1)
+            prods[m] = (term[m], _scaled(p._p, D // p._e),
+                        [sum(x * lead[i][j] for i, x in enumerate(m) if x)
+                         for j in range(len(like._names))])
+        out = []
+        for o, store in zip(orders, stores):
+            acc, cap = {}, _key(o, unit)
+            for d, nums in store.values():
+                for m, n in nums.items():
+                    g, pieces, shift = prods.get(m, (0, {}, ()))
+                    for k, (pd, pnums) in pieces.items():
+                        if k + g > cap:
+                            break
+                        acc.setdefault(k + g, []).append(
+                            (d * pd, {tuple(map(add, pm, shift)): n * pn
+                                      for pm, pn in pnums.items()}))
+            out.append(like._make(o, D, {k: _sum(parts) for k, parts in acc.items()}))
+        return out if more else out[0]
 
     # -- serialization --------------------------------------------------------
 
@@ -665,10 +652,17 @@ def _constant(like: Series, order, c) -> Series:
 
 
 def _at(s: Series, order) -> Series:
-    """s with its order set to order: truncated below its own, lifted above
-    it without re-grading a term, where the caller knows the absent terms
-    do not matter."""
-    return s._make(order, s._e, s._p)
+    """s with its order set to order: s itself at its own, truncated below
+    it, lifted above it without re-grading a term, where the caller knows
+    the absent terms do not matter."""
+    return s if order == s.order else s._make(order, s._e, s._p)
+
+
+def _theta(s: Series, i: int, order) -> Series:
+    """theta_v s = v ds/dv for the i-th variable v of s's grading, each term
+    scaled by its exponent of v, at order as _at sets it."""
+    return s._make(order, s._e, {k: (d * s._e, {m: n * m[i] for m, n in nums.items()})
+                                 for k, (d, nums) in s._p.items()})
 
 
 def invert_map(relations, order):
@@ -688,9 +682,9 @@ def invert_map(relations, order):
     least grade of a unit term.  L = 0 errs from step on, so one round
     reaches any order below 3 * step, and a round from L exact through p
     reaches 2p + step: the orders run p_k = (p_{k+1} - step) / 2 back from
-    the top one until one is below 3 * step.  One substitute of
-    log(1 + u_t) per unit per round gives log(1 + U_t) and, from the same
-    pass, every theta_w u_t(x) / (1 + U_t).  G has grade >= s, so M is
+    the top one until one is below 3 * step.  One substitution pass per
+    round gives every log(1 + U_t) and theta_w log(1 + u_t) at x, which is
+    (theta_w u_t)(x) / (1 + U_t).  G has grade >= s, so M is
     computed to order p - s only and lifted to p: its terms above p - s
     only reach grades above p in (I - M)^-1 G.
 
@@ -753,11 +747,7 @@ def invert_map(relations, order):
         rel = {v: min([top - src_weights[v]] + [min([units[t].order] + [
             g + min(rel[c] for c, _ in m) for g, piece in units[t].pieces.items()
             for m in piece]) for t in live if inv[b][t]]) for b, v in enumerate(sources)}
-    # substitute loses up to the grade of a term's negative exponents from
-    # the order of its images, so the rounds run that much above their order
-    logs = {t: units[t].log_one_plus() for t in live}
-    margin = max([0] + [-sum(x * src_weights[v] for v, x in m if x < 0)
-                        for t in live for m in logs[t].terms])
+    logs = [units[t].log_one_plus() for t in live]
     L = [Series.zero(weights, top)] * n
     if live:
         step = min(units[t].min_grade() for t in live)
@@ -766,16 +756,19 @@ def invert_map(relations, order):
             plan.append((plan[-1] - step) / 2)
         known = step   # L = 0 is wrong from grade step on
         for p in reversed(plan):
-            x = {v: _at(L[b], p + margin).exp().mul_monomial(base_mono[b])
-                 for b, v in enumerate(sources)}
-            # (log(1 + U_t), {w: theta_w log(1 + u_t) at x}) from one pass
-            sub = {t: _at(logs[t], p + margin).substitute(x, euler=True) for t in live}
             L = [_at(l, p) for l in L]
-            G = [L[b] + sum(_at(sub[t][0], p) * inv[b][t] for t in live if inv[b][t])
+            x = {v: L[b].exp().mul_monomial(base_mono[b]) for b, v in enumerate(sources)}
+            # every log(1 + U_t) to p and theta_w log(1 + u_t) at x to
+            # p - known, from one pass
+            U = _at(logs[0], p).substitute(
+                x, *(_at(l, p) for l in logs[1:]),
+                *(_theta(l, c, p - known) for l in logs for c in range(n)))
+            G = [L[b] + sum(U[j] * inv[b][t] for j, t in enumerate(live) if inv[b][t])
                  for b in range(n)]
-            B = [[sum((_at(sub[t][1][w], p - known) * inv[b][t] for t in live if inv[b][t]),
+            B = [[sum((U[len(live) + j * n + c] * inv[b][t]
+                       for j, t in enumerate(live) if inv[b][t]),
                       Series.zero(weights, p - known)) + int(b == c)
-                  for c, w in enumerate(sources)] for b in range(n)]
+                  for c in range(n)] for b in range(n)]
             # Gauss-Jordan on [B | G] with unit pivots; a multiplier from B,
             # known to p - known, meets G of grade >= known lifted to p
             for k in range(n):
@@ -793,8 +786,8 @@ def invert_map(relations, order):
 
     # verify round trip: relation series evaluated at the assignment give back
     # exactly the target variables
-    for t, s in relations:
-        lhs = s.substitute(assign)
+    lhs = relations[0][1].substitute(assign, *(s for _, s in relations[1:]))
+    for (t, _), lhs in zip(relations, lhs if n > 1 else [lhs]):
         rhs = Series.variable(t, weights, lhs.order)
         if not lhs.same_terms(rhs):
             raise ConsistencyError(MODULE, op, f"inversion round trip failed for {t}",

@@ -299,6 +299,26 @@ def test_malformed_argv_is_structured(capsys, argv):
     assert "usage:" not in err
 
 
+@pytest.mark.parametrize("argv, where", [
+    (("invariants", "kp2", "--disk", "ray:+0_0"), ("fan-core", "disk_selector")),
+    (("invariants", "kp2", "--disk", "ray:00"), ("fan-core", "disk_selector")),
+    (("invariants", "kp2", "--disk", "ray:\u0660"), ("fan-core", "disk_selector")),
+    (("invariants", "kp2", "--disk", "ray: 1"), ("fan-core", "disk_selector")),
+    (("syz", "kp2", "--gauge", " 1"), ("cli", "argv")),
+    (("syz", "kp2", "--gauge", "-0"), ("cli", "argv")),
+    (("syz", "kp2", "--gauge", "1_0"), ("cli", "argv")),
+], ids=["sign-underscore", "leading-zero", "arabic-indic-zero", "space",
+        "gauge-space", "gauge-minus-zero", "gauge-underscore"])
+def test_index_is_plain_ascii_digits(capsys, argv, where):
+    # an index is 0 or ASCII digits without a leading zero; the signs,
+    # spaces, underscores, leading zeros and other digits int() takes are
+    # refused with a structured error, not read as another index
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    payload = json.loads(err)["error"]
+    assert (payload["module"], payload["operation"]) == where
+
+
 def test_help_still_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["-h"])

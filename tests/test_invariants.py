@@ -240,30 +240,49 @@ def _potential_of(case, order):
     disk_potential(toric_mirror_map(_data_of(case), order), ("ray", 0))
 
 
-@pytest.mark.parametrize("case, order, ceiling", [
-    # substitution passes while inverting the mirror map, the Euler passes
-    # of the Newton rounds included: 12 and 10 with one stepped round per
-    # grade step; one pass per unit per Newton round (orders 2, 5, 11 on
-    # kp2 at 12; 3/2, 4 on the quadric) and the round-trip check make 4
-    # and 6; 7 at kp2 order 80, where the stepped rounds made 80
-    ("kp2", 12, 5),
-    ("local_quadric", 5, 6),
-    ("kp2", 80, 8),
-], ids=["kp2-12", "local_quadric-5", "kp2-80"])
-def test_inversion_substitute_count(monkeypatch, case, order, ceiling):
+def _count_substitutes(monkeypatch):
     from orbidisk import series
 
-    mm = toric_mirror_map(_data_of(case), order)
     calls = [0]
     substitute = series.Series.substitute
 
-    def counted(self, assignment, euler=False):
+    def counted(self, assignment, *more):
         calls[0] += 1
-        return substitute(self, assignment, euler)
+        return substitute(self, assignment, *more)
 
     monkeypatch.setattr(series.Series, "substitute", counted)
+    return calls
+
+
+@pytest.mark.parametrize("case, order, ceiling", [
+    # substitution passes while inverting the mirror map: 12 and 10 with
+    # one stepped round per grade step; 4 and 6 with one pass per unit per
+    # Newton round (orders 2, 5, 11 on kp2 at 12; 3/2, 4 on the quadric)
+    # and one per relation in the round-trip check.  One pass per round,
+    # the Euler images included, and one for the check make 4 and 3; 7 at
+    # kp2 order 80, where the stepped rounds made 80
+    ("kp2", 12, 4),
+    ("local_quadric", 5, 3),
+    ("kp2", 80, 7),
+], ids=["kp2-12", "local_quadric-5", "kp2-80"])
+def test_inversion_substitute_count(monkeypatch, case, order, ceiling):
+    mm = toric_mirror_map(_data_of(case), order)
+    calls = _count_substitutes(monkeypatch)
     inverse_mirror_map(mm)
     assert 0 < calls[0] <= ceiling
+
+
+@pytest.mark.parametrize("case", ["kp2", "local_quadric"])
+def test_potential_substitutes_once(monkeypatch, case):
+    # the disk's head monomial and its cone sum go through one pass (two
+    # passes before) into the inverse the potential is read off
+    from orbidisk.invariants import _potential
+
+    mm = toric_mirror_map(_data_of(case), 5)
+    inverse = inverse_mirror_map(mm)
+    calls = _count_substitutes(monkeypatch)
+    _potential(mm, inverse, ("ray", 0))
+    assert calls[0] == 1
 
 
 @pytest.mark.parametrize("case, order, ceiling", [

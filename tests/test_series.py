@@ -228,11 +228,11 @@ def test_invert_round_trip_failure_names_target_order_and_monomial(monkeypatch):
     rel = Series.variable("y", W1, 4) * corr.exp()
     substitute = Series.substitute
 
-    def perturbed(self, assignment, euler=False):
-        if not euler:   # the round-trip check, after the Newton rounds
+    def perturbed(self, assignment, *more):
+        if self is rel:   # the round-trip check, after the Newton rounds
             img = assignment["y"]
             assignment = {"y": img + Series.monomial(q(3), 1, img.weights, img.order)}
-        return substitute(self, assignment, euler)
+        return substitute(self, assignment, *more)
 
     monkeypatch.setattr(Series, "substitute", perturbed)
     with pytest.raises(ConsistencyError, match="inversion round trip failed for q") as err:
@@ -251,6 +251,30 @@ def test_invert_negative_exponent_unit():
     assert x2.order == 6
     assert x2.terms == {mono(("q1", -k), ("q2", 2 * k + 1)):
                         F((-1) ** k * comb(3 * k, k), 2 * k + 1) for k in range(6)}
+
+
+def test_invert_check_compares_through_the_claimed_order(monkeypatch):
+    # q1 = y1, q2 = y2 (1 + y2^2 / y1) at order 6: y2's image is claimed to
+    # order 6, and the term y2^3 / y1 has leads of grade 2, so the round-trip
+    # check compares through 6 and sees a wrong q2^6 coefficient planted in
+    # y2's image (a check that lost y1's weight stopped at 5)
+    w2 = {"y1": F(1), "y2": F(1)}
+    rels = [("q1", Series(w2, 6, {mono(("y1", 1)): 1})),
+            ("q2", Series(w2, 6, {mono(("y2", 1)): 1,
+                                  mono(("y1", -1), ("y2", 3)): 1}))]
+    substitute = Series.substitute
+
+    def perturbed(self, assignment, *more):
+        if any(self is r for _, r in rels):   # the round-trip check
+            img = assignment["y2"]
+            wrong = Series.monomial(mono(("q2", 6)), 1, img.weights, img.order)
+            assignment = {**assignment, "y2": img + wrong}
+        return substitute(self, assignment, *more)
+
+    monkeypatch.setattr(Series, "substitute", perturbed)
+    with pytest.raises(ConsistencyError, match="round trip failed for q2") as err:
+        invert_map(rels, 6)
+    assert err.value.datum == {"target": "q2", "order": "6", "monomial": "q2^6"}
 
 
 def test_invert_order_honest_when_units_couple():
@@ -388,46 +412,59 @@ def test_invert_rank_one_against_lagrange(case):
 
 
 def _dict_mul(a, b, n):
-    """Product of two {(i, j): coefficient} polynomials, total degree <= n."""
-    out = {}
+    """Product of two {(i, j): coefficient} series, total degree <= n."""
+    out, b = {}, sorted(b.items(), key=lambda t: sum(t[0]))
     for (i, j), x in a.items():
-        for (k, l), z in b.items():
-            if i + j + k + l <= n:
-                out[i + k, j + l] = out.get((i + k, j + l), 0) + x * z
+        for (k, l), z in b:
+            if i + j + k + l > n:
+                break
+            out[i + k, j + l] = out.get((i + k, j + l), 0) + x * z
     return {e: c for e, c in out.items() if c}
+
+
+def _binomial(v, a, n):
+    """(1 + v)^a = sum_k C(a, k) v^k to total degree n, v of positive degree."""
+    out, power, c, k = {(0, 0): F(1)}, {(0, 0): F(1)}, F(1), 0
+    while True:
+        k += 1
+        c, power = c * (a - k + 1) / k, _dict_mul(power, v, n)
+        if not (c and power):
+            return out
+        for e, x in power.items():
+            out[e] = out.get(e, 0) + c * x
 
 
 def triangular_fixed_point(u1, u2, order):
     """y1, y2 in q1, q2 for q1 = y1 u1(y1, y2), q2 = y2 u2(y1, y2), as
     {(i, j): coefficient} to total degree order, by the plain fixed point
-    y_k = q_k / u_k(y1, y2) run order times from y_k = q_k."""
-    def compose(u, y1, y2):
-        out = {}
-        for (a, b), c in u.items():
-            term = {(0, 0): c}
-            for _ in range(a):
-                term = _dict_mul(term, y1, order)
-            for _ in range(b):
-                term = _dict_mul(term, y2, order)
-            for e, x in term.items():
-                out[e] = out.get(e, 0) + x
-        return out
-
-    def unit_inverse(v):
-        # 1 / v = sum_k (1 - v)^k for v with constant term 1
-        x = {e: -c for e, c in v.items() if e != (0, 0)}
-        out, power = {(0, 0): F(1)}, {(0, 0): F(1)}
-        for _ in range(order):
-            power = _dict_mul(power, x, order)
-            for e, c in power.items():
-                out[e] = out.get(e, 0) + c
-        return out
-
-    y1, y2 = {(1, 0): F(1)}, {(0, 1): F(1)}
-    for _ in range(order):
-        y1, y2 = (_dict_mul({(1, 0): F(1)}, unit_inverse(compose(u1, y1, y2)), order),
-                  _dict_mul({(0, 1): F(1)}, unit_inverse(compose(u2, y1, y2)), order))
-    return y1, y2
+    y_k = q_k / u_k(y1, y2) run from y_k = q_k.  A unit term y1^a y2^b
+    may have negative a or b in sixths, but positive degree a + b: with
+    y_k = q_k (1 + v_k) it is q1^a q2^b (1 + v1)^a (1 + v2)^b, each power a
+    binomial series, so each round fixes v_k one least degree further.
+    Inside, exponents are counted in sixths."""
+    n = 6 * (order - 1)   # v_k to degree n gives y_k to degree order
+    v = [{}, {}]
+    while True:
+        powers = {}   # (k, a) -> (1 + v_k)^a
+        units = []
+        for u in (u1, u2):
+            at = {}
+            for (a, b), c in u.items():
+                for key in ((0, a), (1, b)):
+                    if key not in powers:
+                        powers[key] = _binomial(v[key[0]], key[1], n)
+                term = _dict_mul(powers[0, a], powers[1, b], n - 6 * (a + b))
+                for (i, j), x in term.items():
+                    e = (i + int(6 * a), j + int(6 * b))
+                    at[e] = at.get(e, 0) + c * x
+            at.pop((0, 0))   # u_k(y) = 1 + at
+            units.append(at)
+        last, v = v, [{e: x for e, x in _binomial(at, -1, n).items() if e != (0, 0)}
+                      for at in units]
+        if v == last:
+            return tuple({(F(i + 6 * (k == 0), 6), F(j + 6 * (k == 1), 6)): x
+                          for (i, j), x in _binomial(vk, 1, n).items()}
+                         for k, vk in enumerate(v))
 
 
 @st.composite
@@ -445,21 +482,57 @@ def triangular_units(draw, max_order=5):
     return order, units
 
 
+def _rank_two_relations(units, order):
+    w2 = {"y1": F(1), "y2": F(1)}
+    return [(t, Series(w2, order, {mono(("y1", a + da), ("y2", b + db)): c
+                                   for (a, b), c in u.items()}))
+            for t, u, (da, db) in (("q1", units[0], (1, 0)), ("q2", units[1], (0, 1)))]
+
+
+def _q_exponents(s, order):
+    """The terms of a series in q1, q2 up to order, keyed by exponent pairs."""
+    return {(dict(m).get("q1", F(0)), dict(m).get("q2", F(0))): c
+            for m, c in s.terms.items() if s.grade_of(m) <= order}
+
+
 @settings(max_examples=10, derandomize=True, deadline=None)
 @given(triangular_units())
 def test_invert_rank_two_against_fixed_point(case):
-    order, (u1, u2) = case
-    w2 = {"y1": F(1), "y2": F(1)}
-    rels = [(t, Series(w2, order, {mono(("y1", a + da), ("y2", b + db)): c
-                                   for (a, b), c in u.items()}))
-            for t, u, (da, db) in (("q1", u1, (1, 0)), ("q2", u2, (0, 1)))]
-    out = invert_map(rels, order)
-    for v, want in zip(("y1", "y2"), triangular_fixed_point(u1, u2, order)):
-        s = out[v]
-        assert s.order >= order
-        got = {(int(dict(m).get("q1", 0)), int(dict(m).get("q2", 0))): c
-               for m, c in s.terms.items() if s.grade_of(m) <= order}
-        assert got == want
+    order, units = case
+    out = invert_map(_rank_two_relations(units, order), order)
+    for v, want in zip(("y1", "y2"), triangular_fixed_point(*units, order)):
+        assert out[v].order >= order
+        assert _q_exponents(out[v], order) == want
+
+
+@st.composite
+def signed_fractional_units(draw):
+    """Two units of one to three terms y1^a y2^(d - a) each: a negative,
+    fractional or integral, the degree d in halves up to order - 1, at
+    order 3 or 4."""
+    order = draw(st.sampled_from([3, 4]))
+    exps = st.sampled_from([F(-1), F(-1, 2), F(1, 3), F(1, 2), F(1), F(2)])
+    degrees = st.sampled_from([F(k, 2) for k in range(1, 2 * order - 1)])
+    units = []
+    for _ in range(2):
+        u = {(0, 0): F(1)}
+        for _ in range(draw(st.integers(min_value=1, max_value=3))):
+            a, d = draw(exps), draw(degrees)
+            u[a, d - a] = draw(coeffs.filter(bool))
+        units.append(u)
+    return order, units
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(signed_fractional_units())
+def test_invert_signed_fractional_against_fixed_point(case):
+    # units with negative and fractional exponents: through every order it
+    # claims, Newton's inverse agrees with the plain fixed point
+    order, units = case
+    out = invert_map(_rank_two_relations(units, order), order)
+    for v, want in zip(("y1", "y2"), triangular_fixed_point(*units, order)):
+        assert out[v].order >= order
+        assert _q_exponents(out[v], order) == want
 
 
 GRADINGS = [{"a": F(1), "b": F(1)}, {"a": F(1), "b": F(1, 2)},
@@ -656,23 +729,74 @@ def fractional_source(draw, weights):
     return Series(weights, draw(st.sampled_from([F(3), F(7, 2)])), terms)
 
 
+def test_substitute_order_counts_each_terms_leads():
+    # a^(1/2) under a -> a (1 + b), known to relative order 1: exact through
+    # 1/2 + 1, below the image's order 2, as a b^3 left out of the image
+    # changes the coefficient of a^(1/2) b^3, of grade 2
+    w = {"a": F(1), "b": F(1, 2)}
+    s = Series(w, 3, {mono(("a", F(1, 2))): 1})
+    known = {mono(("a", 1)): 1, mono(("a", 1), ("b", 1)): 1}
+    lo = s.substitute({"a": Series(w, 2, known)})
+    hi = s.substitute({"a": Series(w, 3, {**known, mono(("a", 1), ("b", 3)): 1})})
+    assert (lo.order, hi.order) == (F(3, 2), F(5, 2)) and lo.same_terms(hi)
+    m = mono(("a", F(1, 2)), ("b", 3))
+    assert s.substitute({"a": Series(w, 3, known)}).coefficient(m) != hi.coefficient(m)
+    # a^-1 b^3 under a -> a (1 + b) to 2: the leads' grade 2 keeps the term
+    # b^3 / a, where truncating b^3 at 2 before dividing by a lost it
+    w = {"a": F(1), "b": F(1)}
+    s = Series(w, 3, {mono(("a", -1), ("b", 3)): 1})
+    out = s.substitute({"a": Series(w, 2, {mono(("a", 1)): 1, mono(("a", 1), ("b", 1)): 1}),
+                        "b": Series.variable("b", w, 5)})
+    assert out.order == 2 and out.terms == {mono(("a", -1), ("b", 3)): F(1)}
+
+
+@st.composite
+def terms_above(draw, weights, low, high, exps):
+    """Up to four terms a^i b^j, i and j drawn from exps, of grade in
+    (low, high]."""
+    terms = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        m = mono(("a", draw(exps)), ("b", draw(exps)))
+        if low < mono_grade(m, weights) <= high:
+            terms[m] = draw(coeffs)
+    return terms
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.data())
+def test_substitute_exact_through_its_order(data):
+    # the terms a series and its images leave out above their orders are
+    # unknown: a result must not depend on them through the order it claims.
+    # Sources hold negative and fractional exponents, so a term's image can
+    # start below or above the grade of its variables' images
+    w = data.draw(st.sampled_from(GRADINGS))
+    signed = st.sampled_from([F(-1), F(-1, 2), F(0), F(1, 3), F(1, 2), F(1), F(2)])
+    s = Series(w, 3, data.draw(terms_above(w, 0, 3, signed)))
+    u = data.draw(graded_series(w))
+    u = (u - u.constant_term()).truncate(data.draw(st.sampled_from([F(1), F(3, 2), F(3)])))
+    whole = st.integers(min_value=0, max_value=6)
+    s_hi = Series(w, 5, {**s.terms, **data.draw(terms_above(w, 3, 5, signed))})
+    u_hi = Series(w, u.order + 2, {**u.terms, **data.draw(terms_above(w, u.order,
+                                                                      u.order + 2, whole))})
+    lo, hi = ({v: (1 + x).mul_monomial(mono((v, 1))) for v in w} for x in (u, u_hi))
+    got, more = s.substitute(lo), s_hi.substitute(hi)
+    assert more.order >= got.order
+    assert got.same_terms(more), mono_str(got.first_difference(more)[1])
+
+
 @settings(max_examples=25, derandomize=True, deadline=None)
 @given(st.data())
 def test_substitute_euler_images(data):
-    # substitute(..., euler=True) gives theta_v of the image for every
-    # variable v from the same pass; each equals the plain substitute of
-    # theta_v s.  Images a * (1 + u) need the fractional-power path.  The
-    # Euler images carry the order of the image of s, which is at most that
-    # of the plain substitute of a series with fewer terms.
+    # one pass substitutes s, its Euler images theta_v s and a second source
+    # into the same images; each result equals its own single substitute,
+    # order included.  Images a * (1 + u) need the fractional-power path.
     w = data.draw(st.sampled_from(GRADINGS))
-    s = data.draw(fractional_source(w))
+    s, other = data.draw(fractional_source(w)), data.draw(fractional_source(w))
     tail = data.draw(graded_series(w))
     u = tail - tail.constant_term()
     images = {v: (1 + u).mul_monomial(mono((v, 1))) for v in w}
-    value, thetas = s.substitute(images, euler=True)
-    assert value == s.substitute(images)
-    assert set(thetas) == set(w)
-    for v, img in thetas.items():
-        want = _theta(s, v).substitute(images)
-        assert img.order == value.order <= want.order
-        assert img.same_terms(want), (v, mono_str(img.first_difference(want)[1]))
+    series = [s, *(_theta(s, v) for v in w), other]
+    got = s.substitute(images, *series[1:])
+    assert len(got) == len(series)
+    for x, img in zip(series, got):
+        assert img == x.substitute(images)
