@@ -15,7 +15,7 @@ import sys
 # the layers are bound as modules and read at call time: each loads the
 # first time a command uses it (see __init__)
 from . import fan, fans, invariants, mirrormap, series, syz
-from .errors import OrbidiskError, ValidationError, frac_str, parse_frac, parse_index
+from .errors import OrbidiskError, ValidationError, frac_str, index, parse_frac
 
 MODULE = "cli"
 
@@ -87,7 +87,7 @@ def build_parser():
             sp.add_argument("--order", default="4",
                             help="grade bound for all series (rational)")
         if gauge:
-            sp.add_argument("--gauge", type=parse_index, default=0,
+            sp.add_argument("--gauge", type=index, default=0,
                             help="index of the gauge cone (default first)")
         sp.add_argument("--format", choices=("json", "text"), default="text")
         sp.add_argument("--output", default=None, help="path (default stdout)")

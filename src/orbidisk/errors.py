@@ -66,7 +66,7 @@ def parse_frac(s) -> Fraction:
                           s)
 
 
-def parse_index(text: str) -> int:
+def index(text: str) -> int:
     """An index in ASCII digits without a leading zero; else ValueError."""
     if text.isascii() and text.isdigit() and text == str(int(text)):
         return int(text)

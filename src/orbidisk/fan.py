@@ -20,7 +20,7 @@ from math import gcd, lcm
 from operator import mul
 
 from . import linalg
-from .errors import ValidationError, ConsistencyError, Value, frac, frac_str, parse_index
+from .errors import ValidationError, ConsistencyError, Value, frac, frac_str, index
 
 MODULE = "fan-core"
 
@@ -616,7 +616,7 @@ def parse_disk_selector(text: str, data: ToricData):
     op = "disk_selector"
     try:
         kind, _, idx = text.partition(":")
-        idx = parse_index(idx)
+        idx = index(idx)
     except ValueError:
         raise _verr(op, f"bad disk selector {text!r}; want ray:<i> or box:<j>", text)
     if kind == "ray":

@@ -43,38 +43,39 @@ class DiskPotential(Value):
 def disk_potential(mirror: MirrorMap, disk) -> DiskPotential:
     """Generating series of the invariants attached to one basic disk class,
     ("ray", i) or ("box", j), read off a mirror map at its order."""
-    return _potential(mirror, inverse_mirror_map(mirror), disk)
+    return _potentials(mirror, [disk])[tuple(disk)]
 
 
 def disk_potentials(mirror: MirrorMap) -> dict:
     """{disk: DiskPotential} for every disk of the disk table (each ray and
     each extra column, in column order), all read off one mirror map and its
     inverse."""
-    inverse = inverse_mirror_map(mirror)
-    return {d: _potential(mirror, inverse, d) for d in mirror.data.disks}
+    return _potentials(mirror, list(mirror.data.disks))
 
 
-def _potential(mirror: MirrorMap, inverse: dict, disk) -> DiskPotential:
+def _potentials(mirror: MirrorMap, disks) -> dict:
+    """{disk: DiskPotential} for a list of disks: their head monomials and
+    cone sums go to the inverse in the pass that checks it."""
     op = "disk_potential"
-    data, order = mirror.data, mirror.order
-    kind, idx = disk
-    cone, coeffs, _, dual = data.disk_class(disk)
-    expo = cone_sum(mirror, cone, coeffs)
-    head = Series.monomial(y_monomial(data, dual), 1, data.y_weights(), order)
-    pot, expo = head.substitute(inverse, expo)
-    pot = pot * (-expo).exp()
-    if kind == "ray":
-        lead, normalization = mono(), "1+delta"
-    else:
-        lead, normalization = mono((data.tau_name(idx), 1)), "tau+delta"
-    lead_m, lead_c, _ = pot.factor_unit(op)
-    if lead_m != lead or lead_c != 1:
-        raise ConsistencyError(MODULE, op,
-                               f"{kind} potential does not start at "
-                               f"{mono_str(lead)} with coefficient 1",
-                               {"lead": lead_m, "coeff": lead_c})
-    return DiskPotential(disk=disk, series=pot, normalization=normalization,
-                         data=data)
+    data, out = mirror.data, {}
+    classes = [data.disk_class(disk) for disk in disks]
+    heads = [Series.monomial(y_monomial(data, dual), 1, data.y_weights(),
+                             mirror.order) for _, _, _, dual in classes]
+    expos = [cone_sum(mirror, cone, coeffs) for cone, coeffs, _, _ in classes]
+    _, images = inverse_mirror_map(mirror, *heads, *expos)
+    for (kind, idx), head, expo in zip(disks, images, images[len(disks):]):
+        pot = head * (-expo).exp()
+        lead = mono() if kind == "ray" else mono((data.tau_name(idx), 1))
+        lead_m, lead_c, _ = pot.factor_unit(op)
+        if lead_m != lead or lead_c != 1:
+            raise ConsistencyError(MODULE, op,
+                                   f"{kind} potential does not start at "
+                                   f"{mono_str(lead)} with coefficient 1",
+                                   {"lead": lead_m, "coeff": lead_c})
+        normalization = "1+delta" if kind == "ray" else "tau+delta"
+        out[kind, idx] = DiskPotential(disk=(kind, idx), series=pot,
+                                       normalization=normalization, data=data)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -157,13 +158,9 @@ def oracle_potential(cd: CompactifiedData, base: MirrorMap) -> Series:
     op = "oracle_potential"
     bar = cd.bar
     mm = relative_mirror_map(cd, base)
-    inverse = inverse_mirror_map(mm)
-
-    names = bar.y_vars()
-    dinf_coords = bar.coords_from_pairings(cd.d_infinity)
-    head = mono(*((names[b], dinf_coords[b]) for b in range(bar.r)))
-    val = Series.monomial(head, 1, bar.y_weights(), base.order)
-    val = val.substitute(inverse)
+    head = y_monomial(bar, bar.coords_from_pairings(cd.d_infinity))
+    _, (val,) = inverse_mirror_map(
+        mm, Series.monomial(head, 1, bar.y_weights(), base.order))
     out = val.mul_monomial(mono_pow(mono(("qinf", 1)), -1))
     for m in out.terms:
         if any(v == "qinf" for v, _ in m):

@@ -19,7 +19,7 @@ from .effective import enumerate_effective
 from .errors import ConsistencyError, ValidationError, Value, frac, frac_str
 from .fan import CompactifiedData, ToricData, verify_semi_fano
 from .hyper import coefficient_slice, relative_ifunction_oracle, y_monomial
-from .series import Series, invert_map, mono, mono_grade
+from .series import Series, invert_map, mono_grade
 
 MODULE = "mirror-maps"
 
@@ -92,9 +92,8 @@ def cone_sum(mm: MirrorMap, cone, coeffs) -> Series:
 def _flat_relation(data: ToricData, target, curve_coords, g, order) -> Relation:
     """Assemble target = prod_b y_b^{p_b.c} * exp(sum_j (D_j.c) g_j)."""
     weights = data.y_weights()
-    names = data.y_vars()
     curve_coords = [frac(x) for x in curve_coords]
-    m = mono(*((names[b], curve_coords[b]) for b in range(data.r)))
+    m = y_monomial(data, curve_coords)
     grade = mono_grade(m, weights)
     if grade > order:
         raise _order_refused(data, target, grade, order)
@@ -222,8 +221,7 @@ def relative_mirror_map(cd: CompactifiedData, base: MirrorMap) -> MirrorMap:
     # the qinf relation of the disk class
     kind, idx = cd.disk
     cone, coeffs, _, dual = cd.base.disk_class(cd.disk)
-    names = bar.y_vars()
-    want = mono((names[-1], 1), *((v, -x) for v, x in zip(names, dual)))
+    want = y_monomial(bar, [-x for x in dual] + [1])   # yinf / y^dual
     if rel_inf.monomial != want:
         raise ConsistencyError(MODULE, op,
                                f"{kind}-disk relation monomial is not yinf "
@@ -240,12 +238,12 @@ def relative_mirror_map(cd: CompactifiedData, base: MirrorMap) -> MirrorMap:
     return MirrorMap(bar, order, g, relations, classes)
 
 
-def inverse_mirror_map(mm: MirrorMap) -> dict:
+def inverse_mirror_map(mm: MirrorMap, *more):
     """Formal inverse assignment y_b -> series in the flat/twisted variables,
     at the order of the map.
 
-    Delegates to the generic Newton inversion; the round trip is verified
-    there.
+    Delegates to the generic Newton inversion, whose round-trip check also
+    takes the y-series of more: with more, returns (assignment, images).
     """
     rels = [(r.target, r.series) for r in mm.relations]
-    return invert_map(rels, mm.order)
+    return invert_map(rels, mm.order, *more)

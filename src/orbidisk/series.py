@@ -26,7 +26,8 @@ Where the formal inversion spends its time:
   (D m = grade(m) * m) grade by grade.  Only ratios of grades appear in
   them, so they run on the keys.
 - invert_map runs Newton rounds, each about doubling the known order, so
-  the last round and the exact round-trip check cost most of it.
+  the last round and the exact round-trip check cost most of it; the
+  check's pass also yields the images its callers read off the inverse.
 """
 from __future__ import annotations
 
@@ -665,7 +666,7 @@ def _theta(s: Series, i: int, order) -> Series:
                                  for k, (d, nums) in s._p.items()})
 
 
-def invert_map(relations, order):
+def invert_map(relations, order, *more):
     """Invert a formal coordinate change given by target = series-in-sources.
 
     relations: list of (target_variable, Series in the source variables).
@@ -693,16 +694,20 @@ def invert_map(relations, order):
     units support: a unit's own order, and for each of its terms, the
     term's grade plus the least order of the sources the term holds.
 
-    Returns {source_variable: Series in the target variables}.  One exact
-    check follows: the relations evaluated at the result must give back
-    the target variables, so a wrong inversion ends in a ConsistencyError
-    that names the target, the order checked and the first wrong monomial.
+    Returns {source_variable: Series in the target variables}; with more,
+    (that, the images of more's series, on the sources' grading), from the
+    pass of one exact check: the relations evaluated at the result must give
+    back the target variables, so a wrong inversion ends in a
+    ConsistencyError that names the target, the order and the first wrong
+    monomial, before any image is returned.
     """
     from .linalg import invert_rational
 
     op = "invert_map"
-    if not relations:
-        return {}
+    if not relations:   # no sources: a series of more is its own image
+        if any(s.weights for s in more):
+            raise _err(op, "no relation inverts the variables of a series")
+        return ({}, list(more)) if more else {}
     src_weights = relations[0][1].weights
     sources = sorted(src_weights, key=var_key)
     if len(relations) != len(sources):
@@ -786,11 +791,12 @@ def invert_map(relations, order):
 
     # verify round trip: relation series evaluated at the assignment give back
     # exactly the target variables
-    lhs = relations[0][1].substitute(assign, *(s for _, s in relations[1:]))
-    for (t, _), lhs in zip(relations, lhs if n > 1 else [lhs]):
+    series = [s for _, s in relations] + list(more)
+    images = series[0].substitute(assign, *series[1:])
+    for (t, _), lhs in zip(relations, images if len(series) > 1 else [images]):
         rhs = Series.variable(t, weights, lhs.order)
         if not lhs.same_terms(rhs):
             raise ConsistencyError(MODULE, op, f"inversion round trip failed for {t}",
                                    {"target": t, "order": frac_str(lhs.order),
                                     "monomial": mono_str(lhs.first_difference(rhs)[1])})
-    return assign
+    return (assign, images[n:]) if more else assign

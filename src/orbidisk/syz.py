@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
-from .errors import ConsistencyError, ValidationError, Value, frac, frac_str
+from .errors import ConsistencyError, ValidationError, Value, frac_str
 from .fan import ToricData
 from .invariants import disk_potentials
 from .mirrormap import toric_mirror_map
@@ -142,7 +142,6 @@ def mirror_potential(data: ToricData, gauge: GaugeChoice,
                      order) -> MirrorPotential:
     """Assemble the corrected potential from the disk potentials of every ray
     and every extra vector."""
-    order = frac(order)
     potentials = disk_potentials(toric_mirror_map(data, order))
     sol = solve_coefficient_system(data, gauge)
     basis, w = covector_splitting(data)
@@ -150,8 +149,7 @@ def mirror_potential(data: ToricData, gauge: GaugeChoice,
     for (_, i), dp in potentials.items():
         vec = tuple(data.column_vector(i))
         red = reduced_exponent(data, basis, w, vec)
-        terms.append((i, vec, tuple(red), dp.series.truncate(
-            min(order, dp.series.order))))
+        terms.append((i, vec, tuple(red), dp.series))
     return MirrorPotential(data=data, gauge=gauge, coefficients=sol,
                            terms=terms, basis=basis, section=w)
 

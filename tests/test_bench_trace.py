@@ -4,7 +4,8 @@
 tracer, that every declared per-layer metric is non-zero and every declared
 span edge is seen.  Running it here makes a refactor that drops a declared
 span or call edge fail the suite, not only the benchmark.  Each run takes
-about a second and writes only the git-ignored `.perfbench/`.
+a second or two (`sweep_small`, 36 invocations, a few) and writes only the
+git-ignored `.perfbench/`.
 """
 import json
 import os
@@ -16,7 +17,8 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-@pytest.mark.parametrize("workload", ["c3z3_oracle", "kp2_deep"])
+@pytest.mark.parametrize("workload", ["c3z3_oracle", "kp2_deep",
+                                      "quadric_rank2", "sweep_small"])
 def test_traced_workload_is_correct(workload):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,

@@ -317,6 +317,9 @@ def test_index_is_plain_ascii_digits(capsys, argv, where):
     assert code == 2 and out == ""
     payload = json.loads(err)["error"]
     assert (payload["module"], payload["operation"]) == where
+    if "--gauge" in argv:   # argparse names the type: an index is expected
+        assert payload["message"].endswith(
+            f"argument --gauge: invalid index value: {argv[-1]!r}")
 
 
 def test_help_still_exits_zero(capsys):

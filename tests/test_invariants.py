@@ -272,17 +272,38 @@ def test_inversion_substitute_count(monkeypatch, case, order, ceiling):
     assert 0 < calls[0] <= ceiling
 
 
-@pytest.mark.parametrize("case", ["kp2", "local_quadric"])
-def test_potential_substitutes_once(monkeypatch, case):
-    # the disk's head monomial and its cone sum go through one pass (two
-    # passes before) into the inverse the potential is read off
-    from orbidisk.invariants import _potential
+def _potential_runs(case):
+    """(map inverted, the entry point under test) for one pass-count case."""
+    if case == "oracle-kp2":
+        from orbidisk.mirrormap import relative_mirror_map
+        cd = cd_for("kp2", "kp2_bar", ("ray", 0))
+        base = bar_base(cd, 4)
+        return relative_mirror_map(cd, base), lambda: oracle_potential(cd, base)
+    from orbidisk.invariants import disk_potentials
+    kind, _, name = case.rpartition("-")
+    data = data_for(name) if name == "c3z3" else _data_of(name)
+    mm = toric_mirror_map(data, F(7, 3) if name == "c3z3" else 5)
+    if kind == "potentials":
+        return mm, lambda: disk_potentials(mm)
+    disk = ("box", 3) if name == "c3z3" else ("ray", 0)
+    return mm, lambda: disk_potential(mm, disk)
 
-    mm = toric_mirror_map(_data_of(case), 5)
-    inverse = inverse_mirror_map(mm)
+
+@pytest.mark.parametrize("case", [
+    "kp2", "local_quadric", "c3z3", "potentials-kp2", "potentials-c3z3",
+    "oracle-kp2"])
+def test_potential_substitutes_once(monkeypatch, case):
+    # a potential is read off the pass that checks the inverse: the head
+    # monomial and cone sum of each disk (of every disk, for
+    # disk_potentials) and the oracle's compactifying monomial add no
+    # substitution pass to those inverse_mirror_map makes alone (one more
+    # per disk before)
+    mm, run = _potential_runs(case)
     calls = _count_substitutes(monkeypatch)
-    _potential(mm, inverse, ("ray", 0))
-    assert calls[0] == 1
+    inverse_mirror_map(mm)
+    alone = calls[0]
+    run()
+    assert alone > 0 and calls[0] == 2 * alone
 
 
 @pytest.mark.parametrize("case, order, ceiling", [

@@ -235,9 +235,54 @@ def test_invert_round_trip_failure_names_target_order_and_monomial(monkeypatch):
         return substitute(self, assignment, *more)
 
     monkeypatch.setattr(Series, "substitute", perturbed)
-    with pytest.raises(ConsistencyError, match="inversion round trip failed for q") as err:
-        invert_map([("q", rel)], 4)
-    assert err.value.datum == {"target": "q", "order": "4", "monomial": "q^3"}
+    # with series to evaluate at the inverse too: they share the check's
+    # pass, and the error comes before any image is returned
+    for more in ((), (corr, Series.monomial(y(F(1, 3)), 1, W1, 4))):
+        with pytest.raises(ConsistencyError,
+                           match="inversion round trip failed for q") as err:
+            invert_map([("q", rel)], 4, *more)
+        assert err.value.datum == {"target": "q", "order": "4", "monomial": "q^3"}
+
+
+@pytest.mark.parametrize("case", ["kp2", "quadric", "c3z3", "c3"])
+def test_invert_images_share_the_check_pass(case):
+    # the series handed to invert_map come back as their images at the
+    # inverse, from the round-trip check's pass: each equals its own
+    # substitution at the returned assignment, terms and order, and the
+    # assignment is the one invert_map returns alone (c3 has no relations)
+    from test_generalization import LOCAL_QUADRIC
+    from orbidisk.hyper import y_monomial
+    from orbidisk.mirrormap import cone_sum
+    mm = _forward_map(LOCAL_QUADRIC if case == "quadric" else case,
+                      F(7, 3) if case == "c3z3" else 5)
+    data, rels = mm.data, [(r.target, r.series) for r in mm.relations]
+    disks = data.disks.values()
+    more = [Series.monomial(y_monomial(data, dual), 1, data.y_weights(), mm.order)
+            for _, _, _, dual in disks]
+    more += [cone_sum(mm, cone, coeffs) for cone, coeffs, _, _ in disks]
+    if case == "c3z3":   # the box disk's head monomial has exponents in thirds
+        assert any(e.denominator == 3 for s in more for m in s.terms for _, e in m)
+    assert (len(rels) == 0) == (case == "c3")
+    alone = invert_map(rels, mm.order)
+    assign, images = invert_map(rels, mm.order, *more)
+    assert assign.keys() == alone.keys()
+    for v, s in alone.items():
+        assert assign[v].same_terms(s) and assign[v].order == s.order
+    assert len(images) == len(more)
+    for s, image in zip(more, images):
+        want = s.substitute(assign)
+        assert image.same_terms(want) and image.order == want.order
+
+
+def test_invert_without_relations_refuses_variables():
+    # no relation, no source variable: a constant is its own image, and a
+    # series in variables has nothing to be evaluated at
+    c = Series({}, 3, {(): 5})
+    assert invert_map([], 3) == {}
+    assign, (image,) = invert_map([], 3, c)
+    assert assign == {} and image.same_terms(c) and image.order == 3
+    with pytest.raises(ValidationError, match="no relation inverts"):
+        invert_map([], 3, c, S(3, {y(): 1}))
 
 
 def test_invert_negative_exponent_unit():
