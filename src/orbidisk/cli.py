@@ -173,7 +173,9 @@ def cmd_syz(args):
 
 def cmd_oracle(args):
     stacky, basis_p = load_fan_file(args.fan)
-    bar, _ = load_fan_file(args.bar)
+    bar, bar_basis = load_fan_file(args.bar)
+    if bar_basis is not None:  # the bar's kernel basis extends the base's
+        raise ValidationError(MODULE, "load", "a --bar fan takes no basis_p", args.bar)
     order = parse_order(args.order)
     cd = fan.validate_compactification(stacky, bar, args.disk, basis_p)
     dp, oracle = invariants.compare_potentials(cd, order)

@@ -101,6 +101,10 @@ def fan_from_dict(raw: dict) -> StackyFan:
     op = "parse_stacky_fan"
     if not isinstance(raw, dict):
         raise _verr(op, "document must be a JSON object", raw)
+    unknown = [k for k in raw
+               if k not in ("rank", "rays", "cones", "extra_vectors", "labels")]
+    if unknown:
+        raise _verr(op, f"unknown fan-document key {unknown[0]!r}", unknown)
     try:
         rank = _json_int(raw["rank"])
         rays = [tuple(_json_int(x) for x in r) for r in raw["rays"]]
@@ -409,29 +413,25 @@ def _default_kernel_basis(fan: StackyFan, kernel):
     """Deterministic kernel basis adapted to the extra-vector split and,
     where cheaply possible, oriented so effective classes have nonnegative
     coordinates.  `kernel` is the Smith-form kernel basis of the columns.
-    Returns (basis, split_ok, anticone table on that basis)."""
+    Returns (basis, anticone table on that basis).  The split always exists:
+    the rays of a fan with a full-dimensional cone span Q^n, so the kernel's
+    extra coordinates have full rank m' - m, and the kernel vectors with zero
+    extra coordinates form a saturated sublattice of rank r' = m - n."""
     r = len(kernel)
     m, mp = fan.m, fan.m_prime
     r_prime = m - fan.rank
-    split_ok = True
     if mp > m and r_prime > 0:
-        # sublattice of kernel vectors with zero extra coordinates, then a
-        # unimodular completion: duals of the completed part stay supported
-        # on the extra divisor classes
+        # that sublattice first, then a unimodular completion: duals of the
+        # completed part stay supported on the extra divisor classes
         e_rows = [[kernel[b][j] for b in range(r)] for j in range(m, mp)]
         inner = linalg.integer_kernel_basis(e_rows)
-        if len(inner) == r_prime:
-            try:
-                full = linalg.complete_to_unimodular(inner, r)
-                kernel = [
-                    [sum(full[b][c] * kernel[c][i] for c in range(r))
-                     for i in range(mp)]
-                    for b in range(r)
-                ]
-            except ValueError:
-                split_ok = False
-        else:
-            split_ok = False
+        try:
+            full = linalg.complete_to_unimodular(inner, r)
+        except ValueError as e:
+            raise ConsistencyError(MODULE, "kernel_data", "no basis adapted to "
+                                   f"the extra vectors: {e}", inner)
+        kernel = [[sum(full[b][c] * kernel[c][i] for c in range(r))
+                   for i in range(mp)] for b in range(r)]
     # orient: flip basis vectors so the effective generators get nonnegative
     # coordinates where a sign flip suffices; flipping basis vector b only
     # negates coordinate b of every generator, so the table carries over
@@ -442,7 +442,7 @@ def _default_kernel_basis(fan: StackyFan, kernel):
     kernel = [[s * x for x in row] for s, row in zip(sign, kernel)]
     table = tuple((cone, comp, tuple(tuple(map(mul, sign, g)) for g in gg))
                   for cone, comp, gg in table)
-    return kernel, split_ok, table
+    return kernel, table
 
 
 def _disk_table(data: ToricData) -> dict:
@@ -510,7 +510,7 @@ def kernel_data(fan: StackyFan, basis_p=None) -> ToricData:
         [[cols[j][i] for j in range(len(cols))] for i in range(fan.rank)])
 
     if basis_p is None:
-        gamma, split_ok, anticones = _default_kernel_basis(fan, kernel)
+        gamma, anticones = _default_kernel_basis(fan, kernel)
         origin = "default"
     else:
         r = len(kernel)
@@ -530,14 +530,12 @@ def kernel_data(fan: StackyFan, basis_p=None) -> ToricData:
         gamma = [[int(sum(inv[c][b] * kernel[c][i] for c in range(r)))
                   for i in range(fan.m_prime)] for b in range(r)]
         origin = "user"
-        split_ok = True
         anticones = None
 
     # extra divisors must have no component along the distinguished prefix of
-    # the basis (their classes die in the quotient); reject otherwise
-    if any(gamma[a][j] for a in range(fan.m - fan.rank)
-           for j in range(fan.m, fan.m_prime)):
-        split_ok = False
+    # the basis (their classes die in the quotient); the mirror map refuses it
+    split_ok = not any(gamma[a][j] for a in range(fan.m - fan.rank)
+                       for j in range(fan.m, fan.m_prime))
 
     data = _toric_data(fan, gamma, op, anticones,
                        cy_covector=calabi_yau_covector(fan),

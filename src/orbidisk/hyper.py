@@ -118,11 +118,11 @@ class Slice(Value):
     h0_z2: Series
 
 
-def closed_form_ray_coefficient(pairings, j, skip=()):
+def closed_form_ray_coefficient(pairings, j):
     """Coefficient of a ray-series class in closed form:
     (-1)^(p-1) (-p-1)! / prod_{i != j} (pairing_i)! for pairing p < 0 at j."""
     p = frac(pairings[j])
-    qs = [frac(q) for i, q in enumerate(pairings) if i != j and i not in skip]
+    qs = [frac(q) for i, q in enumerate(pairings) if i != j]
     assert p.denominator == 1 and p < 0
     assert all(q.denominator == 1 and q >= 0 for q in qs)
     k = -p.numerator
@@ -135,8 +135,6 @@ def coefficient_slice(data, classes, order) -> Slice:
     of each series in one dict, then each Series built once.  Every
     divisor-linear coefficient is checked against its closed form."""
     inf_col = data.infinity_column
-    # divisor-linear terms never pair with the added divisor
-    skip = () if inf_col is None else (inf_col,)
     sectors, divisors, h0_z2 = {}, {}, {}
     for cls in classes:
         zf = z_extract(data, cls)
@@ -146,9 +144,9 @@ def coefficient_slice(data, classes, order) -> Slice:
         if kind[0] == "sector":
             terms = sectors.setdefault(kind[1].vector, {})
         elif kind[0] == "divisor":
+            # divisor-linear terms never pair with the added divisor
             assert inf_col is None or cls.pairings[inf_col] == 0
-            expected = closed_form_ray_coefficient(cls.pairings, kind[1],
-                                                   skip=skip)
+            expected = closed_form_ray_coefficient(cls.pairings, kind[1])
             if zf.scalar != expected:
                 raise ConsistencyError(MODULE, "coefficient_slice",
                                        "ray coefficient disagrees with its "

@@ -110,13 +110,12 @@ def elementary_divisors(a):
 
 
 def integer_kernel_basis(a):
-    """Saturated integral basis of ker(a : Z^cols -> Z^rows), as a list of columns."""
+    """Saturated integral basis of ker(a : Z^cols -> Z^rows), as a list of
+    columns; a matrix with no rows has no columns either, so none."""
     rows = len(a)
     cols = len(a[0]) if rows else 0
     if cols == 0:
         return []
-    if rows == 0:
-        return identity(cols)
     s, _, v = smith_normal_form(a)
     rank = sum(1 for i in range(min(rows, cols)) if s[i][i])
     # kernel = span of columns rank..cols-1 of v

@@ -390,9 +390,9 @@ class Series:
 
     __rmul__ = __mul__
 
-    def mul_monomial(self, m: tuple, c=1):
+    def mul_monomial(self, m: tuple):
         """Multiply by an exact monomial; the truncation bound shifts with it."""
-        g, c = mono_grade(m, self.weights), frac(c)
+        g = mono_grade(m, self.weights)
         low = self.min_grade()
         if low is not None and low + g < 0:
             bad = mono_mul(min(self.pieces[low]), m)
@@ -401,9 +401,8 @@ class Series:
         e = lcm(self._e, *(frac(x).denominator for _, x in m))
         shift, dk = _pack(self._names, m, e), _key(g, e * self._W)
         return self._make(self.order + g, e,
-                          {k + dk: (d * c.denominator,
-                                    {tuple(map(add, ma, shift)): n * c.numerator
-                                     for ma, n in nums.items()})
+                          {k + dk: (d, {tuple(map(add, ma, shift)): n
+                                        for ma, n in nums.items()})
                            for k, (d, nums) in _scaled(self._p, e // self._e).items()})
 
     def truncate(self, order):

@@ -347,21 +347,40 @@ def test_malformed_fan_file(capsys, tmp_path):
         assert "malformed fan file" in json.loads(err)["error"]["message"]
 
 
-@pytest.mark.parametrize("field, value", [
-    ("basis_p", 5), ("basis_p", [5]), ("basis_p", [[0, True, 0, 0]]),
-    ("extra_vectors", 5), ("extra_vectors", [["a", 0, 1]]),
-    ("labels", 5), ("labels", ["a"]), ("labels", [1, 2, 3, 4]),
-    ("rays", [[0, 0, 1], [1.7, 0, 1], [0, 1, 1], [-1, -1, 1]]),
-    ("rays", [[0, 0, 1], [True, False, True], [0, 1, 1], [-1, -1, 1]]),
-    ("rays", [[0, 0, 1], ["1", "0", "1"], [0, 1, 1], [-1, -1, 1]]),
-    ("rank", 3.9),
-    ("cones", [[0, 1, 2], [0, 2, 3], [0, 1.0, 3]]),
+@pytest.mark.parametrize("field, value, want", [
+    ("basis_p", 5, "basis_p must be a list of rows"),
+    ("basis_p", [5], "basis_p must be a list of rows"),
+    ("basis_p", [[0, True, 0, 0]], "not a rational"),
+    ("extra_vectors", 5, "malformed document"),
+    ("extra_vectors", [["a", 0, 1]], "'a' is not an integer"),
+    ("labels", 5, "labels must be a list"),
+    ("labels", ["a"], "labels must be a list"),
+    ("labels", [1, 2, 3, 4], "labels must be a list"),
+    ("rays", [[0, 0, 1], [1.7, 0, 1], [0, 1, 1], [-1, -1, 1]], "1.7 is not"),
+    ("rays", [[0, 0, 1], [True, False, True], [0, 1, 1], [-1, -1, 1]],
+     "True is not"),
+    ("rays", [[0, 0, 1], ["1", "0", "1"], [0, 1, 1], [-1, -1, 1]], "'1' is not"),
+    ("rank", 3.9, "3.9 is not"),
+    ("cones", [[0, 1, 2], [0, 2, 3], [0, 1.0, 3]], "1.0 is not"),
+    # misspelt keys are refused, not read as absent
+    ("basis", [[-3, 1, 1, 1]], "unknown fan-document key 'basis'"),
+    ("extra_vector", [[0, 0, 1]], "unknown fan-document key 'extra_vector'"),
+    ("rank", 0, "rank must be a positive integer"),
+    ("rays", [[0, 0, 1], [1, 0], [0, 1, 1], [-1, -1, 1]],
+     "vector (1, 0) does not have rank 3 entries"),
+    ("rays", [[0, 0, 1], [0, 0, 0], [0, 1, 1], [-1, -1, 1]], "zero ray"),
+    ("cones", [], "fan lists no cones"),
+    ("cones", [[0, 1, 2], [0, 2, 3], [0, 3, 3]], "repeated index in cone"),
+    ("cones", [[0, 1, 2], [0, 2, 3], [0, 3, 4]], "uses an invalid ray index"),
 ], ids=["basis_p=5", "basis_p=[5]", "basis_p=[[0,true,0,0]]",
         "extra_vectors=5", "extra_vectors=[[a,0,1]]",
         "labels=5", "labels=[a]", "labels=[1,2,3,4]",
         "rays[1]=[1.7,0,1]", "rays[1]=[true,false,true]",
-        "rays[1]=[str,str,str]", "rank=3.9", "cones[2]=[0,1.0,3]"])
-def test_malformed_fan_field(capsys, tmp_path, field, value):
+        "rays[1]=[str,str,str]", "rank=3.9", "cones[2]=[0,1.0,3]",
+        "basis=[[-3,1,1,1]]", "extra_vector=[[0,0,1]]", "rank=0",
+        "rays[1]=[1,0]", "rays[1]=[0,0,0]", "cones=[]", "cones[2]=[0,3,3]",
+        "cones[2]=[0,3,4]"])
+def test_malformed_fan_field(capsys, tmp_path, field, value, want):
     # kp2 has four rays; each field is refused as input, never a traceback
     doc = json.loads(fans.read("kp2"))
     doc[field] = value
@@ -371,7 +390,58 @@ def test_malformed_fan_field(capsys, tmp_path, field, value):
     assert code == 2
     assert out == ""
     error = json.loads(err)["error"]
-    assert error["module"] and error["operation"] and error["message"]
+    assert error["module"] and error["operation"]
+    assert want in error["message"]
+
+
+@pytest.mark.parametrize("document, want", [
+    ("[1, 2]", "document must be a JSON object"),
+    # rank 3: cones [0,1,2] and [0,1,3] lie on one side of their shared facet
+    (json.dumps({"rank": 3, "rays": [[1, 0, 0], [0, 1, 0], [0, 1, -2],
+                                     [-2, 2, -1]],
+                 "cones": [[0, 1, 2], [0, 1, 3]]}), "overlap across facet"),
+], ids=["not-an-object", "facet-overlap"])
+def test_malformed_fan_document(capsys, tmp_path, document, want):
+    bad = tmp_path / "bad.json"
+    bad.write_text(document)
+    code, out, err = run(capsys, "analyze", str(bad))
+    assert code == 2
+    assert out == ""
+    assert want in json.loads(err)["error"]["message"]
+
+
+def _bar_without(name, key, drop=None):
+    doc = json.loads(fans.read(name))
+    if drop is None:
+        del doc[key]
+    else:
+        doc[key].remove(drop)
+    return doc
+
+
+@pytest.mark.parametrize("base, bar, disk, want", [
+    ("kp2", {"rank": 2, "rays": [[1, 0], [0, 1], [-1, -1]],
+             "cones": [[0, 1], [1, 2], [0, 2]]}, "ray:0", "rank mismatch"),
+    ("c3z3", _bar_without("c3z3_bar", "extra_vectors"), "box:3",
+     "must carry the base extra vectors"),
+    ("kp2", _bar_without("kp2_bar", "cones", [0, 1, 2]), "ray:0",
+     "base cone (0, 1, 2) missing"),
+    # the bar's kernel basis is built from the base's, so a basis_p is refused
+    ("kp2", dict(json.loads(fans.read("kp2_bar")),
+                 basis_p=[[1, 0, 0, 0, 0], [0, 1, 0, 0, 0]]), "ray:0",
+     "a --bar fan takes no basis_p"),
+], ids=["rank-2-bar", "c3z3_bar-without-extras", "kp2_bar-without-cone",
+        "kp2_bar-with-basis_p"])
+def test_oracle_refuses_bar(capsys, tmp_path, base, bar, disk, want):
+    path = tmp_path / "bar.json"
+    path.write_text(json.dumps(bar))
+    code, out, err = run(capsys, "oracle", base, "--bar", str(path),
+                         "--disk", disk, "--order", "2")
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["module"] and error["operation"]
+    assert want in error["message"]
 
 
 @pytest.mark.parametrize("path", ["/nonexistent/dir/kp2.json", "kp2.json"])

@@ -6,14 +6,15 @@ import pkgutil
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import orbidisk
 from orbidisk import fans, linalg
 from orbidisk.errors import ConsistencyError, ValidationError, Value
 from orbidisk.fan import (_toric_data, box_elements, calabi_yau_covector,
-                          fan_from_dict, kernel_data, parse_stacky_fan,
-                          validate_compactification, verify_calabi_yau,
-                          verify_semi_fano)
+                          cone_membership, fan_from_dict, kernel_data,
+                          parse_stacky_fan, validate_compactification,
+                          verify_calabi_yau, verify_semi_fano)
 from test_linalg import oracle_solve
 
 F = Fraction
@@ -95,6 +96,14 @@ def test_parse_malformed_json():
             parse_stacky_fan(document)
 
 
+def test_parse_refuses_basis_p():
+    # a fan document carries no basis: only the fan-file loader reads one
+    doc = json.loads(fans.read("kp2"))
+    doc["basis_p"] = [[0, 1, 0, 0]]
+    with pytest.raises(ValidationError, match="unknown fan-document key 'basis_p'"):
+        parse_stacky_fan(json.dumps(doc))
+
+
 # ---------------------------------------------------------------------------
 # kernel data
 
@@ -136,6 +145,55 @@ def test_kernel_relation_property():
         a = [[cols[j][i] for j in range(len(cols))] for i in range(fan.rank)]
         snf_kernel = linalg.integer_kernel_basis(a)
         assert len(snf_kernel) == len(data.gamma)
+
+
+@st.composite
+def split_fans(draw):
+    """A Calabi-Yau simplex at height 1, star-subdivided at one or two of its
+    other lattice points; every lattice point left over is an extra vector,
+    an age-1 box element of the fan."""
+    n = draw(st.integers(2, 4))
+    point = st.tuples(*[st.integers(-3, 3)] * (n - 1)).map(lambda v: (*v, 1))
+    rays = draw(st.lists(point, min_size=n, max_size=n, unique=True))
+    assume(linalg.rank_rational(rays) == n)
+    box = itertools.product(*[range(min(c), max(c) + 1)
+                              for c in list(zip(*rays))[:-1]])
+    points = [(*v, 1) for v in box if (*v, 1) not in rays
+              and cone_membership(rays, (*v, 1)) is not None]
+    assume(points)
+    cones = [tuple(range(n))]
+    for p in draw(st.lists(st.sampled_from(points), min_size=1, max_size=2,
+                           unique=True)):
+        rays.append(p)
+        star = []
+        for c in cones:
+            x = cone_membership([rays[i] for i in c], p)
+            if x is None:
+                star.append(c)
+            else:
+                star += [tuple(sorted(c[:k] + (len(rays) - 1,) + c[k + 1:]))
+                         for k, a in enumerate(x) if a]
+        cones = star
+    extra = [p for p in points if p not in rays]
+    assume(extra)
+    return {"rank": n, "rays": rays, "cones": cones, "extra_vectors": extra}
+
+
+@settings(max_examples=100, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(split_fans())
+def test_default_basis_splits_off_the_extra_vectors(doc):
+    # the rays span Q^n, so the default basis always adapts to the extra
+    # columns: its first r' = m - n vectors vanish on them
+    try:
+        fan = fan_from_dict(doc)
+    except ValidationError:
+        assume(False)  # rays and extra vectors generate a sublattice
+    data = kernel_data(fan)
+    assert data.r_prime == fan.m - fan.rank > 0 and fan.m_prime > fan.m
+    assert data.split_ok
+    assert all(g[j] == 0 for g in data.gamma[:data.r_prime]
+               for j in range(fan.m, fan.m_prime))
 
 
 def test_user_basis_good():

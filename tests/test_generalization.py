@@ -5,10 +5,12 @@ flat variables and a square 2x2 inversion, and a surface orbifold chart whose
 box coefficients have denominator 2.  The two-route potential comparison is
 the correctness anchor in both cases.
 """
+import json
 from fractions import Fraction
 
 import pytest
 
+from orbidisk.cli import main
 from orbidisk.effective import enumerate_effective
 from orbidisk.fan import fan_from_dict, kernel_data, validate_compactification
 from orbidisk.invariants import compare_potentials, disk_potential
@@ -173,6 +175,25 @@ def test_weighted_surface_mixed_variables():
     assert mm.g[4].terms == {mono((y1, F(1, 2)), (y2, 1)): F(1)}
     for j in (1, 2, 3):
         assert mm.g[j].is_zero()
+
+
+@pytest.mark.parametrize("argv", [
+    ["mirror-map"], ["invariants", "--disk", "ray:0"], ["syz"],
+], ids=["mirror-map", "invariants", "syz"])
+def test_weighted_surface_unsplit_basis_refused(capsys, tmp_path, argv):
+    # the swapped rows put the extra column's class on the flat prefix: the
+    # basis is unimodular but not split, and only the mirror map refuses it
+    doc = dict(WEIGHTED_SURFACE, basis_p=WEIGHTED_BASIS[::-1])
+    path = tmp_path / "weighted.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", str(path), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["basis"] == {
+        "origin": "user", "split_ok": False}
+    assert main([argv[0], str(path), *argv[1:], "--order", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "kernel basis is not adapted to the extra vectors" in \
+        json.loads(err)["error"]["message"]
 
 
 def test_weighted_surface_oracle():
