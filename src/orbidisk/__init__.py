@@ -15,11 +15,10 @@ _LAYERS = {
     "linalg": (),
     "fan": ("StackyFan", "BoxElement", "ToricData", "CompactifiedData",
             "parse_stacky_fan", "kernel_data", "box_elements",
-            "verify_calabi_yau", "verify_semi_fano",
-            "validate_compactification"),
-    "effective": ("EffClass", "enumerate_effective", "sector", "dual_class"),
+            "verify_semi_fano", "validate_compactification"),
+    "effective": ("EffClass", "enumerate_effective", "sector"),
     "series": ("Series", "invert_map"),
-    "hyper": ("hyper_factor", "z_extract", "relative_ifunction_oracle"),
+    "hyper": ("z_extract", "relative_ifunction_oracle"),
     "mirrormap": ("MirrorMap", "g_series", "toric_mirror_map",
                   "relative_mirror_map", "inverse_mirror_map"),
     "invariants": ("DiskPotential", "InvariantTable", "disk_potential",

@@ -35,7 +35,7 @@ def load_fan_file(path):
     """
     if os.path.exists(path):
         try:
-            with open(path) as f:
+            with open(path, encoding="utf-8") as f:
                 document = f.read()
         except (OSError, UnicodeDecodeError) as e:
             raise ValidationError(MODULE, "load",

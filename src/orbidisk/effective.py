@@ -33,9 +33,6 @@ class EffClass(Value):
     grade: Fraction
     sector: BoxElement
 
-    def is_zero(self):
-        return all(c == 0 for c in self.coords)
-
 
 def _over(xs, L=1) -> tuple:
     """(L', ints): rationals over L', the lcm of L and their denominators."""
@@ -97,11 +94,6 @@ def eff_class(data: ToricData, coords) -> EffClass:
     L, C = _over(coords)
     P = _pairings(data, C)
     return _make(C, P, _sector(data, L, P), lambda v: Fraction(v, L))
-
-
-def dual_class(data: ToricData, j) -> EffClass:
-    """The effective class dual to extra column j, from the disk table."""
-    return eff_class(data, data.disk_class(("box", j))[3])
 
 
 def is_effective(data: ToricData, pairings) -> bool:

@@ -141,7 +141,7 @@ def validate_fan(fan: StackyFan):
         raise _verr(op, "duplicate ray", fan.rays)
     if not fan.cones:
         raise _verr(op, "fan lists no cones", fan.cones)
-    # cones simplicial with valid indices
+    # cones simplicial with valid indices, each listed once
     for c in fan.cones:
         if len(set(c)) != len(c):
             raise _verr(op, f"repeated index in cone {c}", c)
@@ -149,6 +149,8 @@ def validate_fan(fan: StackyFan):
             raise _verr(op, f"cone {c} uses an invalid ray index", c)
         if linalg.rank_rational([fan.rays[i] for i in c]) != len(c):
             raise _verr(op, f"non-simplicial cone {c}: rays are dependent", c)
+        if fan.cones.count(c) > 1:
+            raise _verr(op, f"cone {c} is listed twice", c)
     _check_fan_pairs(fan)
     # extra vectors inside the support
     for v in fan.extra_vectors:
@@ -555,16 +557,6 @@ def calabi_yau_covector(fan: StackyFan):
     if s is None or any(x % s[1] for x in s[0]):
         return None
     return [x // s[1] for x in s[0]]
-
-
-def verify_calabi_yau(fan: StackyFan):
-    """CY covector, or a ValidationError describing infeasibility."""
-    v = calabi_yau_covector(fan)
-    if v is None:
-        raise _verr("verify_calabi_yau",
-                    "no covector pairs to 1 with every ray and extra vector",
-                    fan.rays)
-    return v
 
 
 def verify_semi_fano(data: ToricData):

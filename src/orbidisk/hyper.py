@@ -31,12 +31,6 @@ from .series import Series, mono
 MODULE = "ifunction-engine"
 
 
-class FactorExpansion(Value):
-    z_exponent: Fraction
-    scalar: Fraction
-    forced_divisor: int  # 0 or 1
-
-
 def _factor(P, N) -> tuple:
     """(num, den, z-count, forced), all ints, of the factor at p = P/N with
     scalar num/den: p > 0 divides by p, p - 1, ... while positive; p < 0 keeps
@@ -45,13 +39,6 @@ def _factor(P, N) -> tuple:
     up, down = range(P, 0, -N), range(P + N, 0, N)
     return (prod(down) * N ** len(up), prod(up) * N ** len(down),
             len(down) - len(up), int(P < 0 and P % N == 0))
-
-
-def hyper_factor(p) -> FactorExpansion:
-    """Expand one column factor: _factor at p's numerator and denominator."""
-    p = frac(p)
-    num, den, count, forced = _factor(p.numerator, p.denominator)
-    return FactorExpansion(Fraction(count), Fraction(num, den), forced)
 
 
 class ZFactors(Value):

@@ -213,8 +213,6 @@ def complete_to_unimodular(cols, n):
     given columns to span a saturated sublattice (all elementary divisors 1).
     """
     k = len(cols)
-    if k == 0:
-        return [[1 if i == j else 0 for i in range(n)] for j in range(n)]
     a = [[cols[j][i] for j in range(k)] for i in range(n)]  # n x k
     s, u, _ = smith_normal_form(a)
     for i in range(k):

@@ -43,7 +43,6 @@ class Relation(Value):
     series: Series         # the full right-hand side
     monomial: tuple = ()   # flat only
     correction: Series | None = None  # flat only
-    curve_class: tuple = ()  # flat only: coordinates of the curve class
 
     def to_json(self):
         d = {"target": self.target, "kind": self.kind,
@@ -66,12 +65,6 @@ class MirrorMap(Value):
         g = {j: s.truncate(order) for j, s in self.g.items()}
         return MirrorMap(self.data, order, g, _relations(self.data, g, order),
                          [c for c in self.classes if c.grade <= order])
-
-    def relation_for(self, target):
-        for rel in self.relations:
-            if rel.target == target:
-                return rel
-        raise KeyError(target)
 
     def to_json(self):
         return {
@@ -105,7 +98,7 @@ def _flat_relation(data: ToricData, target, curve_coords, g, order) -> Relation:
             corr = corr + g[j] * c
     series = Series.monomial(m, 1, weights, frac(order)) * corr.exp()
     return Relation(target=target, kind="flat", series=series, monomial=m,
-                    correction=corr, curve_class=tuple(curve_coords))
+                    correction=corr)
 
 
 def _order_refused(data: ToricData, relation, grade, order) -> ValidationError:

@@ -278,9 +278,6 @@ class Series:
         e = lcm(self._e, other._e)
         return e, _scaled(self._p, e // self._e), _scaled(other._p, e // other._e)
 
-    def grade_of(self, m):
-        return mono_grade(m, self.weights)
-
     def coefficient(self, m) -> Fraction:
         return self.terms.get(m, Fraction(0))
 

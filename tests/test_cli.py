@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 
@@ -19,6 +21,31 @@ def fan_path(tmp_path, name):
     p = tmp_path / f"{name}.json"
     p.write_text(fans.read(name))
     return str(p)
+
+
+def readme_block(section, lang):
+    """The first `lang` code block under README's `## section` heading."""
+    root = os.path.dirname(os.path.dirname(__file__))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as f:
+        text = f.read().split(f"## {section}\n", 1)[1]
+    return re.search(rf"```{lang}\n(.*?)```", text, re.S).group(1)
+
+
+def test_readme_commands_run(capsys):
+    commands = readme_block("Command line", "sh").splitlines()
+    assert len(commands) == 6
+    for line in commands:
+        prog, *argv = shlex.split(line)
+        code, out, err = run(capsys, *argv)
+        assert (prog, code, err) == ("orbidisk", 0, "") and out, line
+
+
+def test_readme_fan_file_runs(capsys, tmp_path):
+    path = tmp_path / "fan.json"
+    path.write_text(readme_block("Fan files", "json"), encoding="utf-8")
+    code, out, err = run(capsys, "analyze", str(path), "--format", "json")
+    assert code == 0, err
+    assert json.loads(out)["fan"]["labels"] == ["a", "b", "c"]
 
 
 def test_analyze_c3z3(capsys, tmp_path):
@@ -347,6 +374,32 @@ def test_malformed_fan_file(capsys, tmp_path):
         assert "malformed fan file" in json.loads(err)["error"]["message"]
 
 
+def test_fan_file_is_utf8_whatever_the_locale(tmp_path):
+    # JSON text is UTF-8 (RFC 8259); under the C locale without UTF-8 mode
+    # the locale's encoding is ASCII
+    doc = dict(json.loads(fans.read("kp2")), labels=["\u00e9", "b", "c", "d"])
+    path = tmp_path / "kp2.json"
+    path.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    probe = "import sys, orbidisk.cli; sys.exit(orbidisk.cli.main(sys.argv[1:]))"
+    child = subprocess.run(
+        [sys.executable, "-c", probe, "analyze", str(path), "--format", "json"],
+        env={**os.environ, "PYTHONPATH": src, "LC_ALL": "C", "PYTHONUTF8": "0",
+             "PYTHONCOERCECLOCALE": "0"},
+        capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout)["fan"]["labels"] == doc["labels"]
+
+
+def test_unreadable_fan_file(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"rank": 3, "labels": ["\xff"]}')
+    for path in (bad, tmp_path):   # invalid UTF-8, and a directory
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == 2 and out == ""
+        assert "cannot read fan file" in json.loads(err)["error"]["message"]
+
+
 @pytest.mark.parametrize("field, value, want", [
     ("basis_p", 5, "basis_p must be a list of rows"),
     ("basis_p", [5], "basis_p must be a list of rows"),
@@ -372,6 +425,11 @@ def test_malformed_fan_file(capsys, tmp_path):
     ("cones", [], "fan lists no cones"),
     ("cones", [[0, 1, 2], [0, 2, 3], [0, 3, 3]], "repeated index in cone"),
     ("cones", [[0, 1, 2], [0, 2, 3], [0, 3, 4]], "uses an invalid ray index"),
+    ("cones", [[0, 1, 2], [0, 2, 3], [0, 1, 3], [2, 1, 0]],
+     "cone (0, 1, 2) is listed twice"),
+    # kp2 has kernel rank 1 and four columns
+    ("basis_p", [[-3, 1, 1, 1], [-3, 1, 1, 1]], "basis_p must have 1 rows"),
+    ("basis_p", [[-3, 1, 1]], "basis_p rows must have one entry per column"),
 ], ids=["basis_p=5", "basis_p=[5]", "basis_p=[[0,true,0,0]]",
         "extra_vectors=5", "extra_vectors=[[a,0,1]]",
         "labels=5", "labels=[a]", "labels=[1,2,3,4]",
@@ -379,7 +437,8 @@ def test_malformed_fan_file(capsys, tmp_path):
         "rays[1]=[str,str,str]", "rank=3.9", "cones[2]=[0,1.0,3]",
         "basis=[[-3,1,1,1]]", "extra_vector=[[0,0,1]]", "rank=0",
         "rays[1]=[1,0]", "rays[1]=[0,0,0]", "cones=[]", "cones[2]=[0,3,3]",
-        "cones[2]=[0,3,4]"])
+        "cones[2]=[0,3,4]", "cones+=[2,1,0]", "basis_p=two-rows",
+        "basis_p=[[-3,1,1]]"])
 def test_malformed_fan_field(capsys, tmp_path, field, value, want):
     # kp2 has four rays; each field is refused as input, never a traceback
     doc = json.loads(fans.read("kp2"))

@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 
 from orbidisk import fans
-from orbidisk.effective import (EffClass, dual_class, enumerate_effective,
+from orbidisk.effective import (EffClass, eff_class, enumerate_effective,
                                 is_effective, sector)
 from orbidisk.errors import ValidationError
 from orbidisk.fan import (fan_from_dict, kernel_data, validate_compactification,
@@ -297,7 +297,7 @@ def test_pointed_line_fan_enumerates():
 
 def test_dual_class_c3z3():
     data = data_for("c3z3")
-    d = dual_class(data, 3)
+    d = eff_class(data, data.disk_class(("box", 3))[3])
     assert list(d.pairings) == [F(-1, 3), F(-1, 3), F(-1, 3), 1]
     assert d.grade == F(1, 3)
     assert d.sector.vector == (0, 0, 1)

@@ -8,8 +8,7 @@ from orbidisk import fans
 from orbidisk.effective import eff_class, enumerate_effective, sector
 from orbidisk.errors import ValidationError
 from orbidisk.fan import fan_from_dict, kernel_data, validate_compactification
-from orbidisk.hyper import (FactorExpansion, Slice, ZFactors,
-                            coefficient_slice, hyper_factor,
+from orbidisk.hyper import (Slice, ZFactors, _factor, coefficient_slice,
                             relative_ifunction_oracle, y_monomial, z_extract)
 from orbidisk.mirrormap import toric_mirror_map
 from orbidisk.series import Series, mono
@@ -25,7 +24,8 @@ F = Fraction
 # in Fractions and add one single-term Series per class (test oracle)
 
 
-def hyper_factor_reference(p) -> FactorExpansion:
+def hyper_factor_reference(p) -> tuple:
+    """(z-exponent, scalar, forced divisor) of the column factor at p."""
     p = F(p)
     scalar, count = F(1), 0
     a = p
@@ -38,7 +38,14 @@ def hyper_factor_reference(p) -> FactorExpansion:
         scalar *= a
         count += 1
         a += 1
-    return FactorExpansion(F(count), scalar, int(p < 0 and p.denominator == 1))
+    return F(count), scalar, int(p < 0 and p.denominator == 1)
+
+
+def column_factor(p) -> tuple:
+    """_factor at p's numerator and denominator, as hyper_factor_reference."""
+    p = F(p)
+    num, den, count, forced = _factor(p.numerator, p.denominator)
+    return F(count), F(num, den), forced
 
 
 def z_extract_reference(data, cls) -> ZFactors:
@@ -52,10 +59,10 @@ def z_extract_reference(data, cls) -> ZFactors:
                 z_exp -= 1
                 scalar /= p
             continue
-        f = hyper_factor_reference(p)
-        z_exp += f.z_exponent
-        scalar *= f.scalar
-        if f.forced_divisor:
+        f_z, f_scalar, f_forced = hyper_factor_reference(p)
+        z_exp += f_z
+        scalar *= f_scalar
+        if f_forced:
             forced.append(i)
     toric_sum = sum((p for i, p in enumerate(cls.pairings) if i != inf_col),
                     F(0))
@@ -132,7 +139,7 @@ def test_forward_layer_matches_fraction_reference(name):
                                                               cls.pairings)
         assert z_extract(data, cls) == z_extract_reference(data, cls)
         for p in cls.pairings:
-            assert hyper_factor(p) == hyper_factor_reference(p)
+            assert column_factor(p) == hyper_factor_reference(p)
     assert coefficient_slice(data, classes, bound) == \
         coefficient_slice_reference(data, classes, bound)
 
@@ -148,48 +155,40 @@ def test_c3z3_bar_plain_fan_refuses():
 
 
 def test_factor_zero():
-    f = hyper_factor(0)
-    assert (f.z_exponent, f.scalar, f.forced_divisor) == (0, 1, 0)
+    assert column_factor(0) == (0, 1, 0)
 
 
 def test_factor_positive_integer():
-    f = hyper_factor(3)
-    assert (f.z_exponent, f.scalar, f.forced_divisor) == (-3, F(1, 6), 0)
+    assert column_factor(3) == (-3, F(1, 6), 0)
 
 
 def test_factor_negative_three():
     # iterate a in {-2, -1}; a = 0 leaves the bare divisor
-    f = hyper_factor(-3)
-    assert (f.z_exponent, f.scalar, f.forced_divisor) == (2, 2, 1)
+    assert column_factor(-3) == (2, 2, 1)
 
 
 def test_factor_negative_four_thirds():
     # single a = -1/3 in (-4/3, 0)
-    f = hyper_factor(F(-4, 3))
-    assert (f.z_exponent, f.scalar, f.forced_divisor) == (1, F(-1, 3), 0)
+    assert column_factor(F(-4, 3)) == (1, F(-1, 3), 0)
 
 
 def test_factor_positive_fractional():
     # a in {1/2, 3/2}: scalar 1/(1/2 * 3/2) = 4/3, weight -2
-    f = hyper_factor(F(3, 2))
-    assert (f.z_exponent, f.scalar, f.forced_divisor) == (-2, F(4, 3), 0)
+    assert column_factor(F(3, 2)) == (-2, F(4, 3), 0)
 
 
 def test_factor_fractional_in_unit_interval():
     # no a in (-1/3, 0): empty product
-    f = hyper_factor(F(-1, 3))
-    assert (f.z_exponent, f.scalar, f.forced_divisor) == (0, 1, 0)
+    assert column_factor(F(-1, 3)) == (0, 1, 0)
 
 
 @settings(max_examples=80, derandomize=True)
 @given(st.integers(min_value=1, max_value=8))
 def test_factor_matches_closed_forms(k):
     from math import factorial
-    up = hyper_factor(k)
-    assert up.scalar == F(1, factorial(k)) and up.z_exponent == -k
-    down = hyper_factor(-k)
-    assert down.scalar == F((-1) ** (k - 1) * factorial(k - 1))
-    assert down.z_exponent == k - 1 and down.forced_divisor == 1
+    assert column_factor(k) == (-k, F(1, factorial(k)), 0)
+    down = F((-1) ** (k - 1) * factorial(k - 1))
+    assert column_factor(-k) == (k - 1, down, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +354,10 @@ def test_oracle_z1_rebuilds_relations():
     for rel in mm.relations:
         if rel.kind != "flat":
             continue
-        pair = cd.bar.pairings_from_coords(rel.curve_class)
+        # the class of q_a is the a-th unit vector, that of qinf is beta_bar
+        pair = cd.beta_bar if rel.target == "qinf" else \
+            cd.bar.pairings_from_coords([int(b == int(rel.target[1:]) - 1)
+                                         for b in range(cd.bar.r)])
         want = zero
         for j in range(cd.bar.m):
             if pair[j] and j in sl.divisor_series:

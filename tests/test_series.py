@@ -452,7 +452,7 @@ def test_invert_rank_one_against_lagrange(case):
     rel = S(order, {y(k + 1): c for k, c in enumerate(u)})
     out = invert_map([("q", rel)], order)["y"]
     assert out.order >= order
-    got = {m: c for m, c in out.terms.items() if out.grade_of(m) <= order}
+    got = {m: c for m, c in out.terms.items() if mono_grade(m, out.weights) <= order}
     assert got == {q(n): c for n, c in lagrange_inverse(u, order).items()}
 
 
@@ -537,7 +537,7 @@ def _rank_two_relations(units, order):
 def _q_exponents(s, order):
     """The terms of a series in q1, q2 up to order, keyed by exponent pairs."""
     return {(dict(m).get("q1", F(0)), dict(m).get("q2", F(0))): c
-            for m, c in s.terms.items() if s.grade_of(m) <= order}
+            for m, c in s.terms.items() if mono_grade(m, s.weights) <= order}
 
 
 @settings(max_examples=10, derandomize=True, deadline=None)
@@ -845,3 +845,43 @@ def test_substitute_euler_images(data):
     assert len(got) == len(series)
     for x, img in zip(series, got):
         assert img == x.substitute(images)
+
+
+# ---------------------------------------------------------------------------
+# refusals: each input is refused with its message
+
+WXY = {"x": F(1), "y": F(1)}
+X, Y = (Series.variable(v, WXY, 4) for v in "xy")
+T = Series.variable("t", {"t": F(1)}, 4)
+
+
+@pytest.mark.parametrize("call, want", [
+    (lambda: Series({"x": 0}, 2), "weight of x must be positive"),
+    (lambda: X.truncate(5), "cannot extend a series beyond its known order"),
+    (lambda: X.pow_int(-1), "negative integer power"),
+    (lambda: (X * 2).pow_frac(F(1, 2)),
+     "fractional power needs leading coefficient 1"),
+    (lambda: Series.zero(WXY, 4).factor_unit(), "cannot factor the zero series"),
+    (lambda: (X + Y).factor_unit(), "leading monomial is not unique"),
+    (lambda: X.substitute({"x": T}, T), "grading mismatch between operands"),
+    (lambda: (X * Y).substitute({"x": T, "y": Series.variable("s", {"s": 1}, 4)}),
+     "assigned series use different gradings"),
+    (lambda: Series.monomial(mono(("x", F(1, 2))), 1, WXY, 4).substitute(
+        {"x": T * 2}), "unique lead of coefficient 1"),
+    (lambda: invert_map([("q1", X)], 4), "1 relations for 2 source variables"),
+    (lambda: invert_map([("q1", X), ("q1", Y)], 4), "duplicate target variable"),
+    (lambda: invert_map([("q1", X), ("q2", Series.variable(
+        "y", {"x": 1, "y": 2}, 4))], 4), "relations use different source gradings"),
+    (lambda: invert_map([("q1", X * 2), ("q2", Y)], 4), "leading coefficient 2"),
+    (lambda: invert_map([("q1", Series.monomial(mono(("x", 1), ("y", -1)), 1,
+                                                WXY, 4)), ("q2", Y)], 4),
+     "non-positive weight 0"),
+], ids=["weight-0", "truncate-up", "pow-negative", "pow-frac-lead-2",
+        "factor-zero", "factor-two-leads", "substitute-more-grading",
+        "substitute-image-gradings", "substitute-half-power-lead-2",
+        "invert-count", "invert-duplicate-target", "invert-source-gradings",
+        "invert-lead-2", "invert-weight-0"])
+def test_series_refusals(call, want):
+    with pytest.raises(ValidationError) as e:
+        call()
+    assert want in str(e.value)

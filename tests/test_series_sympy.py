@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 sp = pytest.importorskip("sympy")
 
-from orbidisk.series import Series, mono  # noqa: E402
+from orbidisk.series import Series, mono, mono_grade  # noqa: E402
 
 F = Fraction
 T = sp.Symbol("t", positive=True)
@@ -42,7 +42,7 @@ def to_sympy(s, den):
     """sum c * prod v^e * t^(grade * den) over the terms of s."""
     out = sp.Integer(0)
     for m, c in s.terms.items():
-        term = rat(c) * T ** rat(s.grade_of(m) * den)
+        term = rat(c) * T ** rat(mono_grade(m, s.weights) * den)
         for v, e in m:
             term *= SYMS[v] ** rat(e)
         out += term

@@ -12,7 +12,7 @@ from orbidisk.effective import enumerate_effective
 from orbidisk.errors import Value
 from orbidisk.fan import (CompactifiedData, ToricData, box_elements,
                           kernel_data, validate_compactification)
-from orbidisk.hyper import coefficient_slice, hyper_factor, z_extract
+from orbidisk.hyper import coefficient_slice, z_extract
 from orbidisk.invariants import disk_potential, extract_invariants
 from orbidisk.mirrormap import toric_mirror_map
 from orbidisk.syz import GaugeChoice, mirror_potential
@@ -39,8 +39,6 @@ def samples():
         ToricData: (kp2, c3z3),
         CompactifiedData: (cd_kp2, cd_c3z3),
         type(c1): (c1, c2),
-        type(hyper_factor(1)): (hyper_factor(Fraction(-2, 3)),
-                                hyper_factor(2)),
         type(z_extract(kp2, c1)): (z_extract(kp2, c1), z_extract(kp2, c2)),
         type(coefficient_slice(kp2, [c1], 2)): (
             coefficient_slice(kp2, [c1], 2), coefficient_slice(kp2, [c2], 2)),
