@@ -14,7 +14,7 @@ import sys
 
 # the layers are bound as modules and read at call time: each loads the
 # first time a command uses it (see __init__)
-from . import fan, fans, invariants, mirrormap, series, syz
+from . import fan, fans, invariants, mirrormap, syz
 from .errors import OrbidiskError, ValidationError, frac_str, index, parse_frac
 
 MODULE = "cli"
@@ -106,7 +106,8 @@ def build_parser():
 
 
 # ---------------------------------------------------------------------------
-# command bodies (each returns a JSON-able report)
+# command bodies (each returns a report of values; main serializes each
+# package value through its to_json)
 
 
 def cmd_analyze(args):
@@ -143,11 +144,7 @@ def cmd_mirror_map(args):
     order = parse_order(args.order)
     mm = mirrormap.toric_mirror_map(data, order)
     inv = mirrormap.inverse_mirror_map(mm)
-    return {
-        "order": frac_str(order),
-        "forward": mm.to_json(),
-        "inverse": {v: s.to_json() for v, s in sorted(inv.items())},
-    }
+    return {"order": frac_str(order), "forward": mm, "inverse": inv}
 
 
 def cmd_invariants(args):
@@ -157,11 +154,7 @@ def cmd_invariants(args):
     dp = invariants.disk_potential(mirrormap.toric_mirror_map(data, order),
                                    disk)
     table = invariants.extract_invariants(dp)
-    return {
-        "order": frac_str(order),
-        "potential": dp.to_json(),
-        "invariants": table.to_json(),
-    }
+    return {"order": frac_str(order), "potential": dp, "invariants": table}
 
 
 def cmd_syz(args):
@@ -182,8 +175,8 @@ def cmd_oracle(args):
     return {
         "order": frac_str(order),
         "match": True,
-        "disk_potential": dp.to_json(),
-        "oracle_potential": oracle.to_json(),
+        "disk_potential": dp,
+        "oracle_potential": oracle,
         "completeness": cd.complete_certificate,
     }
 
@@ -199,10 +192,6 @@ COMMANDS = {
 
 # ---------------------------------------------------------------------------
 # rendering
-
-
-def _series_text(d):
-    return series.Series.from_json(d).text()
 
 
 def render_text(command, report) -> str:
@@ -227,32 +216,30 @@ def render_text(command, report) -> str:
         else:
             lines.append("not Calabi-Yau")
     elif command == "mirror-map":
-        for rel in report["forward"]["relations"]:
-            lines.append(f"{rel['target']} = {_series_text(rel['series'])}")
-        for v, s in report["inverse"].items():
-            lines.append(f"{v} = {_series_text(s)}")
+        for rel in report["forward"].relations:
+            lines.append(f"{rel.target} = {rel.series.text()}")
+        for v, s in sorted(report["inverse"].items()):
+            lines.append(f"{v} = {s.text()}")
     elif command == "invariants":
         pot = report["potential"]
-        lines.append(f"disk {pot['disk']} ({pot['normalization']}): "
-                     f"{_series_text(pot['series'])}")
-        for row in report["invariants"]:
-            ins = ",".join(f"{k}:{v}" for k, v in
-                           sorted(row["insertions"].items())) or "-"
-            lines.append(f"alpha={row['alpha']} insertions={ins} "
-                         f"value={row['value']}")
+        lines.append(f"disk {pot.disk[0]}:{pot.disk[1]} ({pot.normalization}): "
+                     f"{pot.series.text()}")
+        for (alpha, ins), value in sorted(report["invariants"].entries.items()):
+            ins = ",".join(f"{k}:{v}" for k, v in ins) or "-"
+            lines.append(f"alpha={list(alpha)} insertions={ins} "
+                         f"value={frac_str(value)}")
     elif command == "syz":
         lines.append(report["equation"] + f"   W = {report['W']}")
         lines.append(f"gauge cone {report['gauge']['cone']}")
         for t in report["terms"]:
             c = "*".join(f"{k}^{v}" for k, v in sorted(t["C"].items())) or "1"
             lines.append(f"z^{t['exponent']} (reduced {t['reduced_exponent']}): "
-                         f"C = {c}, series = {_series_text(t['series'])}")
+                         f"C = {c}, series = {t['series'].text()}")
     elif command == "oracle":
-        lines.append("MATCH" if report["match"] else "MISMATCH")
+        lines.append("MATCH")
         lines.append("disk potential:   "
-                     + _series_text(report["disk_potential"]["series"]))
-        lines.append("oracle potential: "
-                     + _series_text(report["oracle_potential"]))
+                     + report["disk_potential"].series.text())
+        lines.append("oracle potential: " + report["oracle_potential"].text())
     return "\n".join(lines) + "\n"
 
 
@@ -282,7 +269,8 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         report = COMMANDS[args.command](args)
         if args.format == "json":
-            text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+            text = json.dumps(report, sort_keys=True, indent=2,
+                              default=lambda v: v.to_json()) + "\n"
         else:
             text = render_text(args.command, report)
         write_output(text, args.output)

@@ -6,6 +6,7 @@ datum, so a CLI report can be produced mechanically.
 """
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 
@@ -54,13 +55,20 @@ def frac_str(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
+# the one spelling of a rational read from outside the program
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def parse_frac(s) -> Fraction:
-    """A rational from a string or an integer; a bool is refused with the
-    series engine's parse error."""
-    if isinstance(s, (str, int)) and not isinstance(s, bool):
+    """A rational from an int (not a bool) or an ASCII string -?digits or
+    -?digits/digits; anything else, and a zero denominator, is refused with
+    the series engine's parse error."""
+    if isinstance(s, int) and not isinstance(s, bool):
+        return Fraction(s)
+    if isinstance(s, str) and _RATIONAL.fullmatch(s):
         try:
             return Fraction(s)
-        except (ValueError, ZeroDivisionError):
+        except ZeroDivisionError:
             pass
     raise ValidationError("series-engine", "parse", f"not a rational: {s!r}",
                           s)

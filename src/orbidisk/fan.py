@@ -181,12 +181,12 @@ def _check_fan_pairs(fan: StackyFan):
                 if cone_membership([fan.rays[j] for j in d], fan.rays[i]) is not None:
                     raise _verr(op, f"ray {i} of cone {c} lies inside cone {d} "
                                     "but is not a shared ray", (c1, c2))
-        if len(c1) == n and len(c2) == n and len(shared) == n - 1:
+        # in rank 1 two cones are the opposite rays 1 and -1; from rank 2 on,
+        # the n - 1 shared rays of two simplicial cones are independent, so
+        # their facet has exactly one normal
+        if len(c1) == len(c2) == n > 1 and len(shared) == n - 1:
             facet = sorted(shared)
-            normal = linalg.integer_kernel_basis([fan.rays[i] for i in facet])
-            if len(normal) != 1:
-                continue
-            eta = normal[0]
+            eta, = linalg.integer_kernel_basis([fan.rays[i] for i in facet])
             r1 = next(i for i in c1 if i not in shared)
             r2 = next(i for i in c2 if i not in shared)
             s1 = sum(e * x for e, x in zip(eta, fan.rays[r1]))
@@ -524,11 +524,12 @@ def kernel_data(fan: StackyFan, basis_p=None) -> ToricData:
         # pairing of each supplied functional with the SNF kernel basis
         pm = [[sum(rows[a_][i] * kernel[b][i] for i in range(fan.m_prime))
                for b in range(r)] for a_ in range(r)]
-        if any(x.denominator != 1 for row in pm for x in row) or \
-                abs(linalg.det_rational(pm)) != 1:
+        # an integer matrix is unimodular exactly when its inverse is integral
+        inv = linalg.invert_rational(pm)
+        if inv is None or any(x.denominator != 1 for m in (pm, inv)
+                              for row in m for x in row):
             raise _verr(op, "supplied basis is not unimodular over the dual lattice",
                         basis_p)
-        inv = linalg.invert_rational(pm)
         gamma = [[int(sum(inv[c][b] * kernel[c][i] for c in range(r)))
                   for i in range(fan.m_prime)] for b in range(r)]
         origin = "user"

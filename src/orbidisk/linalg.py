@@ -197,11 +197,6 @@ def invert_rational(a):
     return [[Fraction(x, p) for x in row[n:]] for row in m]
 
 
-def det_rational(a):
-    _, pivots, p, scale = row_reduce(a)
-    return Fraction(p, scale) if len(pivots) == len(a) else Fraction(0)
-
-
 def rank_rational(a):
     return len(row_reduce(a)[1])
 

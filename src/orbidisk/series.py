@@ -35,8 +35,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import add, sub
 
-from .errors import (ValidationError, ConsistencyError, frac, frac_str,
-                     parse_frac)
+from .errors import ValidationError, ConsistencyError, frac, frac_str
 
 MODULE = "series-engine"
 
@@ -627,15 +626,6 @@ class Series:
                 for m, c in self.sorted_terms()
             ],
         }
-
-    @classmethod
-    def from_json(cls, d) -> "Series":
-        weights = {v: parse_frac(w) for v, w in d["grading"].items()}
-        terms = {}
-        for t in d["terms"]:
-            m = mono(*((v, parse_frac(e)) for v, e in t["exponents"].items()))
-            terms[m] = parse_frac(t["coeff"])
-        return cls(weights, parse_frac(d["order"]), terms)
 
 
 def _constant(like: Series, order, c) -> Series:

@@ -155,7 +155,9 @@ def mirror_potential(data: ToricData, gauge: GaugeChoice,
 
 
 def emit_lg_model(mp: MirrorPotential) -> dict:
-    """Serialized Landau-Ginzburg presentation uv = G, superpotential u."""
+    """Landau-Ginzburg presentation uv = G, superpotential u: a document of
+    JSON values, except that each term holds its Series (serialized through
+    Series.to_json)."""
     data = mp.data
     q_names = [f"q{a + 1}" for a in range(data.r_prime)]
     doc = {
@@ -177,7 +179,7 @@ def emit_lg_model(mp: MirrorPotential) -> dict:
             "exponent": list(vec),
             "reduced_exponent": list(red),
             "C": coeff,
-            "series": series.to_json(),
+            "series": series,
         })
     return doc
 

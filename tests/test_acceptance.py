@@ -26,6 +26,7 @@ from orbidisk.series import Series, mono
 from orbidisk.syz import GaugeChoice, mirror_potential
 from test_effective import brute_force_effective
 from test_fan import brute_force_boxes
+from test_series import series_from_json
 from test_syz import gauge_character
 
 F = Fraction
@@ -114,7 +115,7 @@ def test_criterion_1_kp2_potential(capsys):
     out = capsys.readouterr().out
     assert code == 0
     rep = json.loads(out)
-    got = Series.from_json(rep["potential"]["series"])
+    got = series_from_json(rep["potential"]["series"])
     oracle = corrected_potential_oracle(8)
     # the local-plane disk numbers (Aganagic-Klemm-Vafa, hep-th/0105045;
     # Graber-Zaslow, hep-th/0109075)

@@ -251,11 +251,11 @@ def test_output_path_unwritable(tmp_path, capsys):
 
 
 def test_series_round_trip_through_cli(capsys):
-    from orbidisk.series import Series
+    from test_series import series_from_json
     code, out, _ = run(capsys, "invariants", "c3z3", "--disk", "box:3",
                        "--order", "4/3", "--format", "json")
     rep = json.loads(out)
-    s = Series.from_json(rep["potential"]["series"])
+    s = series_from_json(rep["potential"]["series"])
     assert s.to_json() == rep["potential"]["series"]
 
 
@@ -356,7 +356,12 @@ def test_help_still_exits_zero(capsys):
     assert capsys.readouterr().out.startswith("usage: orbidisk")
 
 
-@pytest.mark.parametrize("order", ["abc", "1/0"])
+# the grammar is -?digits or -?digits/digits in ASCII, whatever else
+# Fraction would read
+@pytest.mark.parametrize("order", [
+    "abc", "1/0", "\u0663", "\uff13", "1_0", " 2", "+2", "1e3", "2.5"],
+    ids=["abc", "1/0", "arabic-indic-3", "fullwidth-3", "1_0", "space-2",
+         "+2", "1e3", "2.5"])
 def test_order_must_be_rational(capsys, order):
     code, _, err = run(capsys, "invariants", "kp2", "--disk", "ray:0",
                        "--order", order)
@@ -404,6 +409,7 @@ def test_unreadable_fan_file(capsys, tmp_path):
     ("basis_p", 5, "basis_p must be a list of rows"),
     ("basis_p", [5], "basis_p must be a list of rows"),
     ("basis_p", [[0, True, 0, 0]], "not a rational"),
+    ("basis_p", [["1_0", 1, 1, 1]], "not a rational"),
     ("extra_vectors", 5, "malformed document"),
     ("extra_vectors", [["a", 0, 1]], "'a' is not an integer"),
     ("labels", 5, "labels must be a list"),
@@ -431,6 +437,7 @@ def test_unreadable_fan_file(capsys, tmp_path):
     ("basis_p", [[-3, 1, 1, 1], [-3, 1, 1, 1]], "basis_p must have 1 rows"),
     ("basis_p", [[-3, 1, 1]], "basis_p rows must have one entry per column"),
 ], ids=["basis_p=5", "basis_p=[5]", "basis_p=[[0,true,0,0]]",
+        "basis_p=[[1_0,1,1,1]]",
         "extra_vectors=5", "extra_vectors=[[a,0,1]]",
         "labels=5", "labels=[a]", "labels=[1,2,3,4]",
         "rays[1]=[1.7,0,1]", "rays[1]=[true,false,true]",

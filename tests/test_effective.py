@@ -224,6 +224,15 @@ def test_sector_rejects_non_cone_support():
         sector(data, [F(1, 2), 1, 1, F(1, 2)])
 
 
+def test_sector_rejects_fractional_extra_pairing():
+    # c3z3's column 3 is its extra vector: a class pairing with it in halves
+    # is not admissible
+    data = data_for("c3z3")
+    with pytest.raises(ValidationError, match="fractional pairing on an "
+                                              "extra-vector column"):
+        sector(data, [0, 0, 0, F(1, 2)])
+
+
 def test_membership_predicate():
     data = data_for("kp2")
     assert is_effective(data, [-3, 1, 1, 1])

@@ -15,7 +15,7 @@ from orbidisk.fan import (_toric_data, box_elements, calabi_yau_covector,
                           cone_membership, fan_from_dict, kernel_data,
                           parse_stacky_fan, validate_compactification,
                           verify_semi_fano)
-from test_linalg import oracle_solve
+from test_linalg import oracle_det, oracle_solve
 
 F = Fraction
 
@@ -204,8 +204,11 @@ def test_user_basis_good():
 
 
 def test_user_basis_not_unimodular():
-    with pytest.raises(ValidationError):
-        kernel_data(load("kp2"), basis_p=[[0, 2, 0, 0]])
+    # an index-2 sublattice, and two equal rows on kernel rank 2 (singular)
+    for name, basis_p in [("kp2", [[0, 2, 0, 0]]),
+                          ("kp2_bar", [[0, 1, 0, 0, 0], [0, 1, 0, 0, 0]])]:
+        with pytest.raises(ValidationError, match="not unimodular"):
+            kernel_data(load(name), basis_p=basis_p)
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +459,7 @@ def saturated_basis_reference(fan, gamma):
         if x is None or any(v.denominator != 1 for v in x):
             return False
         tmat.append(x)
-    return not tmat or abs(linalg.det_rational(tmat)) == 1
+    return not tmat or abs(oracle_det(tmat)) == 1
 
 
 def basis_variants(gamma):
