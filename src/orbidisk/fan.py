@@ -34,10 +34,18 @@ def _verr(op, msg, datum=None):
 
 
 class StackyFan(Value):
+    """A validated stacky fan.  `eliminations` is derived from the rays and
+    cones when the fan is parsed: one (p, T) per listed cone, from a single
+    fraction-free elimination of its s rays beside the identity.  p > 0 and T
+    is an integer rank x rank matrix; for any vector v the first s entries of
+    T v are p times v's coefficients over the cone's rays, and the others
+    vanish exactly when v lies in their span.  Validation, minimal cones and
+    box enumeration read this table, so no cone is eliminated twice."""
     rank: int
     rays: tuple            # tuple of integer vectors
     cones: tuple           # tuple of sorted index tuples
     extra_vectors: tuple   # tuple of integer vectors
+    eliminations: tuple    # (p, T) per cone, as above
     labels: tuple = ()
 
     @property
@@ -70,14 +78,13 @@ class StackyFan(Value):
         return d
 
 
-def cone_membership(rays, vector):
-    """Coefficients of `vector` over the linearly independent `rays`, if the
-    vector lies in their nonnegative span; None otherwise."""
-    a = [[ray[i] for ray in rays] for i in range(len(vector))]
-    s = linalg.solve_integer(a, vector)
-    if s is None or any(x < 0 for x in s[0]):
-        return None
-    return [Fraction(x, s[1]) for x in s[0]]
+def _membership(cone, t, v):
+    """p times v's coefficients over the rays of a listed cone whose
+    elimination matrix is t, when v lies in their nonnegative span; None
+    otherwise."""
+    x = [sum(map(mul, row, v)) for row in t]
+    s = len(cone)
+    return None if any(x[s:]) or min(x[:s], default=0) < 0 else x[:s]
 
 
 def parse_stacky_fan(document: str) -> StackyFan:
@@ -123,37 +130,47 @@ def fan_from_dict(raw: dict) -> StackyFan:
     for r in rays + extra:
         if len(r) != rank:
             raise _verr(op, f"vector {r} does not have rank {rank} entries", r)
-    fan = StackyFan(rank, tuple(rays), tuple(cones), tuple(extra), tuple(labels))
-    validate_fan(fan)
-    return fan
+    return validate_fan(rank, tuple(rays), tuple(cones), tuple(extra),
+                        tuple(labels))
 
 
-def validate_fan(fan: StackyFan):
+def validate_fan(n, rays, cones, extra, labels) -> StackyFan:
+    """The fan of the parsed fields, once every check passes.  Each listed
+    cone's rays are eliminated once, after its index checks, and the fan
+    keeps that table (see StackyFan)."""
     op = "parse_stacky_fan"
-    n = fan.rank
     # rays primitive, nonzero, pairwise distinct
-    for r in fan.rays:
+    for r in rays:
         if all(x == 0 for x in r):
             raise _verr(op, "zero ray", r)
         if gcd(*r) != 1:
             raise _verr(op, f"non-primitive ray {r}", r)
-    if len(set(fan.rays)) != len(fan.rays):
-        raise _verr(op, "duplicate ray", fan.rays)
-    if not fan.cones:
-        raise _verr(op, "fan lists no cones", fan.cones)
+    if len(set(rays)) != len(rays):
+        raise _verr(op, "duplicate ray", rays)
+    if not cones:
+        raise _verr(op, "fan lists no cones", cones)
     # cones simplicial with valid indices, each listed once
-    for c in fan.cones:
+    table = []
+    for c in cones:
         if len(set(c)) != len(c):
             raise _verr(op, f"repeated index in cone {c}", c)
-        if any(i < 0 or i >= fan.m for i in c):
+        if any(i < 0 or i >= len(rays) for i in c):
             raise _verr(op, f"cone {c} uses an invalid ray index", c)
-        if linalg.rank_rational([fan.rays[i] for i in c]) != len(c):
+        s = len(c)
+        m, pivots, p, _ = linalg.row_reduce(
+            [[rays[i][k] for i in c] + [int(k == j) for j in range(n)]
+             for k in range(n)], s)
+        if len(pivots) != s:
             raise _verr(op, f"non-simplicial cone {c}: rays are dependent", c)
-        if fan.cones.count(c) > 1:
+        if cones.count(c) > 1:
             raise _verr(op, f"cone {c} is listed twice", c)
+        sign = 1 if p > 0 else -1
+        table.append((sign * p, tuple(tuple(sign * x for x in row[s:])
+                                      for row in m)))
+    fan = StackyFan(n, rays, cones, extra, tuple(table), labels)
     _check_fan_pairs(fan)
     # extra vectors inside the support
-    for v in fan.extra_vectors:
+    for v in extra:
         if minimal_cone(fan, v) is None:
             raise _verr(op, f"extra vector {v} lies outside the fan support", v)
     # columns generate Z^n
@@ -163,51 +180,47 @@ def validate_fan(fan: StackyFan):
     if len(divs) != n or any(abs(d) != 1 for d in divs):
         raise _verr(op, "ray and extra vectors do not generate the full lattice",
                     divs)
+    return fan
 
 
 def _check_fan_pairs(fan: StackyFan):
-    """Pairwise consistency of the listed cones.
-
-    Checks that shared rays account for any containment among the listed
-    cones, and that two full-dimensional cones sharing a facet sit on opposite
-    sides of it.  (Coverage questions are handled downstream.)
+    """Pairwise checks of the listed cones, read off the elimination table:
+    a ray of one cone that the other does not share must lie outside the
+    other, and two full-dimensional cones sharing a facet must sit on
+    opposite sides of it.  That two cones meet in a common face is not
+    checked.  (Coverage questions are handled downstream.)
     """
     op = "parse_stacky_fan"
     n = fan.rank
-    for c1, c2 in itertools.combinations(fan.cones, 2):
+    for (c1, (_, t1)), (c2, (_, t2)) in itertools.combinations(
+            zip(fan.cones, fan.eliminations), 2):
         shared = set(c1) & set(c2)
-        for c, d in ((c1, c2), (c2, c1)):
+        for c, d, t in ((c1, c2, t2), (c2, c1, t1)):
             for i in set(c) - shared:
-                if cone_membership([fan.rays[j] for j in d], fan.rays[i]) is not None:
+                if _membership(d, t, fan.rays[i]) is not None:
                     raise _verr(op, f"ray {i} of cone {c} lies inside cone {d} "
                                     "but is not a shared ray", (c1, c2))
-        # in rank 1 two cones are the opposite rays 1 and -1; from rank 2 on,
-        # the n - 1 shared rays of two simplicial cones are independent, so
-        # their facet has exactly one normal
-        if len(c1) == len(c2) == n > 1 and len(shared) == n - 1:
-            facet = sorted(shared)
-            eta, = linalg.integer_kernel_basis([fan.rays[i] for i in facet])
-            r1 = next(i for i in c1 if i not in shared)
+        # row k of t1 vanishes on the shared facet and pairs to p > 0 with
+        # c1's other ray, in every rank
+        if len(c1) == len(c2) == n and len(shared) == n - 1:
+            k = next(k for k, i in enumerate(c1) if i not in shared)
             r2 = next(i for i in c2 if i not in shared)
-            s1 = sum(e * x for e, x in zip(eta, fan.rays[r1]))
-            s2 = sum(e * x for e, x in zip(eta, fan.rays[r2]))
-            if s1 * s2 > 0:
-                raise _verr(op, f"cones {c1} and {c2} overlap across facet {facet}",
-                            (c1, c2))
+            if sum(map(mul, t1[k], fan.rays[r2])) > 0:
+                raise _verr(op, f"cones {c1} and {c2} overlap across facet "
+                                f"{sorted(shared)}", (c1, c2))
 
 
 def minimal_cone(fan: StackyFan, vector):
     """(cone ray indices, coefficients) of the minimal listed-cone face
     containing `vector`, or None if outside the support."""
     best = None
-    for c in fan.cones:
-        x = cone_membership([fan.rays[i] for i in c], vector)
+    for c, (p, t) in zip(fan.cones, fan.eliminations):
+        x = _membership(c, t, vector)
         if x is None:
             continue
-        support = tuple(i for i, xi in zip(c, x) if xi != 0)
-        coeffs = tuple(xi for xi in x if xi != 0)
+        support = tuple(i for i, xi in zip(c, x) if xi)
         if best is None or len(support) < len(best[0]):
-            best = (support, coeffs)
+            best = (support, tuple(Fraction(xi, p) for xi in x if xi))
     return best
 
 
@@ -265,10 +278,15 @@ def _box_of_cone(fan: StackyFan, cone):
 
 def box_elements(fan: StackyFan):
     """All nonzero box elements of the fan, deduplicated and sorted by (age,
-    vector), plus the age-1 subset.  Each keeps its minimal cone.  Comparing
-    the age-1 set with the declared extra vectors is `kernel_data`'s job."""
+    vector), plus the age-1 subset.  Each keeps its minimal cone.  A cone's
+    pivot p is a maximal minor of its ray matrix, and the order of its box
+    group is the gcd of those minors, so only the cones with p > 1 are
+    enumerated.  Comparing the age-1 set with the declared extra vectors is
+    `kernel_data`'s job."""
     seen = {}
-    for cone in fan.cones:
+    for cone, (p, _) in zip(fan.cones, fan.eliminations):
+        if p == 1:
+            continue
         for b in _box_of_cone(fan, cone):
             prev = seen.get(b.vector)
             if prev is None or len(b.cone) < len(prev.cone):

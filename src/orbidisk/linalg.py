@@ -197,10 +197,6 @@ def invert_rational(a):
     return [[Fraction(x, p) for x in row[n:]] for row in m]
 
 
-def rank_rational(a):
-    return len(row_reduce(a)[1])
-
-
 def complete_to_unimodular(cols, n):
     """Extend a saturated set of integer columns (each length n) to a basis of Z^n.
 

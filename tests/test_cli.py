@@ -123,20 +123,28 @@ def test_oracle_kp2(capsys):
 def test_oracle_solves_each_minimal_cone_once(capsys, monkeypatch):
     # extra columns read their minimal cone off the age-1 box table; what is
     # left is validate_fan's one extra vector per fan and the bar fan's
-    # ray-negative certificate, one call per ray of c3z3_bar
-    from orbidisk import fan
-    calls = []
-    solve = fan.minimal_cone
+    # ray-negative certificate, one call per ray of c3z3_bar, and each reads
+    # the fan's elimination table without eliminating again
+    from orbidisk import fan, linalg
+    calls, eliminations = [], []
+    solve, reduce = fan.minimal_cone, linalg.row_reduce
 
     def counted(*args):
-        calls.append(args)
-        return solve(*args)
+        before = len(eliminations)
+        out = solve(*args)
+        calls.append(len(eliminations) - before)
+        return out
+
+    def reduced(*args):
+        eliminations.append(args)
+        return reduce(*args)
 
     monkeypatch.setattr(fan, "minimal_cone", counted)
+    monkeypatch.setattr(linalg, "row_reduce", reduced)
     code, out, _ = run(capsys, "oracle", "c3z3", "--bar", "c3z3_bar",
                        "--disk", "box:3", "--order", "10")
     assert code == 0 and out.startswith("MATCH")
-    assert len(calls) == 1 + 1 + 4
+    assert calls == [0] * (1 + 1 + 4)
 
 
 def test_import_loads_no_dataclasses():

@@ -4,6 +4,8 @@ import itertools
 import json
 import pkgutil
 from fractions import Fraction
+from math import gcd
+from operator import mul
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
@@ -11,11 +13,12 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 import orbidisk
 from orbidisk import fans, linalg
 from orbidisk.errors import ConsistencyError, ValidationError, Value
-from orbidisk.fan import (_toric_data, box_elements, calabi_yau_covector,
-                          cone_membership, fan_from_dict, kernel_data,
-                          parse_stacky_fan, validate_compactification,
-                          verify_semi_fano)
-from test_linalg import oracle_det, oracle_solve
+from orbidisk.fan import (_box_of_cone, _toric_data, box_elements,
+                          calabi_yau_covector, fan_from_dict, kernel_data,
+                          minimal_cone, parse_stacky_fan,
+                          validate_compactification, verify_semi_fano)
+from test_fan_fuzz import fan_documents
+from test_linalg import oracle_det, oracle_rank, oracle_solve
 
 F = Fraction
 
@@ -43,7 +46,6 @@ def test_parse_c3z3():
     fan = load("c3z3")
     assert fan.m == 3 and fan.m_prime == 4
     # membership of the extra vector solved exactly
-    from orbidisk.fan import minimal_cone
     support, coeffs = minimal_cone(fan, (0, 0, 1))
     assert support == (0, 1, 2)
     assert list(coeffs) == [F(1, 3)] * 3
@@ -155,11 +157,11 @@ def split_fans(draw):
     n = draw(st.integers(2, 4))
     point = st.tuples(*[st.integers(-3, 3)] * (n - 1)).map(lambda v: (*v, 1))
     rays = draw(st.lists(point, min_size=n, max_size=n, unique=True))
-    assume(linalg.rank_rational(rays) == n)
+    assume(oracle_rank(rays) == n)
     box = itertools.product(*[range(min(c), max(c) + 1)
                               for c in list(zip(*rays))[:-1]])
     points = [(*v, 1) for v in box if (*v, 1) not in rays
-              and cone_membership(rays, (*v, 1)) is not None]
+              and cone_membership_reference(rays, (*v, 1)) is not None]
     assume(points)
     cones = [tuple(range(n))]
     for p in draw(st.lists(st.sampled_from(points), min_size=1, max_size=2,
@@ -167,7 +169,7 @@ def split_fans(draw):
         rays.append(p)
         star = []
         for c in cones:
-            x = cone_membership([rays[i] for i in c], p)
+            x = cone_membership_reference([rays[i] for i in c], p)
             if x is None:
                 star.append(c)
             else:
@@ -304,6 +306,219 @@ def test_box_soundness():
             assert s == b.vector[k]
         assert sum(b.coefficients, F(0)) == b.age
         assert all(0 <= c < 1 for c in b.coefficients)
+
+
+# ---------------------------------------------------------------------------
+# the elimination table against the per-question solves it replaced
+
+
+def cone_membership_reference(rays, vector):
+    """Coefficients of `vector` over the independent `rays` by one
+    solve_integer, if it lies in their nonnegative span; None otherwise."""
+    a = [[ray[i] for ray in rays] for i in range(len(vector))]
+    s = linalg.solve_integer(a, vector)
+    if s is None or any(x < 0 for x in s[0]):
+        return None
+    return [F(x, s[1]) for x in s[0]]
+
+
+def minimal_cone_reference(rays, cones, vector):
+    best = None
+    for c in cones:
+        x = cone_membership_reference([rays[i] for i in c], vector)
+        if x is None:
+            continue
+        support = tuple(i for i, xi in zip(c, x) if xi != 0)
+        coeffs = tuple(xi for xi in x if xi != 0)
+        if best is None or len(support) < len(best[0]):
+            best = (support, coeffs)
+    return best
+
+
+def validate_fan_reference(doc):
+    """fan_from_dict's checks after its field parsing, each question solved
+    afresh: a cone's rank by the Fraction oracle, each membership by
+    solve_integer and a shared facet's side by its Smith-form normal.
+    Raises the ValidationError fan_from_dict raises."""
+    def refuse(message, datum):
+        raise ValidationError("fan-core", "parse_stacky_fan", message, datum)
+
+    n = doc["rank"]
+    rays = tuple(tuple(r) for r in doc["rays"])
+    cones = tuple(tuple(sorted(c)) for c in doc["cones"])
+    for r in rays:
+        if all(x == 0 for x in r):
+            refuse("zero ray", r)
+        if gcd(*r) != 1:
+            refuse(f"non-primitive ray {r}", r)
+    if len(set(rays)) != len(rays):
+        refuse("duplicate ray", rays)
+    if not cones:
+        refuse("fan lists no cones", cones)
+    for c in cones:
+        if len(set(c)) != len(c):
+            refuse(f"repeated index in cone {c}", c)
+        if any(i < 0 or i >= len(rays) for i in c):
+            refuse(f"cone {c} uses an invalid ray index", c)
+        if oracle_rank([rays[i] for i in c]) != len(c):
+            refuse(f"non-simplicial cone {c}: rays are dependent", c)
+        if cones.count(c) > 1:
+            refuse(f"cone {c} is listed twice", c)
+    for c1, c2 in itertools.combinations(cones, 2):
+        shared = set(c1) & set(c2)
+        for c, d in ((c1, c2), (c2, c1)):
+            for i in set(c) - shared:
+                if cone_membership_reference([rays[j] for j in d],
+                                             rays[i]) is not None:
+                    refuse(f"ray {i} of cone {c} lies inside cone {d} "
+                           "but is not a shared ray", (c1, c2))
+        if len(c1) == len(c2) == n > 1 and len(shared) == n - 1:
+            facet = sorted(shared)
+            eta, = linalg.integer_kernel_basis([rays[i] for i in facet])
+            r1 = next(i for i in c1 if i not in shared)
+            r2 = next(i for i in c2 if i not in shared)
+            s1 = sum(e * x for e, x in zip(eta, rays[r1]))
+            s2 = sum(e * x for e, x in zip(eta, rays[r2]))
+            if s1 * s2 > 0:
+                refuse(f"cones {c1} and {c2} overlap across facet {facet}",
+                       (c1, c2))
+    extra = [tuple(v) for v in doc.get("extra_vectors", [])]
+    for v in extra:
+        if minimal_cone_reference(rays, cones, v) is None:
+            refuse(f"extra vector {v} lies outside the fan support", v)
+    cols = list(rays) + extra
+    divs = linalg.elementary_divisors([[col[i] for col in cols]
+                                       for i in range(n)])
+    if len(divs) != n or any(abs(d) != 1 for d in divs):
+        refuse("ray and extra vectors do not generate the full lattice", divs)
+
+
+def box_elements_reference(fan):
+    """box_elements with every listed cone run through the Smith-form
+    enumeration."""
+    seen = {}
+    for cone in fan.cones:
+        for b in _box_of_cone(fan, cone):
+            prev = seen.get(b.vector)
+            if prev is None or len(b.cone) < len(prev.cone):
+                seen[b.vector] = b
+    boxes = sorted(seen.values(), key=lambda b: (b.age, b.vector))
+    return boxes, [b for b in boxes if b.age == 1]
+
+
+def refusal(check, doc):
+    try:
+        check(doc)
+    except ValidationError as e:
+        return str(e), e.datum
+    return None
+
+
+def assert_table_matches_reference(doc):
+    """Same verdict, message and datum as the reference; on an accepted fan,
+    the table's defining identities, the same box elements and the same
+    minimal cone for every ray, its negative, every extra vector, every sum
+    of two rays and the zero vector."""
+    assert refusal(fan_from_dict, doc) == refusal(validate_fan_reference, doc)
+    if refusal(fan_from_dict, doc):
+        return
+    fan = fan_from_dict(doc)
+    for c, (p, t) in zip(fan.cones, fan.eliminations):
+        assert p > 0 and len(t) == fan.rank
+        for j, i in enumerate(c):
+            x = [sum(map(mul, row, fan.rays[i])) for row in t]
+            assert x == [p * (k == j) for k in range(fan.rank)]
+        assert oracle_rank(t) == fan.rank
+    assert box_elements(fan) == box_elements_reference(fan)
+    queries = [*fan.rays, *(tuple(-x for x in r) for r in fan.rays),
+               *fan.extra_vectors, (0,) * fan.rank,
+               *(tuple(map(sum, zip(a, b)))
+                 for a, b in itertools.combinations(fan.rays, 2))]
+    for v in queries:
+        assert minimal_cone(fan, v) == \
+            minimal_cone_reference(fan.rays, fan.cones, v)
+
+
+EDGE_DOCS = {
+    "line": {"rank": 1, "rays": [[1], [-1]], "cones": [[0], [1]]},
+    "kp2_with_faces": {**json.loads(fans.read("kp2")),
+                       "cones": [[0, 1, 2], [0, 2, 3], [0, 1, 3], [0, 1],
+                                 [0], [1, 2]]},
+    "c3z3_with_face": {**json.loads(fans.read("c3z3")),
+                       "cones": [[0, 1, 2], [0, 1]]},
+    "lower_dimensional_only": {"rank": 3, "rays": [[1, 0, 0], [0, 1, 0],
+                                                   [0, 0, 1], [1, 1, 2]],
+                               "cones": [[0, 1], [2], [3]]},
+    "empty_cone": {"rank": 2, "rays": [[1, 0], [0, 1]], "cones": [[], [0, 1]]},
+    "ray_inside_cone": {"rank": 2, "rays": [[1, 0], [0, 1], [1, 1]],
+                        "cones": [[0, 1], [2]]},
+    "one_side_of_facet": {"rank": 3,
+                          "rays": [[1, 0, 0], [0, 1, 0], [0, 1, -2],
+                                   [-2, 2, -1]],
+                          "cones": [[0, 1, 2], [0, 1, 3]]},
+    "interiors_overlap": {"rank": 3,
+                          "rays": [[-2, 3, 1], [-3, 3, 1], [1, 0, 1],
+                                   [-3, -2, 1], [0, 0, 1], [0, 3, 1]],
+                          "cones": [[0, 1, 2], [3, 4, 5]]},
+    "non_simplicial": {"rank": 2, "rays": [[1, 0], [-1, 0]],
+                       "cones": [[0, 1]]},
+    "extra_outside": {"rank": 2, "rays": [[1, 0], [0, 1]], "cones": [[0, 1]],
+                      "extra_vectors": [[-1, -1]]},
+}
+
+
+@pytest.mark.parametrize("name", [
+    *fans.NAMES, "LOCAL_QUADRIC", "LOCAL_QUADRIC_BAR", "A1_CHART",
+    "A1_CHART_BAR", "WEIGHTED_SURFACE", "WEIGHTED_SURFACE_BAR",
+    *[f"c3z{k}_chart" for k in range(2, 8)], *EDGE_DOCS])
+def test_elimination_table_matches_reference(name):
+    import test_generalization
+    if name in fans.NAMES:
+        doc = json.loads(fans.read(name))
+    elif name.endswith("_chart"):
+        doc = c3_zk_chart(int(name[3:-len("_chart")]))
+    else:
+        doc = EDGE_DOCS.get(name) or getattr(test_generalization, name)
+    assert_table_matches_reference(doc)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(fan_documents())
+def test_elimination_table_matches_reference_on_random_fans(doc):
+    assert_table_matches_reference(doc)
+
+
+def test_each_listed_cone_is_eliminated_once(monkeypatch):
+    # loading the seven bundled fans eliminates each listed cone once and
+    # takes one Smith form per fan, for the lattice check; box enumeration
+    # takes a Smith form only for the cones with box elements, and the
+    # compactification's ray-negative certificate eliminates nothing
+    from orbidisk import fan as fan_module
+    calls = []
+    for name in ("row_reduce", "smith_normal_form"):
+        def counted(*args, name=name, f=getattr(linalg, name)):
+            calls.append(name)
+            return f(*args)
+        monkeypatch.setattr(linalg, name, counted)
+    loaded = [load(name) for name in fans.NAMES]
+    assert sum(len(f.cones) for f in loaded) == calls.count("row_reduce") == 19
+    assert calls.count("smith_normal_form") == 7
+    calls.clear()
+    for f in loaded:
+        box_elements(f)
+    assert calls == ["smith_normal_form"] * 2
+    inside = []
+    solve = fan_module.minimal_cone
+
+    def watched(*args):
+        before = len(calls)
+        out = solve(*args)
+        inside.append(len(calls) - before)
+        return out
+
+    monkeypatch.setattr(fan_module, "minimal_cone", watched)
+    validate_compactification(load("kp2"), load("kp2_bar"), "ray:0")
+    assert inside == [0] * 5  # one per ray of kp2_bar
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +847,6 @@ def test_extra_cone_data_matches_minimal_cone(case):
     # the disk table: every ray is its own cone with the zero dual class, and
     # every extra column has the cone minimal_cone would solve afresh and a
     # kernel dual class, 1 at the column and minus the cone coefficients
-    from orbidisk.fan import minimal_cone
     data = table_data()[case]
     rays = [("ray", i) for i in range(data.m)]
     boxes = [("box", j) for j in data.extra_columns()]

@@ -189,7 +189,7 @@ def test_kernel_random(a):
     for g in k:
         assert all(sum(row[i] * g[i] for i in range(4)) == 0 for row in a)
     # rank-nullity over Q
-    assert len(k) == 4 - linalg.rank_rational(a)
+    assert len(k) == 4 - oracle_rank(a)
 
 
 def test_solve_rational():
@@ -217,7 +217,7 @@ def test_row_reduction_random(a):
     n = len(a)
     det = leibniz_det(a)
     assert reduce_det(a) == det
-    assert (linalg.rank_rational(a) == n) == (det != 0)
+    assert (len(linalg.row_reduce(a)[1]) == n) == (det != 0)
     inv = linalg.invert_rational(a)
     if det == 0:
         assert inv is None
@@ -240,7 +240,7 @@ def test_solve_and_rank_match_fraction_oracle(a, data):
                                max_size=len(a[0])))
         b = [sum(r * v for r, v in zip(row, x)) for row in a]
     assert linalg.solve_rational(a, b) == oracle_solve(a, b)
-    assert linalg.rank_rational(a) == oracle_rank(a)
+    assert len(linalg.row_reduce(a)[1]) == oracle_rank(a)
 
 
 @settings(max_examples=100, derandomize=True)
@@ -279,7 +279,7 @@ def test_kernel_builds_fractions_only_for_returned_values(monkeypatch):
 
     monkeypatch.setattr(linalg, "Fraction", counting)
     a = [[2, 4, 4, 1], [-6, 6, 12, 0], [10, 4, 16, 3]]
-    assert linalg.rank_rational(a) == 3
+    assert len(linalg.row_reduce(a)[1]) == 3
     assert count[0] == 0
     x = linalg.solve_rational([row[:3] for row in a], [1, 2, 3])
     assert x is not None and count[0] <= 3
