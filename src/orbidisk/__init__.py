@@ -24,8 +24,8 @@ _LAYERS = {
     "invariants": ("DiskPotential", "InvariantTable", "disk_potential",
                    "disk_potentials", "extract_invariants", "oracle_potential",
                    "compare_potentials"),
-    "syz": ("GaugeChoice", "MirrorPotential", "solve_coefficient_system",
-            "mirror_potential", "emit_lg_model"),
+    "syz": ("MirrorPotential", "solve_coefficient_system", "mirror_potential",
+            "emit_lg_model"),
 }
 _HOME = {name: layer for layer, names in _LAYERS.items() for name in names}
 

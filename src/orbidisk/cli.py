@@ -160,8 +160,7 @@ def cmd_invariants(args):
 def cmd_syz(args):
     data = fan.kernel_data(*load_fan_file(args.fan))
     order = parse_order(args.order)
-    gauge = syz.GaugeChoice.for_data(data, args.gauge)
-    return syz.emit_lg_model(syz.mirror_potential(data, gauge, order))
+    return syz.emit_lg_model(syz.mirror_potential(data, args.gauge, order))
 
 
 def cmd_oracle(args):

@@ -85,11 +85,11 @@ class Value:
     """Base of the package's immutable values, in place of frozen dataclasses.
 
     A subclass's fields are its annotations, in order; a class attribute named
-    like a field is its default, and a dict default is copied per instance.
-    Instances take fields positionally or by keyword, refuse assignment and
-    deletion, compare and hash by their field tuple, and repr like a
-    dataclass.  Nothing is generated at class creation, and `dataclasses`
-    (with `inspect` behind it) stays out of every process's start-up.
+    like a field is its default.  Instances take fields positionally or by
+    keyword, refuse assignment and deletion, compare by their field tuple,
+    hash when every field does, and repr like a dataclass.  Nothing is
+    generated at class creation, and `dataclasses` (with `inspect` behind it)
+    stays out of every process's start-up.
     """
 
     _fields = ()
@@ -115,9 +115,7 @@ class Value:
             if name in kwargs:
                 values[name] = kwargs.pop(name)
             elif name in cls._defaults:
-                default = cls._defaults[name]
-                values[name] = dict(default) if type(default) is dict \
-                    else default
+                values[name] = cls._defaults[name]
             else:
                 raise TypeError(f"{cls.__name__}() missing required "
                                 f"argument {name!r}")

@@ -237,9 +237,6 @@ class BoxElement(Value):
     def is_zero(self):
         return not self.cone
 
-    def label(self):
-        return "b" + ",".join(str(x) for x in self.vector)
-
 
 def zero_box(n) -> BoxElement:
     return BoxElement(tuple([0] * n), (), (), Fraction(0))
@@ -316,10 +313,6 @@ class ToricData(Value):
         return self.fan.rank
 
     @property
-    def max_cones(self):
-        return [cone for cone, _, _ in self.anticones]
-
-    @property
     def m(self):
         return self.fan.m
 
@@ -348,13 +341,14 @@ class ToricData(Value):
     # -- variables -----------------------------------------------------------
 
     def y_vars(self):
-        names = []
-        for a in range(self.r):
-            if self.infinity_column is not None and a == self.r - 1:
-                names.append("yinf")
-            else:
-                names.append(f"y{a + 1}")
-        return names
+        inf = self.infinity_column is not None
+        return [f"y{a + 1}" for a in range(self.r - inf)] + ["yinf"] * inf
+
+    def q_vars(self):
+        """The flat variables: one per plain curve class, then qinf on a
+        compactification, as y_vars ends with yinf."""
+        inf = self.infinity_column is not None
+        return [f"q{a + 1}" for a in range(self.r_prime)] + ["qinf"] * inf
 
     def y_weights(self):
         """Weight 1 per y variable: `grade` is the weighted coordinate sum
@@ -611,14 +605,18 @@ class CompactifiedData(Value):
     disk: tuple                 # ("ray", i0) or ("box", j0) in base columns
     d_infinity: list            # pairing vector over bar columns
     beta_bar: list              # pairing vector over bar columns
-    col_map: dict               # base column -> bar column
-    complete_certificate: dict = {}
+    complete_certificate: dict
 
     def base_to_bar_pairings(self, pairings):
-        out = [Fraction(0)] * self.bar.m_prime
-        for c, p in enumerate(pairings):
-            out[self.col_map[c]] = frac(p)
-        return out
+        return [frac(p) for p in
+                _bar_columns(pairings, self.bar.infinity_column)]
+
+
+def _bar_columns(vec, inf_col):
+    """A vector over base columns in the bar's column order, which lists the
+    base rays, then the added ray at inf_col, then the extras: a zero is
+    inserted at the infinity column."""
+    return [*vec[:inf_col], 0, *vec[inf_col:]]
 
 
 def parse_disk_selector(text: str, data: ToricData):
@@ -695,21 +693,11 @@ def validate_compactification(base_fan: StackyFan, bar_fan: StackyFan,
             for r in bar_fan.rays),
     }
 
-    # column order of the bar fan: base rays, infinity ray, extras
-    col_map = {c: c + (c >= base_fan.m) for c in range(base_fan.m_prime)}
-
     # bar kernel basis: extended base basis plus the compactifying class
-    mp_bar = bar_fan.m_prime
-    gamma_bar = []
-    for g in base.gamma:
-        gext = [0] * mp_bar
-        for c, x in enumerate(g):
-            gext[col_map[c]] = x
-        gamma_bar.append(gext)
-    d_inf = [0] * mp_bar
-    d_inf[col_map[idx]] = 1
+    d_inf = _bar_columns([int(c == idx) for c in range(base_fan.m_prime)],
+                         inf_col)
     d_inf[inf_col] = 1
-    gamma_bar.append(d_inf)
+    gamma_bar = [_bar_columns(g, inf_col) for g in base.gamma] + [d_inf]
 
     bar = _toric_data(bar_fan, gamma_bar, op, cy_covector=None,
                       basis_origin="compactified", split_ok=base.split_ok,
@@ -722,14 +710,11 @@ def validate_compactification(base_fan: StackyFan, bar_fan: StackyFan,
                     {"base": base_age1, "bar": bar_age1})
 
     # beta_bar: D_inf minus the disk's dual class (zero for a ray disk)
-    beta_bar = [frac(x) for x in d_inf]
-    for c, x in enumerate(dual):
-        beta_bar[col_map[c]] -= x
+    beta_bar = [frac(x) - y for x, y in zip(d_inf, _bar_columns(dual, inf_col))]
 
     cd = CompactifiedData(base=base, bar=bar, disk=(kind, idx),
                           d_infinity=[frac(x) for x in d_inf],
-                          beta_bar=beta_bar, col_map=col_map,
-                          complete_certificate=certificate)
+                          beta_bar=beta_bar, complete_certificate=certificate)
 
     # decomposition checks
     if beta_bar[inf_col] != 1:

@@ -110,16 +110,14 @@ def extract_invariants(dp: DiskPotential) -> InvariantTable:
     """
     op = "extract_invariants"
     data = dp.data
-    tau_boxes = {}
-    for j in data.extra_columns():
-        name = data.tau_name(j)
-        box = next(b for b in data.boxes
-                   if b.vector == tuple(data.column_vector(j)))
-        tau_boxes[name] = box.label()
-    q_names = [f"q{a + 1}" for a in range(data.r_prime)]
+    # an insertion is labelled by its box element, the extra column's vector
+    tau_boxes = {data.tau_name(j):
+                 "b" + ",".join(map(str, data.column_vector(j)))
+                 for j in data.extra_columns()}
+    q_names = data.q_vars()
     entries = {}
     for m, coeff in dp.series.terms.items():
-        alpha = [Fraction(0)] * data.r_prime
+        alpha = [Fraction(0)] * len(q_names)
         counts = {}
         for v, e in m:
             if v in tau_boxes:
@@ -157,18 +155,19 @@ def oracle_potential(cd: CompactifiedData, base: MirrorMap) -> Series:
     """
     op = "oracle_potential"
     bar = cd.bar
+    qinf = bar.q_vars()[bar.r_prime]
     mm = relative_mirror_map(cd, base)
     head = y_monomial(bar, bar.coords_from_pairings(cd.d_infinity))
     _, (val,) = inverse_mirror_map(
         mm, Series.monomial(head, 1, bar.y_weights(), base.order))
-    out = val.mul_monomial(mono_pow(mono(("qinf", 1)), -1))
+    out = val.mul_monomial(mono_pow(mono((qinf, 1)), -1))
     for m in out.terms:
-        if any(v == "qinf" for v, _ in m):
+        if any(v == qinf for v, _ in m):
             raise ConsistencyError(MODULE, op,
                                    "flat compactification variable failed to "
                                    "cancel", m)
     # re-express without the qinf variable (stripping it lowered the order)
-    weights = {v: w for v, w in out.weights.items() if v != "qinf"}
+    weights = {v: w for v, w in out.weights.items() if v != qinf}
     return Series(weights, out.order, dict(out.terms))
 
 

@@ -144,10 +144,9 @@ def _relations(data: ToricData, g, order) -> list:
     """The relations of `data` assembled from its column series g: one flat
     relation per plain q variable, then one twisted relation per extra
     column."""
-    flat = [_flat_relation(data, f"q{a + 1}",
-                           [Fraction(int(b == a)) for b in range(data.r)],
-                           g, order)
-            for a in range(data.r_prime)]
+    flat = [_flat_relation(data, q, [Fraction(int(b == a))
+                                     for b in range(data.r)], g, order)
+            for a, q in enumerate(data.q_vars()[:data.r_prime])]
     return flat + _twisted_relations(data, g, order)
 
 
@@ -193,8 +192,8 @@ def relative_mirror_map(cd: CompactifiedData, base: MirrorMap) -> MirrorMap:
     sl, classes = relative_ifunction_oracle(cd, base)
     g = g_series(bar, sl.sector_series, sl.divisor_series, order)
     own = _relations(bar, g, order)
-    rel_inf = _flat_relation(bar, "qinf", bar.coords_from_pairings(cd.beta_bar),
-                             g, order)
+    rel_inf = _flat_relation(bar, bar.q_vars()[bar.r_prime],
+                             bar.coords_from_pairings(cd.beta_bar), g, order)
     relations = own[:bar.r_prime] + [rel_inf] + own[bar.r_prime:]
 
     # the added ray's own series must vanish: its pairing with every

@@ -19,43 +19,28 @@ from .mirrormap import toric_mirror_map
 MODULE = "syz-builder"
 
 
-class GaugeChoice(Value):
-    cone: tuple  # ray indices of a listed full-dimensional cone
-
-    @classmethod
-    def for_data(cls, data: ToricData, cone_index=0):
-        cones = data.max_cones
-        if not (0 <= cone_index < len(cones)):
-            raise ValidationError(MODULE, "gauge", f"no maximal cone {cone_index}",
-                                  cone_index)
-        return cls(cone=tuple(cones[cone_index]))
+def _gauge_entry(data: ToricData, k):
+    """The anticone-table entry of gauge k, the index of a maximal cone."""
+    if not (0 <= k < len(data.anticones)):
+        raise ValidationError(MODULE, "gauge", f"no maximal cone {k}", k)
+    return data.anticones[k]
 
 
-def _q_exponents_of_dual(data: ToricData, j):
-    """Flat-variable exponent vector of the dual-class monomial of extra j."""
-    return list(data.disk_class(("box", j))[3][:data.r_prime])
-
-
-def solve_coefficient_system(data: ToricData, gauge: GaugeChoice) -> dict:
-    """Monomial coefficients per column, as flat-variable exponent vectors.
+def solve_coefficient_system(data: ToricData, k) -> dict:
+    """Monomial coefficients per column, as flat-variable exponent vectors,
+    in the gauge of maximal cone k, the index into data.anticones.
 
     Gauge-fixed columns get the empty exponent vector (coefficient 1).  The
     exponent relations determine the rest uniquely: the unknowns are the
     gauge cone's anticone, and its generators invert the relation block.
     """
-    op = "solve_coefficient_system"
-    gauge_cone = sorted(gauge.cone)
-    entry = next((e for e in data.anticones if sorted(e[0]) == gauge_cone), None)
-    if entry is None:
-        raise ValidationError(MODULE, op, "gauge cone is not a listed maximal cone",
-                              gauge.cone)
-    _, unknowns, gens = entry
+    _, unknowns, gens = _gauge_entry(data, k)
     r, rp = data.r, data.r_prime
     rhs = _relation_rhs(data)
     sol = {i: [Fraction(0)] * rp for i in range(data.m_prime)}
     for u, g in zip(unknowns, gens):
-        sol[u] = [sum(g[row] * rhs[row][k] for row in range(r))
-                  for k in range(rp)]
+        sol[u] = [sum(g[row] * rhs[row][c] for row in range(r))
+                  for c in range(rp)]
     _verify_coefficient_relations(data, sol, rhs)
     return sol
 
@@ -65,7 +50,8 @@ def _relation_rhs(data: ToricData) -> list:
     the unit vector on a flat row, minus the dual-class exponents of the
     extra columns on the others."""
     r, rp = data.r, data.r_prime
-    duals = {j: _q_exponents_of_dual(data, j) for j in data.extra_columns()
+    # flat-variable exponents of the dual-class monomials, off the disk table
+    duals = {j: data.disk_class(("box", j))[3][:rp] for j in data.extra_columns()
              if any(data.gamma[row][j] for row in range(rp, r))}
     rhs = []
     for row in range(r):
@@ -131,19 +117,20 @@ def reduced_exponent(data: ToricData, basis, w, b):
 
 class MirrorPotential(Value):
     data: ToricData
-    gauge: GaugeChoice
+    gauge: tuple              # ray indices of the gauge cone
     coefficients: dict        # column -> exponent vector over flat variables
     terms: list               # (column, lattice vector, reduced, series)
     basis: list               # kernel sublattice basis (columns)
     section: list             # w
 
 
-def mirror_potential(data: ToricData, gauge: GaugeChoice,
-                     order) -> MirrorPotential:
+def mirror_potential(data: ToricData, k, order) -> MirrorPotential:
     """Assemble the corrected potential from the disk potentials of every ray
-    and every extra vector."""
+    and every extra vector, in the gauge of maximal cone k.  A k outside the
+    anticone table is refused before any series work."""
+    gauge = _gauge_entry(data, k)[0]
     potentials = disk_potentials(toric_mirror_map(data, order))
-    sol = solve_coefficient_system(data, gauge)
+    sol = solve_coefficient_system(data, k)
     basis, w = covector_splitting(data)
     terms = []
     for (_, i), dp in potentials.items():
@@ -159,11 +146,11 @@ def emit_lg_model(mp: MirrorPotential) -> dict:
     JSON values, except that each term holds its Series (serialized through
     Series.to_json)."""
     data = mp.data
-    q_names = [f"q{a + 1}" for a in range(data.r_prime)]
+    q_names = data.q_vars()
     doc = {
         "equation": "uv = G",
         "W": "u",
-        "gauge": {"cone": list(mp.gauge.cone)},
+        "gauge": {"cone": list(mp.gauge)},
         "covector_basis": {
             "kernel_basis": [list(b) for b in mp.basis],
             "section": list(mp.section),

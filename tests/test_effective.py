@@ -37,7 +37,7 @@ def effective_reference(data, pairings) -> bool:
     bad = {i for i, p in enumerate(pairings) if not _is_nonneg_int(F(p))}
     if any(data.is_extra(i) for i in bad):
         return False
-    return any(bad <= set(c) for c in data.max_cones)
+    return any(bad <= set(c) for c, _, _ in data.anticones)
 
 
 def sector_reference(data, pairings):
@@ -52,7 +52,7 @@ def sector_reference(data, pairings):
             coeffs.append(f)
     if not support:
         return zero_box(data.n)
-    assert any(set(support) <= set(c) for c in data.max_cones)
+    assert any(set(support) <= set(c) for c, _, _ in data.anticones)
     vec = tuple(sum((data.column_vector(i)[k] * c
                      for i, c in zip(support, coeffs)), F(0))
                 for k in range(data.n))

@@ -805,8 +805,8 @@ TABLE_IDS = ["c3", "conifold", "kp2", "c3z3", "c3_bar", "kp2_bar", "c3z3_bar",
 @pytest.mark.parametrize("case", TABLE_IDS)
 def test_anticone_generators_dual(case):
     data = table_data()[case]
-    assert data.max_cones == [tuple(c) for c in data.fan.cones
-                              if len(c) == data.n]
+    assert [c for c, _, _ in data.anticones] == \
+        [tuple(c) for c in data.fan.cones if len(c) == data.n]
     for cone, comp, gens in data.anticones:
         assert comp == tuple(i for i in range(data.m) if i not in cone) + \
             tuple(data.extra_columns())
@@ -821,7 +821,7 @@ def semi_fano_reference(data):
     """The semi-Fano multipliers by a direct solve of each anticone system."""
     rho = [sum(g) for g in data.gamma]
     out = {}
-    for cone in data.max_cones:
+    for cone, _, _ in data.anticones:
         comp = [i for i in range(data.m) if i not in cone] + \
             list(data.extra_columns())
         sub = [[data.gamma[a][i] for i in comp] for a in range(data.r)]
@@ -920,7 +920,7 @@ def test_fan_with_listed_faces():
     fan = fan_from_dict(doc)
     data = kernel_data(fan)
     assert data.gamma == [[-3, 1, 1, 1]]
-    assert len(data.max_cones) == 3
+    assert len(data.anticones) == 3
     boxes, _ = box_elements(fan)
     assert boxes == []
 

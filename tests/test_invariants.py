@@ -6,8 +6,10 @@ from orbidisk import fans
 from orbidisk.fan import (kernel_data, parse_disk_selector,
                          validate_compactification)
 from orbidisk.invariants import (compare_potentials, disk_potential,
-                                 extract_invariants, oracle_potential)
-from orbidisk.mirrormap import inverse_mirror_map, toric_mirror_map
+                                 disk_potentials, extract_invariants,
+                                 oracle_potential)
+from orbidisk.mirrormap import (inverse_mirror_map, relative_mirror_map,
+                                toric_mirror_map)
 from orbidisk.series import mono
 
 F = Fraction
@@ -149,6 +151,65 @@ def test_invariants_json():
     rows = extract_invariants(dp).to_json()
     assert {"alpha": [], "insertions": {"b0,0,1": 4},
             "value": "1/27"} in rows
+
+
+def insertion_label_reference(data, j):
+    """The label of extra column j's insertion: its age-1 box element, found
+    by scanning the box table."""
+    (box,) = [b for b in data.age1_boxes
+              if b.vector == tuple(data.column_vector(j))]
+    return "b" + ",".join(str(x) for x in box.vector)
+
+
+def _names_data(case):
+    from orbidisk.fan import fan_from_dict
+    from test_generalization import (LOCAL_QUADRIC, WEIGHTED_BASIS,
+                                     WEIGHTED_SURFACE)
+    if case == "local_quadric":
+        return kernel_data(fan_from_dict(LOCAL_QUADRIC))
+    if case == "weighted_surface":
+        return kernel_data(fan_from_dict(WEIGHTED_SURFACE), WEIGHTED_BASIS)
+    return data_for(case)
+
+
+@pytest.mark.parametrize("case", ["c3", "conifold", "kp2", "c3z3",
+                                  "local_quadric", "weighted_surface"])
+def test_flat_names_come_from_q_vars(case):
+    # relations, potentials and invariant tables all name the flat variables
+    # by data.q_vars() and the twisted ones by data.tau_name
+    data = _names_data(case)
+    taus = [data.tau_name(j) for j in data.extra_columns()]
+    names = data.q_vars() + taus
+    assert data.q_vars() == [f"q{a + 1}" for a in range(data.r_prime)]
+    mm = toric_mirror_map(data, 2)
+    assert [rel.target for rel in mm.relations] == names
+    labels = {data.tau_name(j): insertion_label_reference(data, j)
+              for j in data.extra_columns()}
+    for dp in disk_potentials(mm).values():
+        assert set(dp.series.weights) <= set(names)
+        assert all(v in names for m in dp.series.terms for v, _ in m)
+        if any(e.denominator != 1 for m in dp.series.terms for _, e in m):
+            continue  # a fractional exponent has no table entry
+        table = extract_invariants(dp)
+        for m in dp.series.terms:
+            alpha = tuple(int(dict(m).get(q, 0)) for q in data.q_vars())
+            ins = tuple(sorted((labels[v], int(e)) for v, e in m if v in taus))
+            assert (alpha, ins) in table.entries
+
+
+@pytest.mark.parametrize("base,bar,disk", [
+    ("c3", "c3_bar", ("ray", 2)),
+    ("kp2", "kp2_bar", ("ray", 0)),
+    ("c3z3", "c3z3_bar", ("box", 3)),
+])
+def test_relative_names_come_from_q_vars(base, bar, disk):
+    cd = cd_for(base, bar, disk)
+    mm = relative_mirror_map(cd, bar_base(cd, 2))
+    rp = cd.bar.r_prime
+    assert cd.bar.q_vars() == cd.base.q_vars() + ["qinf"]
+    assert cd.bar.q_vars()[rp] == "qinf"
+    assert [rel.target for rel in mm.relations] == \
+        cd.bar.q_vars() + [cd.bar.tau_name(j) for j in cd.bar.extra_columns()]
 
 
 # ---------------------------------------------------------------------------

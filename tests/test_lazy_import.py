@@ -59,7 +59,7 @@ import json, orbidisk
 print(json.dumps({n: getattr(orbidisk, n).__module__
                   for n in orbidisk.__all__}))
 """))
-    assert len(names) == 33
+    assert len(names) == 32
     assert {m.split(".")[0] for m in names.values()} == {"orbidisk"}
     out = child("""\
 import orbidisk

@@ -2,14 +2,15 @@ from fractions import Fraction
 
 import pytest
 
-from orbidisk import fans, invariants, linalg, syz
+from orbidisk import fans, invariants, linalg, mirrormap, syz
 from orbidisk.effective import enumerate_effective
 from orbidisk.errors import ValidationError
-from orbidisk.fan import kernel_data, verify_semi_fano
+from orbidisk.fan import fan_from_dict, kernel_data, verify_semi_fano
 from orbidisk.series import mono
-from orbidisk.syz import (GaugeChoice, emit_lg_model, mirror_potential,
+from orbidisk.syz import (emit_lg_model, mirror_potential,
                           solve_coefficient_system)
 from test_fan import TABLE_IDS, table_data
+from test_generalization import WEIGHTED_BASIS, WEIGHTED_SURFACE
 from test_linalg import oracle_rank
 
 F = Fraction
@@ -57,9 +58,8 @@ def coefficient_reference(data, cone):
 @pytest.mark.parametrize("case", TABLE_IDS)
 def test_coefficients_match_direct_inversion(case):
     data = table_data()[case]
-    for k, cone in enumerate(data.max_cones):
-        gauge = GaugeChoice.for_data(data, k)
-        assert solve_coefficient_system(data, gauge) == \
+    for k, (cone, _, _) in enumerate(data.anticones):
+        assert solve_coefficient_system(data, k) == \
             coefficient_reference(data, cone)
 
 
@@ -82,8 +82,8 @@ def test_consumers_read_anticone_table(monkeypatch, name):
     verify_semi_fano(data)
     assert calls == {"invert_rational": 0, "solve_rational": 0}
     assert enumerate_effective(data, 6)
-    for k in range(len(data.max_cones)):
-        solve_coefficient_system(data, GaugeChoice.for_data(data, k))
+    for k in range(len(data.anticones)):
+        solve_coefficient_system(data, k)
     assert calls["invert_rational"] == 0
 
 
@@ -93,49 +93,67 @@ def test_consumers_read_anticone_table(monkeypatch, name):
 
 def test_coefficients_c3():
     data = data_for("c3")
-    sol = solve_coefficient_system(data, GaugeChoice.for_data(data))
+    sol = solve_coefficient_system(data, 0)
     assert sol == {0: [], 1: [], 2: []}
 
 
 def test_coefficients_kp2():
     data = data_for("kp2")
-    sol = solve_coefficient_system(data, GaugeChoice.for_data(data))
+    sol = solve_coefficient_system(data, 0)
     assert sol[0] == [0] and sol[1] == [0] and sol[2] == [0]
     assert sol[3] == [1]  # C_3 = q
 
 
 def test_coefficients_c3z3():
     data = data_for("c3z3")
-    sol = solve_coefficient_system(data, GaugeChoice.for_data(data))
+    sol = solve_coefficient_system(data, 0)
     # no flat variables at all: every coefficient is the empty monomial
     assert all(v == [] for v in sol.values())
 
 
 def test_coefficients_second_gauge_kp2():
     data = data_for("kp2")
-    sol = solve_coefficient_system(data, GaugeChoice(cone=(0, 2, 3)))
+    sol = solve_coefficient_system(data, 1)
     assert sol[1] == [1]  # C_1 = q in this gauge
     assert sol[0] == [0] and sol[2] == [0] and sol[3] == [0]
 
 
-def test_gauge_must_be_listed():
+def test_gauge_must_be_listed(monkeypatch):
+    # a gauge is an index into data.anticones: -1 does not select the last
+    # cone, and a refused gauge builds no mirror map, so it is refused ahead
+    # of the mirror map's own refusals
+    calls = []
+
+    def counted(*args, _original=mirrormap.toric_mirror_map):
+        calls.append(args)
+        return _original(*args)
+    for mod in (mirrormap, syz):
+        monkeypatch.setattr(mod, "toric_mirror_map", counted)
     data = data_for("kp2")
-    with pytest.raises(ValidationError):
-        solve_coefficient_system(data, GaugeChoice(cone=(1, 2, 3)))
+    assert len(data.anticones) == 3
+    unsplit = kernel_data(fan_from_dict(WEIGHTED_SURFACE), WEIGHTED_BASIS[::-1])
+    for d, k in ((data, -1), (data, 3), (unsplit, len(unsplit.anticones))):
+        for call in (lambda: solve_coefficient_system(d, k),
+                     lambda: mirror_potential(d, k, 2)):
+            with pytest.raises(ValidationError) as e:
+                call()
+            assert str(e.value) == f"[syz-builder/gauge] no maximal cone {k}"
+            assert e.value.datum == k
+    assert calls == []
 
 
 def test_relations_hold_exactly():
     # prod C_i^{m_ia} = q_a as exponent identities
     data = data_for("kp2")
-    sol = solve_coefficient_system(data, GaugeChoice.for_data(data))
+    sol = solve_coefficient_system(data, 0)
     lhs = [sum(data.gamma[0][i] * sol[i][0] for i in range(4))]
     assert lhs == [1]
 
 
 def test_gauge_character_kp2():
     data = data_for("kp2")
-    a = solve_coefficient_system(data, GaugeChoice.for_data(data, 0))
-    b = solve_coefficient_system(data, GaugeChoice(cone=(0, 2, 3)))
+    a = solve_coefficient_system(data, 0)
+    b = solve_coefficient_system(data, 1)
     u = gauge_character(data, a, b)
     # changing gauge multiplies each coefficient by the character pairing
     for i in range(data.m_prime):
@@ -151,7 +169,7 @@ def test_gauge_character_kp2():
 
 def test_mirror_potential_c3():
     data = data_for("c3")
-    mp = mirror_potential(data, GaugeChoice.for_data(data), 4)
+    mp = mirror_potential(data, 0, 4)
     assert len(mp.terms) == 3
     for _, vec, red, series in mp.terms:
         assert series.terms == {(): F(1)}
@@ -163,7 +181,7 @@ def test_mirror_potential_c3():
 
 def test_mirror_potential_kp2():
     data = data_for("kp2")
-    mp = mirror_potential(data, GaugeChoice.for_data(data), 3)
+    mp = mirror_potential(data, 0, 3)
     by_col = {t[0]: t for t in mp.terms}
     q = lambda e: mono(("q1", e))
     assert by_col[0][3].terms == {(): F(1), q(1): F(-2), q(2): F(5),
@@ -180,7 +198,7 @@ def test_mirror_potential_kp2():
 
 def test_mirror_potential_c3z3():
     data = data_for("c3z3")
-    mp = mirror_potential(data, GaugeChoice.for_data(data), F(4, 3))
+    mp = mirror_potential(data, 0, F(4, 3))
     by_col = {t[0]: t for t in mp.terms}
     t = lambda e: mono(("t3", e))
     assert by_col[3][3].terms == {t(1): F(1), t(4): F(1, 648)}
@@ -203,13 +221,13 @@ def test_mirror_potential_builds_one_map_and_one_inverse(monkeypatch, name,
             return _original(*args)
         monkeypatch.setattr(mod, fn, counted)
     data = data_for(name)
-    mirror_potential(data, GaugeChoice.for_data(data), order)
+    mirror_potential(data, 0, order)
     assert sorted(calls) == ["inverse_mirror_map", "toric_mirror_map"]
 
 
 def test_reduction_covector():
     data = data_for("kp2")
-    mp = mirror_potential(data, GaugeChoice.for_data(data), 2)
+    mp = mirror_potential(data, 0, 2)
     v = data.cy_covector
     # section pairs to 1, kernel basis pairs to 0
     assert sum(a * b for a, b in zip(v, mp.section)) == 1
@@ -227,8 +245,8 @@ def test_gauge_covariance_term_sets():
     # the reduced potential is gauge independent after the character shift
     data = data_for("kp2")
     order = 3
-    mp_a = mirror_potential(data, GaugeChoice.for_data(data, 0), order)
-    mp_b = mirror_potential(data, GaugeChoice(cone=(0, 2, 3)), order)
+    mp_a = mirror_potential(data, 0, order)
+    mp_b = mirror_potential(data, 1, order)
     u = gauge_character(data, mp_a.coefficients, mp_b.coefficients)
     for (ca, va, ra, sa), (cb, vb, rb, sb) in zip(mp_a.terms, mp_b.terms):
         assert (ca, va, ra) == (cb, vb, rb)

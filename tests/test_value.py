@@ -15,7 +15,7 @@ from orbidisk.fan import (CompactifiedData, ToricData, box_elements,
 from orbidisk.hyper import coefficient_slice, z_extract
 from orbidisk.invariants import disk_potential, extract_invariants
 from orbidisk.mirrormap import toric_mirror_map
-from orbidisk.syz import GaugeChoice, mirror_potential
+from orbidisk.syz import mirror_potential
 from test_fan import value_classes
 
 
@@ -32,7 +32,6 @@ def samples():
     mm_kp2, mm_c3z3 = toric_mirror_map(kp2, 3), toric_mirror_map(c3z3, 2)
     dp_kp2 = disk_potential(toric_mirror_map(kp2, 3), ("ray", 0))
     dp_c3z3 = disk_potential(toric_mirror_map(c3z3, 2), ("box", 3))
-    gauges = GaugeChoice.for_data(kp2, 0), GaugeChoice.for_data(kp2, 1)
     return {
         type(kp2.fan): (kp2.fan, c3z3.fan),
         type(c1.sector): tuple(box_elements(c3z3.fan)[0]),
@@ -48,10 +47,8 @@ def samples():
         type(dp_kp2): (dp_kp2, dp_c3z3),
         type(extract_invariants(dp_kp2)): (extract_invariants(dp_kp2),
                                            extract_invariants(dp_c3z3)),
-        GaugeChoice: gauges,
-        type(mirror_potential(kp2, gauges[0], 2)): (
-            mirror_potential(kp2, gauges[0], 2),
-            mirror_potential(kp2, gauges[1], 2)),
+        type(mirror_potential(kp2, 0, 2)): (mirror_potential(kp2, 0, 2),
+                                            mirror_potential(kp2, 1, 2)),
     }
 
 
@@ -66,8 +63,6 @@ def twin_class(cls):
     for name in cls.__annotations__:
         if name not in vars(cls):
             spec.append((name, object))
-        elif type(vars(cls)[name]) is dict:
-            spec.append((name, object, dataclasses.field(default_factory=dict)))
         else:
             spec.append((name, object, dataclasses.field(default=vars(cls)[name])))
     return dataclasses.make_dataclass(cls.__name__, spec, frozen=True)
@@ -129,15 +124,6 @@ def test_value_construction_matches_dataclass_twin(name):
         for target in (cls, twin_class(cls)):
             with pytest.raises(TypeError):
                 target(*args, **kwargs)
-
-
-def test_dict_defaults_are_not_shared():
-    cd = samples()[CompactifiedData][0]
-    required = [getattr(cd, n) for n in CompactifiedData.__annotations__
-                if n not in vars(CompactifiedData)]
-    one, two = CompactifiedData(*required), CompactifiedData(*required)
-    assert one.complete_certificate == {}
-    assert one.complete_certificate is not two.complete_certificate
 
 
 def test_equality_needs_the_same_class():
