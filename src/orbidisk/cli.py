@@ -140,16 +140,16 @@ def cmd_analyze(args):
 
 
 def cmd_mirror_map(args):
-    data = fan.kernel_data(*load_fan_file(args.fan))
     order = parse_order(args.order)
+    data = fan.kernel_data(*load_fan_file(args.fan))
     mm = mirrormap.toric_mirror_map(data, order)
     inv = mirrormap.inverse_mirror_map(mm)
     return {"order": frac_str(order), "forward": mm, "inverse": inv}
 
 
 def cmd_invariants(args):
-    data = fan.kernel_data(*load_fan_file(args.fan))
     order = parse_order(args.order)
+    data = fan.kernel_data(*load_fan_file(args.fan))
     disk = fan.parse_disk_selector(args.disk, data)
     dp = invariants.disk_potential(mirrormap.toric_mirror_map(data, order),
                                    disk)
@@ -158,17 +158,17 @@ def cmd_invariants(args):
 
 
 def cmd_syz(args):
-    data = fan.kernel_data(*load_fan_file(args.fan))
     order = parse_order(args.order)
+    data = fan.kernel_data(*load_fan_file(args.fan))
     return syz.emit_lg_model(syz.mirror_potential(data, args.gauge, order))
 
 
 def cmd_oracle(args):
+    order = parse_order(args.order)
     stacky, basis_p = load_fan_file(args.fan)
     bar, bar_basis = load_fan_file(args.bar)
     if bar_basis is not None:  # the bar's kernel basis extends the base's
         raise ValidationError(MODULE, "load", "a --bar fan takes no basis_p", args.bar)
-    order = parse_order(args.order)
     cd = fan.validate_compactification(stacky, bar, args.disk, basis_p)
     dp, oracle = invariants.compare_potentials(cd, order)
     return {

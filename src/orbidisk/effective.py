@@ -13,6 +13,15 @@ on the other bundled fans).  A class is the int tuple C of its coordinates
 times L, its pairings P_i = sum_a C_a gamma_a[i] (gamma is integral) and its
 grade sum(C) are ints over the same L, and membership and the sector each
 have one int core on (L, P).  An EffClass gets its Fractions after the sort.
+
+On a compactification the enumeration stops at classes that meet the added
+divisor D-infinity at most once (p-infinity = D-infinity . class <= 1).  Every
+compactified class has z-exponent -p-infinity - age - #forced - [p-infinity >
+0] (the bookkeeping identity hyper.z_extract checks), so a class with
+p-infinity >= 2 never reaches the z^-1 / z^-2 slice any consumer reads.  The
+scan carries each anticone generator's D-infinity pairing as a second budget
+beside its grade, which is exact because every generator inside the bound
+pairs with D-infinity in Z>=0; one that does not is refused.
 """
 from __future__ import annotations
 
@@ -101,26 +110,33 @@ def is_effective(data: ToricData, pairings) -> bool:
     return _effective(data, *_over(pairings))
 
 
-def _scan(gens, grades, i, room, coords, found):
-    """Record in found every coords + sum_{k >= i} mu_k gens[k] with mu >= 0
-    and sum_{k >= i} mu_k grades[k] <= room, in lexicographic mu order."""
+def _scan(gens, grades, meets, i, room, spare, coords, found):
+    """Record in found every coords + sum_{k >= i} mu_k gens[k] with mu >= 0,
+    sum_{k >= i} mu_k grades[k] <= room and sum_{k >= i} mu_k meets[k] <=
+    spare, in lexicographic mu order; every generator whose grade fits the
+    room has meets >= 0."""
     if i == len(gens):
         found[coords] = None
         return
-    g, w = gens[i], grades[i]
-    while room >= 0:
-        _scan(gens, grades, i + 1, room, coords, found)
+    g, w, d = gens[i], grades[i], meets[i]
+    while room >= 0 and spare >= 0:
+        _scan(gens, grades, meets, i + 1, room, spare, coords, found)
         coords = tuple(map(add, coords, g))
-        room -= w
+        room, spare = room - w, spare - d
 
 
 def enumerate_effective(data: ToricData, bound) -> list:
-    """All nonzero effective classes with grade <= bound, in canonical order.
+    """All nonzero effective classes with grade <= bound, in canonical order;
+    on a compactification (data.infinity_column set) only those that meet
+    D-infinity at most once.
 
     Aborts when the grading fails to be positive on some admissible generator,
     or (plain fans) when an enumerated class has a negative coordinate: both
     mean the kernel basis was not adapted to the effective cone and a nef
-    basis must be supplied.
+    basis must be supplied.  On a compactification a generator inside the
+    bound whose D-infinity pairing is not in Z>=0 is a ConsistencyError: the
+    cap would be inexact, and hyper.z_extract takes only classes that meet
+    D-infinity in Z>=0.
     """
     op = "enumerate_effective"
     bound = frac(bound)
@@ -129,18 +145,27 @@ def enumerate_effective(data: ToricData, bound) -> list:
     L = lcm(*(x.denominator for _, _, gens in data.anticones
               for g in gens for x in g))
     top = bound.numerator * L // bound.denominator
+    inf = data.infinity_column
+    # gamma's D-infinity column and the budget D-infinity . class <= 1, over
+    # L; on a plain fan every generator meets D-infinity 0 times
+    dinf = [0 if inf is None else row[inf] for row in data.gamma]
+    spare = 0 if inf is None else L
     found = {}
     for cone, _, gens in data.anticones:
         ints = tuple(_over(g, L)[1] for g in gens)
         grades = tuple(map(sum, ints))
-        for g, w in zip(gens, grades):
+        meets = tuple(sum(map(mul, C, dinf)) for C in ints)
+        for g, w, d in zip(gens, grades, meets):
             if w <= 0:
                 raise ValidationError(
                     MODULE, op,
                     "grading is not positive on an admissible class; supply a "
                     "nef basis via basis_p", {"cone": cone, "generator": g,
                                               "grade": str(Fraction(w, L))})
-        _scan(ints, grades, 0, top, (0,) * data.r, found)
+            if w <= top and (d < 0 or d % L):
+                raise ConsistencyError(MODULE, op, "class pairs badly with "
+                                       "the added divisor", Fraction(d, L))
+        _scan(ints, grades, meets, 0, top, spare, (0,) * data.r, found)
     found.pop((0,) * data.r, None)
     rows, sectors = [], {}
     of = cache(lambda v: Fraction(v, L))  # classes share their Fractions

@@ -61,7 +61,9 @@ class ZFactors(Value):
 
 def z_extract(data, cls) -> ZFactors:
     """Multiply the factor expansions of one effective class of `data`; on
-    a compactified fan the infinity ray gets the combined relative factor."""
+    a compactified fan the infinity ray gets the combined relative factor.
+    The class meets D-infinity in Z>=0, as every class enumerate_effective
+    returns does: it refuses a generator that does not."""
     inf_col = data.infinity_column
     N = lcm(*(p.denominator for p in cls.pairings))
     P = [p.numerator * (N // p.denominator) for p in cls.pairings]
@@ -69,11 +71,8 @@ def z_extract(data, cls) -> ZFactors:
     for i, p in enumerate(P):
         if i != inf_col:
             a, b, count, f = _factor(p, N)
-        elif p < 0 or p % N:
-            raise ConsistencyError(MODULE, "z_extract",
-                                   "class pairs badly with the added divisor",
-                                   cls.pairings[i])
         else:
+            assert p >= 0 and p % N == 0
             a, b, count, f = (N, p, -1, 0) if p else (1, 1, 0, 0)
         num, den, z_exp = num * a, den * b, z_exp + count
         if f:
@@ -153,6 +152,12 @@ def coefficient_slice(data, classes, order) -> Slice:
 def relative_ifunction_oracle(cd, base):
     """Sum the extractions over the compactified effective classes at the
     order of `base`, the base fan's mirror map.
+
+    The enumeration holds only the classes with p_inf = D_inf . class <= 1:
+    z_extract's bookkeeping gives every class the z-exponent -p_inf - age -
+    #forced - [p_inf > 0], so one that meets D_inf twice or more lies below
+    z^-2 and adds nothing to the slice.  The p_inf = 0 classes are checked
+    against `base`, and the z^-2 check below reads p_inf = 1 classes.
 
     Returns (Slice, classes) of the compactified fan.  The z^-2 part valued
     in the added divisor's degree-0 cohomology must be the single monomial of

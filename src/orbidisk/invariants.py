@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .errors import ConsistencyError, Value, frac, frac_str
+from .errors import ConsistencyError, ValidationError, Value, frac, frac_str
 from .fan import CompactifiedData, ToricData
 from .hyper import y_monomial
 from .mirrormap import (MirrorMap, cone_sum, inverse_mirror_map,
@@ -128,11 +128,15 @@ def extract_invariants(dp: DiskPotential) -> InvariantTable:
                 raise ConsistencyError(MODULE, op,
                                        f"unexpected variable {v} in potential",
                                        v)
-        if any(a.denominator != 1 or a < 0 for a in alpha) or \
-                any(k.denominator != 1 or k < 0 for k in counts.values()):
+        exps = (*alpha, *counts.values())
+        if any(e < 0 for e in exps):
             raise ConsistencyError(MODULE, op,
                                    "non-representable exponent in potential "
                                    "monomial", m)
+        if any(e.denominator != 1 for e in exps):
+            raise ValidationError(MODULE, op, "the invariant table holds "
+                                  "integral exponents only; the potential has "
+                                  f"the monomial {mono_str(m)}", m)
         mult = Fraction(1)
         for k in counts.values():
             mult *= factorial(int(k))

@@ -295,6 +295,48 @@ def test_order_must_be_positive(capsys):
     assert code == 2
 
 
+def test_order_is_refused_before_any_fan_loads(capsys, monkeypatch):
+    # a bad --order is refused ahead of the fan file, the kernel data and
+    # the compactification: a missing fan is never reached
+    from orbidisk import cli
+
+    def never(*args):
+        raise AssertionError("a fan was loaded")
+
+    monkeypatch.setattr(cli, "load_fan_file", never)
+    for argv in (("mirror-map", "nosuchfan"),
+                 ("invariants", "nosuchfan", "--disk", "ray:0"),
+                 ("syz", "nosuchfan"),
+                 ("oracle", "nosuchfan", "--bar", "nosuchbar", "--disk",
+                  "ray:0")):
+        for order, want in (("0", "order must be positive"),
+                            ("abc", "not a rational")):
+            code, out, err = run(capsys, *argv, "--order", order)
+            assert (code, out) == (2, "")
+            assert want in json.loads(err)["error"]["message"]
+
+
+def test_fractional_potential_is_refused_as_a_table_limit(capsys, tmp_path):
+    # WEIGHTED_SURFACE's ray:0 potential has a half-integral flat exponent,
+    # which no invariant-table key holds: exit 2, naming the limit and the
+    # monomial; its other disks still print their tables
+    from test_generalization import WEIGHTED_BASIS, WEIGHTED_SURFACE
+    path = tmp_path / "weighted.json"
+    path.write_text(json.dumps(dict(WEIGHTED_SURFACE, basis_p=WEIGHTED_BASIS)))
+    code, out, err = run(capsys, "invariants", str(path), "--disk", "ray:0",
+                         "--order", "2")
+    assert (code, out) == (2, "")
+    payload = json.loads(err)["error"]
+    assert (payload["module"], payload["operation"]) == \
+        ("invariants", "extract_invariants")
+    assert "table holds integral exponents only" in payload["message"]
+    assert payload["message"].endswith("the monomial q1^(1/2)*t4")
+    for disk in ("ray:1", "box:4"):
+        code, out, err = run(capsys, "invariants", str(path), "--disk", disk,
+                             "--order", "2")
+        assert (code, err) == (0, "") and "alpha=" in out
+
+
 @pytest.mark.parametrize("argv, relation, least", [
     (("mirror-map", "kp2", "--order", "1/2"), "q1", "1"),
     (("mirror-map", "conifold", "--order", "1/2"), "q1", "1"),

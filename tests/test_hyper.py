@@ -6,14 +6,18 @@ from hypothesis import given, settings, strategies as st
 
 from orbidisk import fans
 from orbidisk.effective import eff_class, enumerate_effective, sector
-from orbidisk.errors import ValidationError
-from orbidisk.fan import fan_from_dict, kernel_data, validate_compactification
+from orbidisk.errors import ConsistencyError, ValidationError
+from orbidisk.fan import (ToricData, fan_from_dict, kernel_data,
+                          validate_compactification)
 from orbidisk.hyper import (Slice, ZFactors, _factor, coefficient_slice,
                             relative_ifunction_oracle, y_monomial, z_extract)
 from orbidisk.mirrormap import toric_mirror_map
 from orbidisk.series import Series, mono
-from test_effective import eff_class_reference, sector_reference
-from test_generalization import LOCAL_QUADRIC, WEIGHTED_BASIS, WEIGHTED_SURFACE
+from test_effective import (brute_force_effective, eff_class_reference,
+                            sector_reference)
+from test_generalization import (LOCAL_QUADRIC, LOCAL_QUADRIC_BAR,
+                                 WEIGHTED_BASIS, WEIGHTED_SURFACE,
+                                 WEIGHTED_SURFACE_BAR)
 
 F = Fraction
 
@@ -371,3 +375,88 @@ def test_oracle_z1_rebuilds_relations():
               if r.kind == "twisted")
     sl2, _ = relative_ifunction_oracle(cd, base)
     assert t3.series.same_terms(sl2.sector_series[(0, 0, 1)])
+
+
+# ---------------------------------------------------------------------------
+# the D-infinity cap of the compactified enumeration
+
+
+def uncapped_reference(data, bound) -> list:
+    """Every nonzero nonnegative combination of each cone's generators with
+    grade <= bound, D-infinity uncapped: the scan before the cap, in
+    Fractions (test oracle for kernel ranks the grid of
+    brute_force_effective cannot reach)."""
+    found = set()
+
+    def scan(gens, i, room, coords):
+        if i == len(gens):
+            found.add(coords)
+            return
+        while room >= 0:
+            scan(gens, i + 1, room, coords)
+            coords = tuple(a + b for a, b in zip(coords, gens[i]))
+            room -= sum(gens[i])
+
+    zero = (F(0),) * data.r
+    for _, _, gens in data.anticones:
+        scan(gens, 0, F(bound), zero)
+    found.discard(zero)
+    return sorted((eff_class_reference(data, c) for c in found),
+                  key=lambda c: (c.grade, c.coords))
+
+
+# every oracle pair of the tests, at the order its compare_potentials runs
+ORACLE_PAIRS = {
+    "c3": (fans.load("c3"), fans.load("c3_bar"), ("ray", 2), None, 4),
+    "kp2": (fans.load("kp2"), fans.load("kp2_bar"), ("ray", 0), None, 4),
+    "c3z3": (fans.load("c3z3"), fans.load("c3z3_bar"), ("box", 3), None,
+             F(7, 3)),
+    "local_quadric": (fan_from_dict(LOCAL_QUADRIC),
+                      fan_from_dict(LOCAL_QUADRIC_BAR), ("ray", 0), None, 3),
+    "weighted_surface": (fan_from_dict(WEIGHTED_SURFACE),
+                         fan_from_dict(WEIGHTED_SURFACE_BAR), ("ray", 0),
+                         WEIGHTED_BASIS, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_PAIRS))
+def test_cap_drops_only_classes_past_the_slice(name):
+    base, bar_fan, disk, basis_p, order = ORACLE_PAIRS[name]
+    cd = validate_compactification(base, bar_fan, disk, basis_p)
+    bar, inf = cd.bar, cd.bar.infinity_column
+    # the bound relative_ifunction_oracle enumerates at: order + w_inf
+    bound = order + bar.grade(bar.coords_from_pairings(cd.beta_bar))
+    ref = brute_force_effective(bar, bound) if bar.r <= 2 else \
+        uncapped_reference(bar, bound)
+    # the premise: z-exponent -p_inf - age - #forced - [p_inf > 0], so a
+    # class meeting D-infinity twice never reaches z^-1 or z^-2
+    for cls in ref:
+        zf = z_extract(bar, cls)
+        p = cls.pairings[inf]
+        assert zf.z_exponent == \
+            -p - cls.sector.age - len(zf.forced_columns) - (p > 0)
+    capped = enumerate_effective(bar, bound)
+    assert len(capped) < len(ref)
+    assert capped == [c for c in ref if c.pairings[inf] <= 1]
+    assert coefficient_slice(bar, capped, bound) == \
+        coefficient_slice(bar, ref, bound)
+
+
+@pytest.mark.parametrize("pair, grade, pairing", [
+    (("kp2", "kp2_bar", ("ray", 0)), 1, -3),
+    (("c3z3", "c3z3_bar", ("box", 3)), F(2, 3), F(1, 3)),
+], ids=["negative", "fractional"])
+def test_cap_refuses_a_generator_off_the_nonnegative_integers(pair, grade,
+                                                              pairing):
+    # mark ray 0 as the added one: a generator inside the bound whose pairing
+    # with it is not in Z>=0 would make the cap inexact, and z_extract's
+    # bookkeeping does not hold for its class; below every generator's grade
+    # nothing steps
+    bar = validate_compactification(*map(fans.load, pair[:2]), pair[2]).bar
+    marked = ToricData(**{**{f: getattr(bar, f) for f in bar._fields},
+                          "infinity_column": 0})
+    with pytest.raises(ConsistencyError,
+                       match="pairs badly with the added divisor") as exc:
+        enumerate_effective(marked, grade)
+    assert exc.value.datum == pairing
+    assert enumerate_effective(marked, F(1, 6)) == []

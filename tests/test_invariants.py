@@ -3,14 +3,15 @@ from fractions import Fraction
 import pytest
 
 from orbidisk import fans
+from orbidisk.errors import ConsistencyError, ValidationError
 from orbidisk.fan import (kernel_data, parse_disk_selector,
                          validate_compactification)
-from orbidisk.invariants import (compare_potentials, disk_potential,
-                                 disk_potentials, extract_invariants,
-                                 oracle_potential)
+from orbidisk.invariants import (DiskPotential, compare_potentials,
+                                 disk_potential, disk_potentials,
+                                 extract_invariants, oracle_potential)
 from orbidisk.mirrormap import (inverse_mirror_map, relative_mirror_map,
                                 toric_mirror_map)
-from orbidisk.series import mono
+from orbidisk.series import Series, mono
 
 F = Fraction
 
@@ -153,6 +154,18 @@ def test_invariants_json():
             "value": "1/27"} in rows
 
 
+def test_negative_exponent_is_inconsistent():
+    # a potential with a negative flat exponent means the mirror-map layers
+    # disagree, not that the input is out of the table's reach: exit 3
+    data = data_for("kp2_bar")
+    m = mono(("q1", -1), ("q2", 2))
+    dp = DiskPotential(("ray", 0), Series({"q1": 1, "q2": 1}, 3, {m: 1}),
+                       "1+delta", data)
+    with pytest.raises(ConsistencyError, match="non-representable") as e:
+        extract_invariants(dp)
+    assert e.value.datum == m
+
+
 def insertion_label_reference(data, j):
     """The label of extra column j's insertion: its age-1 box element, found
     by scanning the box table."""
@@ -189,7 +202,10 @@ def test_flat_names_come_from_q_vars(case):
         assert set(dp.series.weights) <= set(names)
         assert all(v in names for m in dp.series.terms for v, _ in m)
         if any(e.denominator != 1 for m in dp.series.terms for _, e in m):
-            continue  # a fractional exponent has no table entry
+            # a fractional exponent has no table entry: refused as a limit
+            with pytest.raises(ValidationError, match="integral exponents"):
+                extract_invariants(dp)
+            continue
         table = extract_invariants(dp)
         for m in dp.series.terms:
             alpha = tuple(int(dict(m).get(q, 0)) for q in data.q_vars())
@@ -458,10 +474,10 @@ def test_forward_layer_stays_integral(monkeypatch, case):
     def ints(x):
         return type(x) is int or (type(x) is tuple and all(map(ints, x)))
 
-    def checked_scan(gens, grades, i, room, coords, found):
-        assert all(map(ints, (gens, grades, i, room, coords)))
+    def checked_scan(gens, grades, meets, i, room, spare, coords, found):
+        assert all(map(ints, (gens, grades, meets, i, room, spare, coords)))
         calls["scan"] += 1
-        scan(gens, grades, i, room, coords, found)
+        scan(gens, grades, meets, i, room, spare, coords, found)
 
     def checked_factor(P, N):
         out = factor(P, N)

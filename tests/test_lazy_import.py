@@ -53,6 +53,13 @@ def test_command_loads_only_its_layers(argv, unloaded):
     assert set(report["unloaded"]) == unloaded
 
 
+def test_refused_order_loads_no_layer():
+    # parse_order runs before any fan is read: nothing past cli compiles
+    report = json.loads(child(RUN, "mirror-map", "conifold", "--order", "0"))
+    assert report["exit"] == 2
+    assert set(report["unloaded"]) == TRACED - {"cli"}
+
+
 def test_package_names_resolve():
     names = json.loads(child("""\
 import json, orbidisk
