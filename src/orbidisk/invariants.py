@@ -59,7 +59,7 @@ def _potentials(mirror: MirrorMap, disks) -> dict:
     op = "disk_potential"
     data, out = mirror.data, {}
     classes = [data.disk_class(disk) for disk in disks]
-    heads = [Series.monomial(y_monomial(data, dual), 1, data.y_weights(),
+    heads = [Series.monomial(y_monomial(data, dual), data.y_weights(),
                              mirror.order) for _, _, _, dual in classes]
     expos = [cone_sum(mirror, cone, coeffs) for cone, coeffs, _, _ in classes]
     _, images = inverse_mirror_map(mirror, *heads, *expos)
@@ -163,7 +163,7 @@ def oracle_potential(cd: CompactifiedData, base: MirrorMap) -> Series:
     mm = relative_mirror_map(cd, base)
     head = y_monomial(bar, bar.coords_from_pairings(cd.d_infinity))
     _, (val,) = inverse_mirror_map(
-        mm, Series.monomial(head, 1, bar.y_weights(), base.order))
+        mm, Series.monomial(head, bar.y_weights(), base.order))
     out = val.mul_monomial(mono_pow(mono((qinf, 1)), -1))
     for m in out.terms:
         if any(v == qinf for v, _ in m):

@@ -114,15 +114,13 @@ def integer_kernel_basis(a):
     columns; a matrix with no rows has no columns either, so none."""
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    if cols == 0:
-        return []
     s, _, v = smith_normal_form(a)
     rank = sum(1 for i in range(min(rows, cols)) if s[i][i])
     # kernel = span of columns rank..cols-1 of v
     return [[v[i][j] for i in range(cols)] for j in range(rank, cols)]
 
 
-def row_reduce(a, cols=None):
+def row_reduce(a, cols):
     """Fraction-free Gauss-Jordan elimination on the first `cols` columns of a.
 
     Each row is scaled to integers by the lcm of its denominators.  Pivot p
@@ -141,8 +139,6 @@ def row_reduce(a, cols=None):
         scale *= d
         m.append([x.numerator * (d // x.denominator) for x in row])
     rows = len(m)
-    if cols is None:
-        cols = len(m[0]) if rows else 0
     pivots = []
     p = 1
     for c in range(cols):

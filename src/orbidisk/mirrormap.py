@@ -96,7 +96,7 @@ def _flat_relation(data: ToricData, target, curve_coords, g, order) -> Relation:
         c = frac(pairings[j])
         if c != 0 and not g[j].is_zero():
             corr = corr + g[j] * c
-    series = Series.monomial(m, 1, weights, frac(order)) * corr.exp()
+    series = Series.monomial(m, weights, frac(order)) * corr.exp()
     return Relation(target=target, kind="flat", series=series, monomial=m,
                     correction=corr)
 

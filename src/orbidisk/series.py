@@ -264,8 +264,8 @@ class Series:
         return cls(weights, order, {mono((v, 1)): Fraction(1)})
 
     @classmethod
-    def monomial(cls, m, c, weights, order):
-        return cls(weights, order, {m: frac(c)})
+    def monomial(cls, m, weights, order):
+        return cls(weights, order, {m: Fraction(1)})
 
     # -- helpers ------------------------------------------------------------
 

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from orbidisk import fans
-from orbidisk.cli import main
+from orbidisk.cli import SPEC, main
 
 
 def run(capsys, *argv):
@@ -367,7 +367,7 @@ def test_order_below_first_relation(capsys, argv, relation, least):
 ], ids=["unknown-command", "no-arguments", "bad-format", "missing-disk",
         "unknown-option"])
 def test_malformed_argv_is_structured(capsys, argv):
-    # argparse's own errors become a structured error: JSON on stderr, exit
+    # a malformed command line is a structured error: JSON on stderr, exit
     # code 2, returned from main rather than raised as SystemExit
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
@@ -394,16 +394,36 @@ def test_index_is_plain_ascii_digits(capsys, argv, where):
     assert code == 2 and out == ""
     payload = json.loads(err)["error"]
     assert (payload["module"], payload["operation"]) == where
-    if "--gauge" in argv:   # argparse names the type: an index is expected
+    if "--gauge" in argv:   # the refusal names the type: an index is expected
         assert payload["message"].endswith(
             f"argument --gauge: invalid index value: {argv[-1]!r}")
 
 
-def test_help_still_exits_zero(capsys):
+def help_text(capsys, *argv):
     with pytest.raises(SystemExit) as exc:
-        main(["-h"])
+        main(list(argv))
     assert exc.value.code == 0
-    assert capsys.readouterr().out.startswith("usage: orbidisk")
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: orbidisk") and err == ""
+    return out
+
+
+def test_help_still_exits_zero(capsys):
+    # the help is read from the table the parser reads: every command with
+    # its help line, and each command's options, required or with a default
+    text = help_text(capsys, "-h")
+    for command, (line, options) in SPEC.items():
+        assert re.search(rf"^  {command} +{re.escape(line)}$", text, re.M)
+        sub = help_text(capsys, command, "--help")
+        assert sub.startswith(f"usage: orbidisk {command} <fan>")
+        assert line in sub
+        for option, (default, required, _) in options.items():
+            row = re.search(rf"^  {option} +(.*)$", sub, re.M)
+            assert row, (command, option)
+            if required:
+                assert row.group(1).endswith("(required)")
+            elif default is not None:
+                assert row.group(1).endswith(f"(default {default})")
 
 
 # the grammar is -?digits or -?digits/digits in ASCII, whatever else

@@ -95,8 +95,8 @@ def coefficient_slice_reference(data, classes, order) -> Slice:
         kind = zf.classify(cls)
         if kind is None:
             continue
-        term = Series.monomial(y_monomial(data, cls.coords), zf.scalar, weights,
-                               order)
+        term = Series.monomial(y_monomial(data, cls.coords), weights,
+                               order) * zf.scalar
         if kind[0] == "sector":
             key = kind[1].vector
             sectors[key] = sectors.get(key, zero) + term

@@ -18,16 +18,22 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TRACED = {"cli", "fan", "linalg", "effective", "hyper", "mirrormap", "series",
           "invariants", "syz"}
 
+# argparse, gettext and locale (which argparse's messages loaded) are
+# looked for after the import and after the run: the command line is read
+# from cli.SPEC
 RUN = """\
 import contextlib, io, json, sys, types
 import orbidisk.cli
+ARGPARSE = ("argparse", "gettext", "locale")
 registered = sorted(n[9:] for n in sys.modules if n.startswith("orbidisk."))
+argparse = [m for m in ARGPARSE if m in sys.modules]
 with contextlib.redirect_stdout(io.StringIO()):
     code = orbidisk.cli.main(sys.argv[1:])
 unloaded = sorted(n[9:] for n, m in sys.modules.items()
                   if n.startswith("orbidisk.") and type(m) is not types.ModuleType)
+argparse += [m for m in ARGPARSE if m in sys.modules]
 print(json.dumps({"exit": code, "registered": registered,
-                  "unloaded": unloaded}))
+                  "unloaded": unloaded, "argparse": argparse}))
 """
 
 
@@ -51,12 +57,13 @@ def test_command_loads_only_its_layers(argv, unloaded):
     assert report["exit"] == 0
     assert TRACED <= set(report["registered"])
     assert set(report["unloaded"]) == unloaded
+    assert report["argparse"] == []
 
 
 def test_refused_order_loads_no_layer():
     # parse_order runs before any fan is read: nothing past cli compiles
     report = json.loads(child(RUN, "mirror-map", "conifold", "--order", "0"))
-    assert report["exit"] == 2
+    assert report["exit"] == 2 and report["argparse"] == []
     assert set(report["unloaded"]) == TRACED - {"cli"}
 
 

@@ -232,13 +232,13 @@ def test_invert_round_trip_failure_names_target_order_and_monomial(monkeypatch):
     def perturbed(self, assignment, *more):
         if self is rel:   # the round-trip check, after the Newton rounds
             img = assignment["y"]
-            assignment = {"y": img + Series.monomial(q(3), 1, img.weights, img.order)}
+            assignment = {"y": img + Series.monomial(q(3), img.weights, img.order)}
         return substitute(self, assignment, *more)
 
     monkeypatch.setattr(Series, "substitute", perturbed)
     # with series to evaluate at the inverse too: they share the check's
     # pass, and the error comes before any image is returned
-    for more in ((), (corr, Series.monomial(y(F(1, 3)), 1, W1, 4))):
+    for more in ((), (corr, Series.monomial(y(F(1, 3)), W1, 4))):
         with pytest.raises(ConsistencyError,
                            match="inversion round trip failed for q") as err:
             invert_map([("q", rel)], 4, *more)
@@ -258,7 +258,7 @@ def test_invert_images_share_the_check_pass(case):
                       F(7, 3) if case == "c3z3" else 5)
     data, rels = mm.data, [(r.target, r.series) for r in mm.relations]
     disks = data.disks.values()
-    more = [Series.monomial(y_monomial(data, dual), 1, data.y_weights(), mm.order)
+    more = [Series.monomial(y_monomial(data, dual), data.y_weights(), mm.order)
             for _, _, _, dual in disks]
     more += [cone_sum(mm, cone, coeffs) for cone, coeffs, _, _ in disks]
     if case == "c3z3":   # the box disk's head monomial has exponents in thirds
@@ -313,7 +313,7 @@ def test_invert_check_compares_through_the_claimed_order(monkeypatch):
     def perturbed(self, assignment, *more):
         if any(self is r for _, r in rels):   # the round-trip check
             img = assignment["y2"]
-            wrong = Series.monomial(mono(("q2", 6)), 1, img.weights, img.order)
+            wrong = Series.monomial(mono(("q2", 6)), img.weights, img.order)
             assignment = {**assignment, "y2": img + wrong}
         return substitute(self, assignment, *more)
 
@@ -683,7 +683,7 @@ def stepped_inverse_reference(relations, order):
     top = F(order) + max(src_weights.values()) + 1
     base_mono = {v: mono(*((factored[t][0], inv[b][t]) for t in range(len(factored))))
                  for b, v in enumerate(sources)}
-    base = {v: Series.monomial(m, 1, weights, top) for v, m in base_mono.items()}
+    base = {v: Series.monomial(m, weights, top) for v, m in base_mono.items()}
     assign = dict(base)
     steps = [unit.min_grade() for _, _, _, unit in factored if not unit.is_zero()]
     if not steps:
@@ -876,14 +876,14 @@ T = Series.variable("t", {"t": F(1)}, 4)
     (lambda: X.substitute({"x": T}, T), "grading mismatch between operands"),
     (lambda: (X * Y).substitute({"x": T, "y": Series.variable("s", {"s": 1}, 4)}),
      "assigned series use different gradings"),
-    (lambda: Series.monomial(mono(("x", F(1, 2))), 1, WXY, 4).substitute(
+    (lambda: Series.monomial(mono(("x", F(1, 2))), WXY, 4).substitute(
         {"x": T * 2}), "unique lead of coefficient 1"),
     (lambda: invert_map([("q1", X)], 4), "1 relations for 2 source variables"),
     (lambda: invert_map([("q1", X), ("q1", Y)], 4), "duplicate target variable"),
     (lambda: invert_map([("q1", X), ("q2", Series.variable(
         "y", {"x": 1, "y": 2}, 4))], 4), "relations use different source gradings"),
     (lambda: invert_map([("q1", X * 2), ("q2", Y)], 4), "leading coefficient 2"),
-    (lambda: invert_map([("q1", Series.monomial(mono(("x", 1), ("y", -1)), 1,
+    (lambda: invert_map([("q1", Series.monomial(mono(("x", 1), ("y", -1)),
                                                 WXY, 4)), ("q2", Y)], 4),
      "non-positive weight 0"),
 ], ids=["weight-0", "truncate-up", "pow-negative", "pow-frac-lead-2",
