@@ -48,7 +48,7 @@ def load_fan_file(path):
                               path)
     try:
         raw = json.loads(document)
-    except (json.JSONDecodeError, RecursionError) as e:
+    except (ValueError, RecursionError) as e:  # integers past 4300 digits too
         raise ValidationError(MODULE, "load",
                               f"malformed fan file {path}: {e}", path)
     basis_p = None

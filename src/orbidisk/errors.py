@@ -61,14 +61,15 @@ _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 def parse_frac(s) -> Fraction:
     """A rational from an int (not a bool) or an ASCII string -?digits or
-    -?digits/digits; anything else, and a zero denominator, is refused with
-    the series engine's parse error."""
+    -?digits/digits; anything else, a zero denominator and a part past
+    Python's 4300-digit limit are refused with the series engine's parse
+    error."""
     if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
     if isinstance(s, str) and _RATIONAL.fullmatch(s):
         try:
             return Fraction(s)
-        except ZeroDivisionError:
+        except (ZeroDivisionError, ValueError):
             pass
     raise ValidationError("series-engine", "parse", f"not a rational: {s!r}",
                           s)

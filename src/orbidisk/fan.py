@@ -92,7 +92,7 @@ def parse_stacky_fan(document: str) -> StackyFan:
     op = "parse_stacky_fan"
     try:
         raw = json.loads(document)
-    except (json.JSONDecodeError, RecursionError) as e:
+    except (ValueError, RecursionError) as e:  # integers past 4300 digits too
         raise _verr(op, f"malformed document: {e}", document[:80])
     return fan_from_dict(raw)
 
@@ -149,6 +149,10 @@ def validate_fan(n, rays, cones, extra, labels) -> StackyFan:
         raise _verr(op, "duplicate ray", rays)
     if not cones:
         raise _verr(op, "fan lists no cones", cones)
+    # before any elimination, whose cost grows as the rank squared
+    if len(rays) + len(extra) < n:
+        raise _verr(op, f"{len(rays) + len(extra)} ray and extra vectors "
+                    f"cannot generate a rank {n} lattice", n)
     # cones simplicial with valid indices, each listed once
     table = []
     for c in cones:
@@ -605,6 +609,8 @@ class CompactifiedData(Value):
     disk: tuple                 # ("ray", i0) or ("box", j0) in base columns
     d_infinity: list            # pairing vector over bar columns
     beta_bar: list              # pairing vector over bar columns
+    d_infinity_coords: list     # the bar's last kernel basis vector
+    beta_bar_coords: list       # D_inf minus the dual class, in that basis
     complete_certificate: dict
 
     def base_to_bar_pairings(self, pairings):
@@ -664,7 +670,7 @@ def validate_compactification(base_fan: StackyFan, bar_fan: StackyFan,
     if isinstance(disk, str):
         disk = parse_disk_selector(disk, base)
     kind, idx = disk
-    dual = base.disk_class(disk)[2]  # refuses a disk the base fan lacks
+    dual, dual_coords = base.disk_class(disk)[2:]  # refuses a missing disk
     b_inf = tuple(-x for x in base_fan.column(idx))
 
     if bar_fan.rank != base_fan.rank:
@@ -714,7 +720,10 @@ def validate_compactification(base_fan: StackyFan, bar_fan: StackyFan,
 
     cd = CompactifiedData(base=base, bar=bar, disk=(kind, idx),
                           d_infinity=[frac(x) for x in d_inf],
-                          beta_bar=beta_bar, complete_certificate=certificate)
+                          beta_bar=beta_bar,
+                          d_infinity_coords=[Fraction(0)] * base.r + [Fraction(1)],
+                          beta_bar_coords=[-x for x in dual_coords] + [Fraction(1)],
+                          complete_certificate=certificate)
 
     # decomposition checks
     if beta_bar[inf_col] != 1:

@@ -186,7 +186,7 @@ def relative_ifunction_oracle(cd, base):
                                "enumeration differs from the base enumeration",
                                sorted(embedded ^ flat)[:3])
 
-    d_inf = bar.coords_from_pairings(cd.d_infinity)
+    d_inf = cd.d_infinity_coords
     expect = Series.monomial(y_monomial(bar, d_inf), bar.y_weights(), bound)
     if bound >= bar.grade(d_inf) and not sl.h0_z2.same_terms(expect):
         raise ConsistencyError(

@@ -161,7 +161,7 @@ def oracle_potential(cd: CompactifiedData, base: MirrorMap) -> Series:
     bar = cd.bar
     qinf = bar.q_vars()[bar.r_prime]
     mm = relative_mirror_map(cd, base)
-    head = y_monomial(bar, bar.coords_from_pairings(cd.d_infinity))
+    head = y_monomial(bar, cd.d_infinity_coords)
     _, (val,) = inverse_mirror_map(
         mm, Series.monomial(head, bar.y_weights(), base.order))
     out = val.mul_monomial(mono_pow(mono((qinf, 1)), -1))
@@ -184,7 +184,7 @@ def compare_potentials(cd: CompactifiedData, order):
     """
     op = "compare_potentials"
     order = frac(order)
-    w_inf = cd.bar.grade(cd.bar.coords_from_pairings(cd.beta_bar))
+    w_inf = cd.bar.grade(cd.beta_bar_coords)
     if w_inf <= 0:
         raise ConsistencyError(MODULE, op,
                                "disk class has non-positive grade", w_inf)

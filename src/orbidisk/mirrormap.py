@@ -19,7 +19,7 @@ from .effective import enumerate_effective
 from .errors import ConsistencyError, ValidationError, Value, frac, frac_str
 from .fan import CompactifiedData, ToricData, verify_semi_fano
 from .hyper import coefficient_slice, relative_ifunction_oracle, y_monomial
-from .series import Series, invert_map, mono_grade
+from .series import Series, invert_map
 
 MODULE = "mirror-maps"
 
@@ -36,18 +36,16 @@ def g_series(data: ToricData, sector_series, divisor_series, order) -> dict:
 
 
 class Relation(Value):
-    """One forward relation: target = monomial(y) * exp(correction(y)),
-    or target = series(y) for twisted-sector targets."""
+    """One forward relation: target = y^class * exp(correction(y)), or
+    target = series(y) for twisted-sector targets."""
     target: str
     kind: str              # "flat" or "twisted"
     series: Series         # the full right-hand side
-    monomial: tuple = ()   # flat only
     correction: Series | None = None  # flat only
 
     def to_json(self):
-        d = {"target": self.target, "kind": self.kind,
-             "series": self.series.to_json()}
-        return d
+        return {"target": self.target, "kind": self.kind,
+                "series": self.series.to_json()}
 
 
 class MirrorMap(Value):
@@ -82,72 +80,62 @@ def cone_sum(mm: MirrorMap, cone, coeffs) -> Series:
     return out
 
 
-def _flat_relation(data: ToricData, target, curve_coords, g, order) -> Relation:
-    """Assemble target = prod_b y_b^{p_b.c} * exp(sum_j (D_j.c) g_j)."""
+def _relations(data: ToricData, g, order, inf=None) -> list:
+    """The relations of `data` assembled from its column series g, in
+    relation order: one flat relation per plain q variable, then qinf's on a
+    compactification, whose class has coordinates `inf`, then one twisted
+    relation per extra column.  Each leads with the y-monomial of its class:
+    the a-th basis vector for q_a, inf for qinf, the dual class of column j
+    for its tau.  An order below a lead's grade would leave that relation
+    zero, so it is refused before any series work, naming the first such
+    relation and the least order that works.
+
+    A flat relation is target = y^class * exp(sum_j (D_j.class) g_j); a
+    twisted one is tau_j = g_j, which must lead with its dual class."""
+    q = data.q_vars()
+    leads = [(q[a], None, [Fraction(int(b == a)) for b in range(data.r)])
+             for a in range(data.r_prime)]
+    if inf is not None:
+        leads.append((q[data.r_prime], None, inf))
+    leads += [(data.tau_name(j), j, data.disk_class(("box", j))[3])
+              for j in data.extra_columns()]
+    grades = [data.grade(coords) for _, _, coords in leads]
+    for (target, j, _), grade in zip(leads, grades):
+        if grade > order:
+            name = target if j is None else f"{target} (column {j})"
+            least = frac_str(max(grades))
+            raise ValidationError(
+                MODULE, "toric_mirror_map",
+                f"order {frac_str(order)} is below {frac_str(grade)}, the grade "
+                f"of the leading monomial of the relation for {name}; the "
+                f"least order that works is {least}",
+                {"relation": name, "least_order": least})
     weights = data.y_weights()
-    curve_coords = [frac(x) for x in curve_coords]
-    m = y_monomial(data, curve_coords)
-    grade = mono_grade(m, weights)
-    if grade > order:
-        raise _order_refused(data, target, grade, order)
-    pairings = data.pairings_from_coords(curve_coords)
-    corr = Series.zero(weights, frac(order))
-    for j in range(data.m):  # rays of this fan, including an added ray
-        c = frac(pairings[j])
-        if c != 0 and not g[j].is_zero():
-            corr = corr + g[j] * c
-    series = Series.monomial(m, weights, frac(order)) * corr.exp()
-    return Relation(target=target, kind="flat", series=series, monomial=m,
-                    correction=corr)
-
-
-def _order_refused(data: ToricData, relation, grade, order) -> ValidationError:
-    """The refusal of an order below the grade of a relation's leading
-    monomial, where the relation's series is zero and cannot be inverted.  It
-    names the least order at which no relation is zero."""
-    weights = data.y_weights()
-    grades = [weights[v] for v in data.y_vars()[:data.r_prime]]
-    grades += [mono_grade(y_monomial(data, data.disk_class(("box", j))[3]),
-                          weights) for j in data.extra_columns()]
-    least = frac_str(max(grades))
-    return ValidationError(MODULE, "toric_mirror_map",
-                           f"order {frac_str(order)} is below {frac_str(grade)}, "
-                           f"the grade of the leading monomial of the relation "
-                           f"for {relation}; the least order that works is {least}",
-                           {"relation": relation, "least_order": least})
-
-
-def _twisted_relations(data: ToricData, g, order):
     out = []
-    for j in data.extra_columns():
-        gj = g[j]
-        expect = y_monomial(data, data.disk_class(("box", j))[3])
-        if gj.is_zero():
-            grade = mono_grade(expect, data.y_weights())
-            if grade > order:
-                raise _order_refused(data, f"{data.tau_name(j)} (column {j})",
-                                     grade, order)
+    for target, j, coords in leads:
+        m = y_monomial(data, coords)
+        if j is None:
+            pairings = data.pairings_from_coords(coords)
+            corr = Series.zero(weights, order)
+            for i in range(data.m):  # rays of this fan, including an added ray
+                if pairings[i] != 0 and not g[i].is_zero():
+                    corr = corr + g[i] * pairings[i]
+            out.append(Relation(target, "flat",
+                                Series.monomial(m, weights, order) * corr.exp(),
+                                corr))
+            continue
+        if g[j].is_zero():
             raise ConsistencyError(MODULE, "toric_mirror_map",
                                    f"twisted series of column {j} vanished; "
                                    "raise the order", j)
-        lead_m, lead_c, _ = gj.factor_unit()
-        if lead_m != expect or lead_c != 1:
+        lead_m, lead_c, _ = g[j].factor_unit()
+        if lead_m != m or lead_c != 1:
             raise ConsistencyError(MODULE, "toric_mirror_map",
                                    "twisted series does not start at its dual "
                                    "class with coefficient 1",
-                                   {"lead": lead_m, "expect": expect})
-        out.append(Relation(target=data.tau_name(j), kind="twisted", series=gj))
+                                   {"lead": lead_m, "expect": m})
+        out.append(Relation(target, "twisted", g[j]))
     return out
-
-
-def _relations(data: ToricData, g, order) -> list:
-    """The relations of `data` assembled from its column series g: one flat
-    relation per plain q variable, then one twisted relation per extra
-    column."""
-    flat = [_flat_relation(data, q, [Fraction(int(b == a))
-                                     for b in range(data.r)], g, order)
-            for a, q in enumerate(data.q_vars()[:data.r_prime])]
-    return flat + _twisted_relations(data, g, order)
 
 
 def toric_mirror_map(data: ToricData, order) -> MirrorMap:
@@ -177,11 +165,10 @@ def relative_mirror_map(cd: CompactifiedData, base: MirrorMap) -> MirrorMap:
 
     Computed with the same machinery on the compactified fan, from the z^-1
     pieces of the relative I-function oracle (which runs its own checks),
-    plus the qinf relation of the compactified disk class; afterwards the
-    other relations are asserted to coincide with those of `base`, and the
-    qinf relation to be that of the disk class: its monomial is yinf over the
-    dual-class monomial, and its correction the cone-weighted sum of the base
-    ray series (a ray disk: yinf, and the ray's own series).
+    with the qinf relation leading with beta_bar; afterwards the other
+    relations are asserted to coincide with those of `base`, and the qinf
+    correction to be the cone-weighted sum of the base ray series (a ray
+    disk: the ray's own series).
     """
     op = "relative_mirror_map"
     if base.data != cd.base:
@@ -191,10 +178,8 @@ def relative_mirror_map(cd: CompactifiedData, base: MirrorMap) -> MirrorMap:
     bar = cd.bar
     sl, classes = relative_ifunction_oracle(cd, base)
     g = g_series(bar, sl.sector_series, sl.divisor_series, order)
-    own = _relations(bar, g, order)
-    rel_inf = _flat_relation(bar, bar.q_vars()[bar.r_prime],
-                             bar.coords_from_pairings(cd.beta_bar), g, order)
-    relations = own[:bar.r_prime] + [rel_inf] + own[bar.r_prime:]
+    relations = _relations(bar, g, order, cd.beta_bar_coords)
+    rel_inf = relations[bar.r_prime]
 
     # the added ray's own series must vanish: its pairing with every
     # enumerated class is nonnegative
@@ -204,29 +189,19 @@ def relative_mirror_map(cd: CompactifiedData, base: MirrorMap) -> MirrorMap:
                                g[bar.infinity_column].to_json())
 
     # restriction consistency with the base mirror map, relation by relation
+    own = [r for r in relations if r is not rel_inf]
     for got, want in zip(own, base.relations, strict=True):
         if got.target != want.target or not got.series.same_terms(want.series):
             raise ConsistencyError(MODULE, op,
                                    f"{got.kind} relation differs from the base "
                                    "mirror map", got.target)
 
-    # the qinf relation of the disk class
     kind, idx = cd.disk
-    cone, coeffs, _, dual = cd.base.disk_class(cd.disk)
-    want = y_monomial(bar, [-x for x in dual] + [1])   # yinf / y^dual
-    if rel_inf.monomial != want:
-        raise ConsistencyError(MODULE, op,
-                               f"{kind}-disk relation monomial is not yinf "
-                               "over the dual-class monomial",
-                               rel_inf.monomial)
+    cone, coeffs = cd.base.disk_class(cd.disk)[:2]
     if not rel_inf.correction.same_terms(cone_sum(base, cone, coeffs)):
         raise ConsistencyError(MODULE, op,
                                f"{kind}-disk correction is not the "
                                "cone-weighted base ray sum", idx)
-    expo = mono_grade(want, bar.y_weights())
-    if expo <= 0:
-        raise ConsistencyError(MODULE, op, "compactified flat variable has "
-                               "non-positive weight", expo)
     return MirrorMap(bar, order, g, relations, classes)
 
 

@@ -9,6 +9,7 @@ splitting the lattice along the Calabi-Yau covector.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 from . import linalg
 from .errors import ConsistencyError, ValidationError, Value, frac_str
@@ -83,10 +84,13 @@ def _verify_coefficient_relations(data: ToricData, sol, rhs):
 
 
 def covector_splitting(data: ToricData):
-    """(basis of the covector's kernel sublattice, section vector w).
+    """(basis of the covector's kernel sublattice, section vector w, the
+    rows that reduce an exponent).
 
     Every lattice exponent b splits as w + (b - w) with the difference in the
-    kernel sublattice; its coordinates there are the reduced exponents."""
+    kernel sublattice; its coordinates there are the reduced exponents.  The
+    Smith form's unimodular vm has +-w and the basis as its columns, so rows
+    1..n-1 of its inverse vanish on w and take b to those coordinates."""
     op = "mirror_potential"
     v = data.cy_covector
     if v is None:
@@ -100,19 +104,8 @@ def covector_splitting(data: ToricData):
     w = [sign * vm[i][0] for i in range(n)]
     if sum(vi * wi for vi, wi in zip(v, w)) != 1:
         raise ConsistencyError(MODULE, op, "covector section failed", w)
-    return basis, w
-
-
-def reduced_exponent(data: ToricData, basis, w, b):
-    """Coordinates of b - w over the kernel sublattice basis."""
-    n = data.n
-    target = [b[i] - w[i] for i in range(n)]
-    a = [[basis[j][i] for j in range(len(basis))] for i in range(n)]
-    s = linalg.solve_integer(a, target)
-    if s is None or any(x % s[1] for x in s[0]):
-        raise ConsistencyError(MODULE, "mirror_potential",
-                               "exponent does not reduce integrally", b)
-    return [x // s[1] for x in s[0]]
+    rows = [[int(x) for x in row] for row in linalg.invert_rational(vm)[1:]]
+    return basis, w, rows
 
 
 class MirrorPotential(Value):
@@ -131,12 +124,12 @@ def mirror_potential(data: ToricData, k, order) -> MirrorPotential:
     gauge = _gauge_entry(data, k)[0]
     potentials = disk_potentials(toric_mirror_map(data, order))
     sol = solve_coefficient_system(data, k)
-    basis, w = covector_splitting(data)
+    basis, w, rows = covector_splitting(data)
     terms = []
     for (_, i), dp in potentials.items():
         vec = tuple(data.column_vector(i))
-        red = reduced_exponent(data, basis, w, vec)
-        terms.append((i, vec, tuple(red), dp.series))
+        red = tuple(sum(map(mul, row, vec)) for row in rows)
+        terms.append((i, vec, red, dp.series))
     return MirrorPotential(data=data, gauge=gauge, coefficients=sol,
                            terms=terms, basis=basis, section=w)
 

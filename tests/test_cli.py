@@ -4,6 +4,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -441,12 +442,34 @@ def test_order_must_be_rational(capsys, order):
 
 def test_malformed_fan_file(capsys, tmp_path):
     bad = tmp_path / "bad.json"
-    # truncated, and nested past the decoder's recursion limit
-    for document in ('{"rank": 2,', "[" * 100000 + "]" * 100000):
+    # truncated, nested past the decoder's recursion limit, and an integer
+    # past Python's 4300-digit limit in a ray and in a basis_p entry
+    big = "9" * 4400
+    kp2 = json.loads(fans.read("kp2"))
+    for document, want in (
+            ('{"rank": 2,', "malformed fan file"),
+            ("[" * 100000 + "]" * 100000, "malformed fan file"),
+            ('{"rank": 2, "rays": [[1, 0], [0, %s]], "cones": [[0, 1]]}' % big,
+             "malformed fan file"),
+            (json.dumps(dict(kp2, basis_p=[[big, 1, 1, 1]])), "not a rational")):
         bad.write_text(document)
-        code, _, err = run(capsys, "analyze", str(bad))
-        assert code == 2
-        assert "malformed fan file" in json.loads(err)["error"]["message"]
+        code, out, err = run(capsys, "analyze", str(bad))
+        assert code == 2 and out == ""
+        assert want in json.loads(err)["error"]["message"]
+
+
+def test_fewer_vectors_than_rank_refused_before_elimination(capsys, tmp_path):
+    # each listed cone is eliminated beside a rank x rank identity, whose
+    # memory grows as the rank squared, so the count of vectors is checked
+    # first
+    wide = tmp_path / "wide.json"
+    wide.write_text('{"rank": 100000, "rays": [], "cones": [[]]}')
+    start = time.process_time()
+    code, out, err = run(capsys, "analyze", str(wide))
+    assert time.process_time() - start < 1
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["message"].endswith(
+        "0 ray and extra vectors cannot generate a rank 100000 lattice")
 
 
 def test_fan_file_is_utf8_whatever_the_locale(tmp_path):

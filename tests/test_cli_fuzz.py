@@ -25,7 +25,7 @@ OPTIONS = {
     "oracle": ("--bar", "--disk", "--order"),
 }
 ORDERS = ["1", "2", "3", "1/2", "1/3", "2/3", "4/3", "5/2", "abc", "1/0", "0",
-          "-2", ""]
+          "-2", "", "1/" + "9" * 4400]
 DISKS = st.one_of(
     st.builds("{}:{}".format, st.sampled_from(["ray", "box", "cone", ""]),
               st.integers(-2, 7)),

@@ -127,7 +127,7 @@ def _forward_case(name):
     cd = validate_compactification(fans.load(base), fans.load(base + "_bar"),
                                    disk)
     bar = cd.bar
-    return bar, order + bar.grade(bar.coords_from_pairings(cd.beta_bar))
+    return bar, order + bar.grade(cd.beta_bar_coords)
 
 
 @pytest.mark.parametrize("name", [
@@ -231,7 +231,7 @@ def test_z_extract_compactified_unit():
     cd = validate_compactification(fans.load("kp2"), fans.load("kp2_bar"),
                                    ("ray", 0))
     bar = cd.bar
-    cls = eff_class(bar, bar.coords_from_pairings(cd.d_infinity))
+    cls = eff_class(bar, cd.d_infinity_coords)
     zf = z_extract(bar, cls)
     assert zf.z_exponent == -2
     assert zf.scalar == 1
@@ -425,7 +425,7 @@ def test_cap_drops_only_classes_past_the_slice(name):
     cd = validate_compactification(base, bar_fan, disk, basis_p)
     bar, inf = cd.bar, cd.bar.infinity_column
     # the bound relative_ifunction_oracle enumerates at: order + w_inf
-    bound = order + bar.grade(bar.coords_from_pairings(cd.beta_bar))
+    bound = order + bar.grade(cd.beta_bar_coords)
     ref = brute_force_effective(bar, bound) if bar.r <= 2 else \
         uncapped_reference(bar, bound)
     # the premise: z-exponent -p_inf - age - #forced - [p_inf > 0], so a

@@ -27,7 +27,7 @@ def cd_for(base, bar, disk):
 def bar_base(cd, order):
     """The base map oracle_potential reads for a potential at `order`: built
     at the bar order, order + w_inf."""
-    w_inf = cd.bar.grade(cd.bar.coords_from_pairings(cd.beta_bar))
+    w_inf = cd.bar.grade(cd.beta_bar_coords)
     return toric_mirror_map(cd.base, F(order) + w_inf)
 
 

@@ -91,7 +91,7 @@ def test_toric_mirror_map_kp2():
     mm = toric_mirror_map(data_for("kp2"), 3)
     rel = relation(mm, "q1")
     assert rel.kind == "flat"
-    assert rel.monomial == mono(("y1", 1))
+    assert rel.series.factor_unit()[0] == mono(("y1", 1))
     # log q = log y - 3 g0(y)
     want = column_series(data_for("kp2"), 3)[0] * (-3)
     assert rel.correction.same_terms(want)
@@ -203,7 +203,7 @@ def test_relative_map_c3():
                                    ("ray", 2))
     mm = relative_mirror_map(cd, toric_mirror_map(cd.base, 4))
     rel = relation(mm, "qinf")
-    assert rel.monomial == mono(("yinf", 1))
+    assert rel.series.factor_unit()[0] == mono(("yinf", 1))
     assert rel.correction.is_zero()
 
 
@@ -212,7 +212,7 @@ def test_relative_map_kp2():
                                    ("ray", 0))
     mm = relative_mirror_map(cd, toric_mirror_map(cd.base, 3))
     rel = relation(mm, "qinf")
-    assert rel.monomial == mono(("yinf", 1))
+    assert rel.series.factor_unit()[0] == mono(("yinf", 1))
     base_g0 = column_series(cd.base, 3)[0]
     got = {m: c for m, c in rel.correction.terms.items()}
     assert got == base_g0.terms
@@ -228,7 +228,7 @@ def test_relative_map_c3z3():
     mm = relative_mirror_map(cd, toric_mirror_map(cd.base, 2))
     rel = relation(mm, "qinf")
     # flat compactified variable carries the dual-class twist
-    assert rel.monomial == mono(("yinf", 1), ("y1", F(-1, 3)))
+    assert rel.series.factor_unit()[0] == mono(("yinf", 1), ("y1", F(-1, 3)))
     # ray series all vanish, so the correction is zero
     assert rel.correction.is_zero()
     # twisted relation named after the base column
@@ -265,23 +265,33 @@ def refusal(cd, base):
     return e.value.datum
 
 
-@pytest.mark.parametrize("base,disk,order,change", [
-    # kp2 ray:0, the disk class shifted by the base class: y1 joins yinf
-    ("kp2", ("ray", 0), 3,
-     lambda cd: {"beta_bar": [b + g for b, g in
-                              zip(cd.beta_bar, cd.bar.gamma[0])]}),
-    # c3z3 box:3 read as a ray disk: the dual-class twist is unexpected
-    ("c3z3", ("box", 3), 2, lambda cd: {"disk": ("ray", 0)}),
+@pytest.mark.parametrize("base,bar,disk,basis_p", [
+    ("c3", "c3_bar", ("ray", 2), None),
+    ("kp2", "kp2_bar", ("ray", 0), None),
+    ("c3z3", "c3z3_bar", ("box", 3), None),
+    ("LOCAL_QUADRIC", "LOCAL_QUADRIC_BAR", ("ray", 0), None),
+    ("A1_CHART", "A1_CHART_BAR", ("box", 2), None),
+    ("WEIGHTED_SURFACE", "WEIGHTED_SURFACE_BAR", ("ray", 0), "WEIGHTED_BASIS"),
 ])
-def test_relative_map_refuses_disk_monomial(base, disk, order, change):
-    # the qinf relation's monomial must be yinf times the inverse dual-class
-    # monomial of the disk (none for a ray); the datum is the monomial got
-    cd = validate_compactification(fans.load(base), fans.load(base + "_bar"),
-                                   disk)
-    cd = type(cd)(**{**vars(cd), **change(cd)})
-    coords = cd.bar.coords_from_pairings(cd.beta_bar)
-    assert refusal(cd, toric_mirror_map(cd.base, order)) == \
-        mono(*zip(cd.bar.y_vars(), coords))
+def test_relative_map_leads_with_constructed_beta_bar(base, bar, disk,
+                                                      basis_p):
+    # the compactification gives beta_bar and D_inf in the bar's basis:
+    # their coordinates pair back to the validated pairing vectors, and the
+    # qinf relation leads with yinf times the inverse dual-class monomial
+    import test_generalization as gen
+
+    def load(name):
+        return fan_from_dict(getattr(gen, name)) if name.isupper() \
+            else fans.load(name)
+    cd = validate_compactification(load(base), load(bar), disk,
+                                   basis_p and getattr(gen, basis_p))
+    b = cd.bar
+    assert b.pairings_from_coords(cd.beta_bar_coords) == cd.beta_bar
+    assert b.pairings_from_coords(cd.d_infinity_coords) == cd.d_infinity
+    mm = relative_mirror_map(cd, toric_mirror_map(cd.base, 2))
+    dual = cd.base.disk_class(disk)[3]
+    assert relation(mm, "qinf").series.factor_unit()[:2] == (
+        mono(("yinf", 1), *((v, -x) for v, x in zip(b.y_vars(), dual))), 1)
 
 
 @pytest.mark.parametrize("base,disk,order,column", [

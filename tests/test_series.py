@@ -721,7 +721,7 @@ def _relative_map(base, bar, disk, order):
     from orbidisk.fan import validate_compactification
     from orbidisk.mirrormap import relative_mirror_map, toric_mirror_map
     cd = validate_compactification(fans.load(base), fans.load(bar), disk)
-    w_inf = cd.bar.grade(cd.bar.coords_from_pairings(cd.beta_bar))
+    w_inf = cd.bar.grade(cd.beta_bar_coords)
     return relative_mirror_map(cd, toric_mirror_map(cd.base,
                                                     F(order) + w_inf))
 
