@@ -11,8 +11,8 @@ The scan runs on ints over the class denominator L, the lcm of the
 coordinate denominators of the anticone generators (3 on c3z3 and its bar, 1
 on the other bundled fans).  A class is the int tuple C of its coordinates
 times L, its pairings P_i = sum_a C_a gamma_a[i] (gamma is integral) and its
-grade sum(C) are ints over the same L, and membership and the sector each
-have one int core on (L, P).  An EffClass gets its Fractions after the sort.
+grade sum(C) are ints over the same L, and the sector has one int core on
+(L, P).  An EffClass gets its Fractions after the sort.
 
 On a compactification the enumeration stops at classes that meet the added
 divisor D-infinity at most once (p-infinity = D-infinity . class <= 1).  Every
@@ -82,12 +82,6 @@ def _sector(data, L, P) -> BoxElement:
                            "sector vector is not a known box element", ivec)
 
 
-def _effective(data, L, P) -> bool:
-    # the columns pairing outside Z>=0 lie in one cone, so none is extra
-    bad = {i for i, p in enumerate(P) if p < 0 or p % L}
-    return any(bad.issubset(c) for c, _, _ in data.anticones)
-
-
 def _make(C, P, sec, of) -> EffClass:
     """The class of int coordinates C and pairings P; of(n) = n / L."""
     return EffClass(tuple(map(of, C)), tuple(map(of, P)), of(sum(C)), sec)
@@ -106,8 +100,11 @@ def eff_class(data: ToricData, coords) -> EffClass:
 
 
 def is_effective(data: ToricData, pairings) -> bool:
-    """Membership test straight from the definition."""
-    return _effective(data, *_over(pairings))
+    """Membership test straight from the definition: the columns pairing
+    outside Z>=0 lie in one cone, so none is extra."""
+    L, P = _over(pairings)
+    bad = {i for i, p in enumerate(P) if p < 0 or p % L}
+    return any(bad.issubset(c) for c, _, _ in data.anticones)
 
 
 def _scan(gens, grades, meets, i, room, spare, coords, found):
@@ -128,7 +125,8 @@ def _scan(gens, grades, meets, i, room, spare, coords, found):
 def enumerate_effective(data: ToricData, bound) -> list:
     """All nonzero effective classes with grade <= bound, in canonical order;
     on a compactification (data.infinity_column set) only those that meet
-    D-infinity at most once.
+    D-infinity at most once.  Each is a nonnegative integer combination of
+    one maximal cone's anticone generators, so it is effective by design.
 
     Aborts when the grading fails to be positive on some admissible generator,
     or (plain fans) when an enumerated class has a negative coordinate: both
@@ -178,10 +176,6 @@ def enumerate_effective(data: ToricData, bound) -> list:
                 MODULE, op,
                 "enumerated effective class has a negative coordinate; supply "
                 "a nef basis via basis_p", tuple(map(of, C)))
-        if not _effective(data, L, P):
-            raise ConsistencyError(MODULE, op,
-                                   "enumerated class fails the membership test",
-                                   tuple(map(of, P)))
         rows.append((sum(C), C, P, sec))
     rows.sort()  # by (grade, C); C is unique, so no tie reaches P or sec
     return [_make(C, P, sec, of) for _, C, P, sec in rows]

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
 
 from . import linalg
@@ -246,16 +246,25 @@ def zero_box(n) -> BoxElement:
     return BoxElement(tuple([0] * n), (), (), Fraction(0))
 
 
+BOX_GROUP_BOUND = 100_000  # the largest box group a cone may have
+
+
 def _box_of_cone(fan: StackyFan, cone):
-    """All box elements of one simplicial cone, via the Smith normal form of
-    its ray matrix: residues of the finite group (coefficient lattice)/Z^s,
-    enumerated as integer numerators over the lcm of its divisors."""
+    """All box elements of one simplicial cone, via the Smith form U A V = S
+    of its ray matrix A: residues of the finite group (coefficient lattice)
+    /Z^s, each the integer vector A V k / d, enumerated as integer numerators
+    over the lcm of the divisors once the group's order is in bounds."""
     n = fan.rank
     rays = [fan.rays[i] for i in cone]
     s = len(rays)
     a = [[rays[j][i] for j in range(s)] for i in range(n)]  # n x s
     snf, _, v = linalg.smith_normal_form(a)
     divisors = [abs(snf[i][i]) for i in range(s)]
+    if (order := prod(divisors)) > BOX_GROUP_BOUND:
+        bits = order.bit_length()  # order >= 2^(bits-1) > 10^(0.3 (bits-1))
+        shown = order if bits <= 10_000 else f"above 10^{(bits - 1) * 3 // 10}"
+        raise _verr("box_elements", f"cone {list(cone)} has a box group of "
+                    f"order {shown}, above {BOX_GROUP_BOUND}", list(cone))
     den = lcm(*divisors)
     steps = [[v[i][j] * (den // d) for i in range(s)]
              for j, d in enumerate(divisors)]
@@ -266,10 +275,6 @@ def _box_of_cone(fan: StackyFan, cone):
         if not any(c):
             continue
         vec = [sum(ray[i] * ci for ray, ci in zip(rays, c)) for i in range(n)]
-        if any(x % den for x in vec):
-            raise ConsistencyError(MODULE, "box_elements",
-                                   "non-integral box candidate",
-                                   tuple(Fraction(x, den) for x in vec))
         support = tuple(i for i, ci in zip(cone, c) if ci)
         coeffs = tuple(Fraction(ci, den) for ci in c if ci)
         out.append(BoxElement(tuple(x // den for x in vec), support, coeffs,
@@ -374,16 +379,8 @@ class ToricData(Value):
         return out
 
     def coords_from_pairings(self, pairings):
-        """Coordinates of a pairing vector in the gamma basis (exact); a
-        vector outside the span of the kernel basis is refused."""
-        g = [[self.gamma[a][i] for a in range(self.r)]
-             for i in range(self.m_prime)]
-        x = linalg.solve_rational(g, [frac(p) for p in pairings])
-        if x is None:
-            raise ConsistencyError(MODULE, "coords_from_pairings",
-                                   "pairing vector is not in the kernel",
-                                   pairings)
-        return x
+        """Coordinates of a pairing vector in the gamma basis (exact)."""
+        return _kernel_coords(self.gamma, pairings)
 
     def grade(self, coords):
         return sum((frac(c) for c in coords), Fraction(0))
@@ -398,7 +395,8 @@ class ToricData(Value):
 def _anticones(fan, gamma):
     """(cone, anticone, generators) for every maximal cone.
 
-    The anticone is the rays outside the cone followed by every extra vector.
+    The anticone is the rays outside the cone followed by every extra vector:
+    m' - n columns, one per vector of gamma, which both callers supply.
     The divisors it indexes form a basis of the dual kernel space; the
     generators are the dual vectors in gamma coordinates (generator k pairs
     to 1 with anticone column k and to 0 with the others), and they span the
@@ -412,10 +410,6 @@ def _anticones(fan, gamma):
             continue
         comp = tuple(sorted(set(range(fan.m)) - set(cone))) + \
             tuple(range(fan.m, fan.m_prime))
-        if len(comp) != r:
-            raise ConsistencyError(MODULE, "kernel_data",
-                                   "anticone size does not match kernel rank",
-                                   (cone, comp))
         sub = [[gamma[a][i] for a in range(r)] for i in comp]
         inv = linalg.invert_rational(sub)
         if inv is None:
@@ -463,24 +457,37 @@ def _default_kernel_basis(fan: StackyFan, kernel):
     return kernel, table
 
 
-def _disk_table(data: ToricData) -> dict:
+def _kernel_coords(gamma, pairings):
+    """Coordinates of a pairing vector in the kernel basis gamma (exact); a
+    vector outside its span is refused."""
+    g = [[v[i] for v in gamma] for i in range(len(pairings))]
+    x = linalg.solve_rational(g, [frac(p) for p in pairings])
+    if x is None:
+        raise ConsistencyError(MODULE, "coords_from_pairings",
+                               "pairing vector is not in the kernel", pairings)
+    return x
+
+
+def _disk_table(fan: StackyFan, gamma, age1_boxes) -> dict:
     """{disk: (cone, coefficients, dual pairings, dual coordinates)}, rays
     first.  A ray is its own cone with the zero dual class; extra column j
     takes the minimal cone of its age-1 box element, and its dual class pairs
     to 1 with j and to minus the cone coefficients with the cone's rays.
-    Solving for the coordinates checks that the class lies in the kernel.  A
-    column that is no age-1 box gets no entry; the callers refuse it."""
-    zero = (Fraction(0),) * data.m_prime, (Fraction(0),) * data.r
-    table = {("ray", i): ((i,), (Fraction(1),), *zero) for i in range(data.m)}
-    age1 = {b.vector: b for b in data.age1_boxes}
-    for j in data.extra_columns():
-        b = age1.get(data.fan.column(j))
+    Solving for the coordinates in gamma checks that the class lies in the
+    kernel.  A column that is no age-1 box gets no entry; the callers refuse
+    it."""
+    mp = fan.m_prime
+    zero = (Fraction(0),) * mp, (Fraction(0),) * len(gamma)
+    table = {("ray", i): ((i,), (Fraction(1),), *zero) for i in range(fan.m)}
+    age1 = {b.vector: b for b in age1_boxes}
+    for j in range(fan.m, mp):
+        b = age1.get(fan.column(j))
         if b is not None:
-            dual = [Fraction(int(i == j)) for i in range(data.m_prime)]
+            dual = [Fraction(int(i == j)) for i in range(mp)]
             for i, c in zip(b.cone, b.coefficients):
                 dual[i] = -c
             table[("box", j)] = (b.cone, b.coefficients, tuple(dual),
-                                 tuple(data.coords_from_pairings(dual)))
+                                 tuple(_kernel_coords(gamma, dual)))
     return table
 
 
@@ -490,8 +497,7 @@ def _toric_data(fan: StackyFan, gamma, op, anticones=None,
     anticone and disk tables and the `bookkeeping` fields, once gamma is
     checked: each vector in the kernel, m' - n of them, elementary divisors
     all +-1.  The anticone table is built here unless the caller already
-    holds it for gamma.  The disk table is filled once the instance exists,
-    as its dual classes are solved on the instance's kernel basis."""
+    holds it for gamma."""
     for g in gamma:
         for k in range(fan.rank):
             if sum(g[i] * fan.column(i)[k] for i in range(fan.m_prime)) != 0:
@@ -505,10 +511,9 @@ def _toric_data(fan: StackyFan, gamma, op, anticones=None,
     boxes, age1 = box_elements(fan)
     if anticones is None:
         anticones = _anticones(fan, gamma)
-    data = ToricData(fan=fan, gamma=gamma, anticones=anticones,
-                     boxes=boxes, age1_boxes=age1, disks={}, **bookkeeping)
-    data.disks.update(_disk_table(data))
-    return data
+    return ToricData(fan=fan, gamma=gamma, anticones=anticones, boxes=boxes,
+                     age1_boxes=age1, disks=_disk_table(fan, gamma, age1),
+                     **bookkeeping)
 
 
 def kernel_data(fan: StackyFan, basis_p=None) -> ToricData:
@@ -715,28 +720,12 @@ def validate_compactification(base_fan: StackyFan, bar_fan: StackyFan,
                         "the base fan",
                     {"base": base_age1, "bar": bar_age1})
 
-    # beta_bar: D_inf minus the disk's dual class (zero for a ray disk)
+    # beta_bar: D_inf minus the disk's dual class (zero for a ray disk), so it
+    # meets D_inf once, is 0 on the extras and sums to 2 (a dual class to 0)
     beta_bar = [frac(x) - y for x, y in zip(d_inf, _bar_columns(dual, inf_col))]
-
-    cd = CompactifiedData(base=base, bar=bar, disk=(kind, idx),
-                          d_infinity=[frac(x) for x in d_inf],
-                          beta_bar=beta_bar,
-                          d_infinity_coords=[Fraction(0)] * base.r + [Fraction(1)],
-                          beta_bar_coords=[-x for x in dual_coords] + [Fraction(1)],
-                          complete_certificate=certificate)
-
-    # decomposition checks
-    if beta_bar[inf_col] != 1:
-        raise ConsistencyError(MODULE, op,
-                               "the compactifying divisor does not meet the disk "
-                               "class once", beta_bar)
-    # age-1 extras make the all-column sum equal the anticanonical pairing
-    c1 = sum(beta_bar, Fraction(0))
-    if c1 != 2:
-        raise ConsistencyError(MODULE, op,
-                               f"anticanonical degree of the disk class is {c1}, "
-                               "want 2", beta_bar)
-    if any(beta_bar[j] for j in bar.extra_columns()):
-        raise ConsistencyError(MODULE, op, "disk class pairs nontrivially "
-                               "with an extra divisor", beta_bar)
-    return cd
+    return CompactifiedData(
+        base=base, bar=bar, disk=(kind, idx),
+        d_infinity=[frac(x) for x in d_inf], beta_bar=beta_bar,
+        d_infinity_coords=[Fraction(0)] * base.r + [Fraction(1)],
+        beta_bar_coords=[-x for x in dual_coords] + [Fraction(1)],
+        complete_certificate=certificate)

@@ -177,16 +177,10 @@ def relative_mirror_map(cd: CompactifiedData, base: MirrorMap) -> MirrorMap:
     order = base.order
     bar = cd.bar
     sl, classes = relative_ifunction_oracle(cd, base)
+    # z_extract never forces the added ray's column, so its series is zero
     g = g_series(bar, sl.sector_series, sl.divisor_series, order)
     relations = _relations(bar, g, order, cd.beta_bar_coords)
     rel_inf = relations[bar.r_prime]
-
-    # the added ray's own series must vanish: its pairing with every
-    # enumerated class is nonnegative
-    if not g[bar.infinity_column].is_zero():
-        raise ConsistencyError(MODULE, op,
-                               "added ray acquired a nonzero series",
-                               g[bar.infinity_column].to_json())
 
     # restriction consistency with the base mirror map, relation by relation
     own = [r for r in relations if r is not rel_inf]

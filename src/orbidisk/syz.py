@@ -89,7 +89,8 @@ def covector_splitting(data: ToricData):
 
     Every lattice exponent b splits as w + (b - w) with the difference in the
     kernel sublattice; its coordinates there are the reduced exponents.  The
-    Smith form's unimodular vm has +-w and the basis as its columns, so rows
+    covector pairs to 1 with a column, so its Smith diagonal is +-1 and the
+    Smith form's unimodular vm has +-w and the basis as its columns: rows
     1..n-1 of its inverse vanish on w and take b to those coordinates."""
     op = "mirror_potential"
     v = data.cy_covector
@@ -97,13 +98,9 @@ def covector_splitting(data: ToricData):
         raise ValidationError(MODULE, op, "Calabi-Yau covector required", None)
     n = data.n
     s, u, vm = linalg.smith_normal_form([list(v)])
-    if abs(s[0][0]) != 1:
-        raise ConsistencyError(MODULE, op, "covector is not primitive", v)
     basis = [[vm[i][j] for i in range(n)] for j in range(1, n)]  # ker of v
     sign = s[0][0] * u[0][0]
     w = [sign * vm[i][0] for i in range(n)]
-    if sum(vi * wi for vi, wi in zip(v, w)) != 1:
-        raise ConsistencyError(MODULE, op, "covector section failed", w)
     rows = [[int(x) for x in row] for row in linalg.invert_rational(vm)[1:]]
     return basis, w, rows
 

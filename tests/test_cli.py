@@ -5,6 +5,7 @@ import shlex
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -287,6 +288,47 @@ def test_consistency_error_exit_code(capsys, monkeypatch):
     assert "datum" in payload
 
 
+def test_oracle_mismatch_exits_3_naming_the_first_difference(capsys,
+                                                             monkeypatch):
+    # route 1's potential doubled: the two routes differ first at its lead
+    from orbidisk import fan, invariants
+    cd = fan.validate_compactification(fans.load("c3z3"),
+                                       fans.load("c3z3_bar"), "box:3")
+    dp, oracle = invariants.compare_potentials(cd, 4)
+    route1 = invariants.disk_potential
+
+    def doubled(mm, disk):
+        got = route1(mm, disk)
+        return invariants.DiskPotential(got.disk, got.series * 2,
+                                        got.normalization, got.data)
+
+    monkeypatch.setattr(invariants, "disk_potential", doubled)
+    code, out, err = run(capsys, "oracle", "c3z3", "--bar", "c3z3_bar",
+                         "--disk", "box:3", "--order", "4")
+    assert code == 3 and out == ""
+    error = json.loads(err)["error"]
+    assert (error["module"], error["operation"]) == \
+        ("invariants", "compare_potentials")
+    first = (dp.series * 2).first_difference(oracle)
+    assert first[:2] == (Fraction(1, 3), (("t3", 1),))  # grade, monomial
+    assert error["datum"] == repr(first)
+
+
+def test_c3z5_chart_mirror_map_exits_3(capsys, tmp_path):
+    # both age-1 boxes of C^3/Z_5 listed: the twisted series of (0, -1, 1)
+    # leads with y1^(2/5), not its dual class y1^(2/5) y2
+    from test_cross_checks import C3Z5_CHART
+    path = tmp_path / "c3z5.json"
+    path.write_text(json.dumps(C3Z5_CHART))
+    code, out, err = run(capsys, "mirror-map", str(path), "--order", "2")
+    assert code == 3 and out == ""
+    error = json.loads(err)["error"]
+    assert (error["module"], error["operation"]) == \
+        ("mirror-maps", "toric_mirror_map")
+    assert error["message"].endswith(
+        "twisted series does not start at its dual class with coefficient 1")
+
+
 def test_order_must_be_positive(capsys):
     code, _, err = run(capsys, "invariants", "kp2", "--disk", "ray:0",
                        "--order", "0")
@@ -470,6 +512,29 @@ def test_fewer_vectors_than_rank_refused_before_elimination(capsys, tmp_path):
     assert code == 2 and out == ""
     assert json.loads(err)["error"]["message"].endswith(
         "0 ray and extra vectors cannot generate a rank 100000 lattice")
+
+
+@pytest.mark.parametrize("digits,shown", [(3000, "9" * 3000),
+                                           (4200, "above 10^4185")])
+def test_huge_box_group_refused_before_enumeration(capsys, tmp_path, digits,
+                                                   shown):
+    # cone [0, 1, 3] has a box group of order X = 10^digits - 1: it is
+    # refused before its elements are enumerated, and an order past Python's
+    # int-to-text limit is shown by its size
+    x = 10 ** digits - 1
+    path = tmp_path / "huge.json"
+    path.write_text('{"rank": 3, "rays": [[0, 0, 1], [1, 0, 1], [0, 1, 1], '
+                    f'[-1, -{x}, 1]], ' +
+                    '"cones": [[0, 1, 2], [0, 2, 3], [0, 1, 3]]}')
+    start = time.process_time()
+    code, out, err = run(capsys, "analyze", str(path))
+    assert time.process_time() - start < 1
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert (error["operation"], error["datum"]) == \
+        ("box_elements", "[0, 1, 3]")
+    assert error["message"].endswith(
+        f"cone [0, 1, 3] has a box group of order {shown}, above 100000")
 
 
 def test_fan_file_is_utf8_whatever_the_locale(tmp_path):

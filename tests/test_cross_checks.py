@@ -1,0 +1,350 @@
+"""Every exit-3 cross-check of the package, and a case that fires it.
+
+`sites()` scans `src/orbidisk` with `ast` for each `raise ConsistencyError`
+and keys it by module, enclosing function and the first five words of its
+message (`{}` stands for an interpolated value).  CASES maps each key to a
+case that reaches that raise.  The guard fails if a site has no case, if a
+case names a site that no longer exists, or if a case's error comes from
+anywhere but its own raise.  An identity that holds for every input is
+asserted over the test corpus instead, not checked on every run.
+"""
+import ast
+import functools
+import traceback
+from fractions import Fraction as F
+from pathlib import Path
+
+import pytest
+
+import orbidisk
+from orbidisk import fans, hyper, invariants, syz
+from orbidisk.effective import enumerate_effective, sector
+from orbidisk.errors import ConsistencyError
+from orbidisk.fan import (_anticones, _toric_data, fan_from_dict, kernel_data,
+                          validate_compactification, verify_semi_fano,
+                          zero_box)
+from orbidisk.hyper import relative_ifunction_oracle, z_extract
+from orbidisk.invariants import (DiskPotential, compare_potentials,
+                                 disk_potential, extract_invariants,
+                                 oracle_potential)
+from orbidisk.mirrormap import (MirrorMap, Relation, _relations,
+                                relative_mirror_map, toric_mirror_map)
+from orbidisk.series import Series, invert_map, mono
+from test_generalization import WEIGHTED_SURFACE
+
+SRC = Path(orbidisk.__file__).resolve().parent
+
+# C^3/Z_5 with both age-1 boxes listed: the twisted series of (0, -1, 1)
+# does not start at its dual class, and mirror-map exits 3
+C3Z5_CHART = {"rank": 3, "rays": [[1, 0, 1], [0, 1, 1], [-1, -3, 1]],
+              "cones": [[0, 1, 2]], "extra_vectors": [[0, 0, 1], [0, -1, 1]]}
+
+
+def _message(node) -> str:
+    if isinstance(node, ast.JoinedStr):
+        return "".join(v.value if isinstance(v, ast.Constant) else "{}"
+                       for v in node.values)
+    return node.value
+
+
+@functools.cache
+def sites() -> list:
+    """[((module, function, message start), (path, line))] for every
+    `raise ConsistencyError(module, operation, message, ...)` in the
+    package."""
+    found = []
+
+    def visit(node, path, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                visit(child, path, child.name)
+                continue
+            exc = getattr(child, "exc", None) if isinstance(child, ast.Raise) \
+                else None
+            if isinstance(exc, ast.Call) and \
+                    getattr(exc.func, "id", None) == "ConsistencyError":
+                start = " ".join(_message(exc.args[2]).split()[:5])
+                found.append(((path.stem, function, start),
+                              (path, child.lineno)))
+            visit(child, path, function)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path, None)
+    return found
+
+
+CASES = {}
+
+
+def fires(module, function, start):
+    def register(case):
+        assert (module, function, start) not in CASES
+        CASES[module, function, start] = case
+        return case
+    return register
+
+
+def data(name):
+    return kernel_data(fans.load(name))
+
+
+def compactified(base, disk):
+    return validate_compactification(fans.load(base), fans.load(base + "_bar"),
+                                     disk)
+
+
+def replaced(value, **fields):
+    """A copy of a package value with some fields tampered."""
+    return type(value)(**{**vars(value), **fields})
+
+
+# -- effective ----------------------------------------------------------------
+
+
+@fires("effective", "_sector", "sector vector is not integral")
+def _(monkeypatch):
+    # half of ray (1, 0, 1) is no lattice vector
+    sector(data("c3z3"), [F(-1, 2), 0, 0, 0])
+
+
+@fires("effective", "_sector", "sector vector is not a")
+def _(monkeypatch):
+    sector(replaced(data("c3z3"), boxes=[]), [F(-1, 3)] * 3 + [1])
+
+
+@fires("effective", "enumerate_effective", "class pairs badly with the")
+def _(monkeypatch):
+    # ray 0 marked as the added one: its generator pairs -3 with it
+    bar = compactified("kp2", ("ray", 0)).bar
+    enumerate_effective(replaced(bar, infinity_column=0), 1)
+
+
+# -- fan ----------------------------------------------------------------------
+
+
+@fires("fan", "_anticones", "singular local system at cone")
+def _(monkeypatch):
+    _anticones(fans.load("kp2"), [[0, 0, 0, 0]])
+
+
+@fires("fan", "_default_kernel_basis", "no basis adapted to the")
+def _(monkeypatch):
+    def refuse(cols, n):
+        raise ValueError("columns do not span a saturated sublattice")
+    monkeypatch.setattr("orbidisk.linalg.complete_to_unimodular", refuse)
+    kernel_data(fan_from_dict(WEIGHTED_SURFACE))
+
+
+@fires("fan", "_kernel_coords", "pairing vector is not in")
+def _(monkeypatch):
+    data("kp2").coords_from_pairings([1, 0, 0, 0])
+
+
+@fires("fan", "_toric_data", "kernel relation violated")
+def _(monkeypatch):
+    _toric_data(fans.load("kp2"), [[-3, 1, 1, 2]], "test", cy_covector=None)
+
+
+@fires("fan", "_toric_data", "kernel basis is not saturated")
+def _(monkeypatch):
+    _toric_data(fans.load("kp2"), [[-6, 2, 2, 2]], "test", cy_covector=None)
+
+
+@fires("fan", "verify_semi_fano", "sum of divisor classes leaves")
+def _(monkeypatch):
+    verify_semi_fano(kernel_data(fan_from_dict(
+        {"rank": 2, "rays": [[1, 0], [0, 1], [-1, 3]],
+         "cones": [[0, 1], [1, 2]]})))
+
+
+# -- hyper --------------------------------------------------------------------
+
+
+@fires("hyper", "z_extract", "z-weight bookkeeping violated")
+def _(monkeypatch):
+    d = data("c3z3")
+    cls = next(c for c in enumerate_effective(d, 1) if not c.sector.is_zero())
+    z_extract(d, replaced(cls, sector=zero_box(d.n)))
+
+
+@fires("hyper", "coefficient_slice", "ray coefficient disagrees with its")
+def _(monkeypatch):
+    monkeypatch.setattr(hyper, "closed_form_ray_coefficient",
+                        lambda pairings, j: 0)
+    toric_mirror_map(data("kp2"), 2)
+
+
+@fires("hyper", "relative_ifunction_oracle",
+       "zero-infinity slice of the compactified")
+def _(monkeypatch):
+    cd = compactified("kp2", ("ray", 0))
+    mm = toric_mirror_map(cd.base, 3)
+    relative_ifunction_oracle(cd, MirrorMap(mm.data, mm.order, mm.g,
+                                            mm.relations, mm.classes[:-1]))
+
+
+@fires("hyper", "relative_ifunction_oracle", "z^-2 degree-0 extraction is not")
+def _(monkeypatch):
+    cd = compactified("kp2", ("ray", 0))
+    base = toric_mirror_map(cd.base, 2)
+    slice_ = hyper.coefficient_slice
+
+    def doubled(*args):
+        sl = slice_(*args)
+        return replaced(sl, h0_z2=sl.h0_z2 * 2)
+    monkeypatch.setattr(hyper, "coefficient_slice", doubled)
+    relative_ifunction_oracle(cd, base)
+
+
+# -- invariants ---------------------------------------------------------------
+
+
+@fires("invariants", "_potentials", "{} potential does not start")
+def _(monkeypatch):
+    # the twisted relation times its own lead: the potential starts at t3^1/2
+    mm = toric_mirror_map(data("c3z3"), 2)
+    rels = [Relation(r.target, r.kind,
+                     r.series.mul_monomial(r.series.factor_unit()[0]))
+            if r.target == "t3" else r for r in mm.relations]
+    disk_potential(MirrorMap(mm.data, mm.order, mm.g, rels, mm.classes),
+                   ("box", 3))
+
+
+@fires("invariants", "extract_invariants",
+       "unexpected variable {} in potential")
+def _(monkeypatch):
+    extract_invariants(DiskPotential(
+        ("ray", 0), Series({"z": 1}, 3, {mono(("z", 1)): 1}), "1+delta",
+        data("kp2")))
+
+
+@fires("invariants", "extract_invariants",
+       "non-representable exponent in potential monomial")
+def _(monkeypatch):
+    m = mono(("q1", -1), ("q2", 2))
+    extract_invariants(DiskPotential(
+        ("ray", 0), Series({"q1": 1, "q2": 1}, 3, {m: 1}), "1+delta",
+        data("kp2_bar")))
+
+
+@fires("invariants", "oracle_potential",
+       "flat compactification variable failed to")
+def _(monkeypatch):
+    cd = compactified("kp2", ("ray", 0))
+    base = toric_mirror_map(cd.base, 2)
+    invert = invariants.inverse_mirror_map
+
+    def times_qinf(mm, head):
+        assign, (val,) = invert(mm, head)
+        return assign, (val.mul_monomial(mono(("qinf", 1))),)
+    monkeypatch.setattr(invariants, "inverse_mirror_map", times_qinf)
+    oracle_potential(cd, base)
+
+
+@fires("invariants", "compare_potentials", "disk class has non-positive grade")
+def _(monkeypatch):
+    cd = compactified("kp2", ("ray", 0))
+    compare_potentials(replaced(cd, beta_bar_coords=[0, 0]), 1)
+
+
+@fires("invariants", "compare_potentials",
+       "potential disagrees with its compactified")
+def _(monkeypatch):
+    route1 = invariants.disk_potential
+
+    def doubled(mm, disk):
+        dp = route1(mm, disk)
+        return replaced(dp, series=dp.series * 2)
+    monkeypatch.setattr(invariants, "disk_potential", doubled)
+    compare_potentials(compactified("c3z3", ("box", 3)), 1)
+
+
+# -- mirrormap ----------------------------------------------------------------
+
+
+@fires("mirrormap", "_relations", "twisted series of column {}")
+def _(monkeypatch):
+    d = data("c3z3")
+    zero = Series.zero(d.y_weights(), 1)
+    _relations(d, dict.fromkeys(range(d.m_prime), zero), 1)
+
+
+@fires("mirrormap", "_relations", "twisted series does not start")
+def _(monkeypatch):
+    toric_mirror_map(kernel_data(fan_from_dict(C3Z5_CHART)), 2)
+
+
+@fires("mirrormap", "relative_mirror_map", "{} relation differs from the")
+def _(monkeypatch):
+    cd = compactified("kp2", ("ray", 0))
+    mm = toric_mirror_map(cd.base, 3)
+    rels = [Relation(r.target, r.kind, r.series * 2) for r in mm.relations]
+    relative_mirror_map(cd, MirrorMap(mm.data, mm.order, mm.g, rels,
+                                      mm.classes))
+
+
+@fires("mirrormap", "relative_mirror_map", "{}-disk correction is not the")
+def _(monkeypatch):
+    cd = compactified("kp2", ("ray", 0))
+    mm = toric_mirror_map(cd.base, 3)
+    g = {**mm.g, 0: mm.g[0] + Series.variable("y1", mm.data.y_weights(), 3)}
+    relative_mirror_map(cd, MirrorMap(mm.data, mm.order, g, mm.relations,
+                                      mm.classes))
+
+
+# -- series -------------------------------------------------------------------
+
+
+@fires("series", "same_terms", "variable {} is weighted differently")
+def _(monkeypatch):
+    Series({"x": 1}, 2, {mono(("x", 1)): 1}).same_terms(
+        Series({"x": 2}, 2, {mono(("x", 1)): 1}))
+
+
+@fires("series", "invert_map", "inversion round trip failed for")
+def _(monkeypatch):
+    # q = y with a wrong q^2 planted in y's image before the round trip
+    rel = Series.variable("y", {"y": 1}, 3)
+    substitute = Series.substitute
+
+    def planted(self, assignment, *more):
+        img = assignment["y"]
+        wrong = Series.monomial(mono(("q", 2)), img.weights, img.order)
+        return substitute(self, {"y": img + wrong}, *more)
+    monkeypatch.setattr(Series, "substitute", planted)
+    invert_map([("q", rel)], 3)
+
+
+# -- syz ----------------------------------------------------------------------
+
+
+@fires("syz", "_verify_coefficient_relations",
+       "solved coefficients violate a defining")
+def _(monkeypatch):
+    d = data("kp2")
+    sol = syz.solve_coefficient_system(d, 0)
+    syz._verify_coefficient_relations(d, {**sol, 1: [x + 1 for x in sol[1]]},
+                                      syz._relation_rhs(d))
+
+
+# -- the guard ----------------------------------------------------------------
+
+
+def test_every_check_has_a_case():
+    found = [key for key, _ in sites()]
+    assert len(found) == len(set(found)), "two sites share a key"
+    assert [key for key in found if key not in CASES] == [], \
+        "an exit-3 check that no case fires"
+    assert [key for key in CASES if key not in found] == [], \
+        "a case for a check that no longer exists"
+
+
+@pytest.mark.parametrize("site", list(CASES), ids=".".join)
+def test_case_fires_its_check(monkeypatch, site):
+    where = dict(sites()).get(site)
+    assert where is not None, "no such check"
+    with pytest.raises(ConsistencyError) as e:
+        CASES[site](monkeypatch)
+    frame = traceback.extract_tb(e.tb)[-1]
+    assert (Path(frame.filename).resolve(), frame.name, frame.lineno) == \
+        (where[0], site[1], where[1])

@@ -11,6 +11,7 @@ from orbidisk.errors import ValidationError
 from orbidisk.fan import (fan_from_dict, kernel_data, validate_compactification,
                           zero_box)
 from orbidisk.hyper import y_monomial
+from test_fan import TABLE_IDS, table_data
 from test_generalization import LOCAL_QUADRIC
 from test_mirrormap import column_series
 
@@ -270,6 +271,16 @@ def test_brute_force_completeness(name, bound):
     if inf is not None:
         slow = [c for c in slow if c.pairings[inf] <= 1]
     assert fast and fast == slow
+
+
+@pytest.mark.parametrize("case", TABLE_IDS)
+def test_enumerated_classes_are_effective(case):
+    # each enumerated class is a nonnegative integer combination of one
+    # maximal cone's anticone generators, so it passes the membership test
+    data = table_data()[case]
+    for c in enumerate_effective(data, 3):
+        assert is_effective(data, c.pairings)
+        assert effective_reference(data, c.pairings)
 
 
 def test_additivity_closure():

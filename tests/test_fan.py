@@ -294,6 +294,13 @@ def test_box_brute_force_equivalence(name):
     got = {b.vector: b.age for b in boxes}
     want = brute_force_boxes(fan)
     assert got == want
+    # each candidate of a cone is its ray matrix times V k / d from the Smith
+    # form U A V = S, an integer vector: the coefficients give it exactly
+    for cone in fan.cones:
+        for b in _box_of_cone(fan, cone):
+            assert b.vector == tuple(
+                sum(fan.rays[i][k] * c for i, c in zip(b.cone, b.coefficients))
+                for k in range(fan.rank))
 
 
 def test_box_soundness():
@@ -707,8 +714,10 @@ def bar_data():
     from test_generalization import (A1_CHART, A1_CHART_BAR, LOCAL_QUADRIC,
                                      LOCAL_QUADRIC_BAR, WEIGHTED_BASIS,
                                      WEIGHTED_SURFACE, WEIGHTED_SURFACE_BAR)
-    cases = {name: table_data()[name]
-             for name in ("c3_bar", "kp2_bar", "c3z3_bar")}
+    cases = {base + "_bar": validate_compactification(
+        load(base), load(base + "_bar"), disk).bar
+        for base, disk in (("c3", "ray:2"), ("kp2", "ray:0"),
+                           ("c3z3", "box:3"))}
     for name, base, bar, disk, basis_p in (
             ("local_quadric_bar", LOCAL_QUADRIC, LOCAL_QUADRIC_BAR,
              ("ray", 0), None),
@@ -780,20 +789,19 @@ def test_anticone_upward_closure():
 
 @functools.lru_cache(maxsize=None)
 def table_data():
-    """{id: ToricData} for the bundled base fans, the bar data of the bundled
-    oracle pairs, the generalization fans and one fan that is not
-    semi-Fano."""
-    from test_generalization import (LOCAL_QUADRIC, WEIGHTED_BASIS,
+    """{id: ToricData} for the bundled base fans, the generalization fans,
+    the bar data of every pair in bar_data() and one fan that is not
+    semi-Fano: the corpus of the identity tests."""
+    from test_generalization import (A1_CHART, LOCAL_QUADRIC, WEIGHTED_BASIS,
                                      WEIGHTED_SURFACE)
     cases = [(name, kernel_data(load(name)))
              for name in ("c3", "conifold", "kp2", "c3z3")]
-    for base, disk in (("c3", "ray:2"), ("kp2", "ray:0"), ("c3z3", "box:3")):
-        cd = validate_compactification(load(base), load(base + "_bar"), disk)
-        cases.append((base + "_bar", cd.bar))
     cases.append(("local_quadric", kernel_data(fan_from_dict(LOCAL_QUADRIC))))
+    cases.append(("a1_chart", kernel_data(fan_from_dict(A1_CHART))))
     cases.append(("weighted_surface",
                   kernel_data(fan_from_dict(WEIGHTED_SURFACE),
                               basis_p=WEIGHTED_BASIS)))
+    cases += bar_data().items()
     # a (-3)-curve: the divisor-class sum is negative, so not semi-Fano
     cases.append(("minus_three_curve", kernel_data(fan_from_dict(
         {"rank": 2, "rays": [[1, 0], [0, 1], [-1, 3]],
@@ -802,7 +810,8 @@ def table_data():
 
 
 TABLE_IDS = ["c3", "conifold", "kp2", "c3z3", "c3_bar", "kp2_bar", "c3z3_bar",
-             "local_quadric", "weighted_surface", "minus_three_curve"]
+             "local_quadric", "local_quadric_bar", "a1_chart", "a1_chart_bar",
+             "weighted_surface", "weighted_surface_bar", "minus_three_curve"]
 
 
 @pytest.mark.parametrize("case", TABLE_IDS)
@@ -813,7 +822,8 @@ def test_anticone_generators_dual(case):
     for cone, comp, gens in data.anticones:
         assert comp == tuple(i for i in range(data.m) if i not in cone) + \
             tuple(data.extra_columns())
-        assert len(gens) == data.r
+        # m - n rays and m' - m extras: one column per kernel basis vector
+        assert len(comp) == len(gens) == data.r == data.m_prime - data.n
         for k, g in enumerate(gens):
             for l, col in enumerate(comp):
                 pairing = sum(g[a] * data.gamma[a][col] for a in range(data.r))
@@ -881,16 +891,16 @@ def test_dual_classes_solved_once(monkeypatch, capsys, argv, calls):
     # each extra column's dual class is solved when its ToricData is built,
     # on the base and on the bar; the oracle reads beta_bar and D_inf in the
     # bar's basis from the compactification and solves for nothing else
+    from orbidisk import fan
     from orbidisk.cli import main
-    from orbidisk.fan import ToricData
     count = [0]
-    solve = ToricData.coords_from_pairings
+    solve = fan._kernel_coords
 
-    def counted(self, pairings):
+    def counted(gamma, pairings):
         count[0] += 1
-        return solve(self, pairings)
+        return solve(gamma, pairings)
 
-    monkeypatch.setattr(ToricData, "coords_from_pairings", counted)
+    monkeypatch.setattr(fan, "_kernel_coords", counted)
     assert main(argv.split(" ")) == 0
     capsys.readouterr()
     assert count[0] == calls

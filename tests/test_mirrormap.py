@@ -288,7 +288,14 @@ def test_relative_map_leads_with_constructed_beta_bar(base, bar, disk,
     b = cd.bar
     assert b.pairings_from_coords(cd.beta_bar_coords) == cd.beta_bar
     assert b.pairings_from_coords(cd.d_infinity_coords) == cd.d_infinity
+    # beta_bar = D_inf - dual meets D_inf once, vanishes on every extra
+    # column and has anticanonical degree 2 (an age-1 dual class sums to 0)
+    inf = b.infinity_column
+    assert cd.beta_bar[inf] == 1 and sum(cd.beta_bar) == 2
+    assert not any(cd.beta_bar[j] for j in b.extra_columns())
     mm = relative_mirror_map(cd, toric_mirror_map(cd.base, 2))
+    # z_extract never forces the added ray's column: its series is zero
+    assert mm.g[inf].is_zero()
     dual = cd.base.disk_class(disk)[3]
     assert relation(mm, "qinf").series.factor_unit()[:2] == (
         mono(("yinf", 1), *((v, -x) for v, x in zip(b.y_vars(), dual))), 1)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -239,6 +240,23 @@ def test_reduction_covector():
             s = mp.section[k] + sum(r * mp.basis[j][k]
                                     for j, r in enumerate(red))
             assert s == vec[k]
+
+
+@pytest.mark.parametrize("case", ["c3", "conifold", "kp2", "c3z3",
+                                  "local_quadric", "a1_chart",
+                                  "weighted_surface"])
+def test_covector_splitting_identities(case):
+    # the covector pairs to 1 with a column, so it is primitive (Smith
+    # diagonal +-1), the section pairs to 1 with it, the basis spans its
+    # kernel and the reduction rows are the dual coordinates of that basis
+    data = table_data()[case]
+    v = data.cy_covector
+    assert abs(linalg.smith_normal_form([list(v)])[0][0][0]) == 1
+    basis, w, rows = syz.covector_splitting(data)
+    assert sum(map(mul, v, w)) == 1
+    assert all(sum(map(mul, v, b)) == 0 for b in basis)
+    assert [[sum(map(mul, row, x)) for x in (w, *basis)] for row in rows] == \
+        [[int(k == j + 1) for k in range(data.n)] for j in range(data.n - 1)]
 
 
 def test_gauge_covariance_term_sets():
