@@ -7,9 +7,11 @@ produce byte-identical output.  Exit codes: 0 success, 2 validation error,
 """
 from __future__ import annotations
 
+import gc
 import json
 import os
 import re
+import stat
 import sys
 import types
 
@@ -365,17 +367,36 @@ def render_text(command, report) -> str:
 
 
 def write_output(text: str, path):
+    """Write text to stdout (path None) or to path.
+
+    A symlink is followed: its target is written and the link kept.  An
+    existing target that is not a regular file (a FIFO, a device) is
+    written in place.  A regular file is replaced whole through a temporary
+    file beside it, so a reader never sees half a report; a replaced file
+    keeps its mode and a new one gets the umask's.
+    """
     if path is None:
         sys.stdout.write(text)
         return
-    import tempfile
-    d = os.path.dirname(os.path.abspath(path)) or "."
+    target = os.path.realpath(path)
     try:
-        fd, tmp = tempfile.mkstemp(dir=d, prefix=".orbidisk-")
+        try:
+            mode = os.stat(target).st_mode
+        except FileNotFoundError:
+            mode = None
+        if mode is not None and not stat.S_ISREG(mode):
+            with open(target, "w") as f:
+                f.write(text)
+            return
+        tmp = os.path.join(os.path.dirname(target),
+                           f".orbidisk-{os.getpid()}-{os.urandom(6).hex()}")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w") as f:
+                if mode is not None:
+                    os.fchmod(f.fileno(), stat.S_IMODE(mode))
                 f.write(text)
-            os.replace(tmp, path)
+            os.replace(tmp, target)
         except BaseException:
             os.unlink(tmp)
             raise
@@ -386,6 +407,16 @@ def write_output(text: str, path):
 
 
 def main(argv=None) -> int:
+    """Run one command; return its exit code.
+
+    With argv None main is the program: it reads sys.argv, owns the process
+    and turns the cyclic garbage collector off for the rest of it, since
+    the passes leave no cyclic garbage (tests/test_gc.py) and the
+    collector's scans and its collection at exit are pure cost.  main(argv)
+    with a list leaves the collector as it found it.
+    """
+    if argv is None:
+        gc.disable()
     try:
         args = parse_argv(sys.argv[1:] if argv is None else list(argv))
         report = COMMANDS[args.command](args)

@@ -732,12 +732,20 @@ def invert_map(relations, order, *more):
     units = [unit for _, _, unit in factored]
     live = [t for t in range(n) if not units[t].is_zero()]
     # the relative order each source is known to (docstring); one pass per
-    # source settles it, since every grade is positive
+    # source settles it, since every grade is positive.  A unit's terms
+    # enter only as the sources each holds, at the least grade holding them
+    held = {}
+    for t in live:
+        u, least = units[t], {}
+        for k, (_, nums) in u._p.items():
+            for m in nums:
+                least.setdefault(tuple(v for v, x in zip(sources, m) if x), k)
+        held[t] = [(Fraction(k, u._e * u._W), vs) for vs, k in least.items()]
     rel = {v: top - w for v, w in src_weights.items()}
     for _ in sources:
         rel = {v: min([top - src_weights[v]] + [min([units[t].order] + [
-            g + min(rel[c] for c, _ in m) for g, piece in units[t].pieces.items()
-            for m in piece]) for t in live if inv[b][t]]) for b, v in enumerate(sources)}
+            g + min(rel[c] for c in vs) for g, vs in held[t]])
+            for t in live if inv[b][t]]) for b, v in enumerate(sources)}
     logs = [units[t].log_one_plus() for t in live]
     L = [Series.zero(weights, top)] * n
     if live:

@@ -11,11 +11,11 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import mul
 
-from . import linalg
+# the series layers are bound as modules and read at call time, so a
+# refused --gauge compiles none of them
+from . import invariants, linalg, mirrormap
 from .errors import ConsistencyError, ValidationError, Value, frac_str
 from .fan import ToricData
-from .invariants import disk_potentials
-from .mirrormap import toric_mirror_map
 
 MODULE = "syz-builder"
 
@@ -119,7 +119,8 @@ def mirror_potential(data: ToricData, k, order) -> MirrorPotential:
     and every extra vector, in the gauge of maximal cone k.  A k outside the
     anticone table is refused before any series work."""
     gauge = _gauge_entry(data, k)[0]
-    potentials = disk_potentials(toric_mirror_map(data, order))
+    potentials = invariants.disk_potentials(
+        mirrormap.toric_mirror_map(data, order))
     sol = solve_coefficient_system(data, k)
     basis, w, rows = covector_splitting(data)
     terms = []

@@ -2,8 +2,10 @@ import json
 import os
 import re
 import shlex
+import stat
 import subprocess
 import sys
+import threading
 import time
 from fractions import Fraction
 
@@ -242,6 +244,56 @@ def test_output_file_atomic(tmp_path, capsys):
     assert rep["kernel_rank"] == 0
     leftovers = [p for p in tmp_path.iterdir() if p.name != "report.json"]
     assert leftovers == []
+
+
+def test_output_through_symlink_keeps_the_link(tmp_path, capsys):
+    # the link's target is replaced, the link stays a link; a dangling
+    # link gets its target created
+    for name in ("old.json", "new.json"):
+        target, link = tmp_path / name, tmp_path / f"link-{name}"
+        if name == "old.json":
+            target.write_text("stale\n")
+        link.symlink_to(target)
+        code, out, _ = run(capsys, "analyze", "c3", "--format", "json",
+                           "--output", str(link))
+        assert code == 0 and out == ""
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert json.loads(target.read_text())["kernel_rank"] == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "link-new.json", "link-old.json", "new.json", "old.json"]
+
+
+def test_output_to_fifo_reaches_its_reader(tmp_path, capsys):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    got = []
+    # daemon, so a writer that never opens the FIFO fails the test below
+    # instead of hanging the run
+    reader = threading.Thread(target=lambda: got.append(fifo.read_text()),
+                              daemon=True)
+    reader.start()
+    code, out, _ = run(capsys, "analyze", "c3", "--format", "json",
+                       "--output", str(fifo))
+    reader.join(timeout=30)
+    assert code == 0 and out == ""
+    assert not reader.is_alive() and stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert json.loads(got[0])["kernel_rank"] == 0
+
+
+def test_output_file_mode(tmp_path, capsys):
+    # a new file gets the umask's mode, a replaced file keeps its own
+    new, old = tmp_path / "new.txt", tmp_path / "old.txt"
+    old.write_text("stale\n")
+    old.chmod(0o604)
+    umask = os.umask(0o027)
+    try:
+        for target in (new, old):
+            assert run(capsys, "analyze", "c3", "--output", str(target))[0] == 0
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE(new.stat().st_mode) == 0o640
+    assert stat.S_IMODE(old.stat().st_mode) == 0o604
+    assert old.read_text() == new.read_text()
 
 
 def test_output_path_unwritable(tmp_path, capsys):

@@ -67,6 +67,14 @@ def test_refused_order_loads_no_layer():
     assert set(report["unloaded"]) == TRACED - {"cli"}
 
 
+def test_refused_gauge_loads_no_series_layer():
+    # syz reads invariants and mirrormap at call time, so a gauge refused
+    # before the mirror map runs only fan, linalg and syz
+    report = json.loads(child(RUN, "syz", "conifold", "--gauge", "7"))
+    assert report["exit"] == 2 and report["argparse"] == []
+    assert set(report["unloaded"]) == TRACED - {"cli", "fan", "linalg", "syz"}
+
+
 def test_package_names_resolve():
     names = json.loads(child("""\
 import json, orbidisk
