@@ -409,11 +409,15 @@ def write_output(text: str, path):
 def main(argv=None) -> int:
     """Run one command; return its exit code.
 
-    With argv None main is the program: it reads sys.argv, owns the process
-    and turns the cyclic garbage collector off for the rest of it, since
-    the passes leave no cyclic garbage (tests/test_gc.py) and the
-    collector's scans and its collection at exit are pure cost.  main(argv)
-    with a list leaves the collector as it found it.
+    With argv None main is the program: it reads sys.argv and owns the
+    process.  It turns the cyclic garbage collector off, since the passes
+    leave no cyclic garbage (tests/test_gc.py) and its scans are pure cost.
+    Once the report or the error is written it freezes the heap: the full
+    collections of interpreter finalization run even with the collector
+    off, and they skip frozen objects, which the OS takes back with the
+    process.  The exit code, atexit handlers and the stdio flush are as
+    before.  main(argv) with a list leaves the collector as it found it
+    and freezes nothing.
     """
     if argv is None:
         gc.disable()
@@ -430,6 +434,9 @@ def main(argv=None) -> int:
         err = {"error": e.as_dict()}
         sys.stderr.write(json.dumps(err, sort_keys=True, indent=2) + "\n")
         return e.exit_code
+    finally:
+        if argv is None:
+            gc.freeze()
     return 0
 
 

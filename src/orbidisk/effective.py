@@ -74,12 +74,10 @@ def _sector(data, L, P) -> BoxElement:
         raise ConsistencyError(MODULE, "sector",
                                "sector vector is not integral",
                                tuple(Fraction(v, L) for v in vec))
+    # integral, with coefficients in (0, 1) on the rays of a cone: a box
+    # element of that cone, so data.boxes lists it
     ivec = tuple(v // L for v in vec)
-    for b in data.boxes:
-        if b.vector == ivec:
-            return b
-    raise ConsistencyError(MODULE, "sector",
-                           "sector vector is not a known box element", ivec)
+    return next(b for b in data.boxes if b.vector == ivec)
 
 
 def _make(C, P, sec, of) -> EffClass:

@@ -437,11 +437,7 @@ def _default_kernel_basis(fan: StackyFan, kernel):
         # completed part stay supported on the extra divisor classes
         e_rows = [[kernel[b][j] for b in range(r)] for j in range(m, mp)]
         inner = linalg.integer_kernel_basis(e_rows)
-        try:
-            full = linalg.complete_to_unimodular(inner, r)
-        except ValueError as e:
-            raise ConsistencyError(MODULE, "kernel_data", "no basis adapted to "
-                                   f"the extra vectors: {e}", inner)
+        full = linalg.complete_to_unimodular(inner, r)
         kernel = [[sum(full[b][c] * kernel[c][i] for c in range(r))
                    for i in range(mp)] for b in range(r)]
     # orient: flip basis vectors so the effective generators get nonnegative

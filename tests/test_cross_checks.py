@@ -30,7 +30,6 @@ from orbidisk.invariants import (DiskPotential, compare_potentials,
 from orbidisk.mirrormap import (MirrorMap, Relation, _relations,
                                 relative_mirror_map, toric_mirror_map)
 from orbidisk.series import Series, invert_map, mono
-from test_generalization import WEIGHTED_SURFACE
 
 SRC = Path(orbidisk.__file__).resolve().parent
 
@@ -107,11 +106,6 @@ def _(monkeypatch):
     sector(data("c3z3"), [F(-1, 2), 0, 0, 0])
 
 
-@fires("effective", "_sector", "sector vector is not a")
-def _(monkeypatch):
-    sector(replaced(data("c3z3"), boxes=[]), [F(-1, 3)] * 3 + [1])
-
-
 @fires("effective", "enumerate_effective", "class pairs badly with the")
 def _(monkeypatch):
     # ray 0 marked as the added one: its generator pairs -3 with it
@@ -125,14 +119,6 @@ def _(monkeypatch):
 @fires("fan", "_anticones", "singular local system at cone")
 def _(monkeypatch):
     _anticones(fans.load("kp2"), [[0, 0, 0, 0]])
-
-
-@fires("fan", "_default_kernel_basis", "no basis adapted to the")
-def _(monkeypatch):
-    def refuse(cols, n):
-        raise ValueError("columns do not span a saturated sublattice")
-    monkeypatch.setattr("orbidisk.linalg.complete_to_unimodular", refuse)
-    kernel_data(fan_from_dict(WEIGHTED_SURFACE))
 
 
 @fires("fan", "_kernel_coords", "pairing vector is not in")

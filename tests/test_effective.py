@@ -276,11 +276,14 @@ def test_brute_force_completeness(name, bound):
 @pytest.mark.parametrize("case", TABLE_IDS)
 def test_enumerated_classes_are_effective(case):
     # each enumerated class is a nonnegative integer combination of one
-    # maximal cone's anticone generators, so it passes the membership test
+    # maximal cone's anticone generators, so it passes the membership test;
+    # its sector vector is a box element of that cone, which _sector looks
+    # up without a check (sector_reference asserts exactly one match)
     data = table_data()[case]
     for c in enumerate_effective(data, 3):
         assert is_effective(data, c.pairings)
         assert effective_reference(data, c.pairings)
+        assert c.sector == sector_reference(data, c.pairings)
 
 
 def test_additivity_closure():

@@ -830,6 +830,26 @@ def test_anticone_generators_dual(case):
                 assert pairing == (k == l)
 
 
+@pytest.mark.parametrize("case", ["c3z3_bar", "a1_chart_bar",
+                                  "weighted_surface", "weighted_surface_bar"])
+def test_extra_vector_split_completes(case):
+    # the corpus fans with extra vectors and r' = m - n > 0:
+    # _default_kernel_basis completes the kernel vectors that vanish on the
+    # extra columns to a basis of the kernel without a check, since they
+    # form a saturated sublattice
+    fan = table_data()[case].fan
+    assert fan.m_prime > fan.m > fan.rank
+    cols = fan.columns()
+    kernel = linalg.integer_kernel_basis(
+        [[c[i] for c in cols] for i in range(fan.rank)])
+    inner = linalg.integer_kernel_basis(
+        [[k[j] for k in kernel] for j in range(fan.m, fan.m_prime)])
+    assert len(inner) == fan.m - fan.rank
+    full = linalg.complete_to_unimodular(inner, len(kernel))
+    assert full[:len(inner)] == inner
+    assert abs(oracle_det(full)) == 1
+
+
 def semi_fano_reference(data):
     """The semi-Fano multipliers by a direct solve of each anticone system."""
     rho = [sum(g) for g in data.gamma]

@@ -1,17 +1,26 @@
-"""The CLI runs without the cyclic garbage collector.
+"""The CLI runs without the cyclic garbage collector and exits frozen.
 
 cli.main, run as the program (argv None), turns the collector off for the
-rest of the process: its scans and its collection at exit cost CPU that the
-passes do not need, because they leave no cyclic garbage.  These tests keep
-that true.  Each command runs in-process with the collector off, and a
-gc.collect() afterwards must find nothing for a text report.  A JSON
-document (a report, or the error of a refusal on stderr) may leave the
-stdlib encoder's closure cycle and nothing more.  The count must not grow
-with the order, so a cycle made per term or per pass fails here before it
-can grow memory in a real run.  main(argv) with a list leaves the
-collector as it found it.
+rest of the process: its scans cost CPU that the passes do not need,
+because they leave no cyclic garbage.  Turning it off does not stop the
+full collections that interpreter finalization runs (CPython calls them
+whether or not the collector is enabled), so main also calls gc.freeze()
+once the report or the error is written: the finalizer's collections never
+scan the frozen objects, and the OS takes them back with the process.
+
+These tests keep that true.  Each command runs in-process with the
+collector off, and a gc.collect() afterwards must find nothing for a text
+report.  A JSON document (a report, or the error of a refusal on stderr)
+may leave the stdlib encoder's closure cycle and nothing more.  The count
+must not grow with the order, so a cycle made per term or per pass fails
+here before it can grow memory in a real run.  Child processes check that
+main() leaves the collector off and the heap frozen after a success, a
+refusal and --help, and that a frozen exit loses no byte of a report on a
+pipe or in an --output file.  main(argv) with a list leaves the collector
+as it found it and freezes nothing.
 """
 import gc
+import hashlib
 import json
 import os
 import subprocess
@@ -23,9 +32,11 @@ from orbidisk.cli import main
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 QUADRIC = "perfbench/local_quadric.json"
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
 
 with open(os.path.join(ROOT, "perfbench", "expected.json")) as f:
-    CORPUS = sorted(json.load(f)["invocations"])
+    RECORDED = json.load(f)["invocations"]
+CORPUS = sorted(RECORDED)
 
 # (command at the lower order, the same command at the higher one)
 DEEP = [
@@ -105,7 +116,10 @@ def call(argv=None):
 
 
 def test_program_turns_the_collector_off():
-    # main() reads sys.argv and owns the process: the collector stays off
+    # main() reads sys.argv and owns the process: the collector stays off,
+    # and the heap is frozen once main is done, so the young generations
+    # hold only what the probe made since (an unfrozen run leaves over ten
+    # thousand objects there)
     probe = f"""\
 import contextlib, gc, io, sys
 from orbidisk.cli import main
@@ -119,26 +133,57 @@ for argv in {[argv for argv, _ in CONTRACT]!r}:
             got = main()
         except SystemExit as e:
             got = "help" if e.code == 0 else e.code
-    out.append([got, gc.isenabled()])
+    out.append([got, gc.isenabled(), gc.get_freeze_count() > 0,
+                len(gc.get_objects()) < 50])
 print(out)
 """
-    child = subprocess.run([sys.executable, "-c", probe],
-                           env={**os.environ,
-                                "PYTHONPATH": os.path.join(ROOT, "src")},
+    child = subprocess.run([sys.executable, "-c", probe], env=CHILD_ENV,
                            capture_output=True, text=True, timeout=120)
     assert child.returncode == 0, child.stderr
-    assert child.stdout == f"{[[want, False] for _, want in CONTRACT]}\n"
+    assert child.stdout == \
+        f"{[[want, False, True, True] for _, want in CONTRACT]}\n"
+
+
+CLI_ENTRY = "import sys; from orbidisk.cli import main; sys.exit(main())"
+FROZEN_EXITS = ["analyze kp2 --format text",
+                "invariants kp2 --disk ray:0 --order 20 --format json",
+                "oracle c3z3 --bar c3z3_bar --disk box:3 --order 4 "
+                "--format text",
+                "mirror-map conifold --order 0"]
+
+
+def run_program(key, *more):
+    return subprocess.run([sys.executable, "-c", CLI_ENTRY, *key.split(" "),
+                           *more], cwd=ROOT, env=CHILD_ENV,
+                          capture_output=True, timeout=120)
+
+
+@pytest.mark.parametrize("key", FROZEN_EXITS)
+def test_frozen_exit_writes_the_whole_report(key):
+    child = run_program(key)
+    assert {"exit": child.returncode,
+            "stdout_sha256": hashlib.sha256(child.stdout).hexdigest()} == \
+        RECORDED[key]
+
+
+def test_frozen_exit_writes_the_whole_output_file(tmp_path):
+    key = FROZEN_EXITS[1]
+    out = tmp_path / "report.json"
+    child = run_program(key, "--output", str(out))
+    assert (child.returncode, child.stdout) == (0, b"")
+    assert out.read_bytes() == run_program(key).stdout
 
 
 @pytest.mark.parametrize("enabled", [True, False])
 @pytest.mark.parametrize("argv, want", CONTRACT)
 def test_main_with_argv_leaves_the_collector_alone(capsys, argv, want,
                                                    enabled):
-    was = gc.isenabled()
+    was, frozen = gc.isenabled(), gc.get_freeze_count()
     (gc.enable if enabled else gc.disable)()
     try:
         assert call(argv) == want
         assert gc.isenabled() is enabled
+        assert gc.get_freeze_count() == frozen
     finally:
         (gc.enable if was else gc.disable)()
     capsys.readouterr()

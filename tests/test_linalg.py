@@ -303,6 +303,16 @@ def test_complete_to_unimodular():
         linalg.complete_to_unimodular([[2, 0]], 2)
 
 
+@settings(max_examples=60, derandomize=True)
+@given(st.integers(1, 3).flatmap(lambda rows: mat_strategy(rows, 5)))
+def test_complete_to_unimodular_random(a):
+    # a kernel basis is saturated, so it always completes to a basis of Z^5
+    cols = linalg.integer_kernel_basis(a)
+    full = linalg.complete_to_unimodular(cols, 5)
+    assert full[:len(cols)] == cols
+    assert abs(oracle_det(full)) == 1
+
+
 @pytest.mark.parametrize("name", fans.NAMES)
 def test_kernel_data_builds_only_returned_fractions(monkeypatch, name):
     # every Fraction linalg builds while a bundled fan is parsed and its
