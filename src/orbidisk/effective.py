@@ -17,7 +17,7 @@ grade sum(C) are ints over the same L, and the sector has one int core on
 On a compactification the enumeration stops at classes that meet the added
 divisor D-infinity at most once (p-infinity = D-infinity . class <= 1).  Every
 compactified class has z-exponent -p-infinity - age - #forced - [p-infinity >
-0] (the bookkeeping identity hyper.z_extract checks), so a class with
+0] (a column's z-count plus its forced flag is -ceil(p)), so a class with
 p-infinity >= 2 never reaches the z^-1 / z^-2 slice any consumer reads.  The
 scan carries each anticone generator's D-infinity pairing as a second budget
 beside its grade, which is exact because every generator inside the bound

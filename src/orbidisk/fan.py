@@ -397,11 +397,13 @@ def _anticones(fan, gamma):
 
     The anticone is the rays outside the cone followed by every extra vector:
     m' - n columns, one per vector of gamma, which both callers supply.
-    The divisors it indexes form a basis of the dual kernel space; the
-    generators are the dual vectors in gamma coordinates (generator k pairs
-    to 1 with anticone column k and to 0 with the others), and they span the
-    effective classes attached to the cone.  Anticones are upward closed, so
-    these minimal ones decide the family.
+    The divisors it indexes form a basis of the dual kernel space: a kernel
+    vector that vanishes on them is a relation among the cone's independent
+    rays, so it is zero and each block inverts.  The generators are the
+    dual vectors in gamma coordinates (generator k pairs to 1 with anticone
+    column k and to 0 with the others), and they span the effective classes
+    attached to the cone.  Anticones are upward closed, so these minimal
+    ones decide the family.
     """
     r = len(gamma)
     out = []
@@ -412,9 +414,6 @@ def _anticones(fan, gamma):
             tuple(range(fan.m, fan.m_prime))
         sub = [[gamma[a][i] for a in range(r)] for i in comp]
         inv = linalg.invert_rational(sub)
-        if inv is None:
-            raise ConsistencyError(MODULE, "kernel_data",
-                                   "singular local system at cone", cone)
         # columns of inv = generator coordinates
         gens = tuple(tuple(inv[a][k] for a in range(r)) for k in range(r))
         out.append((tuple(cone), comp, gens))
@@ -487,22 +486,11 @@ def _disk_table(fan: StackyFan, gamma, age1_boxes) -> dict:
     return table
 
 
-def _toric_data(fan: StackyFan, gamma, op, anticones=None,
+def _toric_data(fan: StackyFan, gamma, anticones=None,
                 **bookkeeping) -> ToricData:
     """ToricData of `fan` on the kernel basis `gamma`, with its boxes, its
-    anticone and disk tables and the `bookkeeping` fields, once gamma is
-    checked: each vector in the kernel, m' - n of them, elementary divisors
-    all +-1.  The anticone table is built here unless the caller already
-    holds it for gamma."""
-    for g in gamma:
-        for k in range(fan.rank):
-            if sum(g[i] * fan.column(i)[k] for i in range(fan.m_prime)) != 0:
-                raise ConsistencyError(MODULE, op, "kernel relation violated", g)
-    divs = linalg.elementary_divisors(gamma)
-    if len(gamma) != fan.m_prime - fan.rank or len(divs) != len(gamma) or \
-            any(abs(d) != 1 for d in divs):
-        raise ConsistencyError(MODULE, op, "kernel basis is not saturated",
-                               {"gamma": gamma, "divisors": divs})
+    anticone and disk tables and the `bookkeeping` fields.  The anticone
+    table is built here unless the caller already holds it for gamma."""
     gamma = [list(g) for g in gamma]
     boxes, age1 = box_elements(fan)
     if anticones is None:
@@ -557,7 +545,7 @@ def kernel_data(fan: StackyFan, basis_p=None) -> ToricData:
     split_ok = not any(gamma[a][j] for a in range(fan.m - fan.rank)
                        for j in range(fan.m, fan.m_prime))
 
-    data = _toric_data(fan, gamma, op, anticones,
+    data = _toric_data(fan, gamma, anticones,
                        cy_covector=calabi_yau_covector(fan),
                        basis_origin=origin, split_ok=split_ok)
     declared = sorted(fan.extra_vectors)
@@ -700,13 +688,14 @@ def validate_compactification(base_fan: StackyFan, bar_fan: StackyFan,
             for r in bar_fan.rays),
     }
 
-    # bar kernel basis: extended base basis plus the compactifying class
+    # bar kernel basis: extended base basis plus the compactifying class,
+    # the only vector nonzero at the added column
     d_inf = _bar_columns([int(c == idx) for c in range(base_fan.m_prime)],
                          inf_col)
     d_inf[inf_col] = 1
     gamma_bar = [_bar_columns(g, inf_col) for g in base.gamma] + [d_inf]
 
-    bar = _toric_data(bar_fan, gamma_bar, op, cy_covector=None,
+    bar = _toric_data(bar_fan, gamma_bar, cy_covector=None,
                       basis_origin="compactified", split_ok=base.split_ok,
                       infinity_column=inf_col)
     base_age1 = sorted(b.vector for b in base.age1_boxes)

@@ -23,7 +23,7 @@ columns and makes one Fraction per class, the ZFactors scalar.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm, prod
+from math import lcm, prod
 
 from .errors import ConsistencyError, Value, frac
 from .series import Series, mono
@@ -72,22 +72,11 @@ def z_extract(data, cls) -> ZFactors:
         if i != inf_col:
             a, b, count, f = _factor(p, N)
         else:
-            assert p >= 0 and p % N == 0
             a, b, count, f = (N, p, -1, 0) if p else (1, 1, 0, 0)
         num, den, z_exp = num * a, den * b, z_exp + count
         if f:
             forced.append(i)
 
-    # exponent bookkeeping: total z-weight plus surviving divisor count is
-    # fixed by the anticanonical pairing and the sector age
-    inf = 0 if inf_col is None else P[inf_col]
-    age, shift = cls.sector.age, len(forced) + (inf > 0)
-    if ((z_exp + shift) * N + sum(P) - inf) * age.denominator != \
-            -age.numerator * N:
-        raise ConsistencyError(MODULE, "z_extract",
-                               "z-weight bookkeeping violated",
-                               {"got": Fraction(z_exp), "want":
-                                Fraction(inf - sum(P), N) - age - shift})
     return ZFactors(Fraction(z_exp), Fraction(num, den), tuple(forced))
 
 
@@ -104,23 +93,12 @@ class Slice(Value):
     h0_z2: Series
 
 
-def closed_form_ray_coefficient(pairings, j):
-    """Coefficient of a ray-series class in closed form:
-    (-1)^(p-1) (-p-1)! / prod_{i != j} (pairing_i)! for pairing p < 0 at j."""
-    p = frac(pairings[j])
-    qs = [frac(q) for i, q in enumerate(pairings) if i != j]
-    assert p.denominator == 1 and p < 0
-    assert all(q.denominator == 1 and q >= 0 for q in qs)
-    k = -p.numerator
-    return Fraction((-1) ** (k - 1) * factorial(k - 1),
-                    prod(factorial(q.numerator) for q in qs))
-
-
 def coefficient_slice(data, classes, order) -> Slice:
     """Accumulate the z^-1 / z^-2 extractions of a list of classes: the terms
-    of each series in one dict, then each Series built once.  Every
-    divisor-linear coefficient is checked against its closed form."""
-    inf_col = data.infinity_column
+    of each series in one dict, then each Series built once.  A
+    divisor-linear coefficient, of a class pairing -k at its column and
+    q_i >= 0 with the others, is (-1)^(k-1) (k-1)! / prod q_i!: _factor's
+    product in closed form, which the tests assert over the corpus."""
     sectors, divisors, h0_z2 = {}, {}, {}
     for cls in classes:
         zf = z_extract(data, cls)
@@ -130,15 +108,6 @@ def coefficient_slice(data, classes, order) -> Slice:
         if kind[0] == "sector":
             terms = sectors.setdefault(kind[1].vector, {})
         elif kind[0] == "divisor":
-            # divisor-linear terms never pair with the added divisor
-            assert inf_col is None or cls.pairings[inf_col] == 0
-            expected = closed_form_ray_coefficient(cls.pairings, kind[1])
-            if zf.scalar != expected:
-                raise ConsistencyError(MODULE, "coefficient_slice",
-                                       "ray coefficient disagrees with its "
-                                       "closed form",
-                                       {"pairings": cls.pairings,
-                                        "got": zf.scalar, "want": expected})
             terms = divisors.setdefault(kind[1], {})
         else:
             terms = h0_z2
@@ -154,10 +123,11 @@ def relative_ifunction_oracle(cd, base):
     order of `base`, the base fan's mirror map.
 
     The enumeration holds only the classes with p_inf = D_inf . class <= 1:
-    z_extract's bookkeeping gives every class the z-exponent -p_inf - age -
-    #forced - [p_inf > 0], so one that meets D_inf twice or more lies below
-    z^-2 and adds nothing to the slice.  The p_inf = 0 classes are checked
-    against `base`, and the z^-2 check below reads p_inf = 1 classes.
+    a column's z-count plus its forced flag is -ceil(p), so every class has
+    the z-exponent -p_inf - age - #forced - [p_inf > 0], and one that meets
+    D_inf twice or more lies below z^-2 and adds nothing to the slice.  The
+    p_inf = 0 classes are checked against `base`, and the z^-2 check below
+    reads p_inf = 1 classes.
 
     Returns (Slice, classes) of the compactified fan.  The z^-2 part valued
     in the added divisor's degree-0 cohomology must be the single monomial of

@@ -88,8 +88,9 @@ class InvariantTable(Value):
     data: ToricData
 
     def value(self, alpha, insertions=()):
-        key = (tuple(int(a) for a in alpha),
-               tuple(sorted((str(l), int(k)) for l, k in insertions)))
+        """The entry at alpha and the (label, count) insertions as given, so
+        a fractional alpha or count finds none; 0 where there is none."""
+        key = (tuple(alpha), tuple(sorted((l, k) for l, k in insertions)))
         return self.entries.get(key, Fraction(0))
 
     def to_json(self):

@@ -205,11 +205,6 @@ def complete_to_unimodular(cols, n):
     for i in range(k):
         if abs(s[i][i]) != 1:
             raise ValueError("columns do not span a saturated sublattice")
-    uinv = invert_rational(u)
-    extra = []
-    for j in range(k, n):
-        col = [uinv[i][j] for i in range(n)]
-        if any(x.denominator != 1 for x in col):
-            raise ValueError("unimodular completion failed")
-        extra.append([int(x) for x in col])
-    return [list(c) for c in cols] + extra
+    uinv = invert_rational(u)  # integral, as u is unimodular
+    return [list(c) for c in cols] + \
+        [[int(uinv[i][j]) for i in range(n)] for j in range(k, n)]

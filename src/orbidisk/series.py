@@ -81,7 +81,12 @@ def mono_pow(m: tuple, k) -> tuple:
 
 
 def mono_grade(m: tuple, weights: dict) -> Fraction:
-    return sum((weights[v] * e for v, e in m), Fraction(0))
+    """The grade of m; a variable the grading does not weight is refused."""
+    try:
+        return sum((weights[v] * e for v, e in m), Fraction(0))
+    except KeyError as exc:
+        raise _err("grading", f"variable {exc.args[0]} has no weight",
+                   exc.args[0]) from None
 
 
 def mono_str(m: tuple) -> str:

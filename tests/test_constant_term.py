@@ -1,0 +1,109 @@
+"""The interior column's mirror-map series against the constant-term formula.
+
+For a polygon fan at height 1, with interior ray (0, 0, 1) and boundary rays
+(v_i, 1), the interior column's series is
+
+    g = -sum_m (-1)^m (m - 1)! / prod k_i! * y^beta(k)
+
+over k in N^b with sum k_i v_i = 0 and m = sum k_i, where beta(k) pairs -m
+with the interior ray and k_i with boundary ray i: (1/m) CT(W^m) for
+W = sum a_i z^(v_i) with formal a_i (Batyrev, arXiv:alg-geom/9310003).
+
+The oracle scans lattice points k directly.  It shares no code with the
+class scan, the hypergeometric extraction or the inversion: it reads only
+the fan's columns, its cones and the kernel coordinates of a pairing vector.
+"""
+from fractions import Fraction
+from math import factorial, prod
+
+import pytest
+
+from orbidisk import fans
+from orbidisk.fan import fan_from_dict, kernel_data
+from orbidisk.mirrormap import toric_mirror_map
+from orbidisk.series import Series, mono
+from test_generalization import LOCAL_QUADRIC
+
+# the Hirzebruch surfaces F_1 and F_2 (semi-Fano: (0, 1) lies on the edge
+# from (1, 0) to (-1, 2))
+F1 = {"rank": 3,
+      "rays": [[0, 0, 1], [1, 0, 1], [1, 1, 1], [0, 1, 1], [-1, -1, 1]],
+      "cones": [[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 1, 4]]}
+F2 = {"rank": 3,
+      "rays": [[0, 0, 1], [1, 0, 1], [0, 1, 1], [-1, 2, 1], [0, -1, 1]],
+      "cones": [[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 1, 4]]}
+
+# dP_2 with the interior ray last: the default basis depends on the ray
+# order, and refuses every order that lists the interior ray first
+DP2 = {"rank": 3,
+       "rays": [[1, 0, 1], [1, 1, 1], [-1, -1, 1], [0, -1, 1], [0, 1, 1],
+                [0, 0, 1]],
+       "cones": [[0, 1, 5], [1, 4, 5], [2, 4, 5], [2, 3, 5], [0, 3, 5]]}
+
+
+def constant_term_series(data, order):
+    """(interior column, g) of a polygon fan at height 1, to `order`.
+
+    A maximal cone (interior, p, q) fixes k_p and k_q from the other k_i,
+    since v_p and v_q are a basis of Q^2.  The grade of beta(k) is then
+    sum ell_i k_i over the other boundary rays, with ell_i the grade of the
+    rational relation at k_i = 1, so the scan walks those k_i under the
+    grade bound and keeps the points where k_p and k_q are in N.
+    """
+    cols = [data.fan.column(i) for i in range(data.m_prime)]
+    assert data.n == 3 and all(c[2] == 1 for c in cols)
+    interior = cols.index((0, 0, 1))
+    cone = next(c for c in data.fan.cones if len(c) == 3)
+    p, q = (i for i in cone if i != interior)
+    others = [i for i in range(data.m) if i not in (interior, p, q)]
+    det = cols[p][0] * cols[q][1] - cols[p][1] * cols[q][0]
+
+    def pairings(k):
+        # k: {boundary ray: multiplicity}, completed by k_p and k_q
+        rhs = [-sum(k[i] * cols[i][a] for i in others) for a in (0, 1)]
+        k = {**k, p: Fraction(rhs[0] * cols[q][1] - rhs[1] * cols[q][0], det),
+             q: Fraction(cols[p][0] * rhs[1] - cols[p][1] * rhs[0], det)}
+        out = [k.get(i, 0) for i in range(data.m)]
+        out[interior] = -sum(k.values())
+        return out
+
+    def grade(k):
+        return data.grade(data.coords_from_pairings(pairings(k)))
+
+    ell = {i: grade({j: int(j == i) for j in others}) for i in others}
+    assert all(x > 0 for x in ell.values()), ell
+
+    terms = {}
+
+    def scan(j, room, k):
+        if j == len(others):
+            beta = pairings(k)
+            ks = [beta[i] for i in range(data.m) if i != interior]
+            if all(x >= 0 and x.denominator == 1 for x in ks) and any(ks):
+                ks = list(map(int, ks))
+                m = sum(ks)
+                coords = data.coords_from_pairings(beta)
+                terms[mono(*zip(data.y_vars(), coords))] = -Fraction(
+                    (-1) ** m * factorial(m - 1),
+                    prod(factorial(x) for x in ks))
+            return
+        i, x = others[j], 0
+        while x * ell[i] <= room:
+            scan(j + 1, room - x * ell[i], {**k, i: x})
+            x += 1
+
+    scan(0, Fraction(order), {})
+    return interior, Series(data.y_weights(), order, terms)
+
+
+@pytest.mark.parametrize("name, order, count", [
+    ("kp2", 40, 40), ("local_quadric", 16, 152), ("f1", 16, 80),
+    ("f2", 16, 56), ("dp2", 20, 62)])
+def test_interior_series_is_the_constant_term_series(name, order, count):
+    fan = fans.load("kp2") if name == "kp2" else fan_from_dict(
+        {"local_quadric": LOCAL_QUADRIC, "f1": F1, "f2": F2, "dp2": DP2}[name])
+    data = kernel_data(fan)
+    interior, want = constant_term_series(data, order)
+    got = toric_mirror_map(data, order).g[interior]
+    assert len(want.terms) == count
+    assert got.same_terms(want), got.first_difference(want)

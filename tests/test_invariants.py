@@ -126,6 +126,21 @@ def test_invariants_kp2():
     assert table.value([5]) == 0
 
 
+def test_invariant_value_takes_keys_as_given():
+    # a fractional or float alpha or count names no entry; an integral
+    # Fraction finds the int's entry
+    dp = disk_potential(toric_mirror_map(data_for("kp2"), 4), ("ray", 0))
+    table = extract_invariants(dp)
+    assert table.value([F(1, 2)]) == 0
+    assert table.value([1.9]) == 0
+    assert table.value([F(2)]) == table.value([2]) == 5
+    dp = disk_potential(toric_mirror_map(data_for("c3z3"), F(4, 3)),
+                        ("box", 3))
+    table = extract_invariants(dp)
+    assert table.value([], [("b0,0,1", F(4))]) == F(1, 27)
+    assert table.value([], [("b0,0,1", 4.5)]) == 0
+
+
 def test_invariants_c3z3():
     dp = disk_potential(toric_mirror_map(data_for("c3z3"), F(4, 3)),
                         ("box", 3))

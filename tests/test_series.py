@@ -655,6 +655,17 @@ def test_negative_grade_refused():
         S(3, {y(): 1, y(2): 1}).pow_frac(-1)
 
 
+def test_unweighted_variable_refused():
+    # a term or a monomial factor in a variable the grading leaves out
+    with pytest.raises(ValidationError, match="variable y has no weight") as e:
+        Series({"x": 1}, 2, {mono(("y", 1)): 1})
+    assert (e.value.operation, e.value.datum) == ("grading", "y")
+    x = Series({"x": 1}, 2, {mono(("x", 1)): 1})
+    with pytest.raises(ValidationError, match="variable y has no weight") as e:
+        x.mul_monomial(mono(("x", 1), ("y", 1)))
+    assert (e.value.operation, e.value.datum) == ("grading", "y")
+
+
 def test_substitute_unassigned_variable():
     s = S(2, {y(): 1})
     with pytest.raises(ValidationError):
