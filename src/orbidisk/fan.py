@@ -40,12 +40,15 @@ class StackyFan(Value):
     is an integer rank x rank matrix; for any vector v the first s entries of
     T v are p times v's coefficients over the cone's rays, and the others
     vanish exactly when v lies in their span.  Validation, minimal cones and
-    box enumeration read this table, so no cone is eliminated twice."""
+    box enumeration read this table, so no cone is eliminated twice.  The
+    one Smith form of the n x m' column matrix shows that the columns
+    generate Z^n, and its saturated kernel basis is `kernel`."""
     rank: int
     rays: tuple            # tuple of integer vectors
     cones: tuple           # tuple of sorted index tuples
     extra_vectors: tuple   # tuple of integer vectors
     eliminations: tuple    # (p, T) per cone, as above
+    kernel: tuple          # kernel basis of the columns, as above
     labels: tuple = ()
 
     @property
@@ -136,8 +139,8 @@ def fan_from_dict(raw: dict) -> StackyFan:
 
 def validate_fan(n, rays, cones, extra, labels) -> StackyFan:
     """The fan of the parsed fields, once every check passes.  Each listed
-    cone's rays are eliminated once, after its index checks, and the fan
-    keeps that table (see StackyFan)."""
+    cone's rays are eliminated once, after its index checks, and the column
+    matrix is put in Smith form once; the fan keeps both (see StackyFan)."""
     op = "parse_stacky_fan"
     # rays primitive, nonzero, pairwise distinct
     for r in rays:
@@ -171,16 +174,16 @@ def validate_fan(n, rays, cones, extra, labels) -> StackyFan:
         sign = 1 if p > 0 else -1
         table.append((sign * p, tuple(tuple(sign * x for x in row[s:])
                                       for row in m)))
-    fan = StackyFan(n, rays, cones, extra, tuple(table), labels)
+    divs, kernel = linalg.smith_kernel([[c[i] for c in rays + extra]
+                                        for i in range(n)])
+    fan = StackyFan(n, rays, cones, extra, tuple(table),
+                    tuple(map(tuple, kernel)), labels)
     _check_fan_pairs(fan)
     # extra vectors inside the support
     for v in extra:
         if minimal_cone(fan, v) is None:
             raise _verr(op, f"extra vector {v} lies outside the fan support", v)
     # columns generate Z^n
-    cols = fan.columns()
-    a = [[cols[j][i] for j in range(len(cols))] for i in range(n)]
-    divs = linalg.elementary_divisors(a)
     if len(divs) != n or any(abs(d) != 1 for d in divs):
         raise _verr(op, "ray and extra vectors do not generate the full lattice",
                     divs)
@@ -385,6 +388,15 @@ class ToricData(Value):
     def grade(self, coords):
         return sum((frac(c) for c in coords), Fraction(0))
 
+    def require_split(self, module, op):
+        """Refuse a basis that is not split_ok: the mirror map and the
+        coefficient system read the flat prefix as the curve classes."""
+        if not self.split_ok:
+            raise ValidationError(module, op, "kernel basis is not adapted to "
+                                  "the extra vectors (their divisor classes "
+                                  "must vanish on the flat prefix); supply "
+                                  "basis_p", None)
+
     def disk_class(self, disk):
         """The disk table's entry for ("ray", i) or ("box", j)."""
         if tuple(disk) not in self.disks:
@@ -420,14 +432,14 @@ def _anticones(fan, gamma):
     return tuple(out)
 
 
-def _default_kernel_basis(fan: StackyFan, kernel):
+def _default_kernel_basis(fan: StackyFan):
     """Deterministic kernel basis adapted to the extra-vector split and,
     where cheaply possible, oriented so effective classes have nonnegative
-    coordinates.  `kernel` is the Smith-form kernel basis of the columns.
-    Returns (basis, anticone table on that basis).  The split always exists:
+    coordinates, starting from the fan's Smith-form kernel basis.  Returns (basis, anticone table on that basis).  The split always exists:
     the rays of a fan with a full-dimensional cone span Q^n, so the kernel's
     extra coordinates have full rank m' - m, and the kernel vectors with zero
     extra coordinates form a saturated sublattice of rank r' = m - n."""
+    kernel = fan.kernel
     r = len(kernel)
     m, mp = fan.m, fan.m_prime
     r_prime = m - fan.rank
@@ -512,14 +524,11 @@ def kernel_data(fan: StackyFan, basis_p=None) -> ToricData:
     op = "kernel_data"
     if not any(len(c) == fan.rank for c in fan.cones):
         raise _verr(op, "fan has no full-dimensional cone", fan.cones)
-    cols = fan.columns()
-    kernel = linalg.integer_kernel_basis(
-        [[cols[j][i] for j in range(len(cols))] for i in range(fan.rank)])
-
     if basis_p is None:
-        gamma, anticones = _default_kernel_basis(fan, kernel)
+        gamma, anticones = _default_kernel_basis(fan)
         origin = "default"
     else:
+        kernel = fan.kernel
         r = len(kernel)
         if len(basis_p) != r:
             raise _verr(op, f"basis_p must have {r} rows", basis_p)

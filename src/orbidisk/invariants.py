@@ -55,8 +55,10 @@ def disk_potentials(mirror: MirrorMap) -> dict:
 
 def _potentials(mirror: MirrorMap, disks) -> dict:
     """{disk: DiskPotential} for a list of disks: their head monomials and
-    cone sums go to the inverse in the pass that checks it."""
-    op = "disk_potential"
+    cone sums go to the inverse in the pass that checks it.  Each starts at
+    1 or at its tau with coefficient 1: the inverse takes a box disk's head,
+    the lead of tau = y^dual (1 + u), to tau (1 + positive grade), and exp of
+    a cone sum starts at 1."""
     data, out = mirror.data, {}
     classes = [data.disk_class(disk) for disk in disks]
     heads = [Series.monomial(y_monomial(data, dual), data.y_weights(),
@@ -64,16 +66,9 @@ def _potentials(mirror: MirrorMap, disks) -> dict:
     expos = [cone_sum(mirror, cone, coeffs) for cone, coeffs, _, _ in classes]
     _, images = inverse_mirror_map(mirror, *heads, *expos)
     for (kind, idx), head, expo in zip(disks, images, images[len(disks):]):
-        pot = head * (-expo).exp()
-        lead = mono() if kind == "ray" else mono((data.tau_name(idx), 1))
-        lead_m, lead_c, _ = pot.factor_unit(op)
-        if lead_m != lead or lead_c != 1:
-            raise ConsistencyError(MODULE, op,
-                                   f"{kind} potential does not start at "
-                                   f"{mono_str(lead)} with coefficient 1",
-                                   {"lead": lead_m, "coeff": lead_c})
         normalization = "1+delta" if kind == "ray" else "tau+delta"
-        out[kind, idx] = DiskPotential(disk=(kind, idx), series=pot,
+        out[kind, idx] = DiskPotential(disk=(kind, idx),
+                                       series=head * (-expo).exp(),
                                        normalization=normalization, data=data)
     return out
 

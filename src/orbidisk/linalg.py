@@ -103,21 +103,20 @@ def smith_normal_form(a):
     return s, u, v
 
 
-def elementary_divisors(a):
-    s, _, _ = smith_normal_form(a)
-    n = min(len(s), len(s[0]) if s else 0)
-    return [s[i][i] for i in range(n) if s[i][i]]
+def smith_kernel(a):
+    """(elementary divisors, saturated integral basis of ker(a : Z^cols ->
+    Z^rows) as a list of columns), both read off one Smith form; a matrix
+    with no rows has no columns either, so neither."""
+    s, _, v = smith_normal_form(a)
+    cols = len(v)
+    divs = [s[i][i] for i in range(min(len(s), cols)) if s[i][i]]
+    # kernel = span of the columns of v past the nonzero diagonal
+    return divs, [[v[i][j] for i in range(cols)] for j in range(len(divs), cols)]
 
 
 def integer_kernel_basis(a):
-    """Saturated integral basis of ker(a : Z^cols -> Z^rows), as a list of
-    columns; a matrix with no rows has no columns either, so none."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    s, _, v = smith_normal_form(a)
-    rank = sum(1 for i in range(min(rows, cols)) if s[i][i])
-    # kernel = span of columns rank..cols-1 of v
-    return [[v[i][j] for i in range(cols)] for j in range(rank, cols)]
+    """Saturated integral basis of ker(a), as a list of columns."""
+    return smith_kernel(a)[1]
 
 
 def row_reduce(a, cols):

@@ -56,13 +56,21 @@ class MirrorMap(Value):
     classes: list                # the effective classes g was summed over
 
     def truncate(self, order) -> MirrorMap:
-        """The same map at a lower order: g truncated and the relations
-        reassembled from it, so an order below a relation's leading grade is
-        refused exactly as toric_mirror_map refuses it."""
+        """The same map at a lower order: the column series, relations and
+        corrections it holds, truncated, so a relative map keeps its qinf
+        relation.  Each relation's lead is its least-grade term, so an order
+        below it is refused exactly as toric_mirror_map refuses it."""
         order = frac(order)
-        g = {j: s.truncate(order) for j, s in self.g.items()}
-        return MirrorMap(self.data, order, g, _relations(self.data, g, order),
-                         [c for c in self.classes if c.grade <= order])
+        columns = iter(self.data.extra_columns())
+        _refuse_below_leads(order, [
+            (r.target, None if r.kind == "flat" else next(columns),
+             r.series.min_grade()) for r in self.relations])
+        return MirrorMap(
+            self.data, order, {j: s.truncate(order) for j, s in self.g.items()},
+            [Relation(r.target, r.kind, r.series.truncate(order),
+                      r.correction and r.correction.truncate(order))
+             for r in self.relations],
+            [c for c in self.classes if c.grade <= order])
 
     def to_json(self):
         return {
@@ -80,6 +88,23 @@ def cone_sum(mm: MirrorMap, cone, coeffs) -> Series:
     return out
 
 
+def _refuse_below_leads(order, leads):
+    """Refuse an order below the grade of a relation's leading monomial,
+    which would leave that relation zero; leads are (target, extra column or
+    None, grade) in relation order.  The refusal names the first such
+    relation and the least order that works."""
+    for target, j, grade in leads:
+        if grade > order:
+            name = target if j is None else f"{target} (column {j})"
+            least = max(grade for _, _, grade in leads)
+            raise ValidationError(
+                MODULE, "toric_mirror_map",
+                f"order {frac_str(order)} is below {frac_str(grade)}, the grade "
+                f"of the leading monomial of the relation for {name}; the "
+                f"least order that works is {frac_str(least)}",
+                {"relation": name, "least_order": frac_str(least)})
+
+
 def _relations(data: ToricData, g, order, inf=None) -> list:
     """The relations of `data` assembled from its column series g, in
     relation order: one flat relation per plain q variable, then qinf's on a
@@ -88,7 +113,7 @@ def _relations(data: ToricData, g, order, inf=None) -> list:
     the a-th basis vector for q_a, inf for qinf, the dual class of column j
     for its tau.  An order below a lead's grade would leave that relation
     zero, so it is refused before any series work, naming the first such
-    relation and the least order that works.
+    relation and the least order that works (`_refuse_below_leads`).
 
     A flat relation is target = y^class * exp(sum_j (D_j.class) g_j); a
     twisted one is tau_j = g_j, which must lead with its dual class."""
@@ -99,17 +124,8 @@ def _relations(data: ToricData, g, order, inf=None) -> list:
         leads.append((q[data.r_prime], None, inf))
     leads += [(data.tau_name(j), j, data.disk_class(("box", j))[3])
               for j in data.extra_columns()]
-    grades = [data.grade(coords) for _, _, coords in leads]
-    for (target, j, _), grade in zip(leads, grades):
-        if grade > order:
-            name = target if j is None else f"{target} (column {j})"
-            least = frac_str(max(grades))
-            raise ValidationError(
-                MODULE, "toric_mirror_map",
-                f"order {frac_str(order)} is below {frac_str(grade)}, the grade "
-                f"of the leading monomial of the relation for {name}; the "
-                f"least order that works is {least}",
-                {"relation": name, "least_order": least})
+    _refuse_below_leads(order, [(target, j, data.grade(coords))
+                                for target, j, coords in leads])
     weights = data.y_weights()
     out = []
     for target, j, coords in leads:
@@ -147,11 +163,7 @@ def toric_mirror_map(data: ToricData, order) -> MirrorMap:
                               "fan is not Calabi-Yau: no covector pairs to 1 "
                               "with every ray and extra vector", None)
     verify_semi_fano(data)
-    if not data.split_ok:
-        raise ValidationError(MODULE, op,
-                              "kernel basis is not adapted to the extra "
-                              "vectors (their divisor classes must vanish on "
-                              "the flat prefix); supply basis_p", None)
+    data.require_split(MODULE, op)
     order = frac(order)
     classes = enumerate_effective(data, order)
     sl = coefficient_slice(data, classes, order)

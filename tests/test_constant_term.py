@@ -20,6 +20,7 @@ import pytest
 
 from orbidisk import fans
 from orbidisk.fan import fan_from_dict, kernel_data
+from orbidisk.invariants import disk_potentials
 from orbidisk.mirrormap import toric_mirror_map
 from orbidisk.series import Series, mono
 from test_generalization import LOCAL_QUADRIC
@@ -39,6 +40,14 @@ DP2 = {"rank": 3,
        "rays": [[1, 0, 1], [1, 1, 1], [-1, -1, 1], [0, -1, 1], [0, 1, 1],
                 [0, 0, 1]],
        "cones": [[0, 1, 5], [1, 4, 5], [2, 4, 5], [2, 3, 5], [0, 3, 5]]}
+
+# the fans of these tests that are not bundled
+CORPUS_FANS = {"local_quadric": LOCAL_QUADRIC, "f1": F1, "f2": F2, "dp2": DP2}
+
+
+def corpus_data(name):
+    return kernel_data(fans.load(name) if name in fans.NAMES
+                       else fan_from_dict(CORPUS_FANS[name]))
 
 
 def constant_term_series(data, order):
@@ -100,10 +109,26 @@ def constant_term_series(data, order):
     ("kp2", 40, 40), ("local_quadric", 16, 152), ("f1", 16, 80),
     ("f2", 16, 56), ("dp2", 20, 62)])
 def test_interior_series_is_the_constant_term_series(name, order, count):
-    fan = fans.load("kp2") if name == "kp2" else fan_from_dict(
-        {"local_quadric": LOCAL_QUADRIC, "f1": F1, "f2": F2, "dp2": DP2}[name])
-    data = kernel_data(fan)
+    data = corpus_data(name)
     interior, want = constant_term_series(data, order)
     got = toric_mirror_map(data, order).g[interior]
     assert len(want.terms) == count
     assert got.same_terms(want), got.first_difference(want)
+
+
+@pytest.mark.parametrize("name, order", [
+    ("kp2", 20), ("conifold", 10), ("local_quadric", 10), ("f1", 10),
+    ("f2", 10), ("dp2", 10)])
+def test_flat_relations_and_ray_potentials_are_integral(name, order):
+    # on a fan without box elements every coefficient of each flat relation
+    # q = y^class exp(...) and of each ray-disk potential is an integer
+    data = corpus_data(name)
+    assert not data.boxes
+    mm = toric_mirror_map(data, order)
+    series = [r.series for r in mm.relations] + \
+        [dp.series for dp in disk_potentials(mm).values()]
+    assert [r.kind for r in mm.relations] == ["flat"] * data.r
+    for s in series:
+        assert not s.is_zero()
+        bad = {m: c for m, c in s.terms.items() if c.denominator != 1}
+        assert bad == {}

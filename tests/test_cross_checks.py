@@ -18,15 +18,14 @@ from pathlib import Path
 import pytest
 
 import orbidisk
-from orbidisk import fans, hyper, invariants, syz
+from orbidisk import fans, hyper, invariants
 from orbidisk.effective import enumerate_effective, sector
 from orbidisk.errors import ConsistencyError
 from orbidisk.fan import (fan_from_dict, kernel_data,
                           validate_compactification, verify_semi_fano)
 from orbidisk.hyper import relative_ifunction_oracle
 from orbidisk.invariants import (DiskPotential, compare_potentials,
-                                 disk_potential, extract_invariants,
-                                 oracle_potential)
+                                 extract_invariants, oracle_potential)
 from orbidisk.mirrormap import (MirrorMap, Relation, _relations,
                                 relative_mirror_map, toric_mirror_map)
 from orbidisk.series import Series, invert_map, mono
@@ -156,17 +155,6 @@ def _(monkeypatch):
 # -- invariants ---------------------------------------------------------------
 
 
-@fires("invariants", "_potentials", "{} potential does not start")
-def _(monkeypatch):
-    # the twisted relation times its own lead: the potential starts at t3^1/2
-    mm = toric_mirror_map(data("c3z3"), 2)
-    rels = [Relation(r.target, r.kind,
-                     r.series.mul_monomial(r.series.factor_unit()[0]))
-            if r.target == "t3" else r for r in mm.relations]
-    disk_potential(MirrorMap(mm.data, mm.order, mm.g, rels, mm.classes),
-                   ("box", 3))
-
-
 @fires("invariants", "extract_invariants",
        "unexpected variable {} in potential")
 def _(monkeypatch):
@@ -270,18 +258,6 @@ def _(monkeypatch):
         return substitute(self, {"y": img + wrong}, *more)
     monkeypatch.setattr(Series, "substitute", planted)
     invert_map([("q", rel)], 3)
-
-
-# -- syz ----------------------------------------------------------------------
-
-
-@fires("syz", "_verify_coefficient_relations",
-       "solved coefficients violate a defining")
-def _(monkeypatch):
-    d = data("kp2")
-    sol = syz.solve_coefficient_system(d, 0)
-    syz._verify_coefficient_relations(d, {**sol, 1: [x + 1 for x in sol[1]]},
-                                      syz._relation_rhs(d))
 
 
 # -- the guard ----------------------------------------------------------------

@@ -397,8 +397,9 @@ def validate_fan_reference(doc):
         if minimal_cone_reference(rays, cones, v) is None:
             refuse(f"extra vector {v} lies outside the fan support", v)
     cols = list(rays) + extra
-    divs = linalg.elementary_divisors([[col[i] for col in cols]
-                                       for i in range(n)])
+    snf, _, _ = linalg.smith_normal_form([[col[i] for col in cols]
+                                          for i in range(n)])
+    divs = [snf[i][i] for i in range(min(n, len(cols))) if snf[i][i]]
     if len(divs) != n or any(abs(d) != 1 for d in divs):
         refuse("ray and extra vectors do not generate the full lattice", divs)
 
@@ -529,6 +530,29 @@ def test_each_listed_cone_is_eliminated_once(monkeypatch):
     monkeypatch.setattr(fan_module, "minimal_cone", watched)
     validate_compactification(load("kp2"), load("kp2_bar"), "ray:0")
     assert inside == [0] * 5  # one per ray of kp2_bar
+
+
+def test_kernel_data_takes_one_smith_form_of_the_columns(monkeypatch):
+    # the fan keeps the Smith form its lattice check took, and kernel_data
+    # reads the kernel basis off it: parsing a fan and deriving its data
+    # puts the column matrix in Smith form once, default basis or basis_p
+    from test_generalization import (LOCAL_QUADRIC, WEIGHTED_BASIS,
+                                     WEIGHTED_SURFACE)
+    seen = []
+    snf = linalg.smith_normal_form
+
+    def counted(a):
+        seen.append(a)
+        return snf(a)
+    monkeypatch.setattr(linalg, "smith_normal_form", counted)
+    cases = [(json.loads(fans.read(name)), None) for name in fans.NAMES]
+    cases += [(LOCAL_QUADRIC, None), (WEIGHTED_SURFACE, WEIGHTED_BASIS)]
+    for doc, basis_p in cases:
+        seen.clear()
+        data = kernel_data(fan_from_dict(doc), basis_p)
+        cols = data.fan.columns()
+        a = [[c[i] for c in cols] for i in range(data.n)]
+        assert sum(x == a for x in seen) == 1, doc
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
+import functools
 from fractions import Fraction
 
 import pytest
 
 from orbidisk import fans
 from orbidisk.errors import ConsistencyError, ValidationError
-from orbidisk.fan import (kernel_data, parse_disk_selector,
-                         validate_compactification)
+from orbidisk.fan import (fan_from_dict, kernel_data, parse_disk_selector,
+                          validate_compactification)
 from orbidisk.invariants import (DiskPotential, compare_potentials,
                                  disk_potential, disk_potentials,
                                  extract_invariants, oracle_potential)
@@ -93,22 +94,43 @@ def test_potential_selector_string():
     assert dp.series.coefficient(mono(("q1", 1))) == -2
 
 
-def test_potential_refuses_box_lead():
-    # c3z3 box:3 with its twisted relation times its own leading monomial:
-    # the inverse takes the dual-class monomial to the square root of t3, so
-    # the potential starts there.  (A ray potential is exp of a series
-    # without constant term, so it always starts at 1.)
-    from orbidisk.errors import ConsistencyError
-    from orbidisk.mirrormap import MirrorMap, Relation
-    mm = toric_mirror_map(data_for("c3z3"), 2)
-    rels = [Relation(r.target, r.kind,
-                     r.series.mul_monomial(r.series.factor_unit()[0]))
-            if r.target == "t3" else r for r in mm.relations]
-    perturbed = MirrorMap(mm.data, mm.order, mm.g, rels, mm.classes)
-    with pytest.raises(ConsistencyError) as e:
-        disk_potential(perturbed, ("box", 3))
-    assert e.value.operation == "disk_potential"
-    assert e.value.datum == {"lead": mono(("t3", F(1, 2))), "coeff": 1}
+@functools.cache
+def potential_corpus():
+    """{id: ToricData} for every Calabi-Yau semi-Fano fan, bundled or of the
+    test modules, on a split basis: the corpus of the potential and
+    coefficient identities."""
+    from test_constant_term import CORPUS_FANS
+    from test_fan import c3_zk_chart
+    from test_generalization import (A1_CHART, LOCAL_QUADRIC, WEIGHTED_BASIS,
+                                     WEIGHTED_SURFACE)
+    cases = {name: data_for(name) for name in ("c3", "conifold", "kp2",
+                                                 "c3z3")}
+    for name, doc in CORPUS_FANS.items():
+        cases[name] = kernel_data(fan_from_dict(doc))
+    cases["a1_chart"] = kernel_data(fan_from_dict(A1_CHART))
+    cases["weighted_surface"] = kernel_data(fan_from_dict(WEIGHTED_SURFACE),
+                                            WEIGHTED_BASIS)
+    for k in (2, 3):
+        cases[f"c3z{k}_chart"] = kernel_data(fan_from_dict(c3_zk_chart(k)))
+    return cases
+
+
+CORPUS_IDS = ["c3", "conifold", "kp2", "c3z3", "local_quadric", "f1", "f2",
+              "dp2", "a1_chart", "weighted_surface", "c3z2_chart",
+              "c3z3_chart"]
+
+
+@pytest.mark.parametrize("case", CORPUS_IDS)
+def test_each_potential_starts_at_its_lead(case):
+    # a ray potential starts at 1 and a box potential at its tau, each with
+    # coefficient 1: the inverse takes a box disk's dual-class monomial to
+    # its tau times 1 plus positive grade, and exp of a cone sum starts at 1
+    data = potential_corpus()[case]
+    assert sorted(potential_corpus()) == sorted(CORPUS_IDS)
+    assert data.cy_covector is not None and data.split_ok
+    for (kind, idx), dp in disk_potentials(toric_mirror_map(data, 3)).items():
+        lead = mono() if kind == "ray" else mono((data.tau_name(idx), 1))
+        assert dp.series.factor_unit()[:2] == (lead, 1), (kind, idx)
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,7 @@ def child(code, *argv):
     ("mirror-map kp2 --order 2", {"invariants", "syz"}),
     ("invariants kp2 --disk ray:0 --order 2", {"syz"}),
     ("syz kp2 --order 2", set()),
+    ("oracle kp2 --bar kp2_bar --disk ray:0 --order 2", {"syz"}),
 ])
 def test_command_loads_only_its_layers(argv, unloaded):
     report = json.loads(child(RUN, *argv.split(" ")))

@@ -194,6 +194,24 @@ def test_truncate_below_leading_grade_refused_as_toric_mirror_map(name, hi,
     assert truncated.value.as_dict() == built.value.as_dict()
 
 
+@pytest.mark.parametrize("base, disk, lo, hi", [
+    ("kp2", ("ray", 0), 4, 6), ("kp2", ("ray", 0), 1, 3),
+    ("c3z3", ("box", 3), F(4, 3), F(8, 3)),
+])
+def test_truncated_relative_map_is_the_map_of_the_truncated_base(base, disk,
+                                                                  lo, hi):
+    # truncate keeps every relation it holds, qinf's too, so the result is
+    # the relative map of the truncated base and inverts
+    cd = validate_compactification(fans.load(base), fans.load(base + "_bar"),
+                                   disk)
+    mm = toric_mirror_map(cd.base, hi)
+    got = relative_mirror_map(cd, mm).truncate(lo)
+    assert got == relative_mirror_map(cd, mm.truncate(lo))
+    assert "qinf" in [r.target for r in got.relations]
+    assignment = inverse_mirror_map(got)
+    assert sorted(assignment) == sorted(cd.bar.y_vars())
+
+
 # ---------------------------------------------------------------------------
 # relative maps
 

@@ -12,6 +12,7 @@ from orbidisk.syz import (emit_lg_model, mirror_potential,
                           solve_coefficient_system)
 from test_fan import TABLE_IDS, table_data
 from test_generalization import WEIGHTED_BASIS, WEIGHTED_SURFACE
+from test_invariants import CORPUS_IDS, potential_corpus
 from test_linalg import oracle_rank
 
 F = Fraction
@@ -62,6 +63,33 @@ def test_coefficients_match_direct_inversion(case):
     for k, (cone, _, _) in enumerate(data.anticones):
         assert solve_coefficient_system(data, k) == \
             coefficient_reference(data, cone)
+
+
+@pytest.mark.parametrize("case", CORPUS_IDS)
+def test_solved_coefficients_satisfy_every_relation(case):
+    # a flat row's relation runs over the rays, the others over every
+    # column: the anticone generators invert the relation block, and on a
+    # split basis the flat rows vanish at the extra columns
+    data = potential_corpus()[case]
+    rhs = syz._relation_rhs(data)
+    for k in range(len(data.anticones)):
+        sol = solve_coefficient_system(data, k)
+        for a, (row, want) in enumerate(zip(data.gamma, rhs, strict=True)):
+            cols = data.m if a < data.r_prime else data.m_prime
+            assert [sum(row[i] * sol[i][c] for i in range(cols))
+                    for c in range(data.r_prime)] == want, (k, a)
+
+
+def test_unsplit_basis_refused():
+    # the flat rows hold only on a split basis: any other is refused with
+    # exit 2, as toric_mirror_map refuses it
+    unsplit = kernel_data(fan_from_dict(WEIGHTED_SURFACE), WEIGHTED_BASIS[::-1])
+    assert not unsplit.split_ok
+    with pytest.raises(ValidationError) as e:
+        solve_coefficient_system(unsplit, 0)
+    assert e.value.exit_code == 2
+    assert e.value.operation == "solve_coefficient_system"
+    assert "kernel basis is not adapted to the extra vectors" in str(e.value)
 
 
 @pytest.mark.parametrize("name", ["kp2", "c3z3", "conifold"])
