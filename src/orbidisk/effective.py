@@ -71,9 +71,9 @@ def _sector(data, L, P) -> BoxElement:
     vec = [sum(map(mul, coeffs.values(), xs))
            for xs in zip(*map(data.column_vector, coeffs))]
     if any(v % L for v in vec):
-        raise ConsistencyError(MODULE, "sector",
-                               "sector vector is not integral",
-                               tuple(Fraction(v, L) for v in vec))
+        raise ValidationError(MODULE, "sector",
+                              "sector vector is not integral",
+                              tuple(Fraction(v, L) for v in vec))
     # integral, with coefficients in (0, 1) on the rays of a cone: a box
     # element of that cone, so data.boxes lists it
     ivec = tuple(v // L for v in vec)

@@ -470,8 +470,8 @@ def _kernel_coords(gamma, pairings):
     g = [[v[i] for v in gamma] for i in range(len(pairings))]
     x = linalg.solve_rational(g, [frac(p) for p in pairings])
     if x is None:
-        raise ConsistencyError(MODULE, "coords_from_pairings",
-                               "pairing vector is not in the kernel", pairings)
+        raise _verr("coords_from_pairings",
+                    "pairing vector is not in the kernel", pairings)
     return x
 
 

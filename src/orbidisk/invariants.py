@@ -150,10 +150,11 @@ def oracle_potential(cd: CompactifiedData, base: MirrorMap) -> Series:
     """The same potential out of the compactified mirror map alone, at the
     order of the base fan's mirror map `base` less the weight of qinf.
     Inverts the relative mirror map, evaluates the compactifying-class
-    monomial under the inverse and strips its flat variable.  Runs the
-    hypergeometric summation check along the way.
+    monomial under the inverse and strips its flat variable.  The image is
+    qinf times a series in the other variables, as the tests assert over the
+    corpus: qinf's relation is the only one that holds yinf, and the
+    monomial of D_inf is yinf.
     """
-    op = "oracle_potential"
     bar = cd.bar
     qinf = bar.q_vars()[bar.r_prime]
     mm = relative_mirror_map(cd, base)
@@ -161,11 +162,6 @@ def oracle_potential(cd: CompactifiedData, base: MirrorMap) -> Series:
     _, (val,) = inverse_mirror_map(
         mm, Series.monomial(head, bar.y_weights(), base.order))
     out = val.mul_monomial(mono_pow(mono((qinf, 1)), -1))
-    for m in out.terms:
-        if any(v == qinf for v, _ in m):
-            raise ConsistencyError(MODULE, op,
-                                   "flat compactification variable failed to "
-                                   "cancel", m)
     # re-express without the qinf variable (stripping it lowered the order)
     weights = {v: w for v, w in out.weights.items() if v != qinf}
     return Series(weights, out.order, dict(out.terms))

@@ -8,8 +8,8 @@ flat coordinate variable corresponds to a curve class c, and its relation is
 
 with the tau relation tau_v = g_v(y) for every extra vector.  On compactified
 data the added variable's curve class is the compactified disk class; the
-non-infinity relations must restrict to the base fan's mirror map, which the
-caller builds once at the compactified order and which is asserted.
+other relations restrict to those of the base fan's mirror map, which the
+caller builds once at the compactified order, as the tests assert.
 """
 from __future__ import annotations
 
@@ -116,7 +116,8 @@ def _relations(data: ToricData, g, order, inf=None) -> list:
     relation and the least order that works (`_refuse_below_leads`).
 
     A flat relation is target = y^class * exp(sum_j (D_j.class) g_j); a
-    twisted one is tau_j = g_j, which must lead with its dual class."""
+    twisted one is tau_j = g_j, which must lead with its dual class (the
+    tests assert that g_j holds it with coefficient 1)."""
     q = data.q_vars()
     leads = [(q[a], None, [Fraction(int(b == a)) for b in range(data.r)])
              for a in range(data.r_prime)]
@@ -140,10 +141,6 @@ def _relations(data: ToricData, g, order, inf=None) -> list:
                                 Series.monomial(m, weights, order) * corr.exp(),
                                 corr))
             continue
-        if g[j].is_zero():
-            raise ConsistencyError(MODULE, "toric_mirror_map",
-                                   f"twisted series of column {j} vanished; "
-                                   "raise the order", j)
         lead_m, lead_c, _ = g[j].factor_unit()
         if lead_m != m or lead_c != 1:
             raise ConsistencyError(MODULE, "toric_mirror_map",
@@ -176,39 +173,22 @@ def relative_mirror_map(cd: CompactifiedData, base: MirrorMap) -> MirrorMap:
     the base fan's mirror map.
 
     Computed with the same machinery on the compactified fan, from the z^-1
-    pieces of the relative I-function oracle (which runs its own checks),
-    with the qinf relation leading with beta_bar; afterwards the other
-    relations are asserted to coincide with those of `base`, and the qinf
-    correction to be the cone-weighted sum of the base ray series (a ray
-    disk: the ray's own series).
+    pieces of the relative I-function oracle, with the qinf relation leading
+    with beta_bar.  The tests assert over the corpus that the other relations
+    are those of `base` (a class that meets D_inf has no z^-1 term) and that
+    the qinf correction is the cone-weighted sum of the base ray series.
     """
-    op = "relative_mirror_map"
     if base.data != cd.base:
-        raise ValidationError(MODULE, op, "base map is not built on the base "
-                              "fan of the compactification", None)
+        raise ValidationError(MODULE, "relative_mirror_map", "base map is not "
+                              "built on the base fan of the compactification",
+                              None)
     order = base.order
     bar = cd.bar
     sl, classes = relative_ifunction_oracle(cd, base)
     # z_extract never forces the added ray's column, so its series is zero
     g = g_series(bar, sl.sector_series, sl.divisor_series, order)
-    relations = _relations(bar, g, order, cd.beta_bar_coords)
-    rel_inf = relations[bar.r_prime]
-
-    # restriction consistency with the base mirror map, relation by relation
-    own = [r for r in relations if r is not rel_inf]
-    for got, want in zip(own, base.relations, strict=True):
-        if got.target != want.target or not got.series.same_terms(want.series):
-            raise ConsistencyError(MODULE, op,
-                                   f"{got.kind} relation differs from the base "
-                                   "mirror map", got.target)
-
-    kind, idx = cd.disk
-    cone, coeffs = cd.base.disk_class(cd.disk)[:2]
-    if not rel_inf.correction.same_terms(cone_sum(base, cone, coeffs)):
-        raise ConsistencyError(MODULE, op,
-                               f"{kind}-disk correction is not the "
-                               "cone-weighted base ray sum", idx)
-    return MirrorMap(bar, order, g, relations, classes)
+    return MirrorMap(bar, order, g,
+                     _relations(bar, g, order, cd.beta_bar_coords), classes)
 
 
 def inverse_mirror_map(mm: MirrorMap, *more):

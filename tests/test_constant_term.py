@@ -1,7 +1,7 @@
 """The interior column's mirror-map series against the constant-term formula.
 
-For a polygon fan at height 1, with interior ray (0, 0, 1) and boundary rays
-(v_i, 1), the interior column's series is
+For a fan of rank n at height 1, with interior ray (0, ..., 0, 1) and
+boundary rays (v_i, 1), the interior column's series is
 
     g = -sum_m (-1)^m (m - 1)! / prod k_i! * y^beta(k)
 
@@ -23,7 +23,8 @@ from orbidisk.fan import fan_from_dict, kernel_data
 from orbidisk.invariants import disk_potentials
 from orbidisk.mirrormap import toric_mirror_map
 from orbidisk.series import Series, mono
-from test_generalization import LOCAL_QUADRIC
+from test_generalization import LOCAL_P3, LOCAL_QUADRIC
+from test_linalg import oracle_solve
 
 # the Hirzebruch surfaces F_1 and F_2 (semi-Fano: (0, 1) lies on the edge
 # from (1, 0) to (-1, 2))
@@ -42,7 +43,8 @@ DP2 = {"rank": 3,
        "cones": [[0, 1, 5], [1, 4, 5], [2, 4, 5], [2, 3, 5], [0, 3, 5]]}
 
 # the fans of these tests that are not bundled
-CORPUS_FANS = {"local_quadric": LOCAL_QUADRIC, "f1": F1, "f2": F2, "dp2": DP2}
+CORPUS_FANS = {"local_quadric": LOCAL_QUADRIC, "f1": F1, "f2": F2, "dp2": DP2,
+               "local_p3": LOCAL_P3}
 
 
 def corpus_data(name):
@@ -51,35 +53,37 @@ def corpus_data(name):
 
 
 def constant_term_series(data, order):
-    """(interior column, g) of a polygon fan at height 1, to `order`.
+    """(interior column, g) of a fan of rank n at height 1, to `order`.
 
-    A maximal cone (interior, p, q) fixes k_p and k_q from the other k_i,
-    since v_p and v_q are a basis of Q^2.  The grade of beta(k) is then
-    sum ell_i k_i over the other boundary rays, with ell_i the grade of the
-    rational relation at k_i = 1, so the scan walks those k_i under the
-    grade bound and keeps the points where k_p and k_q are in N.
+    A maximal cone holds the interior ray and n - 1 boundary rays, a basis
+    of Q^(n-1).  So each other boundary ray i has one rational relation
+    beta_i: k_i = 1, with the cone's k_j solved from sum k_j v_j = 0 in one
+    exact solve, and beta(k) = sum k_i beta_i over the other rays.  Its
+    grade is sum ell_i k_i, with ell_i the grade of beta_i, so the scan
+    walks those k_i under the grade bound and keeps the points where the
+    cone's k_j are in N.
     """
+    n = data.n
     cols = [data.fan.column(i) for i in range(data.m_prime)]
-    assert data.n == 3 and all(c[2] == 1 for c in cols)
-    interior = cols.index((0, 0, 1))
-    cone = next(c for c in data.fan.cones if len(c) == 3)
-    p, q = (i for i in cone if i != interior)
-    others = [i for i in range(data.m) if i not in (interior, p, q)]
-    det = cols[p][0] * cols[q][1] - cols[p][1] * cols[q][0]
+    assert all(c[-1] == 1 for c in cols)
+    interior = cols.index((0,) * (n - 1) + (1,))
+    cone = next(c for c in data.fan.cones if len(c) == n)
+    basis = [i for i in cone if i != interior]
+    others = [i for i in range(data.m) if i != interior and i not in basis]
+    a = [[cols[j][row] for j in basis] for row in range(n - 1)]
 
-    def pairings(k):
-        # k: {boundary ray: multiplicity}, completed by k_p and k_q
-        rhs = [-sum(k[i] * cols[i][a] for i in others) for a in (0, 1)]
-        k = {**k, p: Fraction(rhs[0] * cols[q][1] - rhs[1] * cols[q][0], det),
-             q: Fraction(cols[p][0] * rhs[1] - cols[p][1] * rhs[0], det)}
-        out = [k.get(i, 0) for i in range(data.m)]
-        out[interior] = -sum(k.values())
+    def relation(i):
+        k = dict(zip(basis, oracle_solve(a, [-x for x in cols[i][:-1]])))
+        out = [Fraction(k.get(j, int(j == i))) for j in range(data.m)]
+        out[interior] = -sum(out)
         return out
 
-    def grade(k):
-        return data.grade(data.coords_from_pairings(pairings(k)))
+    rel = {i: relation(i) for i in others}
 
-    ell = {i: grade({j: int(j == i) for j in others}) for i in others}
+    def pairings(k):
+        return [sum(k[i] * rel[i][c] for i in others) for c in range(data.m)]
+
+    ell = {i: data.grade(data.coords_from_pairings(rel[i])) for i in others}
     assert all(x > 0 for x in ell.values()), ell
 
     terms = {}
@@ -107,7 +111,7 @@ def constant_term_series(data, order):
 
 @pytest.mark.parametrize("name, order, count", [
     ("kp2", 40, 40), ("local_quadric", 16, 152), ("f1", 16, 80),
-    ("f2", 16, 56), ("dp2", 20, 62)])
+    ("f2", 16, 56), ("dp2", 20, 62), ("local_p3", 40, 40)])
 def test_interior_series_is_the_constant_term_series(name, order, count):
     data = corpus_data(name)
     interior, want = constant_term_series(data, order)
@@ -116,9 +120,20 @@ def test_interior_series_is_the_constant_term_series(name, order, count):
     assert got.same_terms(want), got.first_difference(want)
 
 
+def test_local_p3_constant_term_series_closed_form():
+    # one boundary ray outside a cone: beta(k) = d times the generator, and
+    # the formula reads -(4d - 1)!/(d!)^4
+    data = corpus_data("local_p3")
+    interior, want = constant_term_series(data, 40)
+    assert interior == 0
+    assert want.terms == {mono(("y1", d)): -Fraction(factorial(4 * d - 1),
+                                                     factorial(d) ** 4)
+                          for d in range(1, 41)}
+
+
 @pytest.mark.parametrize("name, order", [
     ("kp2", 20), ("conifold", 10), ("local_quadric", 10), ("f1", 10),
-    ("f2", 10), ("dp2", 10)])
+    ("f2", 10), ("dp2", 10), ("local_p3", 20)])
 def test_flat_relations_and_ray_potentials_are_integral(name, order):
     # on a fan without box elements every coefficient of each flat relation
     # q = y^class exp(...) and of each ray-disk potential is an integer

@@ -11,26 +11,26 @@ asserted over the test corpus instead, not checked on every run, and no
 """
 import ast
 import functools
+import re
 import traceback
-from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 import orbidisk
-from orbidisk import fans, hyper, invariants
-from orbidisk.effective import enumerate_effective, sector
+from orbidisk import fans, invariants
+from orbidisk.effective import enumerate_effective
 from orbidisk.errors import ConsistencyError
 from orbidisk.fan import (fan_from_dict, kernel_data,
                           validate_compactification, verify_semi_fano)
 from orbidisk.hyper import relative_ifunction_oracle
 from orbidisk.invariants import (DiskPotential, compare_potentials,
-                                 extract_invariants, oracle_potential)
-from orbidisk.mirrormap import (MirrorMap, Relation, _relations,
-                                relative_mirror_map, toric_mirror_map)
+                                 extract_invariants)
+from orbidisk.mirrormap import MirrorMap, toric_mirror_map
 from orbidisk.series import Series, invert_map, mono
 
 SRC = Path(orbidisk.__file__).resolve().parent
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 # C^3/Z_5 with both age-1 boxes listed: the twisted series of (0, -1, 1)
 # does not start at its dual class, and mirror-map exits 3
@@ -99,12 +99,6 @@ def replaced(value, **fields):
 # -- effective ----------------------------------------------------------------
 
 
-@fires("effective", "_sector", "sector vector is not integral")
-def _(monkeypatch):
-    # half of ray (1, 0, 1) is no lattice vector
-    sector(data("c3z3"), [F(-1, 2), 0, 0, 0])
-
-
 @fires("effective", "enumerate_effective", "class pairs badly with the")
 def _(monkeypatch):
     # ray 0 marked as the added one: its generator pairs -3 with it
@@ -113,11 +107,6 @@ def _(monkeypatch):
 
 
 # -- fan ----------------------------------------------------------------------
-
-
-@fires("fan", "_kernel_coords", "pairing vector is not in")
-def _(monkeypatch):
-    data("kp2").coords_from_pairings([1, 0, 0, 0])
 
 
 @fires("fan", "verify_semi_fano", "sum of divisor classes leaves")
@@ -139,19 +128,6 @@ def _(monkeypatch):
                                             mm.relations, mm.classes[:-1]))
 
 
-@fires("hyper", "relative_ifunction_oracle", "z^-2 degree-0 extraction is not")
-def _(monkeypatch):
-    cd = compactified("kp2", ("ray", 0))
-    base = toric_mirror_map(cd.base, 2)
-    slice_ = hyper.coefficient_slice
-
-    def doubled(*args):
-        sl = slice_(*args)
-        return replaced(sl, h0_z2=sl.h0_z2 * 2)
-    monkeypatch.setattr(hyper, "coefficient_slice", doubled)
-    relative_ifunction_oracle(cd, base)
-
-
 # -- invariants ---------------------------------------------------------------
 
 
@@ -170,20 +146,6 @@ def _(monkeypatch):
     extract_invariants(DiskPotential(
         ("ray", 0), Series({"q1": 1, "q2": 1}, 3, {m: 1}), "1+delta",
         data("kp2_bar")))
-
-
-@fires("invariants", "oracle_potential",
-       "flat compactification variable failed to")
-def _(monkeypatch):
-    cd = compactified("kp2", ("ray", 0))
-    base = toric_mirror_map(cd.base, 2)
-    invert = invariants.inverse_mirror_map
-
-    def times_qinf(mm, head):
-        assign, (val,) = invert(mm, head)
-        return assign, (val.mul_monomial(mono(("qinf", 1))),)
-    monkeypatch.setattr(invariants, "inverse_mirror_map", times_qinf)
-    oracle_potential(cd, base)
 
 
 @fires("invariants", "compare_potentials", "disk class has non-positive grade")
@@ -207,34 +169,9 @@ def _(monkeypatch):
 # -- mirrormap ----------------------------------------------------------------
 
 
-@fires("mirrormap", "_relations", "twisted series of column {}")
-def _(monkeypatch):
-    d = data("c3z3")
-    zero = Series.zero(d.y_weights(), 1)
-    _relations(d, dict.fromkeys(range(d.m_prime), zero), 1)
-
-
 @fires("mirrormap", "_relations", "twisted series does not start")
 def _(monkeypatch):
     toric_mirror_map(kernel_data(fan_from_dict(C3Z5_CHART)), 2)
-
-
-@fires("mirrormap", "relative_mirror_map", "{} relation differs from the")
-def _(monkeypatch):
-    cd = compactified("kp2", ("ray", 0))
-    mm = toric_mirror_map(cd.base, 3)
-    rels = [Relation(r.target, r.kind, r.series * 2) for r in mm.relations]
-    relative_mirror_map(cd, MirrorMap(mm.data, mm.order, mm.g, rels,
-                                      mm.classes))
-
-
-@fires("mirrormap", "relative_mirror_map", "{}-disk correction is not the")
-def _(monkeypatch):
-    cd = compactified("kp2", ("ray", 0))
-    mm = toric_mirror_map(cd.base, 3)
-    g = {**mm.g, 0: mm.g[0] + Series.variable("y1", mm.data.y_weights(), 3)}
-    relative_mirror_map(cd, MirrorMap(mm.data, mm.order, g, mm.relations,
-                                      mm.classes))
 
 
 # -- series -------------------------------------------------------------------
@@ -281,6 +218,16 @@ def test_case_fires_its_check(monkeypatch, site):
     frame = traceback.extract_tb(e.tb)[-1]
     assert (Path(frame.filename).resolve(), frame.name, frame.lineno) == \
         (where[0], site[1], where[1])
+
+
+def test_readme_names_every_check():
+    # README lists the checks a run makes, one line per site, each line
+    # opening with the site's module.function
+    text = README.read_text(encoding="utf-8")
+    block = text.split("makes these checks:\n", 1)[1].split("\n\n")[0]
+    listed = re.findall(r"^- `(\w+\.\w+)`", block, re.MULTILINE)
+    assert sorted(listed) == sorted(f"{module}.{function}"
+                                    for (module, function, _), _ in sites())
 
 
 def test_no_assert_in_the_package():

@@ -407,6 +407,16 @@ def test_fan_relation_and_denominators():
                 assert box_lcm % c.denominator == 0
 
 
+def test_sector_refuses_a_pairing_vector_off_the_kernel():
+    # half of ray (1, 0, 1) is no lattice vector: an input error
+    with pytest.raises(ValidationError,
+                       match="sector vector is not integral") as e:
+        sector(data_for("c3z3"), [Fraction(-1, 2), 0, 0, 0])
+    assert (e.value.exit_code, e.value.module, e.value.operation,
+            e.value.datum) == (2, "class-enumerator", "sector",
+                               (Fraction(1, 2), 0, Fraction(1, 2)))
+
+
 def test_sector_zero_iff_integral():
     # the sector vanishes exactly when every pairing is an integer
     data = data_for("c3z3")

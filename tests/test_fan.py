@@ -1016,6 +1016,15 @@ def test_coords_from_pairings():
     data = kernel_data(load("kp2"))
     assert data.coords_from_pairings(data.pairings_from_coords([F(5, 2)])) \
         == [F(5, 2)]
-    # not a kernel vector: refused, not read off a subset of its entries
-    with pytest.raises(ConsistencyError):
+
+
+def test_coords_from_pairings_refuses_a_vector_off_the_kernel():
+    # not a kernel vector: an input error, not read off a subset of its
+    # entries
+    data = kernel_data(load("kp2"))
+    with pytest.raises(ValidationError,
+                       match="pairing vector is not in the kernel") as e:
         data.coords_from_pairings([1, 0, 0, 0])
+    assert (e.value.exit_code, e.value.module, e.value.operation,
+            e.value.datum) == (2, "fan-core", "coords_from_pairings",
+                                [1, 0, 0, 0])

@@ -1,9 +1,9 @@
 """End-to-end runs on fans outside the bundled set.
 
 These exercise shapes the bundled fixtures do not: a rank-2 kernel with two
-flat variables and a square 2x2 inversion, and a surface orbifold chart whose
-box coefficients have denominator 2.  The two-route potential comparison is
-the correctness anchor in both cases.
+flat variables and a square 2x2 inversion, a surface orbifold chart whose
+box coefficients have denominator 2, and two fans of dimension 4.  The
+two-route potential comparison is the correctness anchor in every case.
 """
 import json
 from fractions import Fraction
@@ -46,6 +46,36 @@ A1_CHART_BAR = {
     "rays": [[0, 1], [2, 1], [-1, -1]],
     "cones": [[0, 1], [0, 2], [1, 2]],
     "extra_vectors": [[1, 1]],
+}
+
+# dimension 4: local P^3, and C^4/Z_4 with its age-1 box element (0, 0, 0, 1)
+LOCAL_P3 = {
+    "rank": 4,
+    "rays": [[0, 0, 0, 1], [1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1],
+             [-1, -1, -1, 1]],
+    "cones": [[0, 1, 2, 3], [0, 1, 2, 4], [0, 1, 3, 4], [0, 2, 3, 4]],
+}
+
+LOCAL_P3_BAR = {
+    "rank": 4,
+    "rays": LOCAL_P3["rays"] + [[0, 0, 0, -1]],
+    "cones": LOCAL_P3["cones"] + [[1, 2, 3, 5], [1, 2, 4, 5], [1, 3, 4, 5],
+                                  [2, 3, 4, 5]],
+}
+
+C4Z4 = {
+    "rank": 4,
+    "rays": [[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1], [-1, -1, -1, 1]],
+    "cones": [[0, 1, 2, 3]],
+    "extra_vectors": [[0, 0, 0, 1]],
+}
+
+C4Z4_BAR = {
+    "rank": 4,
+    "rays": C4Z4["rays"] + [[0, 0, 0, -1]],
+    "cones": [[0, 1, 2, 3], [0, 1, 2, 4], [0, 1, 3, 4], [0, 2, 3, 4],
+              [1, 2, 3, 4]],
+    "extra_vectors": [[0, 0, 0, 1]],
 }
 
 
@@ -96,6 +126,26 @@ def test_local_quadric_oracle():
         sm = mono(("q1", d.get("q2", 0)), ("q2", d.get("q1", 0)))
         swapped[sm] = c
     assert swapped == dp.series.terms
+
+
+def test_local_p3_oracle():
+    cd = validate_compactification(fan_from_dict(LOCAL_P3),
+                                   fan_from_dict(LOCAL_P3_BAR), ("ray", 0))
+    assert cd.complete_certificate["facets_paired"] is True
+    dp, oracle = compare_potentials(cd, 4)
+    q = lambda e: mono(("q1", e))
+    assert dp.series.terms == {q(0): 1, q(1): 6, q(2): 189, q(3): 14366,
+                               q(4): 1518750}
+
+
+def test_c4z4_oracle():
+    cd = validate_compactification(fan_from_dict(C4Z4),
+                                   fan_from_dict(C4Z4_BAR), ("box", 4))
+    assert cd.complete_certificate["facets_paired"] is True
+    dp, oracle = compare_potentials(cd, 3)
+    t = lambda e: mono(("t4", e))
+    assert dp.series.terms == {t(1): 1, t(5): F(-1, 30720),
+                               t(9): F(-499, 23781703680)}
 
 
 def test_a1_chart_orbifold():

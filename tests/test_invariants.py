@@ -101,13 +101,14 @@ def potential_corpus():
     coefficient identities."""
     from test_constant_term import CORPUS_FANS
     from test_fan import c3_zk_chart
-    from test_generalization import (A1_CHART, LOCAL_QUADRIC, WEIGHTED_BASIS,
+    from test_generalization import (A1_CHART, C4Z4, WEIGHTED_BASIS,
                                      WEIGHTED_SURFACE)
     cases = {name: data_for(name) for name in ("c3", "conifold", "kp2",
                                                  "c3z3")}
     for name, doc in CORPUS_FANS.items():
         cases[name] = kernel_data(fan_from_dict(doc))
     cases["a1_chart"] = kernel_data(fan_from_dict(A1_CHART))
+    cases["c4z4"] = kernel_data(fan_from_dict(C4Z4))
     cases["weighted_surface"] = kernel_data(fan_from_dict(WEIGHTED_SURFACE),
                                             WEIGHTED_BASIS)
     for k in (2, 3):
@@ -117,7 +118,7 @@ def potential_corpus():
 
 CORPUS_IDS = ["c3", "conifold", "kp2", "c3z3", "local_quadric", "f1", "f2",
               "dp2", "a1_chart", "weighted_surface", "c3z2_chart",
-              "c3z3_chart"]
+              "c3z3_chart", "local_p3", "c4z4"]
 
 
 @pytest.mark.parametrize("case", CORPUS_IDS)

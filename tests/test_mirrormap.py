@@ -7,8 +7,9 @@ from orbidisk import fans
 from orbidisk.effective import enumerate_effective
 from orbidisk.errors import ValidationError
 from orbidisk.fan import kernel_data, fan_from_dict, validate_compactification
-from orbidisk.hyper import coefficient_slice
-from orbidisk.mirrormap import (g_series, inverse_mirror_map,
+from orbidisk.hyper import (coefficient_slice, relative_ifunction_oracle,
+                            y_monomial)
+from orbidisk.mirrormap import (cone_sum, g_series, inverse_mirror_map,
                                 relative_mirror_map, toric_mirror_map)
 from orbidisk.series import Series, mono
 
@@ -254,55 +255,37 @@ def test_relative_map_c3z3():
     assert t3.series.coefficient(mono(("y1", F(1, 3)))) == 1
 
 
-@pytest.mark.parametrize("base,disk,order,target,kind", [
-    ("kp2", ("ray", 0), 3, "q1", "flat"),
-    ("c3z3", ("box", 3), 2, "t3", "twisted"),
-])
-def test_relative_map_refuses_base_mismatch(base, disk, order, target, kind):
-    # every flat and twisted relation is compared with the base map's; a
-    # perturbed base relation is refused and named
-    from orbidisk.errors import ConsistencyError
-    from orbidisk.mirrormap import MirrorMap, Relation
-    cd = validate_compactification(fans.load(base), fans.load(base + "_bar"),
-                                   disk)
-    mm = toric_mirror_map(cd.base, order)
-    rels = [Relation(r.target, r.kind, r.series * 2) if r.target == target
-            else r for r in mm.relations]
-    perturbed = MirrorMap(mm.data, mm.order, mm.g, rels, mm.classes)
-    with pytest.raises(ConsistencyError,
-                       match=f"{kind} relation differs") as e:
-        relative_mirror_map(cd, perturbed)
-    assert e.value.datum == target
-
-
-def refusal(cd, base):
-    from orbidisk.errors import ConsistencyError
-    with pytest.raises(ConsistencyError) as e:
-        relative_mirror_map(cd, base)
-    assert e.value.operation == "relative_mirror_map"
-    return e.value.datum
-
-
-@pytest.mark.parametrize("base,bar,disk,basis_p", [
+# the oracle pairs of the corpus: base, bar, disk and basis, by bundled name
+# or by the name of a fan of test_generalization
+ORACLE_PAIRS = [
     ("c3", "c3_bar", ("ray", 2), None),
     ("kp2", "kp2_bar", ("ray", 0), None),
     ("c3z3", "c3z3_bar", ("box", 3), None),
     ("LOCAL_QUADRIC", "LOCAL_QUADRIC_BAR", ("ray", 0), None),
     ("A1_CHART", "A1_CHART_BAR", ("box", 2), None),
     ("WEIGHTED_SURFACE", "WEIGHTED_SURFACE_BAR", ("ray", 0), "WEIGHTED_BASIS"),
-])
-def test_relative_map_leads_with_constructed_beta_bar(base, bar, disk,
-                                                      basis_p):
-    # the compactification gives beta_bar and D_inf in the bar's basis:
-    # their coordinates pair back to the validated pairing vectors, and the
-    # qinf relation leads with yinf times the inverse dual-class monomial
+    ("LOCAL_P3", "LOCAL_P3_BAR", ("ray", 0), None),
+    ("C4Z4", "C4Z4_BAR", ("box", 4), None),
+]
+
+
+def oracle_pair(base, bar, disk, basis_p):
     import test_generalization as gen
 
     def load(name):
         return fan_from_dict(getattr(gen, name)) if name.isupper() \
             else fans.load(name)
-    cd = validate_compactification(load(base), load(bar), disk,
-                                   basis_p and getattr(gen, basis_p))
+    return validate_compactification(load(base), load(bar), disk,
+                                     basis_p and getattr(gen, basis_p))
+
+
+@pytest.mark.parametrize("base,bar,disk,basis_p", ORACLE_PAIRS)
+def test_relative_map_leads_with_constructed_beta_bar(base, bar, disk,
+                                                      basis_p):
+    # the compactification gives beta_bar and D_inf in the bar's basis:
+    # their coordinates pair back to the validated pairing vectors, and the
+    # qinf relation leads with yinf times the inverse dual-class monomial
+    cd = oracle_pair(base, bar, disk, basis_p)
     b = cd.bar
     assert b.pairings_from_coords(cd.beta_bar_coords) == cd.beta_bar
     assert b.pairings_from_coords(cd.d_infinity_coords) == cd.d_infinity
@@ -319,22 +302,42 @@ def test_relative_map_leads_with_constructed_beta_bar(base, bar, disk,
         mono(("yinf", 1), *((v, -x) for v, x in zip(b.y_vars(), dual))), 1)
 
 
-@pytest.mark.parametrize("base,disk,order,column", [
-    ("kp2", ("ray", 0), 3, 0),     # the ray's own series
-    ("c3z3", ("box", 3), 2, 0),    # one ray of the box's cone
-])
-def test_relative_map_refuses_disk_correction(base, disk, order, column):
-    # the qinf correction must be the cone-weighted sum of the base ray
-    # series; y1 added to one base series, the relations kept, is refused,
-    # naming the disk column
-    from orbidisk.mirrormap import MirrorMap
-    cd = validate_compactification(fans.load(base), fans.load(base + "_bar"),
-                                   disk)
-    mm = toric_mirror_map(cd.base, order)
-    y1 = Series.variable("y1", mm.data.y_weights(), mm.order)
-    g = {**mm.g, column: mm.g[column] + y1}
-    perturbed = MirrorMap(mm.data, mm.order, g, mm.relations, mm.classes)
-    assert refusal(cd, perturbed) == disk[1]
+@pytest.mark.parametrize("order", [2, 5])
+@pytest.mark.parametrize("base,bar,disk,basis_p", ORACLE_PAIRS)
+def test_relative_map_identities(base, bar, disk, basis_p, order):
+    # five identities that the construction of the second route gives on
+    # every input, so the run does not check them
+    cd = oracle_pair(base, bar, disk, basis_p)
+    b = cd.bar
+    # (e) each twisted column series holds its dual class with coefficient
+    # 1: the dual class generates every maximal cone holding its box's cone
+    for data in (cd.base, b):
+        g = column_series(data, order)
+        for j in data.extra_columns():
+            dual = data.disk_class(("box", j))[3]
+            assert g[j].coefficient(y_monomial(data, dual)) == 1, j
+    base_mm = toric_mirror_map(cd.base, order)
+    # (d) the z^-2 degree-0 part is the monomial of D_inf with coefficient 1
+    y_inf = y_monomial(b, cd.d_infinity_coords)
+    sl, _ = relative_ifunction_oracle(cd, base_mm)
+    assert sl.h0_z2.terms == {y_inf: 1}
+    mm = relative_mirror_map(cd, base_mm)
+    own = list(mm.relations)
+    rel_inf = own.pop(b.r_prime)
+    assert rel_inf.target == "qinf"
+    # (a) every other relation is the base map's: the z^-1 series come from
+    # the classes that miss D_inf, which are the base classes
+    assert [r.target for r in own] == [r.target for r in base_mm.relations]
+    for got, want in zip(own, base_mm.relations):
+        assert got.series.same_terms(want.series), got.target
+    # (b) qinf's correction is the cone-weighted sum of the base ray series
+    cone, coeffs = cd.base.disk_class(disk)[:2]
+    assert rel_inf.correction.same_terms(cone_sum(base_mm, cone, coeffs))
+    # (c) the inverse takes y^D_inf to qinf times a series without qinf
+    _, (image,) = inverse_mirror_map(
+        mm, Series.monomial(y_inf, b.y_weights(), order))
+    assert image.terms
+    assert all(dict(m).get("qinf") == 1 for m in image.terms)
 
 
 def test_relative_map_refuses_foreign_base():
