@@ -4,7 +4,7 @@ A stacky fan is given by primitive ray vectors, simplicial cones (as index
 sets) and optional extra vectors inside the support.  From it we derive the
 kernel lattice of the ray map, divisor pairings, box elements with their ages,
 anticones, the basic disk classes with their cones and dual classes, the
-Calabi-Yau covector and the semi-Fano certificate, plus the validated
+Calabi-Yau covector and the semi-Fano multipliers, plus the validated
 compactification data used by the relative pipeline.
 
 Column convention: the m' columns are the rays 0..m-1 followed by the extra
@@ -580,7 +580,9 @@ def verify_semi_fano(data: ToricData):
     For every minimal anticone the sum of all divisor classes is written in
     the divisor classes it indexes; the unique multipliers, its pairings with
     the anticone's generators, must be >= 0.  Returns {cone: multipliers};
-    raises ConsistencyError with the violating anticone otherwise.
+    raises ConsistencyError with the violating anticone otherwise.  On a
+    Calabi-Yau fan every kernel vector's entries sum to 0, so the sum is 0,
+    every multiplier is 0 and nothing is refused.
     """
     op = "verify_semi_fano"
     # the divisor-class sum in dual coordinates: component a = sum_i gamma_a[i]
@@ -602,13 +604,13 @@ def verify_semi_fano(data: ToricData):
 
 
 class CompactifiedData(Value):
+    """A fan compactified along one disk.  D_inf is the last vector of the
+    bar's kernel basis, `bar.gamma[-1]`, so its monomial is yinf."""
     base: ToricData
     bar: ToricData
     disk: tuple                 # ("ray", i0) or ("box", j0) in base columns
-    d_infinity: list            # pairing vector over bar columns
     beta_bar: list              # pairing vector over bar columns
-    d_infinity_coords: list     # the bar's last kernel basis vector
-    beta_bar_coords: list       # D_inf minus the dual class, in that basis
+    beta_bar_coords: list       # D_inf minus the dual class, in the bar basis
     complete_certificate: dict
 
     def base_to_bar_pairings(self, pairings):
@@ -718,8 +720,6 @@ def validate_compactification(base_fan: StackyFan, bar_fan: StackyFan,
     # meets D_inf once, is 0 on the extras and sums to 2 (a dual class to 0)
     beta_bar = [frac(x) - y for x, y in zip(d_inf, _bar_columns(dual, inf_col))]
     return CompactifiedData(
-        base=base, bar=bar, disk=(kind, idx),
-        d_infinity=[frac(x) for x in d_inf], beta_bar=beta_bar,
-        d_infinity_coords=[Fraction(0)] * base.r + [Fraction(1)],
+        base=base, bar=bar, disk=(kind, idx), beta_bar=beta_bar,
         beta_bar_coords=[-x for x in dual_coords] + [Fraction(1)],
         complete_certificate=certificate)

@@ -21,7 +21,7 @@ from .fan import CompactifiedData, ToricData
 from .hyper import y_monomial
 from .mirrormap import (MirrorMap, cone_sum, inverse_mirror_map,
                         relative_mirror_map, toric_mirror_map)
-from .series import Series, mono, mono_pow, mono_str
+from .series import Series, mono, mono_str
 
 MODULE = "invariants"
 
@@ -78,7 +78,6 @@ def _potentials(mirror: MirrorMap, disks) -> dict:
 
 
 class InvariantTable(Value):
-    disk: tuple
     entries: dict   # (alpha tuple, ((label, count), ...)) -> Fraction
     data: ToricData
 
@@ -139,7 +138,7 @@ def extract_invariants(dp: DiskPotential) -> InvariantTable:
         key = (tuple(int(a) for a in alpha),
                tuple(sorted((l, int(k)) for l, k in counts.items())))
         entries[key] = coeff * mult
-    return InvariantTable(disk=dp.disk, entries=entries, data=data)
+    return InvariantTable(entries=entries, data=data)
 
 
 # ---------------------------------------------------------------------------
@@ -150,18 +149,17 @@ def oracle_potential(cd: CompactifiedData, base: MirrorMap) -> Series:
     """The same potential out of the compactified mirror map alone, at the
     order of the base fan's mirror map `base` less the weight of qinf.
     Inverts the relative mirror map, evaluates the compactifying-class
-    monomial under the inverse and strips its flat variable.  The image is
-    qinf times a series in the other variables, as the tests assert over the
-    corpus: qinf's relation is the only one that holds yinf, and the
-    monomial of D_inf is yinf.
+    monomial under the inverse and strips its flat variable.  D_inf is the
+    bar basis's last vector, so its monomial is yinf, and the image is qinf
+    times a series in the other variables, as the tests assert over the
+    corpus: qinf's relation is the only one that holds yinf.
     """
     bar = cd.bar
     qinf = bar.q_vars()[bar.r_prime]
     mm = relative_mirror_map(cd, base)
-    head = y_monomial(bar, cd.d_infinity_coords)
     _, (val,) = inverse_mirror_map(
-        mm, Series.monomial(head, bar.y_weights(), base.order))
-    out = val.mul_monomial(mono_pow(mono((qinf, 1)), -1))
+        mm, Series.variable(bar.y_vars()[-1], bar.y_weights(), base.order))
+    out = val.mul_monomial(mono((qinf, -1)))
     # re-express without the qinf variable (stripping it lowered the order)
     weights = {v: w for v, w in out.weights.items() if v != qinf}
     return Series(weights, out.order, dict(out.terms))

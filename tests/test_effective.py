@@ -194,8 +194,8 @@ def test_enumerate_compactified_c3z3():
     pair_set = {tuple(c.pairings) for c in classes}
     # the disk class itself is effective (fractional rays span the big cone)
     assert tuple(cd.beta_bar) in pair_set
-    # the compactifying class too
-    assert tuple(cd.d_infinity) in pair_set
+    # the compactifying class too, the bar basis's last vector
+    assert tuple(cd.bar.gamma[-1]) in pair_set
     # a class invisible from the base sits in the wider cone: 3 * disk class;
     # it meets D-infinity three times, so the enumeration stops short of it
     triple = (F(1), F(1), F(1), F(3), F(0))

@@ -653,7 +653,7 @@ def test_compactify_refuses_disk_outside_the_fan():
 def test_compactify_c3():
     cd = validate_compactification(load("c3"), load("c3_bar"), ("ray", 2))
     assert cd.bar.gamma == [[0, 0, 1, 1]]
-    assert cd.d_infinity == [0, 0, 1, 1]
+    assert cd.bar.gamma[-1] == [0, 0, 1, 1]  # D_inf
     # a chart compactified by one opposite ray covers only a half-space
     assert cd.complete_certificate["facets_paired"] is False
 
@@ -662,7 +662,7 @@ def test_compactify_c3z3():
     cd = validate_compactification(load("c3z3"), load("c3z3_bar"), ("box", 3))
     # columns: rays 0,1,2, added ray, extra vector
     assert cd.bar.gamma == [[-1, -1, -1, 0, 3], [0, 0, 0, 1, 1]]
-    assert cd.d_infinity == [0, 0, 0, 1, 1]
+    assert cd.bar.gamma[-1] == [0, 0, 0, 1, 1]  # D_inf
     assert cd.beta_bar == [F(1, 3), F(1, 3), F(1, 3), F(1), F(0)]
     assert cd.complete_certificate["facets_paired"] is True
 

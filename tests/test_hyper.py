@@ -231,7 +231,8 @@ def test_z_extract_compactified_unit():
     cd = validate_compactification(fans.load("kp2"), fans.load("kp2_bar"),
                                    ("ray", 0))
     bar = cd.bar
-    cls = eff_class(bar, cd.d_infinity_coords)
+    # D_inf, the bar basis's last vector
+    cls = eff_class(bar, [0] * (bar.r - 1) + [1])
     zf = z_extract(bar, cls)
     assert zf.z_exponent == -2
     assert zf.scalar == 1

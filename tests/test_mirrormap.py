@@ -282,16 +282,19 @@ def oracle_pair(base, bar, disk, basis_p):
 @pytest.mark.parametrize("base,bar,disk,basis_p", ORACLE_PAIRS)
 def test_relative_map_leads_with_constructed_beta_bar(base, bar, disk,
                                                       basis_p):
-    # the compactification gives beta_bar and D_inf in the bar's basis:
-    # their coordinates pair back to the validated pairing vectors, and the
-    # qinf relation leads with yinf times the inverse dual-class monomial
+    # the compactification gives beta_bar in the bar's basis: its
+    # coordinates pair back to the validated pairing vector, and the qinf
+    # relation leads with yinf times the inverse dual-class monomial
     cd = oracle_pair(base, bar, disk, basis_p)
     b = cd.bar
     assert b.pairings_from_coords(cd.beta_bar_coords) == cd.beta_bar
-    assert b.pairings_from_coords(cd.d_infinity_coords) == cd.d_infinity
+    # D_inf, the bar basis's last vector, is 1 at the added ray and at the
+    # disk's column (shifted past the added ray) and 0 elsewhere
+    inf = b.infinity_column
+    col = disk[1] + (disk[1] >= inf)
+    assert b.gamma[-1] == [int(c in (inf, col)) for c in range(b.m_prime)]
     # beta_bar = D_inf - dual meets D_inf once, vanishes on every extra
     # column and has anticanonical degree 2 (an age-1 dual class sums to 0)
-    inf = b.infinity_column
     assert cd.beta_bar[inf] == 1 and sum(cd.beta_bar) == 2
     assert not any(cd.beta_bar[j] for j in b.extra_columns())
     mm = relative_mirror_map(cd, toric_mirror_map(cd.base, 2))
@@ -318,7 +321,7 @@ def test_relative_map_identities(base, bar, disk, basis_p, order):
             assert g[j].coefficient(y_monomial(data, dual)) == 1, j
     base_mm = toric_mirror_map(cd.base, order)
     # (d) the z^-2 degree-0 part is the monomial of D_inf with coefficient 1
-    y_inf = y_monomial(b, cd.d_infinity_coords)
+    y_inf = y_monomial(b, [0] * (b.r - 1) + [1])
     sl, _ = relative_ifunction_oracle(cd, base_mm)
     assert sl.h0_z2.terms == {y_inf: 1}
     mm = relative_mirror_map(cd, base_mm)
