@@ -6,34 +6,43 @@ order are exact.  All arithmetic is over Q; nothing here ever touches a float.
 
 The store is packed.  Variables are in var_key order, W is the lcm of the
 weight denominators, and e, per series, is the least positive integer with
-every exponent times e integral.  A monomial is the tuple of its exponents
-times e; a grade g is the int key g * e * W, so grades add and compare as
-ints; a grade piece is (den, {monomial: int numerator}) with den > 0
-coprime to the numerators.  _make keeps the store canonical, so equal
-series have equal stores; operands with different e meet at their lcm.
-Names and Fractions appear only at the boundary: the constructor (which
-grades each term once), terms, pieces, sorted_terms, text, to_json,
-same_terms, first_difference and the lead monomial factor_unit returns.
+every exponent times e integral.  A monomial is one int: its exponents
+times e, x_i, as sum x_i * 2^(F * (n-1-i)) in balanced fields of F = 32
+bits, field 0 most significant.  Packing is linear, so monomials multiply
+by adding ints, and int order is the order of the exponent tuples.  A grade
+g is the int key g * e * W, so grades add and compare as ints; a grade
+piece is (den, {monomial: int numerator}) with den > 0 coprime to the
+numerators.  _make keeps the store canonical, so equal series have equal
+stores; operands with different e meet at their lcm.  Names and Fractions
+appear only at the boundary: the constructor (which grades each term
+once), terms, pieces, sorted_terms, text, to_json, same_terms,
+first_difference and the lead monomial factor_unit returns.
+
+Every field lies in [-BOUND, BOUND), BOUND = 2^30.  A value entering the
+store (the constructor's terms, mul_monomial's shift, substitute's leads,
+a store rescaled to a larger e) outside it is refused with exit 2, naming
+its variable, as is a field of a new piece in _piece.  An operation adds
+two stored fields (a kernel pair, a shift, a lead taken off) before its
+result is checked, so a checked field is in [-2^31, 2^31): there packing
+is one to one, decoding exact and the check sees it.
 
 Where the formal inversion spends its time:
-- _mul_into multiplies the numerators of two pieces, once per pair of
-  pieces whose keys sum to at most the order's, in products and in the
-  exp/log recurrences.
+- _mul_into, the one kernel of products, sums, exp/log and substitute,
+  adds each pair product of a piece and a store into its output piece.
 - substitute takes several series to one assignment in one pass: each
   image is split once as lead * w, one power table per variable holds the
   integer powers of w, and each term's product of w powers is built once.
 - exp and log_one_plus run the recurrences of the grading operator D
-  (D m = grade(m) * m) grade by grade.  Only ratios of grades appear in
-  them, so they run on the keys.
-- invert_map runs Newton rounds, each about doubling the known order, so
-  the last round and the exact round-trip check cost most of it; the
-  check's pass also yields the images its callers read off the inverse.
+  (D m = grade(m) * m) on the keys, grade by grade.
+- invert_map runs Newton rounds, each about doubling the known order; the
+  last one and the exact round-trip check, whose pass also yields the
+  images its callers read off the inverse, cost most of it.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm, prod
-from operator import add, sub
 
 from .errors import ValidationError, ConsistencyError, frac, frac_str
 
@@ -106,13 +115,38 @@ def mono_str(m: tuple) -> str:
 # ---------------------------------------------------------------------------
 # packed pieces
 
+F = 32                  # bits per field of a packed monomial
+BOUND = 1 << F - 2      # every field of a stored monomial lies in [-BOUND, BOUND)
+_ONE = {0: 1}           # the numerators of the piece 1
 
-def _pack(names: tuple, m: tuple, e: int) -> tuple:
-    """A named monomial as its exponents times e, in the order of names."""
-    out = [0] * len(names)
-    for v, x in m:
-        out[names.index(v)] += int(x * e)
-    return tuple(out)
+
+def _pack(names, xs, e: int) -> int:
+    """The fields xs, one per variable of names, as one int; a field outside
+    [-BOUND, BOUND), an exponent times e, is refused and named."""
+    m = 0
+    for v, x in zip(names, xs):
+        if not -BOUND <= x < BOUND:
+            raise _err("exponent", f"exponent {frac_str(Fraction(x, e))} of {v} times "
+                       f"{e} is outside the field range [-2^{F - 2}, 2^{F - 2})",
+                       [v, frac_str(Fraction(x, e))])
+        m = (m << F) + x
+    return m
+
+
+def _unpack(m: int, n: int) -> list:
+    """The n balanced fields of a packed monomial, field 0 first."""
+    xs = [0] * n
+    for i in range(n - 1, 0, -1):
+        xs[i] = x = (m + (1 << F - 1) & (1 << F) - 1) - (1 << F - 1)
+        m = (m - x) >> F
+    return [m] + xs[1:]
+
+
+@cache
+def _masks(n: int) -> tuple:
+    """(off, hi): m + off & hi is 0 iff m's fields, in [-2^31, 2^31), are in range."""
+    ones = sum(1 << F * j for j in range(n))
+    return ones << F - 2, ones << F - 1
 
 
 def _key(grade: Fraction, unit: int) -> int:
@@ -120,44 +154,38 @@ def _key(grade: Fraction, unit: int) -> int:
     return grade.numerator * unit // grade.denominator
 
 
-def _mul_into(acc: dict, a: dict, b: dict):
-    """acc += a * b for the numerators of two pieces, untruncated: the
-    product of two grade pieces is a single grade piece."""
-    get = acc.get
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            m = tuple(map(add, ma, mb))
-            acc[m] = get(m, 0) + ca * cb
-
-
-def _convolve(g: int, left: dict, right: dict, parts: dict) -> dict:
-    """parts += sum_h left[h] * right[g - h], left in key order, as
-    {den: numerators} over the den of each product."""
-    for h, (dh, ph) in left.items():
-        if h > g:
+def _mul_into(out: dict, k: int, d: int, a: dict, store: dict, top: int):
+    """out += (a / d at key k) * store through key top, for the numerators
+    a of one piece.  The product of two grade pieces is one grade piece;
+    out[key] is [den, numerators] over the lcm of the dens it has taken."""
+    for kb, (db, b) in store.items():
+        kk = k + kb
+        if kk > top:
             break
-        rest = right.get(g - h)
-        if rest:
-            _mul_into(parts.setdefault(dh * rest[0], {}), ph, rest[1])
-    return parts
+        piece, dd = out.get(kk), d * db
+        if piece is None:
+            piece = out[kk] = [dd, {}]
+        den, acc = piece
+        if den % dd:
+            r = dd // gcd(den, dd)
+            piece[0] = den = den * r
+            for m in acc:
+                acc[m] *= r
+        f = den // dd
+        for ma, ca in a.items():
+            ca *= f
+            for mb, cb in b.items():
+                m = ma + mb
+                acc[m] = acc.get(m, 0) + ca * cb
 
 
-def _sum(parts) -> tuple:
-    """The piece summing (den, numerators) parts, over the lcm of the dens."""
-    parts = list(parts)
-    if len(parts) == 1:
-        return parts[0]
-    den = lcm(*(d for d, _ in parts))
-    out = {}
-    for d, nums in parts:
-        f = den // d
-        for m, n in nums.items():
-            out[m] = out.get(m, 0) + n * f
-    return den, out
-
-
-def _piece(den: int, nums: dict):
-    """A piece in lowest terms without zero numerators, or None if empty."""
+def _piece(den: int, nums: dict, names, e: int):
+    """A piece in lowest terms without zero numerators, or None if empty;
+    a field outside [-BOUND, BOUND) is refused (module docstring)."""
+    off, hi = _masks(len(names))
+    for m in nums:
+        if m + off & hi:
+            _pack(names, _unpack(m, len(names)), e)
     if 0 in nums.values():
         nums = {m: n for m, n in nums.items() if n}
     if den != 1 and nums:
@@ -168,29 +196,34 @@ def _piece(den: int, nums: dict):
     return (den, nums) if nums else None
 
 
-def _canon(pieces: dict, e: int, top: int) -> tuple:
+def _least_e(store: dict, e: int, n: int) -> tuple:
+    """(e, store) at the least exponent denominator the store needs."""
+    r = e
+    for m in (m for _, nums in store.values() for m in nums):
+        if r == 1:
+            return e, store
+        r = gcd(r, *_unpack(m, n))
+    return (e, store) if r == 1 else (e // r, {k // r: (d, {m // r: c for m, c in nums.items()})
+                                               for k, (d, nums) in store.items()})
+
+
+def _canon(pieces: dict, e: int, top: int, names) -> tuple:
     """(e, store): the pieces of key <= top in lowest terms and in key
     order, at the least exponent denominator they need."""
     store = {}
     for k in sorted(pieces):
-        piece = _piece(*pieces[k]) if k <= top else None
+        piece = _piece(*pieces[k], names, e) if k <= top else None
         if piece:
             store[k] = piece
-    r = e
-    for _, nums in store.values():
-        for m in nums:
-            r = gcd(r, *m)
-            if r == 1:
-                return e, store
-    return e // r, {k // r: (d, {tuple(x // r for x in m): n for m, n in nums.items()})
-                    for k, (d, nums) in store.items()}
+    return (e, store) if e == 1 else _least_e(store, e, len(names))
 
 
-def _scaled(store: dict, f: int) -> dict:
-    """A store with its exponent denominator multiplied by f."""
+def _scaled(store: dict, f: int, names, e: int) -> dict:
+    """A store with its exponent denominator multiplied by f, to e."""
     if f == 1:
         return store
-    return {k * f: (d, {tuple(x * f for x in m): n for m, n in nums.items()})
+    return {k * f: (d, {_pack(names, [x * f for x in _unpack(m, len(names))], e): c
+                        for m, c in nums.items()})
             for k, (d, nums) in store.items()}
 
 
@@ -219,32 +252,33 @@ class Series:
         self._W = W = lcm(*(w.denominator for w in self.weights.values()))
         terms = terms or {}
         e = lcm(*(frac(x).denominator for m in terms for _, x in m))
-        parts = {}
+        out, top, one = {}, _key(self.order, e * W), {0: (1, _ONE)}
         for m, c in terms.items():
-            c = frac(c)
-            if c == 0:
+            if (c := frac(c)) == 0:
                 continue
             gr = mono_grade(m, self.weights)
             if gr < 0:
                 raise _err("grading", f"monomial {mono_str(m)} has negative grade", gr)
             if gr <= self.order:
-                parts.setdefault(_key(gr, e * W), []).append(
-                    (c.denominator, {_pack(names, m, e): c.numerator}))
-        self._e, self._p = _canon({k: _sum(p) for k, p in parts.items()}, e,
-                                  _key(self.order, e * W))
+                xs = [sum(int(x * e) for w, x in m if w == v) for v in names]
+                _mul_into(out, _key(gr, e * W), c.denominator,
+                          {_pack(names, xs, e): c.numerator}, one, top)
+        self._e, self._p = _canon(out, e, top, names)
 
-    def _make(self, order, e, pieces):
+    def _make(self, order, e, pieces, kept=False):
         """A series on self's grading from pieces keyed at exponent denominator
         e: the one place that drops pieces above order, zero numerators and
-        empty pieces, and reduces dens and e."""
+        empty pieces, refuses a field past the bound, and reduces dens and e;
+        kept pieces, canonical already, are only re-checked for e."""
         s = object.__new__(Series)
         s.weights, s.order, s._names, s._W = self.weights, order, self._names, self._W
-        s._e, s._p = _canon(pieces, e, _key(order, e * self._W))
+        s._e, s._p = _least_e(pieces, e, len(self._names)) if kept else \
+            _canon(pieces, e, _key(order, e * self._W), self._names)
         return s
 
-    def _named(self, m: tuple) -> tuple:
+    def _named(self, m: int) -> tuple:
         names, e = self._names, self._e
-        return tuple((names[i], Fraction(x, e)) for i, x in enumerate(m) if x)
+        return tuple((v, Fraction(x, e)) for v, x in zip(names, _unpack(m, len(names))) if x)
 
     @property
     def pieces(self) -> dict:
@@ -279,15 +313,16 @@ class Series:
         if self.weights is not other.weights and self.weights != other.weights:
             raise _err(op, "grading mismatch between operands",
                        (self.weights, other.weights))
-        e = lcm(self._e, other._e)
-        return e, _scaled(self._p, e // self._e), _scaled(other._p, e // other._e)
+        e, names = lcm(self._e, other._e), self._names
+        return e, _scaled(self._p, e // self._e, names, e), \
+            _scaled(other._p, e // other._e, names, e)
 
     def coefficient(self, m) -> Fraction:
         return self.terms.get(m, Fraction(0))
 
     def constant_term(self) -> Fraction:
         p = self._p.get(0)
-        return Fraction(p[1].get((0,) * len(self._names), 0), p[0]) if p else Fraction(0)
+        return Fraction(p[1].get(0, 0), p[0]) if p else Fraction(0)
 
     def is_zero(self) -> bool:
         return not self._p
@@ -354,11 +389,11 @@ class Series:
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = _constant(self, self.order, other)
-        e, out, b = self._common(other, "add")
-        out = dict(out)
-        for k, p in b.items():
-            out[k] = _sum([out[k], p]) if k in out else p
-        return self._make(min(self.order, other.order), e, out)
+        e, a, b = self._common(other, "add")
+        order, out = min(self.order, other.order), {}
+        for store in (a, b):
+            _mul_into(out, 0, 1, _ONE, store, _key(order, e * self._W))
+        return self._make(order, e, out)
 
     __radd__ = __add__
 
@@ -372,22 +407,19 @@ class Series:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = frac(other)
-            return self._make(self.order, self._e,
-                              {k: (d * c.denominator,
-                                   {m: n * c.numerator for m, n in nums.items()})
-                               for k, (d, nums) in self._p.items()})
+            c, out = frac(other), {}
+            _mul_into(out, 0, c.denominator, {0: c.numerator}, self._p,
+                      _key(self.order, self._e * self._W))
+            return self._make(self.order, self._e, out)
         e, a, b = self._common(other, "mul")
         order = min(self.order, other.order)
         top = _key(order, e * self._W)
         out = {}
-        for ka, (da, pa) in a.items():
-            for kb, (db, pb) in b.items():   # in key order
-                if ka + kb > top:
-                    break
-                parts = out.setdefault(ka + kb, {})
-                _mul_into(parts.setdefault(da * db, {}), pa, pb)
-        return self._make(order, e, {k: _sum(parts.items()) for k, parts in out.items()})
+        for ka, (da, pa) in a.items():   # in key order
+            if ka > top:
+                break
+            _mul_into(out, ka, da, pa, b, top)
+        return self._make(order, e, out)
 
     __rmul__ = __mul__
 
@@ -399,19 +431,19 @@ class Series:
             bad = mono_mul(min(self.pieces[low]), m)
             raise _err("grading", f"monomial {mono_str(bad)} has negative grade",
                        low + g)
-        e = lcm(self._e, *(frac(x).denominator for _, x in m))
-        shift, dk = _pack(self._names, m, e), _key(g, e * self._W)
+        e, names = lcm(self._e, *(frac(x).denominator for _, x in m)), self._names
+        shift = _pack(names, [sum(int(x * e) for w, x in m if w == v) for v in names], e)
+        dk = _key(g, e * self._W)
         return self._make(self.order + g, e,
-                          {k + dk: (d, {tuple(map(add, ma, shift)): n
-                                        for ma, n in nums.items()})
-                           for k, (d, nums) in _scaled(self._p, e // self._e).items()})
+                          {k + dk: (d, {ma + shift: n for ma, n in nums.items()})
+                           for k, (d, nums) in _scaled(self._p, e // self._e, names, e).items()})
 
     def truncate(self, order):
         order = frac(order)
         if order > self.order:
             raise _err("truncate", "cannot extend a series beyond its known order",
                        (self.order, order))
-        return self._make(order, self._e, self._p)
+        return _at(self, order)
 
     def pow_int(self, k: int):
         """self^k by repeated squaring; k = 1 returns self itself."""
@@ -419,8 +451,7 @@ class Series:
             raise _err("pow", "negative integer power of a general series", k)
         if k == 0:
             return _constant(self, self.order, 1)
-        result = None
-        base = self
+        result, base = None, self
         while True:
             if k & 1:
                 result = base if result is None else result * base
@@ -447,41 +478,34 @@ class Series:
         g * E_g = sum_h h * f_h * E_{g-h}.
         """
         self._check_positive_grades("exp", "exp")
-        # key h -> h * f_h
-        scaled = {h: (d, {m: h * n for m, n in nums.items()})
-                  for h, (d, nums) in self._p.items()}
-        out = {0: (1, {(0,) * len(self._names): 1})}
-        for g in range(1, _key(self.order, self._e * self._W) + 1):
-            parts = _convolve(g, scaled, out, {})
-            if parts:
-                d, acc = _sum(parts.items())
-                piece = _piece(d * g, acc)
-                if piece:
-                    out[g] = piece
-        return self._make(self.order, self._e, out)
+        return self._recur({0: (1, _ONE)}, False)
 
     def log_one_plus(self):
         """log(1 + s) for s with zero constant term, exact to self.order.
 
         L = log(1 + s) solves (1 + s) * D(L) = D(s) for the grading operator
-        D.  Grade by grade: L_g = s_g - (1/g) sum_{0<h<g} (g-h) s_h L_{g-h}.
+        D.  Grade by grade: g * L_g = g * s_g - sum_h s_h * (g-h) L_{g-h}.
         """
         self._check_positive_grades("log", "log_one_plus")
-        neg = {h: (d, {m: -n for m, n in nums.items()})
-               for h, (d, nums) in self._p.items()}
-        out = {}
-        scaled = {}   # key k -> k * L_k
-        for g in range(1, _key(self.order, self._e * self._W) + 1):
-            # g * L_g = g * s_g - sum_h s_h * (g-h) L_{g-h}
-            own = self._p.get(g)
-            parts = {own[0]: {m: g * n for m, n in own[1].items()}} if own else {}
-            if _convolve(g, neg, scaled, parts):
-                d, acc = _sum(parts.items())
-                piece = _piece(d * g, acc)
-                if piece:
-                    out[g] = piece
-                    scaled[g] = (piece[0], {m: g * n for m, n in piece[1].items()})
-        return self._make(self.order, self._e, out)
+        return self._recur({}, True)
+
+    def _recur(self, out, log):
+        """exp(self), or with log log(1 + self), from the pieces in out, by its
+        recurrence; each piece found is multiplied into the keys above it."""
+        top, names, e = _key(self.order, self._e * self._W), self._names, self._e
+        acc, ds = {}, {h: (d, {m: h * n for m, n in nums.items()})
+                       for h, (d, nums) in self._p.items()}
+        step = {h: (d, {m: -n for m, n in nums.items()})
+                for h, (d, nums) in self._p.items()} if log else ds
+        _mul_into(acc, 0, 1, _ONE, ds, top)
+        for g in range(1, top + 1):
+            part = acc.pop(g, None)
+            piece = part and _piece(part[0] * g, part[1], names, e)
+            if piece:
+                out[g] = piece
+                _mul_into(acc, g, piece[0], {m: g * n for m, n in piece[1].items()}
+                          if log else piece[1], step, top)
+        return self._make(self.order, e, out, True)
 
     def pow_frac(self, alpha):
         """Raise to a rational power.
@@ -513,8 +537,7 @@ class Series:
         (lead_m, n0), = leads.items()
         dn, nd = (n0, d0) if n0 > 0 else (-n0, -d0)   # divide by n0 / d0, den > 0
         unit = self._make(self.order - self.min_grade(), self._e,
-                          {k - k0: (d * dn, {tuple(map(sub, m, lead_m)): n * nd
-                                             for m, n in nums.items()})
+                          {k - k0: (d * dn, {m - lead_m: n * nd for m, n in nums.items()})
                            for k, (d, nums) in self._p.items() if k != k0})
         return self._named(lead_m), Fraction(n0, d0), unit
 
@@ -535,9 +558,10 @@ class Series:
         if any(s.weights != self.weights for s in more):
             raise _err(op, "grading mismatch between operands", [s.weights for s in series])
         names, E = self._names, lcm(*(s._e for s in series))
-        stores = [_scaled(s._p, E // s._e) for s in series]
+        stores = [_scaled(s._p, E // s._e, names, E) for s in series]
         monos = [[m for _, nums in p.values() for m in nums] for p in stores]
-        powers = {(i, x) for ms in monos for m in ms for i, x in enumerate(m) if x}
+        fields = {m: _unpack(m, len(names)) for ms in monos for m in ms}
+        powers = {(i, x) for xs in fields.values() for i, x in enumerate(xs) if x}
         used = sorted({i for i, _ in powers})
         fractional = {i for i, x in powers if x % E or x < 0}   # these need w = 1 + u
         for i in used:
@@ -547,7 +571,7 @@ class Series:
         like = next(iter(images.values() or assignment.values()), self)
         # leads are ints over D = E * T, T the lcm of the images' e; grades are keys
         T, W, lead, gkey, ws = lcm(*(s._e for s in images.values())), like._W, {}, {}, {}
-        D, unit = E * T, E * T * W
+        D, unit, n = E * T, E * T * W, len(like._names)
         for i, s in images.items():
             v, k0, f = names[i], next(iter(s._p), 0), T // s._e
             if s.weights != like.weights:
@@ -556,19 +580,18 @@ class Series:
             if s._p and g < self.weights[v]:
                 raise _err(op, f"image of {v} has grade {g} below its weight "
                            f"{self.weights[v]}; truncation would be unsound", v)
-            m0 = min(s._p[k0][1]) if s._p else (0,) * len(like._names)
+            m0 = min(s._p[k0][1]) if s._p else 0
             if i in fractional and s._p.get(k0) != (1, {m0: 1}):
                 raise _err(op, f"image of {v} must have a unique lead of coefficient "
                            "1 for powers other than positive integers", v)
-            lead[i], gkey[i] = tuple(x * f for x in m0), k0 * f
-            ws[i] = s._make(s.order - g, s._e, {
-                k - k0: (d, {tuple(map(sub, m, m0)): n for m, n in nums.items()})
-                for k, (d, nums) in s._p.items()})
-        term = {m: sum(x * gkey[i] for i, x in enumerate(m) if x)   # its leads' grade
-                for ms in monos for m in ms}
+            lead[i], gkey[i] = [x * f for x in _unpack(m0, n)], k0 * f
+            ws[i] = s._make(s.order - g, s._e, {k - k0: (d, {m - m0: c for m, c in nums.items()})
+                                                for k, (d, nums) in s._p.items()})
+        term = {m: sum(x * gkey[i] for i, x in enumerate(xs) if x)   # its leads' grade
+                for m, xs in fields.items()}
         orders = [min([s.order] + [min(images[i].order, ws[i].order + Fraction(
-            min(term[m] for m in ms if m[i]), unit)) for i in used if any(m[i] for m in ms)])
-                  for s, ms in zip(series, monos)]
+            min(term[m] for m in ms if fields[m][i]), unit))
+            for i in used if any(fields[m][i] for m in ms)]) for s, ms in zip(series, monos)]
         # the order each term's w product and each w power is needed to
         need, want = {}, {}
         for o, ms in zip(orders, monos):
@@ -577,7 +600,7 @@ class Series:
                 if r >= need.get(m, 0):
                     need[m] = r
                     want.update({(i, x): max(want.get((i, x), 0), r)
-                                 for i, x in enumerate(m) if x})
+                                 for i, x in enumerate(fields[m]) if x})
         # one power table per variable, each entry the last lower one times w
         # to the gap, so kept to the highest order a higher one needs
         top, factors, last = {}, {}, {}
@@ -597,46 +620,38 @@ class Series:
         # each term's w product, to be shifted by its leads into each result
         prods = {}
         for m, r in need.items():
-            fs = [factors[i, x] for i, x in enumerate(m) if x]
+            xs = fields[m]
+            fs = [factors[i, x] for i, x in enumerate(xs) if x]
             p = prod(fs[1:], start=_at(fs[0], Fraction(r, unit))) if fs else \
                 _constant(like, 0, 1)
-            prods[m] = (term[m], _scaled(p._p, D // p._e),
-                        [sum(x * lead[i][j] for i, x in enumerate(m) if x)
-                         for j in range(len(like._names))])
+            prods[m] = (term[m], _scaled(p._p, D // p._e, like._names, D), _pack(
+                like._names, [sum(x * lead[i][j] for i, x in enumerate(xs) if x)
+                              for j in range(n)], D))
         out = []
         for o, store in zip(orders, stores):
             acc, cap = {}, _key(o, unit)
             for d, nums in store.values():
-                for m, n in nums.items():
-                    g, pieces, shift = prods.get(m, (0, {}, ()))
-                    for k, (pd, pnums) in pieces.items():
-                        if k + g > cap:
-                            break
-                        acc.setdefault(k + g, []).append(
-                            (d * pd, {tuple(map(add, pm, shift)): n * pn
-                                      for pm, pn in pnums.items()}))
-            out.append(like._make(o, D, {k: _sum(parts) for k, parts in acc.items()}))
+                for m, c in nums.items():
+                    if m in prods:
+                        g, pieces, shift = prods[m]
+                        _mul_into(acc, g, d, {shift: c}, pieces, cap)
+            out.append(like._make(o, D, acc))
         return out if more else out[0]
 
     # -- serialization --------------------------------------------------------
 
     def to_json(self) -> dict:
-        return {
-            "grading": {v: frac_str(w) for v, w in
-                        sorted(self.weights.items(), key=lambda kv: var_key(kv[0]))},
-            "order": frac_str(self.order),
-            "terms": [
-                {"exponents": {v: frac_str(e) for v, e in m},
-                 "coeff": frac_str(c)}
-                for m, c in self.sorted_terms()
-            ],
-        }
+        return {"grading": {v: frac_str(w) for v, w in
+                            sorted(self.weights.items(), key=lambda kv: var_key(kv[0]))},
+                "order": frac_str(self.order),
+                "terms": [{"exponents": {v: frac_str(e) for v, e in m}, "coeff": frac_str(c)}
+                          for m, c in self.sorted_terms()]}
 
 
 def _constant(like: Series, order, c) -> Series:
     """The constant series c on the grading of the series like."""
-    c, one = frac(c), (0,) * len(like._names)
-    return like._make(order, 1, {0: (c.denominator, {one: c.numerator})})
+    c = frac(c)
+    return like._make(order, 1, {0: (c.denominator, {0: c.numerator})})
 
 
 # ---------------------------------------------------------------------------
@@ -645,15 +660,20 @@ def _constant(like: Series, order, c) -> Series:
 
 def _at(s: Series, order) -> Series:
     """s with its order set to order: s itself at its own, truncated below
-    it, lifted above it without re-grading a term, where the caller knows
-    the absent terms do not matter."""
-    return s if order == s.order else s._make(order, s._e, s._p)
+    it (its kept pieces as they are), lifted above it without re-grading a
+    term, where the caller knows the absent terms do not matter."""
+    if order == s.order:
+        return s
+    top = _key(order, s._e * s._W)
+    return s._make(order, s._e, {k: p for k, p in s._p.items() if k <= top}, True)
 
 
 def _theta(s: Series, i: int, order) -> Series:
     """theta_v s = v ds/dv for the i-th variable v of s's grading, each term
     scaled by its exponent of v, at order as _at sets it."""
-    return s._make(order, s._e, {k: (d * s._e, {m: n * m[i] for m, n in nums.items()})
+    n = len(s._names)
+    return s._make(order, s._e, {k: (d * s._e, {m: c * _unpack(m, n)[i]
+                                                for m, c in nums.items()})
                                  for k, (d, nums) in s._p.items()})
 
 
@@ -744,7 +764,7 @@ def invert_map(relations, order, *more):
         u, least = units[t], {}
         for k, (_, nums) in u._p.items():
             for m in nums:
-                least.setdefault(tuple(v for v, x in zip(sources, m) if x), k)
+                least.setdefault(tuple(v for v, x in zip(sources, _unpack(m, n)) if x), k)
         held[t] = [(Fraction(k, u._e * u._W), vs) for vs, k in least.items()]
     rel = {v: top - w for v, w in src_weights.items()}
     for _ in sources:

@@ -425,9 +425,11 @@ def test_potential_substitutes_once(monkeypatch, case):
     # term pairs multiplied: 71,266 with a fresh pow_int per substituted
     # term, exp/log summed power by power and full-precision inversion
     # rounds; 2,642 with power tables, grading-operator recurrences and
-    # stepped rounds, counted in _mul_into, the one multiplication kernel
+    # stepped rounds; 1,000 later.  1,474 once _mul_into is the one kernel,
+    # which also takes sums, scalar products, the constructor's terms and
+    # substitute's accumulation
     ("kp2", 12, 5_300),
-    # 59,359 before; 1,887 now
+    # 59,359 before; 1,887 after; 909 later; 1,694 in the one kernel
     ("local_quadric", 5, 3_800),
 ], ids=["kp2-12", "local_quadric-5"])
 def test_disk_potential_operation_count(monkeypatch, case, order, ceiling):
@@ -439,9 +441,9 @@ def test_disk_potential_operation_count(monkeypatch, case, order, ceiling):
     pairs = [0]
     mul_into = series._mul_into
 
-    def counted_mul_into(acc, a, b):
-        pairs[0] += len(a) * len(b)
-        return mul_into(acc, a, b)
+    def counted_mul_into(out, k, d, a, store, top):
+        pairs[0] += sum(len(a) * len(b) for kb, (_, b) in store.items() if k + kb <= top)
+        return mul_into(out, k, d, a, store, top)
 
     monkeypatch.setattr(series, "_mul_into", counted_mul_into)
     _potential_of(case, order)
@@ -477,20 +479,19 @@ def test_disk_potential_grade_count(monkeypatch, case, order, ceiling):
     ("c3z3", ("box", 3), F(4, 3)),   # exponents in thirds
 ], ids=["kp2-12", "local_quadric-5", "c3z3-4/3"])
 def test_disk_potential_kernel_stays_packed(monkeypatch, case, disk, order):
-    # the multiplication kernel sees packed pieces only: monomials are
-    # tuples of int exponents and coefficients int numerators, so no name,
-    # no var_key sort and no Fraction enters the inner loop
+    # the multiplication kernel sees packed pieces only: each monomial is
+    # one int and each coefficient an int numerator, so no name, no
+    # var_key sort, no tuple and no Fraction enters the inner loop
     from orbidisk import series
 
     calls = [0]
     mul_into = series._mul_into
 
-    def checked(acc, a, b):
-        mul_into(acc, a, b)
-        for piece in (a, b, acc):
+    def checked(out, k, d, a, store, top):
+        mul_into(out, k, d, a, store, top)
+        for piece in [a] + [b for _, b in store.values()] + [p[1] for p in out.values()]:
             for m, n in piece.items():
-                assert type(m) is tuple and all(type(x) is int for x in m)
-                assert type(n) is int
+                assert type(m) is int and type(n) is int
         calls[0] += 1
 
     monkeypatch.setattr(series, "_mul_into", checked)
