@@ -254,11 +254,13 @@ def cmd_analyze(args):
     }
     if data.cy_covector is not None:
         report["cy_covector"] = list(data.cy_covector)
-        witnesses = fan.verify_semi_fano(data)
+        fan.verify_semi_fano(data)
+        # witnesses: the divisor-class sum's multiplier on each anticone
+        # generator, 0 on every Calabi-Yau fan
         report["semi_fano"] = {
             "holds": True,
-            "witnesses": {",".join(map(str, c)): [frac_str(x) for x in lam]
-                          for c, lam in witnesses.items()},
+            "witnesses": {",".join(map(str, c)): ["0"] * len(gens)
+                          for c, _, gens in data.anticones},
         }
     return report
 

@@ -17,8 +17,10 @@ grade sum(C) are ints over the same L, and the sector has one int core on
 On a compactification the enumeration stops at classes that meet the added
 divisor D-infinity at most once (p-infinity = D-infinity . class <= 1).  Every
 compactified class has z-exponent -p-infinity - age - #forced - [p-infinity >
-0] (a column's z-count plus its forced flag is -ceil(p)), so a class with
-p-infinity >= 2 never reaches the z^-1 / z^-2 slice any consumer reads.  The
+0] (a column's z-count plus its forced flag is -ceil(p)).  A run reads only
+z^-1, where the classes with p-infinity = 0 land; those with p-infinity = 1
+reach z^-2 at most, where the tests check the D-infinity identity, and
+those with p-infinity >= 2 lie below it.  The
 scan carries each anticone generator's D-infinity pairing as a second budget
 beside its grade, which is exact because every generator inside the bound
 pairs with D-infinity in Z>=0; one that does not is refused.

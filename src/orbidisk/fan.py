@@ -4,7 +4,7 @@ A stacky fan is given by primitive ray vectors, simplicial cones (as index
 sets) and optional extra vectors inside the support.  From it we derive the
 kernel lattice of the ray map, divisor pairings, box elements with their ages,
 anticones, the basic disk classes with their cones and dual classes, the
-Calabi-Yau covector and the semi-Fano multipliers, plus the validated
+Calabi-Yau covector and the convex-support (semi-Fano) check, plus the validated
 compactification data used by the relative pipeline.
 
 Column convention: the m' columns are the rays 0..m-1 followed by the extra
@@ -20,7 +20,7 @@ from math import gcd, lcm, prod
 from operator import mul
 
 from . import linalg
-from .errors import ValidationError, ConsistencyError, Value, frac, frac_str, index
+from .errors import ValidationError, Value, frac, index
 
 MODULE = "fan-core"
 
@@ -575,28 +575,33 @@ def calabi_yau_covector(fan: StackyFan):
 
 
 def verify_semi_fano(data: ToricData):
-    """Decide the semi-Fano property by exact feasibility.
+    """Refuse a fan whose support is not convex.  On a local surface, a
+    Calabi-Yau fan over a polygon at height 1, convex support is the
+    semi-Fano property: every boundary ray lies on the polygon's boundary.
 
-    For every minimal anticone the sum of all divisor classes is written in
-    the divisor classes it indexes; the unique multipliers, its pairings with
-    the anticone's generators, must be >= 0.  Returns {cone: multipliers};
-    raises ConsistencyError with the violating anticone otherwise.  On a
-    Calabi-Yau fan every kernel vector's entries sum to 0, so the sum is 0,
-    every multiplier is 0 and nothing is refused.
+    A facet of a full-dimensional cone that lies in no other one bounds the
+    support.  Row k of the cone's elimination matrix is the inward normal of
+    the facet opposite ray k, and every column must pair >= 0 with it;
+    otherwise a ValidationError names the cone, the facet and the first
+    column on the wrong side.
     """
-    op = "verify_semi_fano"
-    # the divisor-class sum in dual coordinates: component a = sum_i gamma_a[i]
-    rho = [sum(g) for g in data.gamma]
-    witnesses = {}
-    for cone, comp, gens in data.anticones:
-        lam = [sum(x * p for x, p in zip(g, rho)) for g in gens]
-        if any(x < 0 for x in lam):
-            raise ConsistencyError(
-                MODULE, op, "sum of divisor classes leaves the Kahler cone "
-                f"closure at anticone {comp}",
-                {"anticone": comp, "multipliers": [frac_str(x) for x in lam]})
-        witnesses[cone] = lam
-    return witnesses
+    fan, cols = data.fan, data.fan.columns()
+    shared = _facet_counts(fan)
+    for cone, (_, t) in zip(fan.cones, fan.eliminations):
+        if len(cone) != fan.rank:
+            continue
+        for k, row in enumerate(t):
+            facet = cone[:k] + cone[k + 1:]
+            if shared[facet] > 1:
+                continue
+            for i, col in enumerate(cols):
+                if sum(map(mul, row, col)) < 0:
+                    raise _verr("verify_semi_fano",
+                                f"support is not convex (not semi-Fano): "
+                                f"column {i} lies beyond facet {list(facet)} "
+                                f"of cone {list(cone)}",
+                                {"cone": list(cone), "facet": list(facet),
+                                 "column": i})
 
 
 # ---------------------------------------------------------------------------
@@ -643,16 +648,14 @@ def parse_disk_selector(text: str, data: ToricData):
     raise _verr(op, f"bad disk selector kind {kind!r}", text)
 
 
-def _facet_pairing_complete(fan: StackyFan):
-    """True when every facet of every full-dimensional cone is shared by
-    exactly two of them (no boundary)."""
-    n = fan.rank
-    maxc = [c for c in fan.cones if len(c) == n]
+def _facet_counts(fan: StackyFan) -> dict:
+    """{facet: number of full-dimensional cones holding it}."""
     count = {}
-    for c in maxc:
-        for facet in itertools.combinations(c, n - 1):
-            count[facet] = count.get(facet, 0) + 1
-    return bool(maxc) and all(v == 2 for v in count.values())
+    for c in fan.cones:
+        if len(c) == fan.rank:
+            for facet in itertools.combinations(c, fan.rank - 1):
+                count[facet] = count.get(facet, 0) + 1
+    return count
 
 
 def validate_compactification(base_fan: StackyFan, bar_fan: StackyFan,
@@ -693,7 +696,7 @@ def validate_compactification(base_fan: StackyFan, bar_fan: StackyFan,
         raise _verr(op, "incomplete fan: the added ray lies in no cone", b_inf)
 
     certificate = {
-        "facets_paired": _facet_pairing_complete(bar_fan),
+        "facets_paired": set(_facet_counts(bar_fan).values()) == {2},
         "covers_ray_negatives": all(
             minimal_cone(bar_fan, tuple(-x for x in r)) is not None
             for r in bar_fan.rays),

@@ -7,10 +7,10 @@ Each divisor column of a class contributes a factor
 with p the pairing of the class with that column.  After cancelling the common
 tail the factor is an explicit finite product; we track its exact scalar, its
 z-exponent and whether a bare divisor factor survives (the a = 0 term of an
-integer p <= -1).  Terms with two or more surviving divisor factors are
-discarded: no consumer reads past divisor-linear data, and the divisor-linear
-corrections hidden in the denominators first show up in weight-2 cohomology at
-z^-2, which nothing downstream consumes either.
+integer p <= -1).  mirrormap.g_series reads only the z^-1 terms with at
+most one surviving divisor factor: no consumer reads past divisor-linear
+data, and the divisor-linear corrections hidden in the denominators first
+show up in weight-2 cohomology at z^-2, which no run consumes either.
 
 In compactified mode the added ray's factor combines with the relative
 modification into 1/(D + (D.d) z): a single 1/((D.d) z) scalar when the
@@ -25,8 +25,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm, prod
 
-from .errors import ConsistencyError, Value, frac
-from .series import Series, mono
+from .errors import ConsistencyError, Value
+from .series import mono
 
 MODULE = "ifunction-engine"
 
@@ -46,17 +46,6 @@ class ZFactors(Value):
     z_exponent: Fraction
     scalar: Fraction
     forced_columns: tuple
-
-    def classify(self, cls):
-        """One of ("sector", box), ("divisor", column), ("h0z2",), or None."""
-        nf = len(self.forced_columns)
-        if nf == 0 and self.z_exponent == -1:
-            return ("sector", cls.sector)
-        if nf == 1 and self.z_exponent == -1:
-            return ("divisor", self.forced_columns[0])
-        if nf == 0 and self.z_exponent == -2 and cls.sector.is_zero():
-            return ("h0z2",)
-        return None
 
 
 def z_extract(data, cls) -> ZFactors:
@@ -86,60 +75,23 @@ def y_monomial(data, coords):
     return mono(*zip(data.y_vars(), coords))
 
 
-class Slice(Value):
-    """z^-1 and z^-2 coefficient data summed over enumerated classes."""
-    sector_series: dict   # box vector -> Series
-    divisor_series: dict  # column -> Series
-    h0_z2: Series
-
-
-def coefficient_slice(data, classes, order) -> Slice:
-    """Accumulate the z^-1 / z^-2 extractions of a list of classes: the terms
-    of each series in one dict, then each Series built once.  A
-    divisor-linear coefficient, of a class pairing -k at its column and
-    q_i >= 0 with the others, is (-1)^(k-1) (k-1)! / prod q_i!: _factor's
-    product in closed form, which the tests assert over the corpus."""
-    sectors, divisors, h0_z2 = {}, {}, {}
-    for cls in classes:
-        zf = z_extract(data, cls)
-        kind = zf.classify(cls)
-        if kind is None:
-            continue
-        if kind[0] == "sector":
-            terms = sectors.setdefault(kind[1].vector, {})
-        elif kind[0] == "divisor":
-            terms = divisors.setdefault(kind[1], {})
-        else:
-            terms = h0_z2
-        terms[y_monomial(data, cls.coords)] = zf.scalar
-    weights, order = data.y_weights(), frac(order)
-    return Slice({k: Series(weights, order, t) for k, t in sectors.items()},
-                 {k: Series(weights, order, t) for k, t in divisors.items()},
-                 Series(weights, order, h0_z2))
-
-
-def relative_ifunction_oracle(cd, base):
-    """Sum the extractions over the compactified effective classes at the
-    order of `base`, the base fan's mirror map.
+def relative_ifunction_oracle(cd, base) -> list:
+    """The compactified effective classes at the order of `base`, the base
+    fan's mirror map, whose z^-1 extractions mirrormap.g_series sums.
 
     The enumeration holds only the classes with p_inf = D_inf . class <= 1:
     a column's z-count plus its forced flag is -ceil(p), so every class has
     the z-exponent -p_inf - age - #forced - [p_inf > 0], and one that meets
-    D_inf twice or more lies below z^-2 and adds nothing to the slice.  The
-    p_inf = 0 classes are checked against `base`.
-
-    Returns (Slice, classes) of the compactified fan.  Its z^-2 degree-0
-    part is y^D_inf with coefficient 1, as the tests assert: by the
-    Calabi-Yau covector a class of that part pairs 1 with one base column,
-    the one opposite the added ray, so it is D_inf.
+    D_inf twice or more lies below z^-2.  The p_inf = 0 classes are checked
+    against `base`.  The p_inf = 1 classes reach z^-2 at most; the tests
+    assert that their z^-2 degree-0 part is y^D_inf with coefficient 1: by
+    the Calabi-Yau covector a class of that part pairs 1 with one base
+    column, the one opposite the added ray, so it is D_inf.
     """
     from .effective import enumerate_effective
 
-    bound = base.order
     bar = cd.bar
-    classes = enumerate_effective(bar, bound)
-    sl = coefficient_slice(bar, classes, bound)
-
+    classes = enumerate_effective(bar, base.order)
     inf_col = bar.infinity_column
     # the zero-infinity-pairing slice of the compactified enumeration must be
     # exactly the classes `base` was built from: a class with an empty bad set is effective
@@ -153,4 +105,4 @@ def relative_ifunction_oracle(cd, base):
                                "zero-infinity slice of the compactified "
                                "enumeration differs from the base enumeration",
                                sorted(embedded ^ flat)[:3])
-    return sl, classes
+    return classes

@@ -18,21 +18,33 @@ from fractions import Fraction
 from .effective import enumerate_effective
 from .errors import ConsistencyError, ValidationError, Value, frac, frac_str
 from .fan import CompactifiedData, ToricData, verify_semi_fano
-from .hyper import coefficient_slice, relative_ifunction_oracle, y_monomial
+from .hyper import relative_ifunction_oracle, y_monomial, z_extract
 from .series import Series, invert_map
 
 MODULE = "mirror-maps"
 
 
-def g_series(data: ToricData, sector_series, divisor_series, order) -> dict:
-    """Scalar mirror-map series of every column, {column: Series}, from the
-    z^-1 pieces of one coefficient slice: a ray takes its divisor series, an
-    extra vector the sector series of its box element."""
-    zero = Series.zero(data.y_weights(), frac(order))
-    g = {j: divisor_series.get(j, zero) for j in range(data.m)}
-    for j in data.extra_columns():
-        g[j] = sector_series.get(tuple(data.column_vector(j)), zero)
-    return g
+def g_series(data: ToricData, classes, order) -> dict:
+    """Scalar mirror-map series of every column, {column: Series}: the z^-1
+    extractions of `classes`.  A class with one forced column adds to that
+    ray's series, one with none to the extra column of its sector's box
+    vector; each column's terms are gathered in one dict and its Series
+    built once.  A divisor-linear coefficient, of a class pairing -k at its
+    column and q_i >= 0 with the others, is (-1)^(k-1) (k-1)! / prod q_i!:
+    _factor's product in closed form, which the tests assert over the
+    corpus."""
+    extra = {tuple(data.column_vector(j)): j for j in data.extra_columns()}
+    terms = {j: {} for j in range(data.m_prime)}
+    for cls in classes:
+        zf = z_extract(data, cls)
+        forced = zf.forced_columns
+        if zf.z_exponent != -1 or len(forced) > 1:
+            continue
+        j = forced[0] if forced else extra.get(cls.sector.vector)
+        if j is not None:
+            terms[j][y_monomial(data, cls.coords)] = zf.scalar
+    weights, order = data.y_weights(), frac(order)
+    return {j: Series(weights, order, t) for j, t in terms.items()}
 
 
 class Relation(Value):
@@ -163,8 +175,7 @@ def toric_mirror_map(data: ToricData, order) -> MirrorMap:
     data.require_split(MODULE, op)
     order = frac(order)
     classes = enumerate_effective(data, order)
-    sl = coefficient_slice(data, classes, order)
-    g = g_series(data, sl.sector_series, sl.divisor_series, order)
+    g = g_series(data, classes, order)
     return MirrorMap(data, order, g, _relations(data, g, order), classes)
 
 
@@ -172,8 +183,8 @@ def relative_mirror_map(cd: CompactifiedData, base: MirrorMap) -> MirrorMap:
     """Forward mirror map of the compactified pair at the order of `base`,
     the base fan's mirror map.
 
-    Computed with the same machinery on the compactified fan, from the z^-1
-    pieces of the relative I-function oracle, with the qinf relation leading
+    Computed with the same machinery on the compactified fan: g_series over
+    the relative I-function oracle's classes, with the qinf relation leading
     with beta_bar.  The tests assert over the corpus that the other relations
     are those of `base` (a class that meets D_inf has no z^-1 term) and that
     the qinf correction is the cone-weighted sum of the base ray series.
@@ -184,9 +195,9 @@ def relative_mirror_map(cd: CompactifiedData, base: MirrorMap) -> MirrorMap:
                               None)
     order = base.order
     bar = cd.bar
-    sl, classes = relative_ifunction_oracle(cd, base)
+    classes = relative_ifunction_oracle(cd, base)
     # z_extract never forces the added ray's column, so its series is zero
-    g = g_series(bar, sl.sector_series, sl.divisor_series, order)
+    g = g_series(bar, classes, order)
     return MirrorMap(bar, order, g,
                      _relations(bar, g, order, cd.beta_bar_coords), classes)
 

@@ -206,6 +206,21 @@ def test_validation_error_exit_code(capsys, tmp_path):
     assert "non-primitive" in err
 
 
+def test_local_f3_refused_as_not_semi_fano(capsys, tmp_path):
+    # a (-3)-curve puts a boundary ray beyond a facet of the support
+    from test_fan import LOCAL_F3
+    path = tmp_path / "f3.json"
+    path.write_text(json.dumps(LOCAL_F3))
+    for argv in (("analyze", str(path)),
+                 ("invariants", str(path), "--disk", "ray:0", "--order", "2")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        payload = json.loads(err)["error"]
+        assert payload["operation"] == "verify_semi_fano"
+        assert payload["datum"] == repr(
+            {"cone": [0, 1, 2], "facet": [1, 2], "column": 3})
+
+
 def test_missing_file_exit_code(capsys):
     code, out, err = run(capsys, "analyze", "/nonexistent/xyz.json")
     assert code == 2

@@ -21,8 +21,7 @@ import orbidisk
 from orbidisk import fans, invariants
 from orbidisk.effective import enumerate_effective
 from orbidisk.errors import ConsistencyError
-from orbidisk.fan import (fan_from_dict, kernel_data,
-                          validate_compactification, verify_semi_fano)
+from orbidisk.fan import fan_from_dict, kernel_data, validate_compactification
 from orbidisk.hyper import relative_ifunction_oracle
 from orbidisk.invariants import (DiskPotential, compare_potentials,
                                  extract_invariants)
@@ -104,16 +103,6 @@ def _(monkeypatch):
     # ray 0 marked as the added one: its generator pairs -3 with it
     bar = compactified("kp2", ("ray", 0)).bar
     enumerate_effective(replaced(bar, infinity_column=0), 1)
-
-
-# -- fan ----------------------------------------------------------------------
-
-
-@fires("fan", "verify_semi_fano", "sum of divisor classes leaves")
-def _(monkeypatch):
-    verify_semi_fano(kernel_data(fan_from_dict(
-        {"rank": 2, "rays": [[1, 0], [0, 1], [-1, 3]],
-         "cones": [[0, 1], [1, 2]]})))
 
 
 # -- hyper --------------------------------------------------------------------

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import orbidisk
 from orbidisk import fans, linalg
-from orbidisk.errors import ConsistencyError, ValidationError, Value
+from orbidisk.errors import ValidationError, Value
 from orbidisk.fan import (_box_of_cone, _toric_data, box_elements,
                           calabi_yau_covector, fan_from_dict, kernel_data,
                           minimal_cone, parse_stacky_fan,
@@ -574,21 +574,26 @@ def test_cy_infeasible():
     assert calabi_yau_covector(fan) is None
 
 
+# local F_3: its surface has a (-3)-curve, so the boundary ray (0, 1) lies
+# beyond the edge from (1, 0) to (-1, 3) and the support is not convex
+LOCAL_F3 = {"rank": 3,
+            "rays": [[0, 0, 1], [1, 0, 1], [0, 1, 1], [-1, 3, 1], [0, -1, 1]],
+            "cones": [[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 1, 4]]}
+
+
 def test_semi_fano_c3():
-    data = kernel_data(load("c3"))
-    assert verify_semi_fano(data) == {(0, 1, 2): []}
+    # one cone: each facet bounds the support, and the columns are its rays
+    assert verify_semi_fano(kernel_data(load("c3"))) is None
 
 
 def test_semi_fano_kp2():
-    data = kernel_data(load("kp2"))
-    w = verify_semi_fano(data)
-    # divisor-class sum is zero, so every anticone certifies with zeros
-    assert all(lam == [F(0)] for lam in w.values())
-    assert len(w) == 3
+    # the interior ray and the three vertices of the triangle
+    assert verify_semi_fano(kernel_data(load("kp2"))) is None
 
 
 def test_semi_fano_weighted_chart():
-    # all heights 1 so the CY covector exists; the feasibility solver decides
+    # all heights 1 so the CY covector exists; the origin lies inside the
+    # triangle of the other three rays, so the support is convex
     doc = {"rank": 3,
            "rays": [[0, 0, 1], [1, 0, 1], [0, 1, 1], [-1, -2, 1]],
            "cones": [[0, 1, 2], [0, 2, 3], [0, 1, 3]]}
@@ -596,8 +601,24 @@ def test_semi_fano_weighted_chart():
     assert calabi_yau_covector(fan) == [0, 0, 1]
     data = kernel_data(fan)
     assert data.gamma == [[-4, 1, 2, 1]]
-    w = verify_semi_fano(data)
-    assert len(w) == 3
+    assert verify_semi_fano(data) is None
+
+
+@pytest.mark.parametrize("a", range(6))
+def test_semi_fano_local_hirzebruch(a):
+    # local F_a: the ray (0, 1) has neighbours (1, 0) and (-1, a), so its
+    # curve has self-intersection -a, and the support is convex iff a <= 2
+    doc = {**LOCAL_F3, "rays": [[0, 0, 1], [1, 0, 1], [0, 1, 1], [-1, a, 1],
+                                [0, -1, 1]]}
+    data = kernel_data(fan_from_dict(doc))
+    assert data.cy_covector == [0, 0, 1]
+    if a <= 2:
+        assert verify_semi_fano(data) is None
+        return
+    with pytest.raises(ValidationError, match="support is not convex") as e:
+        verify_semi_fano(data)
+    assert e.value.exit_code == 2
+    assert e.value.datum == {"cone": [0, 1, 2], "facet": [1, 2], "column": 3}
 
 
 # ---------------------------------------------------------------------------
@@ -794,8 +815,9 @@ def test_anticone_upward_closure():
 @functools.lru_cache(maxsize=None)
 def table_data():
     """{id: ToricData} for the bundled base fans, the generalization fans,
-    the bar data of every pair in bar_data() and one fan that is not
-    semi-Fano: the corpus of the identity tests."""
+    the bar data of every pair in bar_data(), one fan that is not
+    Calabi-Yau and local F_3, whose support is not convex: the corpus of
+    the identity tests."""
     from test_generalization import (A1_CHART, LOCAL_QUADRIC, WEIGHTED_BASIS,
                                      WEIGHTED_SURFACE)
     cases = [(name, kernel_data(load(name)))
@@ -806,16 +828,18 @@ def table_data():
                   kernel_data(fan_from_dict(WEIGHTED_SURFACE),
                               basis_p=WEIGHTED_BASIS)))
     cases += bar_data().items()
-    # a (-3)-curve: the divisor-class sum is negative, so not semi-Fano
+    # a (-3)-curve in rank 2: not Calabi-Yau, and its support is convex
     cases.append(("minus_three_curve", kernel_data(fan_from_dict(
         {"rank": 2, "rays": [[1, 0], [0, 1], [-1, 3]],
          "cones": [[0, 1], [1, 2]]}))))
+    cases.append(("local_f3", kernel_data(fan_from_dict(LOCAL_F3))))
     return dict(cases)
 
 
 TABLE_IDS = ["c3", "conifold", "kp2", "c3z3", "c3_bar", "kp2_bar", "c3z3_bar",
              "local_quadric", "local_quadric_bar", "a1_chart", "a1_chart_bar",
-             "weighted_surface", "weighted_surface_bar", "minus_three_curve"]
+             "weighted_surface", "weighted_surface_bar", "minus_three_curve",
+             "local_f3"]
 
 
 @pytest.mark.parametrize("case", TABLE_IDS)
@@ -868,29 +892,48 @@ def test_extra_vector_split_completes(case):
     assert abs(oracle_det(full)) == 1
 
 
-def semi_fano_reference(data):
-    """The semi-Fano multipliers by a direct solve of each anticone system."""
-    rho = [sum(g) for g in data.gamma]
-    out = {}
-    for cone, _, _ in data.anticones:
-        comp = [i for i in range(data.m) if i not in cone] + \
-            list(data.extra_columns())
-        sub = [[data.gamma[a][i] for i in comp] for a in range(data.r)]
-        out[cone] = linalg.solve_rational(sub, rho) if sub else []
-    return out
+def convex_support_reference(data):
+    """The first (cone, facet, column) with the column beyond a facet that
+    no other full-dimensional cone holds, or None: each facet's inward
+    normal solved afresh from the cone's rays."""
+    fan = data.fan
+    full = [c for c in fan.cones if len(c) == fan.rank]
+    for cone in full:
+        for k, ray in enumerate(cone):
+            facet = [i for i in cone if i != ray]
+            if sum(set(facet) <= set(c) for c in full) > 1:
+                continue
+            normal = oracle_solve([fan.rays[i] for i in cone],
+                                  [int(i == ray) for i in cone])
+            for i, col in enumerate(fan.columns()):
+                if sum(map(mul, normal, col)) < 0:
+                    return {"cone": list(cone), "facet": facet, "column": i}
+    return None
+
+
+@pytest.mark.parametrize("name", ["f1", "f2", "dp2", "local_p3", "c4z4"])
+def test_semi_fano_holds_on_the_corpus(name):
+    # the Calabi-Yau corpus fans outside the table; F_2's ray (0, 1) lies on
+    # an edge of its polygon, which convexity allows
+    import test_generalization
+    from test_constant_term import corpus_data
+    data = kernel_data(fan_from_dict(test_generalization.C4Z4)) \
+        if name == "c4z4" else corpus_data(name)
+    assert convex_support_reference(data) is None
+    assert verify_semi_fano(data) is None
 
 
 @pytest.mark.parametrize("case", TABLE_IDS)
 def test_semi_fano_matches_direct_solve(case):
     data = table_data()[case]
-    want = semi_fano_reference(data)
-    bad = [(c, lam) for c, lam in want.items() if any(x < 0 for x in lam)]
-    if not bad:
-        assert verify_semi_fano(data) == want
+    want = convex_support_reference(data)
+    assert (want is not None) == (case == "local_f3")
+    if want is None:
+        assert verify_semi_fano(data) is None
         return
-    with pytest.raises(ConsistencyError) as e:
+    with pytest.raises(ValidationError) as e:
         verify_semi_fano(data)
-    assert e.value.datum["multipliers"] == [str(x) for x in bad[0][1]]
+    assert e.value.datum == want
 
 
 @pytest.mark.parametrize("case", TABLE_IDS)

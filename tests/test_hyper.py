@@ -9,9 +9,9 @@ from orbidisk.effective import eff_class, enumerate_effective, sector
 from orbidisk.errors import ConsistencyError, ValidationError
 from orbidisk.fan import (ToricData, fan_from_dict, kernel_data,
                           validate_compactification)
-from orbidisk.hyper import (Slice, ZFactors, _factor, coefficient_slice,
-                            relative_ifunction_oracle, y_monomial, z_extract)
-from orbidisk.mirrormap import toric_mirror_map
+from orbidisk.hyper import (ZFactors, _factor, relative_ifunction_oracle,
+                            y_monomial, z_extract)
+from orbidisk.mirrormap import g_series, toric_mirror_map
 from orbidisk.series import Series, mono
 from test_effective import (brute_force_effective, eff_class_reference,
                             sector_reference)
@@ -85,28 +85,55 @@ def closed_form_reference(pairings, j, skip=()):
     return F((-1) ** (k - 1) * factorial(k - 1)) / den
 
 
-def coefficient_slice_reference(data, classes, order) -> Slice:
+def slice_kind(zf, cls):
+    """Where one class's extraction lands: ("divisor", column) or ("sector",
+    box vector) for a z^-1 term with at most one forced column, ("h0z2",)
+    for a z^-2 term of the untwisted sector with none, else None."""
+    nf = len(zf.forced_columns)
+    if zf.z_exponent == -1 and nf <= 1:
+        return ("divisor", zf.forced_columns[0]) if nf else \
+            ("sector", cls.sector.vector)
+    if zf.z_exponent == -2 and nf == 0 and cls.sector.is_zero():
+        return ("h0z2",)
+    return None
+
+
+def g_series_reference(data, classes, order) -> dict:
+    """{column: Series} of the z^-1 extractions: each class's single-term
+    Series added to its ray, or to the extra column whose vector is its
+    sector's box vector."""
     weights = data.y_weights()
-    zero = Series.zero(weights, order)
-    sectors, divisors, h0_z2 = {}, {}, zero
+    g = dict.fromkeys(range(data.m_prime), Series.zero(weights, order))
     skip = () if data.infinity_column is None else (data.infinity_column,)
     for cls in classes:
         zf = z_extract_reference(data, cls)
-        kind = zf.classify(cls)
-        if kind is None:
+        kind = slice_kind(zf, cls)
+        if kind is None or kind[0] == "h0z2":
             continue
-        term = Series.monomial(y_monomial(data, cls.coords), weights,
-                               order) * zf.scalar
-        if kind[0] == "sector":
-            key = kind[1].vector
-            sectors[key] = sectors.get(key, zero) + term
-        elif kind[0] == "divisor":
-            assert zf.scalar == closed_form_reference(cls.pairings, kind[1],
-                                                      skip)
-            divisors[kind[1]] = divisors.get(kind[1], zero) + term
+        if kind[0] == "divisor":
+            j = kind[1]
+            assert zf.scalar == closed_form_reference(cls.pairings, j, skip)
         else:
-            h0_z2 = h0_z2 + term
-    return Slice(sectors, divisors, h0_z2)
+            (j,) = [j for j in data.extra_columns()
+                    if tuple(data.column_vector(j)) == kind[1]]
+        g[j] = g[j] + Series.monomial(y_monomial(data, cls.coords), weights,
+                                      order) * zf.scalar
+    return g
+
+
+def z2_degree0(data, classes) -> dict:
+    """{monomial: coefficient} of the z^-2 degree-0 part of the classes'
+    extractions: on a compactification, of relative_ifunction_oracle's
+    classes, y^D_inf with coefficient 1."""
+    out = {}
+    for cls in classes:
+        zf = z_extract(data, cls)
+        if slice_kind(zf, cls) == ("h0z2",):
+            out[y_monomial(data, cls.coords)] = zf.scalar
+    return out
+
+
+YINF = {mono(("yinf", 1)): F(1)}
 
 
 def _forward_case(name):
@@ -144,8 +171,8 @@ def test_forward_layer_matches_fraction_reference(name):
         assert z_extract(data, cls) == z_extract_reference(data, cls)
         for p in cls.pairings:
             assert column_factor(p) == hyper_factor_reference(p)
-    assert coefficient_slice(data, classes, bound) == \
-        coefficient_slice_reference(data, classes, bound)
+    assert g_series(data, classes, bound) == \
+        g_series_reference(data, classes, bound)
 
 
 def test_c3z3_bar_plain_fan_refuses():
@@ -206,7 +233,7 @@ def test_z_extract_kp2_line():
     assert zf.z_exponent == -1
     assert zf.forced_columns == (0,)
     assert zf.scalar == 2
-    assert zf.classify(cls) == ("divisor", 0)
+    assert slice_kind(zf, cls) == ("divisor", 0)
 
 
 def test_z_extract_c3z3_twisted():
@@ -215,8 +242,7 @@ def test_z_extract_c3z3_twisted():
     zf = z_extract(data, cls)
     assert zf.z_exponent == -1 and zf.forced_columns == ()
     assert zf.scalar == 1
-    kind = zf.classify(cls)
-    assert kind[0] == "sector" and kind[1].vector == (0, 0, 1)
+    assert slice_kind(zf, cls) == ("sector", (0, 0, 1))
 
 
 def test_z_extract_discards_two_divisors():
@@ -224,7 +250,7 @@ def test_z_extract_discards_two_divisors():
     cls = eff_class(data, [1])
     zf = z_extract(data, cls)
     assert len(zf.forced_columns) == 2
-    assert zf.classify(cls) is None
+    assert slice_kind(zf, cls) is None
 
 
 def test_z_extract_compactified_unit():
@@ -236,7 +262,7 @@ def test_z_extract_compactified_unit():
     zf = z_extract(bar, cls)
     assert zf.z_exponent == -2
     assert zf.scalar == 1
-    assert zf.classify(cls) == ("h0z2",)
+    assert slice_kind(zf, cls) == ("h0z2",)
 
 
 @settings(max_examples=20, derandomize=True)
@@ -266,54 +292,51 @@ def test_z_weight_lemma_c3z3():
 def test_slice_kp2():
     data = kernel_data(fans.load("kp2"))
     classes = enumerate_effective(data, 3)
-    sl = coefficient_slice(data, classes, 3)
-    g0 = sl.divisor_series[0]
+    g = g_series(data, classes, 3)
     y = lambda e: mono(("y1", e))
-    assert g0.terms == {y(1): F(2), y(2): F(-15), y(3): F(560, 3)}
-    assert sl.sector_series == {}
-    assert sl.h0_z2.is_zero()
+    assert g[0].terms == {y(1): F(2), y(2): F(-15), y(3): F(560, 3)}
+    assert all(g[j].is_zero() for j in (1, 2, 3))
+    assert z2_degree0(data, classes) == {}
 
 
 def test_slice_c3z3():
     data = kernel_data(fans.load("c3z3"))
-    classes = enumerate_effective(data, F(4, 3))
-    sl = coefficient_slice(data, classes, F(4, 3))
-    g3 = sl.sector_series[(0, 0, 1)]
-    assert g3.terms == {mono(("y1", F(1, 3))): F(1),
-                        mono(("y1", F(4, 3))): F(-1, 648)}
-    assert sl.divisor_series == {}
+    g = g_series(data, enumerate_effective(data, F(4, 3)), F(4, 3))
+    assert g[3].terms == {mono(("y1", F(1, 3))): F(1),
+                          mono(("y1", F(4, 3))): F(-1, 648)}
+    assert all(g[j].is_zero() for j in (0, 1, 2))
 
 
 def test_oracle_compactified_c3():
     cd = validate_compactification(fans.load("c3"), fans.load("c3_bar"),
                                    ("ray", 2))
-    sl, _ = relative_ifunction_oracle(cd, toric_mirror_map(cd.base, 4))
-    assert sl.h0_z2.terms == {mono(("yinf", 1)): F(1)}
-    assert sl.sector_series == {}
-    assert sl.divisor_series == {}
+    classes = relative_ifunction_oracle(cd, toric_mirror_map(cd.base, 4))
+    assert z2_degree0(cd.bar, classes) == YINF
+    assert all(s.is_zero() for s in g_series(cd.bar, classes, 4).values())
 
 
 def test_oracle_compactified_kp2():
     cd = validate_compactification(fans.load("kp2"), fans.load("kp2_bar"),
                                    ("ray", 0))
-    sl, _ = relative_ifunction_oracle(cd, toric_mirror_map(cd.base, 3))
-    assert sl.h0_z2.terms == {mono(("yinf", 1)): F(1)}
-    g0 = sl.divisor_series[0]
-    assert g0.terms == {mono(("y1", 1)): F(2), mono(("y1", 2)): F(-15),
-                        mono(("y1", 3)): F(560, 3)}
+    classes = relative_ifunction_oracle(cd, toric_mirror_map(cd.base, 3))
+    assert z2_degree0(cd.bar, classes) == YINF
+    g = g_series(cd.bar, classes, 3)
+    assert g[0].terms == {mono(("y1", 1)): F(2), mono(("y1", 2)): F(-15),
+                          mono(("y1", 3)): F(560, 3)}
     # no series attaches to the added ray
-    assert 4 not in sl.divisor_series
+    assert g[4].is_zero()
 
 
 def test_oracle_compactified_c3z3():
     cd = validate_compactification(fans.load("c3z3"), fans.load("c3z3_bar"),
                                    ("box", 3))
-    sl, _ = relative_ifunction_oracle(cd, toric_mirror_map(cd.base, 2))
-    assert sl.h0_z2.terms == {mono(("yinf", 1)): F(1)}
-    g3 = sl.sector_series[(0, 0, 1)]
-    assert g3.coefficient(mono(("y1", F(1, 3)))) == 1
-    assert g3.coefficient(mono(("y1", F(4, 3)))) == F(-1, 648)
-    assert sl.divisor_series == {}
+    classes = relative_ifunction_oracle(cd, toric_mirror_map(cd.base, 2))
+    assert z2_degree0(cd.bar, classes) == YINF
+    # the extra column sits past the added ray at column 3
+    g = g_series(cd.bar, classes, 2)
+    assert g[4].coefficient(mono(("y1", F(1, 3)))) == 1
+    assert g[4].coefficient(mono(("y1", F(4, 3)))) == F(-1, 648)
+    assert all(g[j].is_zero() for j in range(4))
 
 
 @pytest.mark.parametrize("base,bar,disk", [
@@ -324,8 +347,8 @@ def test_oracle_compactified_c3z3():
 @pytest.mark.parametrize("bound", [1, 2, 3, 4, 5, 6])
 def test_oracle_single_monomial_every_bound(base, bar, disk, bound):
     cd = validate_compactification(fans.load(base), fans.load(bar), disk)
-    sl, _ = relative_ifunction_oracle(cd, toric_mirror_map(cd.base, bound))
-    assert sl.h0_z2.terms == {mono(("yinf", 1)): F(1)}
+    classes = relative_ifunction_oracle(cd, toric_mirror_map(cd.base, bound))
+    assert z2_degree0(cd.bar, classes) == YINF
 
 
 @pytest.mark.parametrize("base,bar,disk", [
@@ -346,14 +369,15 @@ def test_oracle_refuses_base_classes_off_the_zero_infinity_slice(base, bar,
 
 
 def test_oracle_z1_rebuilds_relations():
-    # the flat-relation corrections re-assemble from the raw z^-1 pieces
+    # the flat-relation corrections re-assemble from the Fraction reference
+    # of the z^-1 column series
     from orbidisk.mirrormap import relative_mirror_map
     from orbidisk.series import Series
 
     cd = validate_compactification(fans.load("kp2"), fans.load("kp2_bar"),
                                    ("ray", 0))
     base = toric_mirror_map(cd.base, 3)
-    sl, _ = relative_ifunction_oracle(cd, base)
+    g = g_series_reference(cd.bar, relative_ifunction_oracle(cd, base), 3)
     mm = relative_mirror_map(cd, base)
     zero = Series.zero(cd.bar.y_weights(), 3)
     for rel in mm.relations:
@@ -365,17 +389,17 @@ def test_oracle_z1_rebuilds_relations():
                                          for b in range(cd.bar.r)])
         want = zero
         for j in range(cd.bar.m):
-            if pair[j] and j in sl.divisor_series:
-                want = want + sl.divisor_series[j] * pair[j]
+            if pair[j]:
+                want = want + g[j] * pair[j]
         assert rel.correction.same_terms(want)
-    # twisted pieces are the sector series themselves
+    # twisted pieces are the extra column's series themselves
     cd = validate_compactification(fans.load("c3z3"), fans.load("c3z3_bar"),
                                    ("box", 3))
     base = toric_mirror_map(cd.base, 2)
     t3 = next(r for r in relative_mirror_map(cd, base).relations
               if r.kind == "twisted")
-    sl2, _ = relative_ifunction_oracle(cd, base)
-    assert t3.series.same_terms(sl2.sector_series[(0, 0, 1)])
+    g = g_series_reference(cd.bar, relative_ifunction_oracle(cd, base), 2)
+    assert t3.series.same_terms(g[4])
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +463,8 @@ def test_cap_drops_only_classes_past_the_slice(name):
     capped = enumerate_effective(bar, bound)
     assert len(capped) < len(ref)
     assert capped == [c for c in ref if c.pairings[inf] <= 1]
-    assert coefficient_slice(bar, capped, bound) == \
-        coefficient_slice(bar, ref, bound)
+    assert g_series(bar, capped, bound) == g_series(bar, ref, bound)
+    assert z2_degree0(bar, capped) == z2_degree0(bar, ref)
 
 
 @pytest.mark.parametrize("pair, grade, pairing", [

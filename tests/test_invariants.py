@@ -303,7 +303,7 @@ def test_compare_potentials(base, bar, disk, order):
 
 def test_compare_potentials_computes_each_artefact_once(monkeypatch):
     # one base mirror map, built at the bar order and read by both routes:
-    # one enumeration and one slice of each fan, one semi-Fano certificate,
+    # one enumeration and one g_series of each fan, one semi-Fano check,
     # and one extraction per enumerated class
     import sys
     from orbidisk import effective, fan, hyper, mirrormap
@@ -328,18 +328,18 @@ def test_compare_potentials_computes_each_artefact_once(monkeypatch):
     counted("toric_mirror_map", mirrormap.toric_mirror_map)
     counted("enumerate_effective", effective.enumerate_effective, on_enumerate)
     counted("verify_semi_fano", fan.verify_semi_fano)
-    counted("coefficient_slice", hyper.coefficient_slice)
+    counted("g_series", mirrormap.g_series)
     counted("z_extract", hyper.z_extract)
     for base, disk in (("c3", ("ray", 2)), ("kp2", ("ray", 0)),
                        ("c3z3", ("box", 3))):
         calls.update(dict.fromkeys(
             ("toric_mirror_map", "enumerate_effective", "verify_semi_fano",
-             "coefficient_slice", "z_extract", "classes"), 0))
+             "g_series", "z_extract", "classes"), 0))
         compare_potentials(cd_for(base, base + "_bar", disk), 2)
         assert calls["toric_mirror_map"] == 1, base
         assert calls["enumerate_effective"] == 2, base
         assert calls["verify_semi_fano"] == 1, base
-        assert calls["coefficient_slice"] == 2, base
+        assert calls["g_series"] == 2, base
         assert calls["z_extract"] == calls["classes"], base
     assert calls["classes"] > 0
 
